@@ -148,20 +148,16 @@ class Propagator:
         self.norm = norm
         nu = graph.num_users
         v = graph.num_vertices
-        rows = np.concatenate([graph.edge_users, graph.edge_items + nu])
-        cols = np.concatenate([graph.edge_items + nu, graph.edge_users])
+        users, items = graph.edges()
+        rows = np.concatenate([users, items + nu])
+        cols = np.concatenate([items + nu, users])
         deg = graph.degrees.astype(np.float64)
         prod = deg[rows] * deg[cols]
         weights = 1.0 / prod if norm == "dual" else 1.0 / np.sqrt(prod)
         self.matrix = sp.csr_matrix((weights, (rows, cols)), shape=(v, v))
-        self.num_users = nu
-        self.num_items = graph.num_items
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 @dataclass
@@ -209,24 +205,6 @@ def forward_pass(state: EmbeddingState, prop: Propagator, num_layers: int,
                            num_users=state.num_users, mask=mask)
 
 
-def predict_scores(user: int, reps: Representations,
-                   mode: str = "per_modality") -> np.ndarray:
-    """Scores of one user against all items.
-
-    ``per_modality`` sums dot products over every modality (independent of
-    the fusion mask); ``fused`` uses the fused representations.
-    """
-    if mode not in SCORE_MODES:
-        raise ConfigError(f"unknown score mode {mode!r}")
-    if mode == "fused":
-        return reps.fused_items @ reps.fused_users[user]
-    out = None
-    for m in reps.finals:
-        s = reps.items(m) @ reps.users(m)[user]
-        out = s if out is None else out + s
-    return out
-
-
 def score_matrix(reps: Representations, users: np.ndarray,
                  mode: str = "per_modality") -> np.ndarray:
     """Scores of several users against all items, one row per user."""
@@ -238,18 +216,4 @@ def score_matrix(reps: Representations, users: np.ndarray,
     for m in reps.finals:
         s = reps.users(m)[users] @ reps.items(m).T
         out = s if out is None else out + s
-    return out
-
-
-def pairwise_scores(reps: Representations, users: np.ndarray,
-                    items: np.ndarray, mode: str = "per_modality"
-                    ) -> np.ndarray:
-    """Scores for aligned (user, item) index pairs."""
-    if mode == "fused":
-        return np.einsum("bd,bd->b", reps.fused_users[users],
-                         reps.fused_items[items])
-    out = np.zeros(len(users))
-    for m in reps.finals:
-        out += np.einsum("bd,bd->b", reps.users(m)[users],
-                         reps.items(m)[items])
     return out

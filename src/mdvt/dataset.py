@@ -8,7 +8,7 @@ import hashlib
 import json
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -19,6 +19,25 @@ from .errors import ConfigError, DataError
 log = logging.getLogger(__name__)
 
 FEATURE_MAGIC = b"MDVTFEAT"
+
+# (user, draw) pairs tested per has_edge call while sampling negatives.
+NEGATIVE_WINDOW = 64
+
+
+@dataclass(frozen=True)
+class Adjacency:
+    """User->item CSR: user ``u``'s items, ascending, are
+    ``indices[indptr[u]:indptr[u + 1]]``, also read as ``adjacency[u]``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __getitem__(self, user: int) -> np.ndarray:
+        return self.indices[self.indptr[user]:self.indptr[user + 1]]
+
+    @property
+    def row_lengths(self) -> np.ndarray:
+        return np.diff(self.indptr)
 
 
 @dataclass
@@ -48,10 +67,6 @@ class InteractionSet:
         return np.array([i for _, i in self.records], dtype=np.int64)
 
     @cached_property
-    def user_index(self) -> dict[str, int]:
-        return {raw: k for k, raw in enumerate(self.user_ids)}
-
-    @cached_property
     def item_index(self) -> dict[str, int]:
         return {raw: k for k, raw in enumerate(self.item_ids)}
 
@@ -60,11 +75,20 @@ class InteractionSet:
         return InteractionSet(records, self.num_users, self.num_items,
                               self.user_ids, self.item_ids)
 
-    def items_by_user(self) -> list[set[int]]:
-        out: list[set[int]] = [set() for _ in range(self.num_users)]
-        for u, i in self.records:
-            out[u].add(i)
-        return out
+    @cached_property
+    def adjacency(self) -> Adjacency:
+        """The records as a CSR; raises DataError on an index outside
+        ``[0, num_users)`` / ``[0, num_items)``."""
+        users, items = self.user_array, self.item_array
+        for role, idx, bound in (("user", users, self.num_users),
+                                 ("item", items, self.num_items)):
+            bad = (idx < 0) | (idx >= bound)
+            if bad.any():
+                raise DataError(f"{role} index {int(idx[bad][0])} outside "
+                                f"[0, {bound})")
+        order = np.lexsort((items, users))
+        indptr = np.searchsorted(users[order], np.arange(self.num_users + 1))
+        return Adjacency(indptr, items[order])
 
 
 @dataclass
@@ -75,7 +99,12 @@ class DatasetSplit:
     validation: InteractionSet
     test: InteractionSet
     split_seed: int
-    cold_users: tuple[int, ...] = ()
+
+    @property
+    def cold_users(self) -> tuple[int, ...]:
+        """Users with no train record: neither trained nor evaluated."""
+        return tuple(np.flatnonzero(self.train.adjacency.row_lengths == 0)
+                     .tolist())
 
     @property
     def num_users(self) -> int:
@@ -88,30 +117,40 @@ class DatasetSplit:
 
 @dataclass
 class InteractionGraph:
-    """Bipartite train graph over the union vertex set (users then items)."""
+    """Bipartite train graph over the union vertex set (users then items):
+    the train set's user->item CSR plus the degree of every vertex."""
 
     num_users: int
     num_items: int
-    user_items: list[np.ndarray]
-    item_users: list[np.ndarray]
+    adjacency: Adjacency
     degrees: np.ndarray
-    edge_users: np.ndarray
-    edge_items: np.ndarray
-    isolated_items: np.ndarray
-    _user_item_sets: list[set[int]] = field(repr=False, default_factory=list)
 
     @property
     def num_vertices(self) -> int:
         return self.num_users + self.num_items
 
-    def has_edge(self, user: int, item: int) -> bool:
-        return item in self._user_item_sets[user]
+    @property
+    def isolated_items(self) -> np.ndarray:
+        return np.flatnonzero(self.degrees[self.num_users:] == 0)
 
-    def degree_of_user(self, user: int) -> int:
-        return int(self.degrees[user])
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(user, item) index arrays of every edge, in CSR order."""
+        users = np.repeat(np.arange(self.num_users, dtype=np.int64),
+                          self.adjacency.row_lengths)
+        return users, self.adjacency.indices
 
-    def degree_of_item(self, item: int) -> int:
-        return int(self.degrees[self.num_users + item])
+    @cached_property
+    def _edge_keys(self) -> np.ndarray:
+        # Ascending: rows come in user order, items ascend within a row.
+        users, items = self.edges()
+        return users * self.num_items + items
+
+    def has_edge(self, user, item):
+        """Whether (user, item) is a train edge, elementwise over arrays."""
+        keys = np.asarray(user, dtype=np.int64) * self.num_items + item
+        edge_keys = self._edge_keys
+        pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+        return edge_keys[pos] == keys
 
 
 @dataclass
@@ -228,65 +267,66 @@ def split_dataset(interactions: InteractionSet, seed: int) -> DatasetSplit:
     test = [records[k] for k in perm[:n_hold]]
     val = [records[k] for k in perm[n_hold:2 * n_hold]]
     train = [records[k] for k in perm[2 * n_hold:]]
-    trained = {u for u, _ in train}
-    cold = tuple(sorted(set(range(interactions.num_users)) - trained))
-    if cold:
-        log.warning("%d users have no train records after splitting", len(cold))
-    return DatasetSplit(
+    split = DatasetSplit(
         train=interactions.view(train),
         validation=interactions.view(val),
         test=interactions.view(test),
         split_seed=seed,
-        cold_users=cold,
     )
+    if split.cold_users:
+        log.warning("%d users have no train records after splitting",
+                    len(split.cold_users))
+    return split
 
 
 def build_graph(train: InteractionSet) -> InteractionGraph:
     """Bidirectional bipartite graph of the train records, with degrees."""
     if len(train) == 0:
         raise DataError("cannot build a graph from an empty train set")
-    num_users, num_items = train.num_users, train.num_items
-    by_user: list[list[int]] = [[] for _ in range(num_users)]
-    by_item: list[list[int]] = [[] for _ in range(num_items)]
-    for u, i in train.records:
-        by_user[u].append(i)
-        by_item[i].append(u)
-    user_items = [np.array(sorted(v), dtype=np.int64) for v in by_user]
-    item_users = [np.array(sorted(v), dtype=np.int64) for v in by_item]
+    adjacency = train.adjacency
     degrees = np.concatenate([
-        np.array([len(v) for v in user_items], dtype=np.int64),
-        np.array([len(v) for v in item_users], dtype=np.int64),
+        adjacency.row_lengths,
+        np.bincount(adjacency.indices, minlength=train.num_items),
     ])
-    isolated = np.flatnonzero(degrees[num_users:] == 0)
-    if isolated.size:
-        log.warning("%d items have no train edge", isolated.size)
-    return InteractionGraph(
-        num_users=num_users,
-        num_items=num_items,
-        user_items=user_items,
-        item_users=item_users,
-        degrees=degrees,
-        edge_users=train.user_array.copy(),
-        edge_items=train.item_array.copy(),
-        isolated_items=isolated,
-        _user_item_sets=[set(v) for v in by_user],
-    )
+    graph = InteractionGraph(num_users=train.num_users,
+                             num_items=train.num_items,
+                             adjacency=adjacency, degrees=degrees)
+    if graph.isolated_items.size:
+        log.warning("%d items have no train edge", graph.isolated_items.size)
+    return graph
 
 
-def sample_negative(user: int, graph: InteractionGraph,
-                    rng: np.random.Generator) -> int:
-    """Uniformly sample an item the user has not interacted with.
+def sample_negatives(users: np.ndarray, graph: InteractionGraph,
+                     rng: np.random.Generator) -> np.ndarray:
+    """One uniformly sampled non-interacted item per entry of ``users``.
 
-    Rejection sampling: one rng draw per attempt, repeated until the draw
-    is a non-interacted item.
+    Replays per-entry rejection sampling (one ``rng.integers(num_items)``
+    per attempt until the item is not a train edge) exactly: a block of k
+    draws equals k scalar draws, and a window of (entry, draw) pairs is
+    tested at once, the draws after its first rejection shifting to the
+    next entry. So the negatives and the final generator state match.
     """
-    if len(graph._user_item_sets[user]) >= graph.num_items:
-        raise DataError(f"user {user} interacted with every item; "
-                        "no negative candidates")
-    while True:
-        j = int(rng.integers(graph.num_items))
-        if not graph.has_edge(user, j):
-            return j
+    users = np.asarray(users, dtype=np.int64)
+    full = graph.degrees[users] >= graph.num_items
+    if full.any():
+        raise DataError(f"user {int(users[full][0])} interacted with every "
+                        "item; no negative candidates")
+    n = len(users)
+    out = np.empty(n, dtype=np.int64)
+    draws = np.empty(0, dtype=np.int64)
+    done = 0
+    while done < n:
+        width = min(NEGATIVE_WINDOW, n - done)
+        if len(draws) < width:  # each remaining entry needs >= 1 more draw
+            more = rng.integers(graph.num_items, size=n - done - len(draws))
+            draws = np.concatenate([draws, more])
+        hits = np.flatnonzero(graph.has_edge(users[done:done + width],
+                                             draws[:width]))
+        take = int(hits[0]) if hits.size else width
+        out[done:done + take] = draws[:take]
+        done += take
+        draws = draws[take + min(hits.size, 1):]
+    return out
 
 
 def make_batches(train: InteractionSet, graph: InteractionGraph,
@@ -305,9 +345,8 @@ def make_batches(train: InteractionSet, graph: InteractionGraph,
     for start in range(0, n, batch_size):
         u = users[start:start + batch_size]
         p = items[start:start + batch_size]
-        neg = np.array([sample_negative(int(x), graph, neg_rng) for x in u],
-                       dtype=np.int64)
-        yield TripletBatch(users=u, pos_items=p, neg_items=neg)
+        yield TripletBatch(users=u, pos_items=p,
+                           neg_items=sample_negatives(u, graph, neg_rng))
 
 
 def compute_popularity(train: InteractionSet) -> PopularityTable:
@@ -449,14 +488,26 @@ def _write_tsv(path: Path, records: list[tuple[int, int]]) -> None:
                     encoding="utf-8")
 
 
-def _read_tsv(path: Path) -> list[tuple[int, int]]:
-    out = []
-    for ln in path.read_text(encoding="utf-8").splitlines():
+def _read_split(path: Path, base: InteractionSet) -> InteractionSet:
+    """A split TSV as a view of ``base``; building its CSR here checks
+    every index against the id tables."""
+    records = []
+    for lineno, ln in enumerate(path.read_text(encoding="utf-8")
+                                .splitlines(), start=1):
         if not ln:
             continue
-        u, i = ln.split("\t")
-        out.append((int(u), int(i)))
-    return out
+        try:
+            u, i = ln.split("\t")
+            records.append((int(u), int(i)))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: expected 'user<TAB>item' "
+                            f"indices, got {ln!r}") from None
+    part = base.view(records)
+    try:
+        part.adjacency
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return part
 
 
 def save_bundle(out_dir: str | Path, split: DatasetSplit,
@@ -491,24 +542,25 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
     stats_path = root / "stats.json"
     if not stats_path.exists():
         raise DataError(f"not a dataset bundle (missing stats.json): {root}")
-    stats = json.loads(stats_path.read_text(encoding="utf-8"))
+    try:
+        stats = json.loads(stats_path.read_text(encoding="utf-8"))
+        expected = (stats["num_users"], stats["num_items"])
+        names = ["id"] + sorted(m for m in stats["modalities"] if m != "id")
+        split_seed = stats["split_seed"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{stats_path}: malformed ({exc!r})") from None
     user_ids = tuple(ln for ln in (root / "users.txt")
                      .read_text(encoding="utf-8").splitlines() if ln)
     item_ids = tuple(ln for ln in (root / "items.txt")
                      .read_text(encoding="utf-8").splitlines() if ln)
     nu, ni = len(user_ids), len(item_ids)
-    if nu != stats["num_users"] or ni != stats["num_items"]:
+    if (nu, ni) != expected:
         raise DataError(f"{root}: id tables disagree with stats.json")
     base = InteractionSet([], nu, ni, user_ids, item_ids)
-    train = base.view(_read_tsv(root / "train.tsv"))
-    val = base.view(_read_tsv(root / "val.tsv"))
-    test = base.view(_read_tsv(root / "test.tsv"))
-    trained = {u for u, _ in train.records}
-    cold = tuple(sorted(set(range(nu)) - trained))
-    split = DatasetSplit(train, val, test, split_seed=stats["split_seed"],
-                         cold_users=cold)
+    train, val, test = (_read_split(root / f"{name}.tsv", base)
+                        for name in ("train", "val", "test"))
+    split = DatasetSplit(train, val, test, split_seed=split_seed)
     features = {}
-    names = ["id"] + sorted(m for m in stats["modalities"] if m != "id")
     for name in names:
         if name == "id":
             continue

@@ -4,6 +4,7 @@ diagnostics."""
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,17 +12,14 @@ import numpy as np
 SPARSITY_BUCKETS = ((1, 5), (6, 10), (11, 20), (21, None))
 
 
-def rank_items(scores: np.ndarray, masked: set[int] | None = None
+def rank_items(scores: np.ndarray, masked: Collection[int] | None = None
                ) -> np.ndarray:
     """Items sorted by score descending, ties by ascending index, with
     masked items removed before ranking."""
-    n = len(scores)
-    if masked:
-        keep = np.ones(n, dtype=bool)
-        keep[list(masked)] = False
-        candidates = np.flatnonzero(keep)
-    else:
-        candidates = np.arange(n)
+    keep = np.ones(len(scores), dtype=bool)
+    if masked is not None:
+        keep[np.fromiter(masked, np.int64, len(masked))] = False
+    candidates = np.flatnonzero(keep)
     order = np.lexsort((candidates, -scores[candidates]))
     return candidates[order]
 
@@ -83,29 +81,27 @@ class MetricsReport:
         }
 
 
-def evaluate_rankings(score_rows, users: list[int],
-                      relevant: dict[int, set[int]],
-                      masked: dict[int, set[int]], ks: tuple[int, ...],
+def evaluate_rankings(score_rows, users: list[int], relevant, masked,
+                      ks: tuple[int, ...],
                       user_train_count: np.ndarray | None = None
                       ) -> MetricsReport:
     """Rank each user's unmasked items and average the metrics.
 
-    ``score_rows(chunk)`` returns the score matrix for a list of users;
-    users with an empty relevant set are skipped.
+    ``score_rows(chunk)`` returns the score matrix for a list of users.
+    ``relevant[u]`` and ``masked[u]`` are user ``u``'s relevant and masked
+    items: sets, or rows of a CSR. Users with no relevant item are skipped.
     """
     per_user: dict[int, dict[int, tuple[float, float]]] = {}
-    eligible = [u for u in users if relevant.get(u)]
+    eligible = [u for u in users if len(relevant[u])]
     chunk = 256
     for start in range(0, len(eligible), chunk):
         batch = eligible[start:start + chunk]
         rows = score_rows(batch)
         for row, u in zip(rows, batch):
-            ranked = rank_items(row, masked.get(u))
-            per_user[u] = {
-                k: (recall_at_k(ranked, relevant[u], k),
-                    ndcg_at_k(ranked, relevant[u], k))
-                for k in ks
-            }
+            ranked = rank_items(row, masked[u])
+            rel = {int(i) for i in relevant[u]}
+            per_user[u] = {k: (recall_at_k(ranked, rel, k),
+                               ndcg_at_k(ranked, rel, k)) for k in ks}
     n = len(per_user)
     recall = {k: (float(np.mean([m[k][0] for m in per_user.values()]))
                   if n else 0.0) for k in ks}

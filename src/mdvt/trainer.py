@@ -63,7 +63,6 @@ class RunConfig:
     readout: str = "sum"
     score_mode: str = "per_modality"
     include_seen: bool = False
-    refresh_chunk: int = 64
     weight_decay: float = 0.0
     per_distinct_user: bool = False
     loss_reporting: str = "mean"
@@ -236,43 +235,28 @@ class TrainHistory:
         }
 
 
-def _evaluation_sets(bundle: DatasetBundle, which: str
-                     ) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
-    """(relevant, masked) item sets per user for validation or test.
-
-    Validation masks the train items; test masks train plus validation.
-    """
-    train_sets = bundle.split.train.items_by_user()
-    if which == "validation":
-        target = bundle.split.validation
-        masked = {u: train_sets[u] for u in range(bundle.num_users)}
-    elif which == "test":
-        target = bundle.split.test
-        val_sets = bundle.split.validation.items_by_user()
-        masked = {u: train_sets[u] | val_sets[u]
-                  for u in range(bundle.num_users)}
-    else:
-        raise ConfigError(f"unknown evaluation split {which!r}")
-    relevant: dict[int, set[int]] = {}
-    for u, i in target.records:
-        relevant.setdefault(u, set()).add(i)
-    return relevant, masked
-
-
 def evaluate_split(state: backbone.EmbeddingState, bundle: DatasetBundle,
                    config: RunConfig, which: str,
                    with_buckets: bool = False) -> evaluator.MetricsReport:
     """Rank the requested split with the current state.
 
+    Validation masks the train items; test masks train plus validation.
     Users with no train record (cold users) are excluded from the
     averages, matching the evaluation protocol of the split design.
     """
+    split = bundle.split
+    if which == "validation":
+        relevant, masked = split.validation.adjacency, split.train.adjacency
+    elif which == "test":
+        seen = split.train.view(split.train.records + split.validation.records)
+        relevant, masked = split.test.adjacency, seen.adjacency
+    else:
+        raise ConfigError(f"unknown evaluation split {which!r}")
     prop = backbone.Propagator(bundle.graph, config.norm)
     reps = backbone.forward_pass(state, prop, config.num_layers,
                                  _mask_for(state, config), config.readout)
-    relevant, masked = _evaluation_sets(bundle, which)
-    cold = set(bundle.split.cold_users)
-    users = [u for u in sorted(relevant) if u not in cold]
+    trained = split.train.adjacency.row_lengths > 0
+    users = np.flatnonzero(trained & (relevant.row_lengths > 0)).tolist()
 
     def score_rows(chunk: list[int]) -> np.ndarray:
         return backbone.score_matrix(reps, np.array(chunk, dtype=np.int64),
@@ -354,8 +338,8 @@ def train_run(bundle: DatasetBundle, config: RunConfig
                                              config.weight_decay)
     plan = config.build_plan()
     params = config.selection_params()
-    seen = bundle.split.train.items_by_user()
-    trainable = sorted({u for u, _ in bundle.split.train.records})
+    seen = bundle.split.train.adjacency
+    trainable = np.flatnonzero(seen.row_lengths)
 
     history = TrainHistory()
     best_state = state.copy()
@@ -371,7 +355,7 @@ def train_run(bundle: DatasetBundle, config: RunConfig
                                          mask, config.readout)
             virtual = triplet_forge.refresh(
                 reps, params, epoch, trainable, seen_items=seen,
-                popularity=bundle.popularity, chunk=config.refresh_chunk)
+                popularity=bundle.popularity)
         report = train_epoch(state, opt, prop, bundle, config, epoch,
                              virtual, rng_shuffle, rng_negative)
         history.append_losses(report)
@@ -547,29 +531,35 @@ def load_checkpoint(path: str | Path
     blob = path.read_bytes()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad checkpoint magic")
-    buf = memoryview(blob)
-    offset = 8
-    stored_hash, offset = _read_blob(buf, offset)
-    config_blob, offset = _read_blob(buf, offset)
-    if hashlib.sha256(config_blob).hexdigest().encode() != stored_hash:
-        raise CheckpointError(f"{path}: config hash mismatch (corrupt file)")
-    bundle_fp, offset = _read_blob(buf, offset)
-    (count,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    tables: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        key, offset = _read_blob(buf, offset)
-        if bytes(buf[offset:offset + 8]) != FEATURE_MAGIC:
-            raise CheckpointError(f"{path}: bad table record magic")
-        rows, cols = struct.unpack_from("<II", buf, offset + 8)
-        offset += 16
-        size = 4 * rows * cols
-        mat = np.frombuffer(blob, dtype="<f4", count=rows * cols,
-                            offset=offset).reshape(rows, cols)
-        tables[key.decode("utf-8")] = mat.astype(np.float64)
-        offset += size
-    config = RunConfig.from_dict(json.loads(config_blob.decode("utf-8")))
-    return config, bundle_fp.decode("utf-8"), tables
+    try:
+        buf = memoryview(blob)
+        offset = 8
+        stored_hash, offset = _read_blob(buf, offset)
+        config_blob, offset = _read_blob(buf, offset)
+        if hashlib.sha256(config_blob).hexdigest().encode() != stored_hash:
+            raise CheckpointError(
+                f"{path}: config hash mismatch (corrupt file)")
+        bundle_fp, offset = _read_blob(buf, offset)
+        (count,) = struct.unpack_from("<I", buf, offset)
+        offset += 4
+        tables: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            key, offset = _read_blob(buf, offset)
+            if bytes(buf[offset:offset + 8]) != FEATURE_MAGIC:
+                raise CheckpointError(f"{path}: bad table record magic")
+            rows, cols = struct.unpack_from("<II", buf, offset + 8)
+            offset += 16
+            mat = np.frombuffer(blob, dtype="<f4", count=rows * cols,
+                                offset=offset).reshape(rows, cols)
+            tables[key.decode("utf-8")] = mat.astype(np.float64)
+            offset += 4 * rows * cols
+        config = RunConfig.from_dict(json.loads(config_blob.decode("utf-8")))
+        return config, bundle_fp.decode("utf-8"), tables
+    except (struct.error, ValueError, ConfigError) as exc:
+        # Truncated or garbled records (short reads, undecodable text), or
+        # a config echo this version does not accept.
+        raise CheckpointError(
+            f"{path}: unreadable checkpoint ({exc!r})") from None
 
 
 def state_from_tables(tables: dict[str, np.ndarray], embed_dim: int

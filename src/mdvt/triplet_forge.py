@@ -13,25 +13,18 @@ negatives, least-similar first). Shared rules across all selectors:
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .backbone import Representations
-from .dataset import PopularityTable
+from .dataset import Adjacency, PopularityTable
 from .errors import ConfigError, SelectionError, TrainingCollapseError
 
 CONSTRUCTOR_TAGS = ("topn", "threshold", "threshold_topn", "interval",
                     "freq_f1", "freq_f2")
-
-
-@dataclass
-class SimilarityRow:
-    """Cosine similarities of one user against every item."""
-
-    user: int
-    values: np.ndarray
 
 
 @dataclass
@@ -64,13 +57,9 @@ class VirtualTripletSet:
         Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-def _values(row) -> np.ndarray:
-    return row.values if isinstance(row, SimilarityRow) else np.asarray(row)
-
-
 def cosine_row(user_vec: np.ndarray, item_matrix: np.ndarray,
                user: int = -1,
-               item_norms: np.ndarray | None = None) -> SimilarityRow:
+               item_norms: np.ndarray | None = None) -> np.ndarray:
     """Cosine similarity of one fused user vector against all fused items.
 
     Zero-norm item rows map to similarity 0; a zero-norm user means the
@@ -84,9 +73,7 @@ def cosine_row(user_vec: np.ndarray, item_matrix: np.ndarray,
         item_norms = np.linalg.norm(item_matrix, axis=1)
     dots = item_matrix @ user_vec
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(item_norms > 0.0,
-                          dots / (u_norm * item_norms), 0.0)
-    return SimilarityRow(user=user, values=values)
+        return np.where(item_norms > 0.0, dots / (u_norm * item_norms), 0.0)
 
 
 def _order_desc(values: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -100,12 +87,11 @@ def _order_asc(values: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return candidates[order]
 
 
-def _positive_candidates(num_items: int, exclusion: set[int] | None
+def _positive_candidates(num_items: int, exclusion: Collection[int] | None
                          ) -> np.ndarray:
-    if not exclusion:
-        return np.arange(num_items)
     keep = np.ones(num_items, dtype=bool)
-    keep[list(exclusion)] = False
+    if exclusion is not None:
+        keep[np.fromiter(exclusion, np.int64, len(exclusion))] = False
     return np.flatnonzero(keep)
 
 
@@ -120,14 +106,14 @@ def _negatives_for(values: np.ndarray, positives: np.ndarray,
     return _order_asc(values, candidates)[:count]
 
 
-def select_topn(row, n: int, exclusion: set[int] | None = None
+def select_topn(values: np.ndarray, n: int,
+                exclusion: Collection[int] | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-n most/least similar items.
 
     Positives: the n largest-similarity items outside ``exclusion``.
     Negatives: the n smallest-similarity items among everything else.
     """
-    values = _values(row)
     candidates = _positive_candidates(len(values), exclusion)
     if len(candidates) < 2 * n:
         raise SelectionError(
@@ -138,9 +124,9 @@ def select_topn(row, n: int, exclusion: set[int] | None = None
     return positives, negatives
 
 
-def select_threshold(row, threshold: float, cap: int | None = None,
-                     floor: int | None = None,
-                     exclusion: set[int] | None = None
+def select_threshold(values: np.ndarray, threshold: float,
+                     cap: int | None = None, floor: int | None = None,
+                     exclusion: Collection[int] | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Similarity-threshold selection, with an optional cap and floor.
 
@@ -152,7 +138,6 @@ def select_threshold(row, threshold: float, cap: int | None = None,
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"similarity threshold must lie in (0, 1), "
                           f"got {threshold}")
-    values = _values(row)
     candidates = _positive_candidates(len(values), exclusion)
     ordered = _order_desc(values, candidates)
     qualifying = ordered[values[ordered] >= threshold]
@@ -166,8 +151,9 @@ def select_threshold(row, threshold: float, cap: int | None = None,
     return positives, negatives
 
 
-def select_frequency(row, n: int, popularity: PopularityTable, mode: str,
-                     exclusion: set[int] | None = None
+def select_frequency(values: np.ndarray, n: int,
+                     popularity: PopularityTable, mode: str,
+                     exclusion: Collection[int] | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Interaction-frequency selection variants.
 
@@ -178,7 +164,6 @@ def select_frequency(row, n: int, popularity: PopularityTable, mode: str,
     """
     if mode not in ("f1", "f2"):
         raise ConfigError(f"frequency mode must be 'f1' or 'f2', got {mode!r}")
-    values = _values(row)
     counts = popularity.item_train_count.astype(np.int64)
     candidates = _positive_candidates(len(values), exclusion)
     if len(candidates) < 2 * n:
@@ -238,7 +223,8 @@ class SelectionParams:
 
 
 def _select(params: SelectionParams, row, popularity: PopularityTable | None,
-            exclusion: set[int] | None) -> tuple[np.ndarray, np.ndarray]:
+            exclusion: Collection[int] | None
+            ) -> tuple[np.ndarray, np.ndarray]:
     tag = params.constructor
     if tag == "topn":
         return select_topn(row, params.n, exclusion)
@@ -260,36 +246,31 @@ def _select(params: SelectionParams, row, popularity: PopularityTable | None,
 
 def refresh(reps: Representations, params: SelectionParams, epoch: int,
             trainable_users: list[int] | np.ndarray,
-            seen_items: list[set[int]] | None = None,
-            popularity: PopularityTable | None = None,
-            chunk: int = 64) -> VirtualTripletSet:
+            seen_items: Adjacency | None = None,
+            popularity: PopularityTable | None = None) -> VirtualTripletSet:
     """Rebuild the virtual-triplet set from the current fused
     representations.
 
-    Users are processed in chunks so peak extra memory stays at
-    chunk x num_items similarities; similarities are computed row-by-row,
-    so the chunk size never changes the result.
+    ``seen_items[u]`` (a row of the train CSR) lists the items excluded
+    from user ``u``'s positives unless ``include_seen`` is set.
     """
     params.validate()
-    if chunk < 1:
-        raise ConfigError(f"chunk must be >= 1, got {chunk}")
     fused_items = reps.fused_items
     item_norms = np.linalg.norm(fused_items, axis=1)
     positives: dict[int, np.ndarray] = {}
     negatives: dict[int, np.ndarray] = {}
-    users = [int(u) for u in trainable_users]
-    for start in range(0, len(users), chunk):
-        for u in users[start:start + chunk]:
-            row = cosine_row(reps.fused_users[u], fused_items, user=u,
-                             item_norms=item_norms)
-            exclusion = None
-            if not params.include_seen and seen_items is not None:
-                exclusion = seen_items[u]
-            pos, neg = _select(params, row, popularity, exclusion)
-            if len(pos) == 0:
-                continue
-            positives[u] = pos
-            negatives[u] = neg
+    for u in trainable_users:
+        u = int(u)
+        row = cosine_row(reps.fused_users[u], fused_items, user=u,
+                         item_norms=item_norms)
+        exclusion = None
+        if not params.include_seen and seen_items is not None:
+            exclusion = seen_items[u]
+        pos, neg = _select(params, row, popularity, exclusion)
+        if len(pos) == 0:
+            continue
+        positives[u] = pos
+        negatives[u] = neg
     return VirtualTripletSet(positives=positives, negatives=negatives,
                              built_at_epoch=epoch,
                              constructor_tag=params.constructor)

@@ -39,21 +39,23 @@ def make_bundle(rng, num_users=6, num_items=8, extra_edges=6,
                                            extra_edges)
     full = make_set(train_records, num_users, num_items)
     train = full.view(train_records)
-    seen = train.items_by_user()
+    seen = train.adjacency
     if val_records is None:
         val_records = []
         for u in range(num_users):
-            free = [i for i in range(num_items) if i not in seen[u]]
-            if free:
-                val_records.append((u, free[int(rng.integers(len(free)))]))
+            free = np.setdiff1d(np.arange(num_items), seen[u])
+            if len(free):
+                val_records.append(
+                    (u, int(free[int(rng.integers(len(free)))])))
     if test_records is None:
         test_records = []
         taken = {(u, i) for u, i in val_records}
         for u in range(num_users):
-            free = [i for i in range(num_items)
-                    if i not in seen[u] and (u, i) not in taken]
+            free = [i for i in np.setdiff1d(np.arange(num_items), seen[u])
+                    if (u, i) not in taken]
             if free:
-                test_records.append((u, free[int(rng.integers(len(free)))]))
+                test_records.append(
+                    (u, int(free[int(rng.integers(len(free)))])))
     split = DatasetSplit(
         train=train,
         validation=full.view(list(val_records)),

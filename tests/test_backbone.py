@@ -3,8 +3,7 @@ import pytest
 
 from conftest import covered_random_records, make_set
 from mdvt.backbone import (Propagator, Representations,
-                           forward_pass, fuse, init_embeddings,
-                           pairwise_scores, predict_scores, propagate,
+                           forward_pass, fuse, init_embeddings, propagate,
                            readout, score_matrix)
 from mdvt.dataset import ModalityBundle, build_graph
 from mdvt.errors import ConfigError, DataError
@@ -181,35 +180,39 @@ class TestFuse:
         assert np.allclose(fuse(finals, ("b",)), 4.0)
 
 
+def user_scores(reps, user, mode="per_modality"):
+    return score_matrix(reps, np.array([user]), mode)[0]
+
+
 class TestScores:
     def test_unit_vector_dot(self):
         reps = make_reps({"id": np.array([[1.0, 0.0]])},
                          {"id": np.array([[1.0, 0.0]])})
-        assert predict_scores(0, reps)[0] == pytest.approx(1.0)
+        assert user_scores(reps, 0)[0] == pytest.approx(1.0)
 
     def test_sum_over_modalities(self):
         u = {"a": np.array([[1.0, 0.0]]), "b": np.array([[0.0, 1.0]])}
         i = {"a": np.array([[1.0, 0.0]]), "b": np.array([[0.0, 1.0]])}
         reps = make_reps(u, i)
-        assert predict_scores(0, reps)[0] == pytest.approx(2.0)
+        assert user_scores(reps, 0)[0] == pytest.approx(2.0)
 
     def test_orthogonal_zero(self):
         reps = make_reps({"id": np.array([[1.0, 0.0]])},
                          {"id": np.array([[0.0, 1.0]])})
-        assert predict_scores(0, reps)[0] == pytest.approx(0.0)
+        assert user_scores(reps, 0)[0] == pytest.approx(0.0)
 
     def test_score_independent_of_mask(self):
         u = {"a": np.array([[1.0, 0.0]]), "b": np.array([[0.0, 2.0]])}
         i = {"a": np.array([[1.0, 0.0]]), "b": np.array([[0.0, 3.0]])}
-        full = predict_scores(0, make_reps(u, i, mask=("a", "b")))
-        masked = predict_scores(0, make_reps(u, i, mask=("a",)))
+        full = user_scores(make_reps(u, i, mask=("a", "b")), 0)
+        masked = user_scores(make_reps(u, i, mask=("a",)), 0)
         assert full[0] == pytest.approx(masked[0]) == pytest.approx(7.0)
 
     def test_fused_mode_uses_mask(self):
         u = {"a": np.array([[2.0]]), "b": np.array([[0.0]])}
         i = {"a": np.array([[3.0]]), "b": np.array([[0.0]])}
         reps = make_reps(u, i, mask=("a", "b"))
-        assert predict_scores(0, reps, mode="fused")[0] == \
+        assert user_scores(reps, 0, mode="fused")[0] == \
             pytest.approx(1.0 * 1.5)
 
     def test_matrix_and_pairwise_agree(self, rng):
@@ -219,12 +222,15 @@ class TestScores:
         state = init_embeddings(feat_bundle(feats), 4, 3, seed=4)
         reps = forward_pass(state, Propagator(graph), 2, ("id", "visual"))
         users = np.array([0, 2, 3])
-        items = np.array([1, 5, 0])
         mat = score_matrix(reps, users)
-        pair = pairwise_scores(reps, users, items)
-        for row, (u, i) in enumerate(zip(users, items)):
-            assert mat[row, i] == pytest.approx(pair[row])
-            assert predict_scores(int(u), reps)[i] == pytest.approx(pair[row])
+        fused = score_matrix(reps, users, "fused")
+        for row, u in enumerate(users):
+            for i in range(6):
+                pair = sum(float(reps.users(m)[u] @ reps.items(m)[i])
+                           for m in reps.finals)
+                assert mat[row, i] == pytest.approx(pair)
+                assert fused[row, i] == pytest.approx(
+                    float(reps.fused_users[u] @ reps.fused_items[i]))
 
 
 class TestForwardPass:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from mdvt.cli import main
 from mdvt.dataset import write_modality_features
@@ -253,6 +254,52 @@ class TestEval:
         assert main(["eval", "--bundle", str(bundle), "--checkpoint",
                      str(tmp_path / "run.ckpt")]) == 0
         assert capsys.readouterr().out == first
+
+
+def single_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert len(lines) == 1
+    return lines[0]
+
+
+class TestMalformedFiles:
+    def train(self, tmp_path, bundle):
+        return main(["train", "--bundle", str(bundle), "--config",
+                     str(base_config(tmp_path)),
+                     "--out", str(tmp_path / "run.json")])
+
+    @pytest.mark.parametrize("line", ["0\t1\t2", "999\t0", "0\t-1",
+                                      "0\tx"])
+    def test_malformed_train_tsv_exit_2(self, tmp_path, capsys, line):
+        bundle = prepare_bundle(tmp_path)
+        with (bundle / "train.tsv").open("a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        capsys.readouterr()
+        assert self.train(tmp_path, bundle) == 2
+        assert "train.tsv" in single_error_line(capsys)
+
+    @pytest.mark.parametrize("text", ["{not json", "[]",
+                                      '{"num_users": 12, "num_items": 10}'])
+    def test_malformed_stats_json_exit_2(self, tmp_path, capsys, text):
+        bundle = prepare_bundle(tmp_path)
+        (bundle / "stats.json").write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert self.train(tmp_path, bundle) == 2
+        assert "stats.json" in single_error_line(capsys)
+
+    def test_truncated_checkpoint_exit_3(self, tmp_path, capsys):
+        bundle = prepare_bundle(tmp_path)
+        assert self.train(tmp_path, bundle) == 0
+        ckpt = tmp_path / "run.ckpt"
+        blob = ckpt.read_bytes()
+        for cut in (10, 40, 200, len(blob) // 2, len(blob) - 1):
+            ckpt.write_bytes(blob[:cut])
+            capsys.readouterr()
+            assert main(["eval", "--bundle", str(bundle),
+                         "--checkpoint", str(ckpt)]) == 3
+            single_error_line(capsys)
 
 
 class TestArgErrors:

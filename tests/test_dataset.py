@@ -4,7 +4,7 @@ import pytest
 from conftest import make_set
 from mdvt.dataset import (FEATURE_MAGIC, build_graph, compute_popularity,
                           load_interactions, load_modality_features,
-                          make_batches, sample_negative, split_dataset,
+                          make_batches, sample_negatives, split_dataset,
                           write_modality_features)
 from mdvt.errors import ConfigError, DataError
 
@@ -110,21 +110,24 @@ class TestSplitDataset:
 class TestBuildGraph:
     def test_single_edge_degrees(self):
         graph = build_graph(make_set([(0, 0)], 1, 1))
-        assert graph.degree_of_user(0) == 1
-        assert graph.degree_of_item(0) == 1
+        assert graph.degrees.tolist() == [1, 1]
 
     def test_user_degree_counts_items(self):
         graph = build_graph(make_set([(0, 0), (0, 1)], 1, 2))
-        assert graph.degree_of_user(0) == 2
+        assert graph.degrees[0] == 2
 
     def test_item_degree_counts_users(self):
         graph = build_graph(make_set([(0, 0), (1, 0)], 2, 1))
-        assert graph.degree_of_item(0) == 2
+        assert graph.degrees[graph.num_users + 0] == 2
 
     def test_bidirectional_adjacency(self):
         graph = build_graph(make_set([(0, 1), (1, 0)], 2, 2))
-        assert 1 in graph.user_items[0]
-        assert 0 in graph.item_users[1]
+        assert graph.adjacency[0].tolist() == [1]
+        assert graph.has_edge(0, 1) and graph.has_edge(1, 0)
+        assert not graph.has_edge(0, 0) and not graph.has_edge(1, 1)
+        users, items = graph.edges()
+        assert users[items == 1].tolist() == [0]
+        assert users[items == 0].tolist() == [1]
 
     def test_isolated_items_flagged(self):
         graph = build_graph(make_set([(0, 0)], 1, 3))
@@ -134,28 +137,92 @@ class TestBuildGraph:
         with pytest.raises(DataError):
             build_graph(make_set([], 1, 1))
 
+    def test_has_edge_vectorised_matches_records(self, rng):
+        records = sorted({(int(rng.integers(30)), int(rng.integers(20)))
+                          for _ in range(200)})
+        graph = build_graph(make_set(records, 30, 20))
+        users = rng.integers(30, size=500)
+        items = rng.integers(20, size=500)
+        got = graph.has_edge(users, items)
+        edges = set(records)
+        assert got.tolist() == [(int(u), int(i)) in edges
+                                for u, i in zip(users, items)]
+
+
+class TestAdjacency:
+    def test_rows_sorted_and_complete(self, rng):
+        records = sorted({(int(rng.integers(15)), int(rng.integers(25)))
+                          for _ in range(120)})
+        train = make_set(records[::-1], 16, 25)
+        adj = train.adjacency
+        assert adj.indptr.tolist()[0] == 0 and adj.indptr[-1] == len(records)
+        for u in range(16):
+            assert adj[u].tolist() == sorted(i for v, i in records if v == u)
+        assert adj.row_lengths[15] == 0
+
+    @pytest.mark.parametrize("bad", [(3, 0), (-1, 0), (0, 5), (0, -2)])
+    def test_out_of_range_index_rejected(self, bad):
+        with pytest.raises(DataError, match="outside"):
+            make_set([(0, 0), bad], 3, 5).adjacency
+
+
+def scalar_negatives(users, records, num_items, rng):
+    """Reference sampler: per entry, one ``rng.integers(num_items)`` per
+    attempt until the item is not a train edge of the entry's user."""
+    edges = set(records)
+    out = []
+    for u in users:
+        while True:
+            j = int(rng.integers(num_items))
+            if (int(u), j) not in edges:
+                out.append(j)
+                break
+    return out
+
+
+def sparse_records(rng):
+    return sorted({(int(rng.integers(300)), int(rng.integers(200)))
+                   for _ in range(900)}), 300, 200
+
+
+def one_free_item_records(rng):
+    records = {(0, i) for i in range(11)}
+    records |= {(int(rng.integers(1, 40)), int(rng.integers(12)))
+                for _ in range(60)}
+    return sorted(records), 40, 12
+
+
+def dense_records(rng):
+    # 80% of a 50 x 12 matrix, each user keeping at least one free item.
+    records = set()
+    for u in range(50):
+        row = np.flatnonzero(rng.random(12) < 0.8)
+        if len(row) == 12:
+            row = row[1:]
+        records |= {(u, int(i)) for i in row}
+    return sorted(records), 50, 12
+
 
 class TestSampleNegative:
     def test_forced_choice(self):
         graph = build_graph(make_set([(0, 0), (0, 1), (1, 2)], 2, 3))
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert sample_negative(0, graph, rng) == 2
+        got = sample_negatives(np.zeros(20, dtype=np.int64), graph, rng)
+        assert got.tolist() == [2] * 20
 
     def test_exhausted_user_rejected(self):
         graph = build_graph(make_set([(0, 0), (0, 1), (0, 2)], 1, 3))
         with pytest.raises(DataError):
-            sample_negative(0, graph, np.random.default_rng(0))
+            sample_negatives(np.array([0]), graph, np.random.default_rng(0))
 
     def test_uniform_over_free_items(self):
         # Two free items out of four; counts should be near 500 each.
         graph = build_graph(make_set([(0, 0), (0, 1), (1, 2), (1, 3)], 2, 4))
         rng = np.random.default_rng(99)
-        counts = {2: 0, 3: 0}
-        for _ in range(1000):
-            counts[sample_negative(0, graph, rng)] += 1
-        assert abs(counts[2] - 500) <= 100
-        assert abs(counts[3] - 500) <= 100
+        got = sample_negatives(np.zeros(1000, dtype=np.int64), graph, rng)
+        assert set(got.tolist()) == {2, 3}
+        assert abs(int(np.sum(got == 2)) - 500) <= 100
+        assert abs(int(np.sum(got == 3)) - 500) <= 100
 
     def test_never_returns_interacted(self, rng):
         for trial in range(30):
@@ -164,11 +231,44 @@ class TestSampleNegative:
             records = sorted({(int(rng.integers(nu)), int(rng.integers(ni)))
                               for _ in range(nu * 2)})
             graph = build_graph(make_set(records, nu, ni))
-            for u in range(nu):
-                if len(graph.user_items[u]) >= ni:
-                    continue
-                j = sample_negative(u, graph, rng)
-                assert not graph.has_edge(u, j)
+            users = np.repeat(np.flatnonzero(graph.degrees[:nu] < ni), 5)
+            neg = sample_negatives(users, graph, rng)
+            assert not set(zip(users.tolist(), neg.tolist())) & set(records)
+
+    @pytest.mark.parametrize("make_records", [sparse_records,
+                                              one_free_item_records,
+                                              dense_records])
+    @pytest.mark.parametrize("batch_size", [7, 64, 100, 5000])
+    def test_make_batches_matches_scalar_rejection_loop(self, make_records,
+                                                        batch_size):
+        records, nu, ni = make_records(np.random.default_rng(batch_size))
+        train = make_set(records, nu, ni)
+        graph = build_graph(train)
+        neg_rng = np.random.default_rng(11)
+        got = [b.neg_items.tolist()
+               for b in make_batches(train, graph, batch_size,
+                                     np.random.default_rng(10), neg_rng)]
+        ref_rng = np.random.default_rng(11)
+        users = train.user_array[np.random.default_rng(10)
+                                 .permutation(len(train))]
+        want = [scalar_negatives(users[k:k + batch_size], records, ni,
+                                 ref_rng)
+                for k in range(0, len(users), batch_size)]
+        assert got == want
+        assert neg_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_shared_generator_matches_scalar_rejection_loop(self):
+        records, nu, ni = dense_records(np.random.default_rng(3))
+        train = make_set(records, nu, ni)
+        rng = np.random.default_rng(4)
+        got = [b.neg_items.tolist()
+               for b in make_batches(train, build_graph(train), 50, rng)]
+        ref = np.random.default_rng(4)
+        users = train.user_array[ref.permutation(len(train))]
+        want = [scalar_negatives(users[k:k + 50], records, ni, ref)
+                for k in range(0, len(users), 50)]
+        assert got == want
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestMakeBatches:

@@ -47,7 +47,7 @@ def make_instance(rng, num_users=4, num_items=8, d=3, layers=1,
     prop = Propagator(graph)
     reps = forward_pass(state, prop, layers, mask)
     users = rng.integers(num_users, size=batch)
-    pos = np.array([graph.user_items[u][rng.integers(len(graph.user_items[u]))]
+    pos = np.array([graph.adjacency[u][rng.integers(len(graph.adjacency[u]))]
                     for u in users])
     neg = np.array([
         int(rng.choice([i for i in range(num_items)
@@ -56,9 +56,9 @@ def make_instance(rng, num_users=4, num_items=8, d=3, layers=1,
     triplets = TripletBatch(users=users.astype(np.int64),
                             pos_items=pos.astype(np.int64),
                             neg_items=neg.astype(np.int64))
-    trainable = sorted({u for u, _ in records})
+    trainable = np.flatnonzero(train.adjacency.row_lengths)
     virtual = refresh(reps, SelectionParams(constructor="topn", n=n),
-                      0, trainable, seen_items=train.items_by_user())
+                      0, trainable, seen_items=train.adjacency)
     return state, prop, graph, reps, triplets, virtual
 
 
@@ -366,15 +366,15 @@ class TestOptionSwitches:
         prop = P(graph, norm="sym")
         reps = forward_pass(state, prop, 2, ("id", "visual"), "mean")
         users = np.array([0, 1, 2])
-        pos = np.array([graph.user_items[u][0] for u in users])
+        pos = np.array([graph.adjacency[u][0] for u in users])
         neg = np.array([
             int(rng.choice([i for i in range(8)
                             if not graph.has_edge(int(u), i)]))
             for u in users])
         batch = TripletBatch(users=users, pos_items=pos, neg_items=neg)
-        trainable = sorted({u for u, _ in records})
+        trainable = np.flatnonzero(train.adjacency.row_lengths)
         virtual = refresh(reps, SelectionParams(constructor="topn", n=2),
-                          0, trainable, seen_items=train.items_by_user())
+                          0, trainable, seen_items=train.adjacency)
         options = dict(num_layers=2, mask=("id", "visual"),
                        readout_mode="mean", lam=0.3, joint=True,
                        wo_aggr=False, wo_scale=False,

@@ -80,21 +80,21 @@ def random_row(rng, num_items):
 class TestCosineRow:
     def test_parallel_is_one(self):
         row = cosine_row(np.array([1.0, 0.0]), np.array([[1.0, 0.0]]))
-        assert row.values[0] == pytest.approx(1.0)
+        assert row[0] == pytest.approx(1.0)
 
     def test_orthogonal_is_zero(self):
         row = cosine_row(np.array([1.0, 0.0]), np.array([[0.0, 1.0]]))
-        assert row.values[0] == pytest.approx(0.0)
+        assert row[0] == pytest.approx(0.0)
 
     def test_45_degrees(self):
         row = cosine_row(np.array([1.0, 1.0]), np.array([[1.0, 0.0]]))
-        assert row.values[0] == pytest.approx(0.7071068, abs=1e-6)
+        assert row[0] == pytest.approx(0.7071068, abs=1e-6)
 
     def test_zero_norm_item_maps_to_zero(self):
         row = cosine_row(np.array([1.0, 0.0]),
                          np.array([[0.0, 0.0], [2.0, 0.0]]))
-        assert row.values[0] == 0.0
-        assert row.values[1] == pytest.approx(1.0)
+        assert row[0] == 0.0
+        assert row[1] == pytest.approx(1.0)
 
     def test_zero_norm_user_rejected(self):
         with pytest.raises(TrainingCollapseError):
@@ -104,7 +104,7 @@ class TestCosineRow:
         u = rng.normal(size=4)
         items = rng.normal(size=(50, 4))
         row = cosine_row(u, items)
-        assert np.all(np.abs(row.values) <= 1.0 + 1e-6)
+        assert np.all(np.abs(row) <= 1.0 + 1e-6)
 
 
 class TestSelectTopN:
@@ -162,7 +162,7 @@ class TestSelectTopN:
                 select_topn(scaled_u, n)[1].tolist()
             # Positive per-item rescales keep the ordering as well.
             got = select_topn(scaled_i, n)
-            exp = oracle_topn(scaled_i.values, n)
+            exp = oracle_topn(scaled_i, n)
             assert got[0].tolist() == exp[0]
 
 
@@ -276,7 +276,7 @@ class TestRefresh:
         reps, train = small_reps(rng)
         params = SelectionParams(constructor="topn", n=2)
         users = sorted({u for u, _ in train.records})
-        seen = train.items_by_user()
+        seen = train.adjacency
         a = refresh(reps, params, 3, users, seen_items=seen)
         b = refresh(reps, params, 3, users, seen_items=seen)
         assert a.users() == b.users()
@@ -285,30 +285,20 @@ class TestRefresh:
             assert a.negatives[u].tolist() == b.negatives[u].tolist()
         assert a.built_at_epoch == 3
 
-    def test_chunk_size_equivalence(self, rng):
-        reps, train = small_reps(rng)
-        params = SelectionParams(constructor="topn", n=2)
-        users = sorted({u for u, _ in train.records})
-        seen = train.items_by_user()
-        small = refresh(reps, params, 0, users, seen_items=seen, chunk=1)
-        large = refresh(reps, params, 0, users, seen_items=seen, chunk=64)
-        for u in small.users():
-            assert small.positives[u].tolist() == large.positives[u].tolist()
-            assert small.negatives[u].tolist() == large.negatives[u].tolist()
-
     def test_seen_items_excluded_from_positives(self, rng):
         reps, train = small_reps(rng)
         params = SelectionParams(constructor="topn", n=2)
         users = sorted({u for u, _ in train.records})
-        seen = train.items_by_user()
+        seen = train.adjacency
         vset = refresh(reps, params, 0, users, seen_items=seen)
         for u in vset.users():
-            assert not set(vset.positives[u].tolist()) & seen[u]
+            assert not set(vset.positives[u].tolist()) & \
+                set(seen[u].tolist())
 
     def test_include_seen_flag_disables_exclusion(self, rng):
         reps, train = small_reps(rng)
         users = sorted({u for u, _ in train.records})
-        seen = train.items_by_user()
+        seen = train.adjacency
         include = refresh(reps, SelectionParams(constructor="topn", n=2,
                                                 include_seen=True),
                           0, users, seen_items=seen)
@@ -323,7 +313,7 @@ class TestRefresh:
         reps, train = small_reps(rng)
         users = sorted({u for u, _ in train.records})
         vset = refresh(reps, SelectionParams(constructor="topn", n=2), 0,
-                       users, seen_items=train.items_by_user())
+                       users, seen_items=train.adjacency)
         out = tmp_path / "virtual.tsv"
         vset.dump(out)
         line = out.read_text(encoding="utf-8").splitlines()[0]
