@@ -8,7 +8,7 @@ import hashlib
 import json
 import logging
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -26,18 +26,49 @@ NEGATIVE_WINDOW = 64
 
 @dataclass(frozen=True)
 class Adjacency:
-    """User->item CSR: user ``u``'s items, ascending, are
-    ``indices[indptr[u]:indptr[u + 1]]``, also read as ``adjacency[u]``."""
+    """Row->item CSR: row ``r``'s items are
+    ``indices[indptr[r]:indptr[r + 1]]``, also read as ``adjacency[r]``.
+
+    A split's user->item CSR keeps each row's items ascending; a ranking
+    (``evaluator.top_k``, virtual groups) keeps them in rank order.
+    """
 
     indptr: np.ndarray
     indices: np.ndarray
 
-    def __getitem__(self, user: int) -> np.ndarray:
-        return self.indices[self.indptr[user]:self.indptr[user + 1]]
+    @classmethod
+    def from_lengths(cls, lengths: np.ndarray,
+                     indices: np.ndarray) -> "Adjacency":
+        return cls(np.concatenate(([0], np.cumsum(lengths))), indices)
+
+    def __getitem__(self, row: int) -> np.ndarray:
+        return self.indices[self.indptr[row]:self.indptr[row + 1]]
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
 
     @property
     def row_lengths(self) -> np.ndarray:
         return np.diff(self.indptr)
+
+    @property
+    def entry_rows(self) -> np.ndarray:
+        """The row of every entry of ``indices``."""
+        return np.repeat(np.arange(len(self)), self.row_lengths)
+
+    def take(self, rows: np.ndarray) -> "Adjacency":
+        """The CSR of ``rows`` (an index array), in that order."""
+        return self._gather(self.indptr[rows], self.row_lengths[rows])
+
+    def head(self, lengths: np.ndarray) -> "Adjacency":
+        """Each row's first ``lengths[r]`` entries."""
+        return self._gather(self.indptr[:-1], lengths)
+
+    def _gather(self, starts: np.ndarray, lengths: np.ndarray
+                ) -> "Adjacency":
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        at = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return Adjacency(indptr, self.indices[at])
 
 
 @dataclass
@@ -106,6 +137,12 @@ class DatasetSplit:
         return tuple(np.flatnonzero(self.train.adjacency.row_lengths == 0)
                      .tolist())
 
+    @cached_property
+    def train_and_validation(self) -> Adjacency:
+        """Train plus validation records as a CSR: the test ranking mask."""
+        return self.train.view(self.train.records
+                               + self.validation.records).adjacency
+
     @property
     def num_users(self) -> int:
         return self.train.num_users
@@ -160,7 +197,6 @@ class ModalityBundle:
     modalities: tuple[str, ...]
     features: dict[str, np.ndarray]
     num_items: int
-    embed_dim: int | None = None
 
     def __post_init__(self) -> None:
         if len(set(self.modalities)) != len(self.modalities):
@@ -450,6 +486,9 @@ class DatasetBundle:
     modalities: ModalityBundle
     popularity: PopularityTable
     stats: dict
+    # Propagation operators by norm mode, built once (trainer.propagator).
+    propagators: dict = field(default_factory=dict, repr=False,
+                              compare=False)
 
     @property
     def num_users(self) -> int:
@@ -488,12 +527,24 @@ def _write_tsv(path: Path, records: list[tuple[int, int]]) -> None:
                     encoding="utf-8")
 
 
+def _read_text(path: Path) -> str:
+    """A bundle text file; DataError if missing, unreadable or not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: "
+                        f"{exc.reason})") from None
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from None
+
+
 def _read_split(path: Path, base: InteractionSet) -> InteractionSet:
     """A split TSV as a view of ``base``; building its CSR here checks
-    every index against the id tables."""
+    every index against the id tables. A repeated line is an error: it
+    would count its edge twice."""
+    lines = _read_text(path).splitlines()
     records = []
-    for lineno, ln in enumerate(path.read_text(encoding="utf-8")
-                                .splitlines(), start=1):
+    for lineno, ln in enumerate(lines, start=1):
         if not ln:
             continue
         try:
@@ -504,9 +555,18 @@ def _read_split(path: Path, base: InteractionSet) -> InteractionSet:
                             f"indices, got {ln!r}") from None
     part = base.view(records)
     try:
-        part.adjacency
+        adj = part.adjacency
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    keys = adj.entry_rows * part.num_items + adj.indices  # ascending
+    if np.any(keys[1:] == keys[:-1]):
+        seen = set()
+        for lineno, ln in enumerate(lines, start=1):
+            pair = tuple(map(int, ln.split("\t"))) if ln else None
+            if pair and pair in seen:
+                raise DataError(f"{path}:{lineno}: duplicate interaction "
+                                f"(user {pair[0]}, item {pair[1]})")
+            seen.add(pair)
     return part
 
 
@@ -549,10 +609,10 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
         split_seed = stats["split_seed"]
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{stats_path}: malformed ({exc!r})") from None
-    user_ids = tuple(ln for ln in (root / "users.txt")
-                     .read_text(encoding="utf-8").splitlines() if ln)
-    item_ids = tuple(ln for ln in (root / "items.txt")
-                     .read_text(encoding="utf-8").splitlines() if ln)
+    user_ids = tuple(ln for ln in _read_text(root / "users.txt")
+                     .splitlines() if ln)
+    item_ids = tuple(ln for ln in _read_text(root / "items.txt")
+                     .splitlines() if ln)
     nu, ni = len(user_ids), len(item_ids)
     if (nu, ni) != expected:
         raise DataError(f"{root}: id tables disagree with stats.json")

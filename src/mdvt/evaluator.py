@@ -1,46 +1,61 @@
-"""Top-K ranking metrics, sparsity-bucket breakdown, and convergence
-diagnostics."""
+"""Exact batched top-k ranking, top-K metrics and the sparsity-bucket
+breakdown."""
 
 from __future__ import annotations
 
 import math
-from collections.abc import Collection
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import Adjacency
+from .errors import ConfigError
+
 SPARSITY_BUCKETS = ((1, 5), (6, 10), (11, 20), (21, None))
 
-
-def rank_items(scores: np.ndarray, masked: Collection[int] | None = None
-               ) -> np.ndarray:
-    """Items sorted by score descending, ties by ascending index, with
-    masked items removed before ranking."""
-    keep = np.ones(len(scores), dtype=bool)
-    if masked is not None:
-        keep[np.fromiter(masked, np.int64, len(masked))] = False
-    candidates = np.flatnonzero(keep)
-    order = np.lexsort((candidates, -scores[candidates]))
-    return candidates[order]
+# Users scored and ranked per block, by evaluation and by virtual-triplet
+# refresh: a block's score matrix is BLOCK_ROWS x num_items.
+BLOCK_ROWS = 256
 
 
-def recall_at_k(ranked: np.ndarray, relevant: set[int], k: int) -> float:
-    if not relevant:
-        raise ValueError("relevant set is empty")
-    hits = sum(1 for i in ranked[:k] if int(i) in relevant)
-    return hits / len(relevant)
+def top_k(scores: np.ndarray, k: int, excluded: Adjacency | None = None
+          ) -> Adjacency:
+    """Each row's first ``k`` columns by descending score, ties by
+    ascending column, skipping the row's ``excluded`` columns; a row with
+    fewer columns left keeps them all. Scores must be finite.
 
-
-def ndcg_at_k(ranked: np.ndarray, relevant: set[int], k: int) -> float:
-    if not relevant:
-        raise ValueError("relevant set is empty")
-    dcg = 0.0
-    for pos, item in enumerate(ranked[:k], start=1):
-        if int(item) in relevant:
-            dcg += 1.0 / math.log2(pos + 1)
-    ideal = sum(1.0 / math.log2(pos + 1)
-                for pos in range(1, min(k, len(relevant)) + 1))
-    return dcg / ideal
+    Exact: ``argpartition`` picks k columns holding the k largest values;
+    where the boundary (k-th largest) value has more ties than the row has
+    room for, the lowest tied columns are taken instead of the arbitrary
+    ones; then only the k survivors of each row are sorted.
+    """
+    rows, cols = scores.shape
+    k = min(k, cols)
+    masked = np.array(scores, dtype=float)  # -inf marks an excluded column
+    if excluded is not None:
+        masked[excluded.entry_rows, excluded.indices] = -np.inf
+    lengths = np.minimum(k, np.count_nonzero(masked > -np.inf, axis=1))
+    if k == 0:
+        return Adjacency.from_lengths(lengths, np.zeros(0, dtype=np.int64))
+    cand = np.argpartition(masked, cols - k, axis=1)[:, cols - k:]
+    vals = np.take_along_axis(masked, cand, axis=1)
+    kth = vals[:, :1]
+    room = lengths - np.count_nonzero(vals > kth, axis=1)
+    fix = np.flatnonzero(np.count_nonzero(masked == kth, axis=1) > room)
+    if fix.size:
+        sub = masked[fix]
+        tied = sub == kth[fix]
+        keep = (sub > kth[fix]) | (tied & (np.cumsum(tied, axis=1)
+                                           <= room[fix, None]))
+        r, c = np.nonzero(keep)  # row-major: columns ascend within a row
+        at = np.arange(len(r)) - np.searchsorted(r, r)
+        vals[fix] = -np.inf  # padding of rows shorter than k sorts last
+        cand[fix[r], at] = c
+        vals[fix[r], at] = sub[r, c]
+    order = np.lexsort((cand, -vals), axis=1)
+    ranked = np.take_along_axis(cand, order, axis=1)
+    return Adjacency.from_lengths(lengths,
+                                  ranked[np.arange(k) < lengths[:, None]])
 
 
 @dataclass
@@ -81,71 +96,76 @@ class MetricsReport:
         }
 
 
-def evaluate_rankings(score_rows, users: list[int], relevant, masked,
-                      ks: tuple[int, ...],
+def evaluate_rankings(score_rows, users, relevant: Adjacency,
+                      masked: Adjacency, ks: tuple[int, ...],
                       user_train_count: np.ndarray | None = None
                       ) -> MetricsReport:
     """Rank each user's unmasked items and average the metrics.
 
-    ``score_rows(chunk)`` returns the score matrix for a list of users.
-    ``relevant[u]`` and ``masked[u]`` are user ``u``'s relevant and masked
-    items: sets, or rows of a CSR. Users with no relevant item are skipped.
+    ``score_rows(block)`` returns the score matrix of an array of users.
+    ``relevant`` and ``masked`` are user->item CSRs. Users with no relevant
+    item are skipped. Only the top ``max(ks)`` items are ranked.
     """
-    per_user: dict[int, dict[int, tuple[float, float]]] = {}
-    eligible = [u for u in users if len(relevant[u])]
-    chunk = 256
-    for start in range(0, len(eligible), chunk):
-        batch = eligible[start:start + chunk]
-        rows = score_rows(batch)
-        for row, u in zip(rows, batch):
-            ranked = rank_items(row, masked[u])
-            rel = {int(i) for i in relevant[u]}
-            per_user[u] = {k: (recall_at_k(ranked, rel, k),
-                               ndcg_at_k(ranked, rel, k)) for k in ks}
-    n = len(per_user)
-    recall = {k: (float(np.mean([m[k][0] for m in per_user.values()]))
-                  if n else 0.0) for k in ks}
-    ndcg = {k: (float(np.mean([m[k][1] for m in per_user.values()]))
-                if n else 0.0) for k in ks}
-    report = MetricsReport(recall=recall, ndcg=ndcg, num_users_evaluated=n)
+    if min(ks) < 1:
+        raise ConfigError(f"ranking cutoffs must be >= 1, got {list(ks)}")
+    users = np.asarray(users, dtype=np.int64)
+    users = users[relevant.row_lengths[users] > 0]
+    depth = max(ks)
+    discounts = np.array([1.0 / math.log2(pos + 1)
+                          for pos in range(1, depth + 1)])
+    hits = np.zeros((len(users), depth), dtype=np.int64)
+    dcg = np.zeros((len(users), depth))
+    for start in range(0, len(users), BLOCK_ROWS):
+        block = users[start:start + BLOCK_ROWS]
+        scores = score_rows(block)
+        ranked = top_k(scores, depth, masked.take(block))
+        wanted = relevant.take(block)
+        is_relevant = np.zeros(scores.shape, dtype=bool)
+        is_relevant[wanted.entry_rows, wanted.indices] = True
+        rows = ranked.entry_rows
+        hit = np.zeros((len(block), depth), dtype=bool)
+        hit[rows, np.arange(len(rows)) - ranked.indptr[rows]] = \
+            is_relevant[rows, ranked.indices]
+        hits[start:start + BLOCK_ROWS] = np.cumsum(hit, axis=1)
+        # Running sums left to right: the order a per-user loop adds them.
+        dcg[start:start + BLOCK_ROWS] = np.cumsum(
+            np.where(hit, discounts, 0.0), axis=1)
+    num_relevant = relevant.row_lengths[users]
+    ideal = np.cumsum(discounts)
+    recall = {k: hits[:, k - 1] / num_relevant for k in ks}
+    ndcg = {k: dcg[:, k - 1] / ideal[np.minimum(k, num_relevant) - 1]
+            for k in ks}
+    n = len(users)
+    report = MetricsReport(
+        recall={k: float(np.mean(v)) if n else 0.0 for k, v in recall.items()},
+        ndcg={k: float(np.mean(v)) if n else 0.0 for k, v in ndcg.items()},
+        num_users_evaluated=n)
     if user_train_count is not None:
-        report.buckets = sparsity_breakdown(per_user, user_train_count, ks)
+        report.buckets = sparsity_breakdown(user_train_count[users], recall,
+                                            ndcg, ks)
     return report
 
 
-def sparsity_breakdown(per_user: dict[int, dict[int, tuple[float, float]]],
-                       user_train_count: np.ndarray,
+def sparsity_breakdown(train_counts: np.ndarray,
+                       recall: dict[int, np.ndarray],
+                       ndcg: dict[int, np.ndarray],
                        ks: tuple[int, ...]) -> list[BucketMetrics]:
     """Group evaluated users by train interaction count and average each
-    bucket; empty buckets report count 0 and null metrics."""
+    bucket; empty buckets report count 0 and null metrics.
+
+    Entry ``j`` of ``train_counts``, ``recall[k]`` and ``ndcg[k]`` belongs
+    to the j-th evaluated user.
+    """
     out = []
     for lo, hi in SPARSITY_BUCKETS:
-        members = [u for u in per_user
-                   if lo <= user_train_count[u] and
-                   (hi is None or user_train_count[u] <= hi)]
-        if members:
-            recall = {k: float(np.mean([per_user[u][k][0] for u in members]))
-                      for k in ks}
-            ndcg = {k: float(np.mean([per_user[u][k][1] for u in members]))
-                    for k in ks}
+        members = (train_counts >= lo) & (hi is None or train_counts <= hi)
+        count = int(np.count_nonzero(members))
+        if count:
+            recall_b = {k: float(np.mean(recall[k][members])) for k in ks}
+            ndcg_b = {k: float(np.mean(ndcg[k][members])) for k in ks}
         else:
-            recall = {k: None for k in ks}
-            ndcg = {k: None for k in ks}
-        out.append(BucketMetrics(lo=lo, hi=hi, count=len(members),
-                                 recall=recall, ndcg=ndcg))
+            recall_b = {k: None for k in ks}
+            ndcg_b = {k: None for k in ks}
+        out.append(BucketMetrics(lo=lo, hi=hi, count=count,
+                                 recall=recall_b, ndcg=ndcg_b))
     return out
-
-
-def convergence_summary(histories) -> list[dict]:
-    """Plot-ready per-run convergence rows."""
-    rows = []
-    for idx, history in enumerate(histories):
-        rows.append({
-            "run": idx,
-            "epochs_to_best": history.best_epoch + 1,
-            "epochs_to_stop": history.stopped_epoch + 1,
-            "final_l_bpr": history.l_bpr[-1],
-            "final_l_total": history.l_total[-1],
-            "trigger_epoch": history.trigger_epoch,
-        })
-    return rows

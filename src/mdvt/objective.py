@@ -40,54 +40,6 @@ class LossReport:
     epoch: int
 
 
-def bpr_loss(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
-    """Mean of -log(sigmoid(score gap)) over the batch."""
-    gaps = np.asarray(pos_scores, dtype=float) - np.asarray(neg_scores,
-                                                            dtype=float)
-    return float(np.mean(softplus(-gaps)))
-
-
-def aggregate_virtual(user: int, virtual: VirtualTripletSet,
-                      fused_items: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean fused vectors of the user's similar and dissimilar item groups."""
-    if user not in virtual.positives:
-        raise KeyError(f"user {user} has no virtual triplets")
-    pos = virtual.positives[user]
-    neg = virtual.negatives[user]
-    return fused_items[pos].mean(axis=0), fused_items[neg].mean(axis=0)
-
-
-def virtual_bpr_loss(users: np.ndarray, virtual: VirtualTripletSet,
-                     fused_users: np.ndarray, fused_items: np.ndarray,
-                     wo_aggr: bool = False) -> float:
-    """Mean virtual-triplet loss over the contributing batch entries.
-
-    One term per entry: the gap between the user's affinity to the mean of
-    its similar group and to the mean of its dissimilar group. With
-    ``wo_aggr`` the group means are removed and the entry's term is the
-    mean over its rank-matched (positive_k, negative_k) pairs, which is
-    identical to the default when the groups hold a single item.
-    """
-    terms = []
-    for u in users:
-        u = int(u)
-        if u not in virtual.positives or len(virtual.positives[u]) == 0:
-            continue
-        if wo_aggr:
-            pos = virtual.positives[u]
-            neg = virtual.negatives[u]
-            gaps = (fused_items[pos] - fused_items[neg]) @ fused_users[u]
-            terms.append(float(np.mean(softplus(-gaps))))
-        else:
-            plus, minus = aggregate_virtual(u, virtual, fused_items)
-            gap = float(fused_users[u] @ (plus - minus))
-            terms.append(float(softplus(-np.array([gap]))[0]))
-    if not terms:
-        raise KeyError("no batch user has virtual triplets")
-    return float(np.mean(terms))
-
-
 def combined_loss(l_bpr: float, l_vbpr: float | None, lam: float,
                   mode: str = "default") -> float:
     """Joint loss: (1-lambda)*bpr + lambda*vbpr, or bpr + lambda*vbpr when
@@ -113,18 +65,75 @@ def _loss_weights(lam: float, joint: bool, wo_scale: bool
     return 1.0 - lam, lam
 
 
-def _virtual_entries(users: np.ndarray, virtual: VirtualTripletSet,
-                     per_distinct_user: bool) -> tuple[list[int], np.ndarray]:
-    """Distinct contributing users and their per-entry multiplicities."""
-    counts: dict[int, int] = {}
-    for u in users:
-        u = int(u)
-        if u in virtual.positives and len(virtual.positives[u]) > 0:
-            counts[u] = counts.get(u, 0) + 1
-    uniq = sorted(counts)
-    mult = np.ones(len(uniq)) if per_distinct_user else np.array(
-        [counts[u] for u in uniq], dtype=float)
-    return uniq, mult
+def _virtual_rows(users: np.ndarray, virtual: VirtualTripletSet,
+                  per_distinct_user: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the batch's distinct covered users (ascending) and each
+    row's weight: its batch multiplicity, or 1 per distinct user."""
+    uniq, counts = np.unique(users, return_counts=True)
+    rows = np.searchsorted(virtual.users, uniq)
+    found = rows < len(virtual.users)
+    found[found] = ((virtual.users[rows[found]] == uniq[found])
+                    & (virtual.positives.row_lengths[rows[found]] > 0))
+    weight = (np.ones(found.sum()) if per_distinct_user
+              else counts[found].astype(float))
+    return rows[found], weight
+
+
+def _virtual_loss(rows: np.ndarray, weight: np.ndarray,
+                  virtual: VirtualTripletSet, z: np.ndarray, num_users: int,
+                  w_v: float, wo_aggr: bool, grad_fused: np.ndarray) -> float:
+    """Weighted mean virtual loss of ``rows``; adds ``w_v`` times its
+    gradient to ``grad_fused``.
+
+    Rows of one group length are computed together. Stacked matrix
+    products keep each user's sums in the order of a one-user product, and
+    the scatter visits users ascending, each user's positives then its
+    negatives, so the result equals a one-user-at-a-time loop's.
+    """
+    total = float(weight.sum())
+    pos, neg = virtual.positives.take(rows), virtual.negatives.take(rows)
+    users = virtual.users[rows]
+    lengths = pos.row_lengths
+    terms = np.empty(len(rows))
+    user_grad = np.empty((len(rows), z.shape[1]))
+    pair_coef = np.empty(len(pos.indices))
+    for n in np.unique(lengths):
+        sel = np.flatnonzero(lengths == n)
+        at = pos.indptr[sel, None] + np.arange(n)
+        zu = z[users[sel]]
+        zp = z[pos.indices[at] + num_users]
+        zn = z[neg.indices[at] + num_users]
+        if wo_aggr:
+            diff = zp - zn
+            gaps = np.matmul(diff, zu[:, :, None])[:, :, 0]
+            terms[sel] = weight[sel] * np.mean(softplus(-gaps), axis=1)
+            coef = (w_v * weight[sel] / (total * n))[:, None] * (
+                expit(gaps) - 1.0)
+            user_grad[sel] = np.matmul(coef[:, None, :], diff)[:, 0]
+            pair_coef[at] = coef
+        else:
+            delta = zp.mean(axis=1) - zn.mean(axis=1)
+            gap = np.matmul(zu[:, None, :], delta[:, :, None])[:, 0, 0]
+            terms[sel] = weight[sel] * softplus(-gap)
+            coef = (w_v * weight[sel] / total) * (expit(gap) - 1.0)
+            user_grad[sel] = coef[:, None] * delta
+            pair_coef[at] = (coef / n)[:, None]
+    if w_v != 0.0:
+        grad_fused[users] += user_grad
+        # Each user's positives, then its negatives, users ascending.
+        pair = np.arange(len(pair_coef))
+        to_pos = pair + np.repeat(pos.indptr[:-1], lengths)
+        to_neg = pair + np.repeat(pos.indptr[1:], lengths)
+        targets = np.empty(2 * len(pair), dtype=np.int64)
+        targets[to_pos] = pos.indices + num_users
+        targets[to_neg] = neg.indices + num_users
+        step = pair_coef[:, None] * z[np.repeat(users, lengths)]
+        steps = np.empty((2 * len(pair), z.shape[1]))
+        steps[to_pos] = step
+        steps[to_neg] = -step
+        np.add.at(grad_fused, targets, steps)
+    # Running sum left to right, as a loop accumulates it.
+    return float(np.cumsum(terms)[-1] / total)
 
 
 def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
@@ -132,14 +141,14 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
              lam: float, joint: bool, num_layers: int,
              wo_aggr: bool = False, wo_scale: bool = False,
              score_mode: str = "per_modality", readout_mode: str = "sum",
-             per_distinct_user: bool = False, with_grads: bool = True):
+             per_distinct_user: bool = False):
     """Batch losses and gradients w.r.t. every embedding table.
 
     Returns ``(LossReport, grads)`` where ``grads[modality]`` holds
-    ``{"user": array, "item": array}``; grads is None when ``with_grads``
-    is false. Only tables reachable from the batch vertices (and the
-    virtual groups) through the propagation neighborhoods receive nonzero
-    gradient. d(-log sigmoid(g))/dg = -(1 - sigmoid(g)).
+    ``{"user": array, "item": array}``. Only tables reachable from the
+    batch vertices (and the virtual groups) through the propagation
+    neighborhoods receive nonzero gradient.
+    d(-log sigmoid(g))/dg = -(1 - sigmoid(g)).
     """
     w_bpr, w_v = _loss_weights(lam, joint, wo_scale)
     num_users = reps.num_users
@@ -148,9 +157,8 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
     pos = batch.pos_items + num_users
     neg = batch.neg_items + num_users
 
-    grads_final = ({m: np.zeros_like(f) for m, f in reps.finals.items()}
-                   if with_grads else None)
-    grad_fused = np.zeros_like(reps.fused) if with_grads else None
+    grads_final = {m: np.zeros_like(f) for m, f in reps.finals.items()}
+    grad_fused = np.zeros_like(reps.fused)
 
     # Real-triplet branch.
     if score_mode == "per_modality":
@@ -161,7 +169,7 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
         z = reps.fused
         gaps = np.einsum("bd,bd->b", z[users], z[pos] - z[neg])
     l_bpr = float(np.mean(softplus(-gaps)))
-    if with_grads and w_bpr != 0.0:
+    if w_bpr != 0.0:
         coef = (w_bpr / batch_size) * (expit(gaps) - 1.0)
         if score_mode == "per_modality":
             for m, f in reps.finals.items():
@@ -178,37 +186,10 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
     # Virtual-triplet branch.
     l_vbpr = None
     if joint and virtual is not None:
-        uniq, mult = _virtual_entries(users, virtual, per_distinct_user)
-        total = float(mult.sum())
-        if total > 0.0:
-            z = reps.fused
-            acc = 0.0
-            for u, weight in zip(uniq, mult):
-                p_idx = virtual.positives[u] + num_users
-                n_idx = virtual.negatives[u] + num_users
-                n_group = len(p_idx)
-                if wo_aggr:
-                    pair_gaps = (z[p_idx] - z[n_idx]) @ z[u]
-                    acc += weight * float(np.mean(softplus(-pair_gaps)))
-                    if with_grads and w_v != 0.0:
-                        coef = (w_v * weight / (total * n_group)) * (
-                            expit(pair_gaps) - 1.0)
-                        grad_fused[u] += coef @ (z[p_idx] - z[n_idx])
-                        np.add.at(grad_fused, p_idx, coef[:, None] * z[u])
-                        np.add.at(grad_fused, n_idx, -coef[:, None] * z[u])
-                else:
-                    plus = z[p_idx].mean(axis=0)
-                    minus = z[n_idx].mean(axis=0)
-                    gap = float(z[u] @ (plus - minus))
-                    acc += weight * float(softplus(-np.array([gap]))[0])
-                    if with_grads and w_v != 0.0:
-                        coef = (w_v * weight / total) * (expit(gap) - 1.0)
-                        grad_fused[u] += coef * (plus - minus)
-                        np.add.at(grad_fused, p_idx,
-                                  np.full((n_group, 1), coef / n_group) * z[u])
-                        np.add.at(grad_fused, n_idx,
-                                  np.full((n_group, 1), -coef / n_group) * z[u])
-            l_vbpr = acc / total
+        rows, weight = _virtual_rows(users, virtual, per_distinct_user)
+        if rows.size:
+            l_vbpr = _virtual_loss(rows, weight, virtual, reps.fused,
+                                   num_users, w_v, wo_aggr, grad_fused)
 
     if not joint:
         l_total = l_bpr
@@ -220,8 +201,6 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
         l_total = w_bpr * l_bpr
     report = LossReport(l_bpr=l_bpr, l_vbpr=l_vbpr if joint else None,
                         l_total=l_total, epoch=-1)
-    if not with_grads:
-        return report, None
 
     # Fusion backward, then the shared propagation/readout transpose.
     if np.any(grad_fused):
@@ -239,20 +218,6 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
             acc /= num_layers + 1
         grads[m] = {"user": acc[:num_users], "item": acc[num_users:]}
     return report, grads
-
-
-def batch_losses(batch: TripletBatch, virtual: VirtualTripletSet | None,
-                 reps: Representations, *, lam: float, joint: bool,
-                 wo_aggr: bool = False, wo_scale: bool = False,
-                 score_mode: str = "per_modality",
-                 per_distinct_user: bool = False) -> LossReport:
-    """Loss values only, sharing the backward code path."""
-    report, _ = backward(batch, virtual, reps, prop=None, lam=lam,
-                         joint=joint, num_layers=0, wo_aggr=wo_aggr,
-                         wo_scale=wo_scale, score_mode=score_mode,
-                         per_distinct_user=per_distinct_user,
-                         with_grads=False)
-    return report
 
 
 @dataclass

@@ -248,23 +248,28 @@ def evaluate_split(state: backbone.EmbeddingState, bundle: DatasetBundle,
     if which == "validation":
         relevant, masked = split.validation.adjacency, split.train.adjacency
     elif which == "test":
-        seen = split.train.view(split.train.records + split.validation.records)
-        relevant, masked = split.test.adjacency, seen.adjacency
+        relevant, masked = split.test.adjacency, split.train_and_validation
     else:
         raise ConfigError(f"unknown evaluation split {which!r}")
-    prop = backbone.Propagator(bundle.graph, config.norm)
-    reps = backbone.forward_pass(state, prop, config.num_layers,
-                                 _mask_for(state, config), config.readout)
+    reps = backbone.forward_pass(state, propagator(bundle, config.norm),
+                                 config.num_layers, _mask_for(state, config),
+                                 config.readout)
     trained = split.train.adjacency.row_lengths > 0
-    users = np.flatnonzero(trained & (relevant.row_lengths > 0)).tolist()
+    users = np.flatnonzero(trained & (relevant.row_lengths > 0))
 
-    def score_rows(chunk: list[int]) -> np.ndarray:
-        return backbone.score_matrix(reps, np.array(chunk, dtype=np.int64),
-                                     config.score_mode)
+    def score_rows(block: np.ndarray) -> np.ndarray:
+        return backbone.score_matrix(reps, block, config.score_mode)
 
     counts = bundle.popularity.user_train_count if with_buckets else None
     return evaluator.evaluate_rankings(score_rows, users, relevant, masked,
                                        tuple(config.eval_ks), counts)
+
+
+def propagator(bundle: DatasetBundle, norm: str) -> backbone.Propagator:
+    """The bundle's propagation operator for ``norm``, built once."""
+    if norm not in bundle.propagators:
+        bundle.propagators[norm] = backbone.Propagator(bundle.graph, norm)
+    return bundle.propagators[norm]
 
 
 def _mask_for(state: backbone.EmbeddingState,
@@ -333,7 +338,7 @@ def train_run(bundle: DatasetBundle, config: RunConfig
     unknown = [m for m in mask if m not in state.modalities]
     if unknown:
         raise ConfigError(f"modality_mask names unknown modalities: {unknown}")
-    prop = backbone.Propagator(bundle.graph, config.norm)
+    prop = propagator(bundle, config.norm)
     opt = objective.OptimizerState.for_state(state, config.learning_rate,
                                              config.weight_decay)
     plan = config.build_plan()

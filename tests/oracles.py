@@ -1,0 +1,371 @@
+"""One-user-at-a-time reference implementations.
+
+The batched production paths (``evaluator.top_k``, ``triplet_forge.select``
+and ``refresh``, the virtual branch of ``objective.backward``) are checked
+against these loops: selections, rankings and metrics must match exactly,
+virtual losses and gradients to 1e-12.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Collection
+
+import numpy as np
+from scipy.special import expit
+
+from mdvt.dataset import Adjacency, PopularityTable
+from mdvt.errors import ConfigError, SelectionError, TrainingCollapseError
+from mdvt.objective import softplus
+from mdvt.triplet_forge import SelectionParams, VirtualTripletSet
+
+
+# --- virtual sets as {user: (positives, negatives)} ------------------------
+
+def make_virtual(positives: dict, negatives: dict, epoch: int = 0,
+                 tag: str = "topn") -> VirtualTripletSet:
+    """A VirtualTripletSet from per-user group dicts."""
+    users = np.array(sorted(positives), dtype=np.int64)
+
+    def csr(groups):
+        rows = [np.asarray(groups[u], dtype=np.int64) for u in users]
+        return Adjacency.from_lengths(
+            np.array([len(r) for r in rows], dtype=np.int64),
+            np.concatenate([np.zeros(0, dtype=np.int64)] + rows))
+
+    return VirtualTripletSet(users, csr(positives), csr(negatives), epoch,
+                             tag)
+
+
+def adjacency_of(rows: dict, num_rows: int) -> Adjacency:
+    """A CSR whose row ``r`` holds the items of ``rows.get(r)``, ascending."""
+    items = [np.array(sorted(rows.get(r, ())), dtype=np.int64)
+             for r in range(num_rows)]
+    return Adjacency.from_lengths(
+        np.array([len(i) for i in items], dtype=np.int64),
+        np.concatenate([np.zeros(0, dtype=np.int64)] + items))
+
+
+def groups_of(virtual: VirtualTripletSet) -> dict[int, tuple[list, list]]:
+    return {int(u): (virtual.positives[r].tolist(),
+                     virtual.negatives[r].tolist())
+            for r, u in enumerate(virtual.users)}
+
+
+# --- similarity and per-user selectors -------------------------------------
+
+def cosine_row(user_vec: np.ndarray, item_matrix: np.ndarray,
+               user: int = -1,
+               item_norms: np.ndarray | None = None) -> np.ndarray:
+    """Cosine similarity of one fused user vector against all fused items.
+
+    Zero-norm item rows map to similarity 0; a zero-norm user means the
+    representation has collapsed and is an error.
+    """
+    u_norm = float(np.linalg.norm(user_vec))
+    if u_norm == 0.0:
+        raise TrainingCollapseError(
+            f"user {user} has a zero-norm fused representation")
+    if item_norms is None:
+        item_norms = np.linalg.norm(item_matrix, axis=1)
+    dots = item_matrix @ user_vec
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(item_norms > 0.0, dots / (u_norm * item_norms), 0.0)
+
+
+def _order_desc(values: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Candidates sorted by similarity descending, ties by ascending index."""
+    order = np.lexsort((candidates, -values[candidates]))
+    return candidates[order]
+
+
+def _order_asc(values: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    order = np.lexsort((candidates, values[candidates]))
+    return candidates[order]
+
+
+def _positive_candidates(num_items: int, exclusion: Collection[int] | None
+                         ) -> np.ndarray:
+    keep = np.ones(num_items, dtype=bool)
+    if exclusion is not None:
+        keep[np.fromiter(exclusion, np.int64, len(exclusion))] = False
+    return np.flatnonzero(keep)
+
+
+def _negatives_for(values: np.ndarray, positives: np.ndarray,
+                   count: int) -> np.ndarray:
+    pool = np.ones(len(values), dtype=bool)
+    pool[positives] = False
+    candidates = np.flatnonzero(pool)
+    if len(candidates) < count:
+        raise SelectionError(
+            f"need {count} negative candidates, only {len(candidates)} left")
+    return _order_asc(values, candidates)[:count]
+
+
+def select_topn(values: np.ndarray, n: int,
+                exclusion: Collection[int] | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Top-n most/least similar items.
+
+    Positives: the n largest-similarity items outside ``exclusion``.
+    Negatives: the n smallest-similarity items among everything else.
+    """
+    candidates = _positive_candidates(len(values), exclusion)
+    if len(candidates) < 2 * n:
+        raise SelectionError(
+            f"top-{n} selection needs at least {2 * n} candidate items, "
+            f"got {len(candidates)}")
+    positives = _order_desc(values, candidates)[:n]
+    negatives = _negatives_for(values, positives, n)
+    return positives, negatives
+
+
+def select_threshold(values: np.ndarray, threshold: float,
+                     cap: int | None = None, floor: int | None = None,
+                     exclusion: Collection[int] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Similarity-threshold selection, with an optional cap and floor.
+
+    Positives are the candidate items with similarity >= threshold, sorted
+    descending; ``cap`` truncates dense users, ``floor`` pads sparse users
+    from the top of the remaining similarities even below the threshold.
+    Negatives are an equal count of smallest-similarity items.
+    """
+    if not 0.0 < threshold < 1.0:
+        raise ConfigError(f"similarity threshold must lie in (0, 1), "
+                          f"got {threshold}")
+    candidates = _positive_candidates(len(values), exclusion)
+    ordered = _order_desc(values, candidates)
+    qualifying = ordered[values[ordered] >= threshold]
+    positives = qualifying
+    if cap is not None and len(positives) > cap:
+        positives = positives[:cap]
+    if floor is not None and len(positives) < floor:
+        want = min(floor, len(ordered))
+        positives = ordered[:want]
+    negatives = _negatives_for(values, positives, len(positives))
+    return positives, negatives
+
+
+def select_frequency(values: np.ndarray, n: int,
+                     popularity: PopularityTable, mode: str,
+                     exclusion: Collection[int] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Interaction-frequency selection variants.
+
+    ``f1`` ignores similarity entirely: the n most-popular items become
+    positives, the n least-popular negatives. ``f2`` pre-filters by
+    similarity (top-2n / bottom-2n) and keeps the n most- / least-popular
+    of each pool.
+    """
+    if mode not in ("f1", "f2"):
+        raise ConfigError(f"frequency mode must be 'f1' or 'f2', got {mode!r}")
+    counts = popularity.item_train_count.astype(np.int64)
+    candidates = _positive_candidates(len(values), exclusion)
+    if len(candidates) < 2 * n:
+        raise SelectionError(
+            f"frequency selection needs at least {2 * n} candidate items, "
+            f"got {len(candidates)}")
+
+    def by_count_desc(pool: np.ndarray) -> np.ndarray:
+        return pool[np.lexsort((pool, -counts[pool]))]
+
+    def by_count_asc(pool: np.ndarray) -> np.ndarray:
+        return pool[np.lexsort((pool, counts[pool]))]
+
+    if mode == "f1":
+        positives = by_count_desc(candidates)[:n]
+        rest = np.ones(len(values), dtype=bool)
+        rest[positives] = False
+        rest_idx = np.flatnonzero(rest)
+        if len(rest_idx) < n:
+            raise SelectionError("too few items for frequency negatives")
+        negatives = by_count_asc(rest_idx)[:n]
+        return positives, negatives
+
+    sim_pool = _order_desc(values, candidates)[:2 * n]
+    positives = by_count_desc(sim_pool)[:n]
+    rest = np.ones(len(values), dtype=bool)
+    rest[positives] = False
+    rest_idx = np.flatnonzero(rest)
+    if len(rest_idx) < n:
+        raise SelectionError("too few items for frequency negatives")
+    neg_pool = _order_asc(values, rest_idx)[:2 * n]
+    negatives = by_count_asc(neg_pool)[:n]
+    return positives, negatives
+
+
+def select_one(params: SelectionParams, row: np.ndarray,
+               popularity: PopularityTable | None,
+               exclusion: Collection[int] | None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The per-user selector ``params`` names, applied to one row."""
+    tag = params.constructor
+    if tag == "topn":
+        return select_topn(row, params.n, exclusion)
+    if tag == "threshold":
+        return select_threshold(row, params.threshold, exclusion=exclusion)
+    if tag == "threshold_topn":
+        return select_threshold(row, params.threshold, cap=params.n,
+                                exclusion=exclusion)
+    if tag == "interval":
+        cap = params.n_cap if params.n_cap is not None else params.n
+        return select_threshold(row, params.threshold, cap=cap,
+                                floor=params.n_floor, exclusion=exclusion)
+    if tag == "freq_f1":
+        return select_frequency(row, params.n, popularity, "f1", exclusion)
+    return select_frequency(row, params.n, popularity, "f2", exclusion)
+
+
+def refresh_oracle(reps, params: SelectionParams, trainable_users,
+                   seen_items: Adjacency | None = None,
+                   popularity: PopularityTable | None = None
+                   ) -> dict[int, tuple[list, list]]:
+    """The virtual groups one user at a time, as ``groups_of`` returns
+    them; raises what the first failing user raises."""
+    params.validate()
+    fused_items = reps.fused_items
+    item_norms = np.linalg.norm(fused_items, axis=1)
+    out = {}
+    for u in trainable_users:
+        u = int(u)
+        row = cosine_row(reps.fused_users[u], fused_items, user=u,
+                         item_norms=item_norms)
+        exclusion = None
+        if not params.include_seen and seen_items is not None:
+            exclusion = seen_items[u]
+        pos, neg = select_one(params, row, popularity, exclusion)
+        if len(pos):
+            out[u] = (pos.tolist(), neg.tolist())
+    return out
+
+
+# --- ranking and metrics ---------------------------------------------------
+
+def rank_items(scores: np.ndarray, masked: Collection[int] | None = None
+               ) -> np.ndarray:
+    """Items sorted by score descending, ties by ascending index, with
+    masked items removed before ranking."""
+    keep = np.ones(len(scores), dtype=bool)
+    if masked is not None:
+        keep[np.fromiter(masked, np.int64, len(masked))] = False
+    candidates = np.flatnonzero(keep)
+    order = np.lexsort((candidates, -scores[candidates]))
+    return candidates[order]
+
+
+def recall_at_k(ranked: np.ndarray, relevant: set[int], k: int) -> float:
+    if not relevant:
+        raise ValueError("relevant set is empty")
+    hits = sum(1 for i in ranked[:k] if int(i) in relevant)
+    return hits / len(relevant)
+
+
+def ndcg_at_k(ranked: np.ndarray, relevant: set[int], k: int) -> float:
+    if not relevant:
+        raise ValueError("relevant set is empty")
+    dcg = 0.0
+    for pos, item in enumerate(ranked[:k], start=1):
+        if int(item) in relevant:
+            dcg += 1.0 / math.log2(pos + 1)
+    ideal = sum(1.0 / math.log2(pos + 1)
+                for pos in range(1, min(k, len(relevant)) + 1))
+    return dcg / ideal
+
+
+# --- losses ----------------------------------------------------------------
+
+def bpr_loss(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
+    """Mean of -log(sigmoid(score gap)) over the batch."""
+    gaps = np.asarray(pos_scores, dtype=float) - np.asarray(neg_scores,
+                                                            dtype=float)
+    return float(np.mean(softplus(-gaps)))
+
+
+def aggregate_virtual(user: int, virtual: VirtualTripletSet,
+                      fused_items: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Mean fused vectors of the user's similar and dissimilar item groups."""
+    groups = groups_of(virtual)
+    if user not in groups:
+        raise KeyError(f"user {user} has no virtual triplets")
+    pos, neg = groups[user]
+    return fused_items[pos].mean(axis=0), fused_items[neg].mean(axis=0)
+
+
+def virtual_bpr_loss(users: np.ndarray, virtual: VirtualTripletSet,
+                     fused_users: np.ndarray, fused_items: np.ndarray,
+                     wo_aggr: bool = False) -> float:
+    """Mean virtual-triplet loss over the contributing batch entries.
+
+    One term per entry: the gap between the user's affinity to the mean of
+    its similar group and to the mean of its dissimilar group. With
+    ``wo_aggr`` the group means are removed and the entry's term is the
+    mean over its rank-matched (positive_k, negative_k) pairs, which is
+    identical to the default when the groups hold a single item.
+    """
+    groups = groups_of(virtual)
+    terms = []
+    for u in users:
+        u = int(u)
+        if u not in groups or not groups[u][0]:
+            continue
+        if wo_aggr:
+            pos, neg = groups[u]
+            gaps = (fused_items[pos] - fused_items[neg]) @ fused_users[u]
+            terms.append(float(np.mean(softplus(-gaps))))
+        else:
+            plus, minus = aggregate_virtual(u, virtual, fused_items)
+            gap = float(fused_users[u] @ (plus - minus))
+            terms.append(float(softplus(-np.array([gap]))[0]))
+    if not terms:
+        raise KeyError("no batch user has virtual triplets")
+    return float(np.mean(terms))
+
+
+def virtual_branch_oracle(users: np.ndarray, virtual: VirtualTripletSet,
+                          z: np.ndarray, num_users: int, w_v: float,
+                          wo_aggr: bool, per_distinct_user: bool):
+    """The virtual branch of ``objective.backward`` one user at a time:
+    ``(l_vbpr, gradient w.r.t. the fused matrix)``; l_vbpr is None when
+    no batch user is covered."""
+    groups = groups_of(virtual)
+    counts: dict[int, int] = {}
+    for u in users:
+        u = int(u)
+        if u in groups and groups[u][0]:
+            counts[u] = counts.get(u, 0) + 1
+    uniq = sorted(counts)
+    mult = np.ones(len(uniq)) if per_distinct_user else np.array(
+        [counts[u] for u in uniq], dtype=float)
+    grad_fused = np.zeros_like(z)
+    total = float(mult.sum())
+    if total == 0.0:
+        return None, grad_fused
+    acc = 0.0
+    for u, weight in zip(uniq, mult):
+        p_idx = np.array(groups[u][0]) + num_users
+        n_idx = np.array(groups[u][1]) + num_users
+        n_group = len(p_idx)
+        if wo_aggr:
+            pair_gaps = (z[p_idx] - z[n_idx]) @ z[u]
+            acc += weight * float(np.mean(softplus(-pair_gaps)))
+            coef = (w_v * weight / (total * n_group)) * (
+                expit(pair_gaps) - 1.0)
+            grad_fused[u] += coef @ (z[p_idx] - z[n_idx])
+            np.add.at(grad_fused, p_idx, coef[:, None] * z[u])
+            np.add.at(grad_fused, n_idx, -coef[:, None] * z[u])
+        else:
+            plus = z[p_idx].mean(axis=0)
+            minus = z[n_idx].mean(axis=0)
+            gap = float(z[u] @ (plus - minus))
+            acc += weight * float(softplus(-np.array([gap]))[0])
+            coef = (w_v * weight / total) * (expit(gap) - 1.0)
+            grad_fused[u] += coef * (plus - minus)
+            np.add.at(grad_fused, p_idx,
+                      np.full((n_group, 1), coef / n_group) * z[u])
+            np.add.at(grad_fused, n_idx,
+                      np.full((n_group, 1), -coef / n_group) * z[u])
+    return acc / total, grad_fused
+

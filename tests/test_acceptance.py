@@ -17,15 +17,30 @@ from test_objective import make_instance
 from mdvt import objective
 from mdvt.cli import main
 from mdvt.dataset import write_modality_features
-from mdvt.evaluator import ndcg_at_k, rank_items, recall_at_k
+from mdvt.evaluator import evaluate_rankings
 from mdvt.trainer import (RunConfig, evaluate_split, run_strategy_search,
                           train_run)
-from mdvt.triplet_forge import select_frequency, select_threshold, select_topn
+from mdvt.triplet_forge import SelectionParams, select
 from mdvt.warmup import dynamic_trigger, hybrid_candidates
 from mdvt.dataset import PopularityTable
+from oracles import adjacency_of
 from test_triplet_forge import (oracle_frequency, oracle_threshold,
                                 oracle_topn, random_row)
 from test_evaluator import brute_ndcg, brute_recall
+
+
+def select_row(params, values, popularity=None):
+    """The production selection of one similarity row."""
+    pos, neg = select(params, values[None, :], popularity=popularity)
+    return pos[0], neg[0]
+
+
+def metrics_of(scores, relevant, k):
+    """Production Recall@k and NDCG@k of one user with nothing masked."""
+    report = evaluate_rankings(lambda block: scores[None, :], [0],
+                               adjacency_of({0: relevant}, 1),
+                               adjacency_of({}, 1), (k,))
+    return report.recall[k], report.ndcg[k]
 
 
 def test_criterion_1_gradient_suite():
@@ -84,8 +99,9 @@ def test_criterion_1_gradient_suite():
 
 
 def test_criterion_2_selection_oracle():
-    """All three selectors match brute-force sort/filter oracles on 1000
-    random rows each, ties included, with zero mismatches."""
+    """All three selector families (top-n, threshold with cap/floor,
+    frequency) match brute-force sort/filter oracles on 1000 random rows
+    each, ties included, with zero mismatches."""
     from mdvt.errors import SelectionError
 
     rng = np.random.default_rng(77)
@@ -98,7 +114,7 @@ def test_criterion_2_selection_oracle():
         n = int(rng.integers(1, max(2, num_items // 2)))
         if num_items < 2 * n:
             n = max(1, num_items // 2)
-        pos, neg = select_topn(values, n)
+        pos, neg = select_row(SelectionParams("topn", n=n), values)
         opos, oneg = oracle_topn(values, n)
         mismatches += pos.tolist() != opos or neg.tolist() != oneg
         compared += 1
@@ -110,9 +126,16 @@ def test_criterion_2_selection_oracle():
         threshold = float(rng.uniform(0.05, 0.95))
         cap = int(rng.integers(1, 5)) if rng.random() < 0.5 else None
         floor = int(rng.integers(0, 3)) if rng.random() < 0.5 else None
+        if floor is not None:  # a cap of num_items never truncates
+            params = SelectionParams("interval", n=cap or num_items,
+                                     threshold=threshold, n_floor=floor)
+        elif cap is not None:
+            params = SelectionParams("threshold_topn", n=cap,
+                                     threshold=threshold)
+        else:
+            params = SelectionParams("threshold", threshold=threshold)
         try:
-            pos, neg = select_threshold(values, threshold, cap=cap,
-                                        floor=floor)
+            pos, neg = select_row(params, values)
         except SelectionError:
             # Guard regime: more than half the items qualify, so no
             # matching negative count exists. Draw a fresh row instead.
@@ -133,7 +156,8 @@ def test_criterion_2_selection_oracle():
         n = int(rng.integers(1, max(2, num_items // 3)))
         if num_items < 2 * n:
             continue
-        pos, neg = select_frequency(values, n, pop, mode)
+        pos, neg = select_row(SelectionParams(f"freq_{mode}", n=n), values,
+                              pop)
         opos, oneg = oracle_frequency(values, n, counts, mode)
         mismatches += pos.tolist() != opos or neg.tolist() != oneg
         compared += 1
@@ -149,21 +173,21 @@ def test_criterion_3_metric_oracle():
     mismatches = 0
     for _ in range(1000):
         n = int(rng.integers(2, 31))
-        ranked = rank_items(rng.normal(size=n))
+        scores = rng.normal(size=n)
+        ranked = sorted(range(n), key=lambda i: (-scores[i], i))
         relevant = {int(i) for i in
                     rng.choice(n, size=int(rng.integers(1, n)),
                                replace=False)}
         k = int(rng.integers(1, 15))
-        if not math.isclose(recall_at_k(ranked, relevant, k),
-                            brute_recall(ranked.tolist(), relevant, k),
+        recall, ndcg = metrics_of(scores, relevant, k)
+        if not math.isclose(recall, brute_recall(ranked, relevant, k),
                             abs_tol=1e-12):
             mismatches += 1
-        if not math.isclose(ndcg_at_k(ranked, relevant, k),
-                            brute_ndcg(ranked.tolist(), relevant, k),
+        if not math.isclose(ndcg, brute_ndcg(ranked, relevant, k),
                             abs_tol=1e-12):
             mismatches += 1
     assert mismatches == 0
-    pinned = ndcg_at_k(np.array([1, 0]), {0}, 2)
+    _, pinned = metrics_of(np.array([0.0, 1.0]), {0}, 2)
     assert abs(pinned - 0.63093) <= 1e-5
     print(f"\nACCEPTANCE PASS [3] metric oracle: 1000 cases, 0 mismatches, "
           f"rank-2 NDCG@2={pinned:.6f}")

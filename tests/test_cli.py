@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mdvt.cli import main
-from mdvt.dataset import write_modality_features
+from mdvt.dataset import load_bundle, write_modality_features
+from mdvt.errors import DataError
 
 
 def write_interactions(path, num_users=12, num_items=10, per_user=4,
@@ -288,6 +289,40 @@ class TestMalformedFiles:
         capsys.readouterr()
         assert self.train(tmp_path, bundle) == 2
         assert "stats.json" in single_error_line(capsys)
+
+    @pytest.mark.parametrize("name", ["train.tsv", "val.tsv", "test.tsv",
+                                      "users.txt", "items.txt"])
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys, name):
+        bundle = prepare_bundle(tmp_path)
+        path = bundle / name
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        with pytest.raises(DataError, match="UTF-8"):
+            load_bundle(bundle)
+        capsys.readouterr()
+        assert self.train(tmp_path, bundle) == 2
+        assert name in single_error_line(capsys)
+
+    @pytest.mark.parametrize("name", ["users.txt", "items.txt"])
+    def test_missing_id_table_exit_2(self, tmp_path, capsys, name):
+        bundle = prepare_bundle(tmp_path)
+        (bundle / name).unlink()
+        with pytest.raises(DataError, match=name):
+            load_bundle(bundle)
+        capsys.readouterr()
+        assert self.train(tmp_path, bundle) == 2
+        assert name in single_error_line(capsys)
+
+    @pytest.mark.parametrize("name", ["train.tsv", "val.tsv", "test.tsv"])
+    def test_duplicate_line_exit_2(self, tmp_path, capsys, name):
+        bundle = prepare_bundle(tmp_path)
+        path = bundle / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines + [lines[0]]) + "\n",
+                        encoding="utf-8")
+        capsys.readouterr()
+        assert self.train(tmp_path, bundle) == 2
+        assert f"{name}:{len(lines) + 1}: duplicate" in \
+            single_error_line(capsys)
 
     def test_truncated_checkpoint_exit_3(self, tmp_path, capsys):
         bundle = prepare_bundle(tmp_path)

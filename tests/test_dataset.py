@@ -160,6 +160,22 @@ class TestAdjacency:
             assert adj[u].tolist() == sorted(i for v, i in records if v == u)
         assert adj.row_lengths[15] == 0
 
+    def test_take_head_and_entry_rows(self, rng):
+        records = sorted({(int(rng.integers(15)), int(rng.integers(25)))
+                          for _ in range(120)})
+        adj = make_set(records, 16, 25).adjacency
+        assert len(adj) == 16
+        assert adj.entry_rows.tolist() == [u for u, _ in records]
+        rows = np.array([5, 15, 0, 5])
+        taken = adj.take(rows)
+        assert len(taken) == 4
+        for r, u in enumerate(rows):
+            assert taken[r].tolist() == adj[u].tolist()
+        lengths = np.minimum(adj.row_lengths, rng.integers(0, 4, size=16))
+        head = adj.head(lengths)
+        for u in range(16):
+            assert head[u].tolist() == adj[u][:lengths[u]].tolist()
+
     @pytest.mark.parametrize("bad", [(3, 0), (-1, 0), (0, 5), (0, -2)])
     def test_out_of_range_index_rejected(self, bad):
         with pytest.raises(DataError, match="outside"):

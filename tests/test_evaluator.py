@@ -3,10 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from mdvt.evaluator import (convergence_summary, evaluate_rankings,
-                            ndcg_at_k, rank_items, recall_at_k,
-                            sparsity_breakdown, SPARSITY_BUCKETS)
+from mdvt.evaluator import (evaluate_rankings, sparsity_breakdown,
+                            top_k, SPARSITY_BUCKETS)
+from mdvt.errors import ConfigError
 from mdvt.trainer import TrainHistory
+from oracles import adjacency_of, ndcg_at_k, rank_items, recall_at_k
+
+
+def convergence_summary(histories) -> list[dict]:
+    """Plot-ready per-run convergence rows."""
+    rows = []
+    for idx, history in enumerate(histories):
+        rows.append({
+            "run": idx,
+            "epochs_to_best": history.best_epoch + 1,
+            "epochs_to_stop": history.stopped_epoch + 1,
+            "final_l_bpr": history.l_bpr[-1],
+            "final_l_total": history.l_total[-1],
+            "trigger_epoch": history.trigger_epoch,
+        })
+    return rows
 
 
 # Definitional brute-force metrics, in the style of a hand-rolled harness.
@@ -53,6 +69,51 @@ class TestRankItems:
             ranked = rank_items(scores, masked)
             assert not set(ranked.tolist()) & masked
             assert len(ranked) == n - len(masked)
+
+
+def random_scores(rng, rows, cols):
+    """Continuous scores, or a few levels so that ties are everywhere."""
+    if rng.random() < 0.5:
+        return rng.integers(0, 4, size=(rows, cols)) / 4.0
+    return rng.normal(size=(rows, cols))
+
+
+def random_subsets(rng, rows, cols, max_share=1.0):
+    return {r: {int(i) for i in rng.choice(
+        cols, size=int(rng.integers(0, int(max_share * cols) + 1)),
+        replace=False)} for r in range(rows)}
+
+
+class TestTopK:
+    def test_ties_by_ascending_index(self):
+        got = top_k(np.array([[0.5, 0.5, 0.5, 1.0]]), 2)
+        assert got[0].tolist() == [3, 0]
+
+    def test_short_row_keeps_every_unmasked_item(self):
+        got = top_k(np.array([[0.1, 0.9, 0.5, 0.3]]), 3,
+                    adjacency_of({0: {0, 1, 2}}, 1))
+        assert got[0].tolist() == [3]
+        assert got.row_lengths.tolist() == [1]
+
+    def test_zero_k_is_empty(self):
+        got = top_k(np.ones((2, 3)), 0)
+        assert got.row_lengths.tolist() == [0, 0]
+
+    def test_matches_rank_items_oracle(self, rng):
+        # k from 0 past the item count: full rankings, fully masked rows
+        # and rows with fewer unmasked items than k all occur.
+        for _ in range(500):
+            rows, cols = int(rng.integers(1, 8)), int(rng.integers(1, 30))
+            scores = random_scores(rng, rows, cols)
+            masked = random_subsets(rng, rows, cols)
+            k = int(rng.integers(0, cols + 3))
+            excluded = adjacency_of(masked, rows) if rng.random() < 0.8 \
+                else None
+            got = top_k(scores, k, excluded)
+            for r in range(rows):
+                want = rank_items(scores[r],
+                                  masked[r] if excluded else None)[:k]
+                assert got[r].tolist() == want.tolist()
 
 
 class TestRecall:
@@ -125,29 +186,36 @@ class TestEvaluateRankings:
         return table[chunk]
 
     def test_averages_over_users(self):
-        relevant = {0: {0}, 1: {3}}
-        masked = {0: set(), 1: set()}
+        relevant = adjacency_of({0: {0}, 1: {3}}, 3)
+        masked = adjacency_of({}, 3)
         report = evaluate_rankings(self.scores, [0, 1], relevant, masked,
                                    (1, 2))
         assert report.num_users_evaluated == 2
         assert report.recall[1] == pytest.approx(1.0)
 
     def test_masking_changes_ranking(self):
-        relevant = {0: {1}}
-        report = evaluate_rankings(self.scores, [0], relevant, {0: {0}},
-                                   (1,))
+        relevant = adjacency_of({0: {1}}, 3)
+        report = evaluate_rankings(self.scores, [0], relevant,
+                                   adjacency_of({0: {0}}, 3), (1,))
         assert report.recall[1] == pytest.approx(1.0)
 
+    def test_cutoff_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="cutoffs"):
+            evaluate_rankings(self.scores, [0], adjacency_of({0: {0}}, 3),
+                              adjacency_of({}, 3), (0, 10))
+
     def test_users_without_relevant_skipped(self):
-        report = evaluate_rankings(self.scores, [0, 2], {0: {0}, 2: set()},
-                                   {0: set(), 2: set()}, (1,))
+        report = evaluate_rankings(self.scores, [0, 2],
+                                   adjacency_of({0: {0}, 2: set()}, 3),
+                                   adjacency_of({}, 3), (1,))
         assert report.num_users_evaluated == 1
 
     def test_global_equals_weighted_bucket_mean(self, rng):
         users = list(range(40))
         scores = rng.normal(size=(40, 12))
-        relevant = {u: {int(rng.integers(12))} for u in users}
-        masked = {u: set() for u in users}
+        relevant = adjacency_of({u: {int(rng.integers(12))} for u in users},
+                                40)
+        masked = adjacency_of({}, 40)
         counts = rng.integers(1, 30, size=40)
         report = evaluate_rankings(lambda c: scores[c], users, relevant,
                                    masked, (5, 10), counts)
@@ -162,21 +230,63 @@ class TestEvaluateRankings:
             assert total / weight == pytest.approx(report.ndcg[k], abs=1e-12)
 
 
+class TestEvaluateRankingsOracle:
+    def test_bit_identical_to_per_user_loop(self, rng):
+        # Up to 600 users: several row blocks.
+        for _ in range(12):
+            num_users = int(rng.integers(1, 600))
+            num_items = int(rng.integers(2, 40))
+            scores = random_scores(rng, num_users, num_items)
+            masked = random_subsets(rng, num_users, num_items, 0.5)
+            relevant = {u: set(rng.choice(
+                sorted(set(range(num_items)) - masked[u]),
+                size=int(rng.integers(0, 4)))) for u in range(num_users)
+                if len(masked[u]) < num_items}
+            counts = rng.integers(1, 30, size=num_users)
+            ks = (1, 5, 10)
+            report = evaluate_rankings(
+                lambda block: scores[block], np.arange(num_users),
+                adjacency_of(relevant, num_users),
+                adjacency_of(masked, num_users), ks, counts)
+            per_user = {}
+            for u in range(num_users):
+                rel = {int(i) for i in relevant.get(u, ())}
+                if rel:
+                    ranked = rank_items(scores[u], masked[u])
+                    per_user[u] = {k: (recall_at_k(ranked, rel, k),
+                                       ndcg_at_k(ranked, rel, k)) for k in ks}
+            assert report.num_users_evaluated == len(per_user)
+            for j, name in enumerate(("recall", "ndcg")):
+                got = getattr(report, name)
+                for k in ks:
+                    want = [m[k][j] for m in per_user.values()]
+                    assert got[k] == (float(np.mean(want)) if want else 0.0)
+                for bucket in report.buckets:
+                    members = [u for u in per_user
+                               if bucket.lo <= counts[u] and
+                               (bucket.hi is None or counts[u] <= bucket.hi)]
+                    assert bucket.count == len(members)
+                    for k in ks:
+                        want = (float(np.mean([per_user[u][k][j]
+                                               for u in members]))
+                                if members else None)
+                        assert getattr(bucket, name)[k] == want
+
+
 class TestSparsityBreakdown:
     def test_bucket_edges(self):
         assert SPARSITY_BUCKETS[0] == (1, 5)
         assert SPARSITY_BUCKETS[1] == (6, 10)
-        per_user = {0: {10: (1.0, 1.0)}, 1: {10: (0.0, 0.0)},
-                    2: {10: (0.5, 0.5)}}
+        values = {10: np.array([1.0, 0.0, 0.5])}
         counts = np.array([3, 6, 25])
-        buckets = sparsity_breakdown(per_user, counts, (10,))
+        buckets = sparsity_breakdown(counts, values, values, (10,))
         assert buckets[0].count == 1 and buckets[0].recall[10] == 1.0
         assert buckets[1].count == 1
         assert buckets[3].count == 1
 
     def test_empty_bucket_null_metrics(self):
-        buckets = sparsity_breakdown({0: {10: (1.0, 1.0)}}, np.array([2]),
-                                     (10,))
+        values = {10: np.array([1.0])}
+        buckets = sparsity_breakdown(np.array([2]), values, values, (10,))
         empty = buckets[2]
         assert empty.count == 0
         assert empty.recall[10] is None and empty.ndcg[10] is None

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import make_set
-from gradtools import finite_difference, max_relative_error, total_loss
+from gradtools import (batch_losses, finite_difference, max_relative_error,
+                       total_loss)
 from mdvt.backbone import Propagator, forward_pass, init_embeddings
 from mdvt.dataset import ModalityBundle, TripletBatch, build_graph
 from mdvt.errors import ConfigError, MdvtError
-from mdvt.objective import (OptimizerState, adam_step, aggregate_virtual,
-                            backward, batch_losses, bpr_loss, combined_loss,
-                            softplus, virtual_bpr_loss)
-from mdvt.triplet_forge import SelectionParams, VirtualTripletSet, refresh
+from mdvt.objective import (OptimizerState, adam_step, backward,
+                            combined_loss, softplus)
+from mdvt.triplet_forge import SelectionParams, refresh
+from oracles import (aggregate_virtual, bpr_loss, make_virtual,
+                     virtual_branch_oracle, virtual_bpr_loss)
 
 LN2 = float(np.log(2.0))
 
@@ -62,6 +64,19 @@ def make_instance(rng, num_users=4, num_items=8, d=3, layers=1,
     return state, prop, graph, reps, triplets, virtual
 
 
+def random_virtual(rng, num_users, num_items, max_group):
+    """Disjoint groups of 1..max_group items; about a fifth of the users
+    stay uncovered."""
+    pos, neg = {}, {}
+    for u in range(num_users):
+        if rng.random() < 0.2:
+            continue
+        n = int(rng.integers(1, max_group + 1))
+        items = rng.permutation(num_items)[:2 * n]
+        pos[u], neg[u] = items[:n], items[n:]
+    return make_virtual(pos, neg, tag="threshold")
+
+
 class TestBprLoss:
     def test_zero_gap_is_ln2(self):
         assert bpr_loss(np.array([1.0]), np.array([1.0])) == \
@@ -90,29 +105,26 @@ class TestBprLoss:
 class TestAggregateVirtual:
     def test_single_item_group(self):
         items = np.array([[1.0, 2.0], [3.0, 4.0]])
-        vset = VirtualTripletSet({0: np.array([1])}, {0: np.array([0])},
-                                 0, "topn")
+        vset = make_virtual({0: np.array([1])}, {0: np.array([0])})
         plus, minus = aggregate_virtual(0, vset, items)
         assert plus.tolist() == [3.0, 4.0]
         assert minus.tolist() == [1.0, 2.0]
 
     def test_two_item_mean(self):
-        items = np.array([[1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
-        vset = VirtualTripletSet({0: np.array([0, 1])}, {0: np.array([2])},
-                                 0, "topn")
+        # Groups of a user have equal sizes (rank-matched pairs).
+        items = np.array([[1.0, 0.0], [0.0, 1.0], [5.0, 5.0], [7.0, 7.0]])
+        vset = make_virtual({0: np.array([0, 1])}, {0: np.array([2, 3])})
         plus, _ = aggregate_virtual(0, vset, items)
         assert plus.tolist() == [0.5, 0.5]
 
     def test_zero_vectors(self):
         items = np.zeros((2, 3))
-        vset = VirtualTripletSet({0: np.array([0])}, {0: np.array([1])},
-                                 0, "topn")
+        vset = make_virtual({0: np.array([0])}, {0: np.array([1])})
         plus, minus = aggregate_virtual(0, vset, items)
         assert not plus.any() and not minus.any()
 
     def test_missing_user_rejected(self):
-        vset = VirtualTripletSet({0: np.array([0])}, {0: np.array([1])},
-                                 0, "topn")
+        vset = make_virtual({0: np.array([0])}, {0: np.array([1])})
         with pytest.raises(KeyError):
             aggregate_virtual(3, vset, np.zeros((2, 2)))
 
@@ -121,25 +133,22 @@ class TestVirtualBprLoss:
     def test_equal_groups_give_ln2(self):
         items = np.array([[1.0, 0.0], [1.0, 0.0]])
         users = np.array([[0.3, 0.4]])
-        vset = VirtualTripletSet({0: np.array([0])}, {0: np.array([1])},
-                                 0, "topn")
+        vset = make_virtual({0: np.array([0])}, {0: np.array([1])})
         value = virtual_bpr_loss(np.array([0]), vset, users, items)
         assert value == pytest.approx(LN2, abs=1e-9)
 
     def test_orthogonal_user_gives_ln2(self):
         items = np.array([[1.0, 0.0], [0.5, 0.0]])
         users = np.array([[0.0, 2.0]])
-        vset = VirtualTripletSet({0: np.array([0])}, {0: np.array([1])},
-                                 0, "topn")
+        vset = make_virtual({0: np.array([0])}, {0: np.array([1])})
         value = virtual_bpr_loss(np.array([0]), vset, users, items)
         assert value == pytest.approx(LN2, abs=1e-9)
 
     def test_wo_aggr_single_pair_identical(self, rng):
         items = rng.normal(size=(4, 3))
         users = rng.normal(size=(2, 3))
-        vset = VirtualTripletSet({0: np.array([2]), 1: np.array([0])},
-                                 {0: np.array([1]), 1: np.array([3])},
-                                 0, "topn")
+        vset = make_virtual({0: np.array([2]), 1: np.array([0])},
+                            {0: np.array([1]), 1: np.array([3])})
         batch_users = np.array([0, 1, 0])
         default = virtual_bpr_loss(batch_users, vset, users, items)
         ablated = virtual_bpr_loss(batch_users, vset, users, items,
@@ -433,6 +442,67 @@ class TestOptionSwitches:
         for _ in range(20):
             adam_step(state, opt, grads)
         assert np.linalg.norm(state.user["id"]) < norm_before
+
+
+class TestVirtualBranchOracle:
+    """The batched virtual branch against the one-user-at-a-time loop:
+    with lam=1, no propagation and one fused modality, the table gradients
+    are exactly the fused-matrix gradient of the virtual loss."""
+
+    @pytest.mark.parametrize("max_group", [1, 2, 5])
+    @pytest.mark.parametrize("wo_aggr", [False, True])
+    @pytest.mark.parametrize("per_distinct_user", [False, True])
+    def test_matches_per_user_loop(self, rng, max_group, wo_aggr,
+                                   per_distinct_user):
+        for _ in range(5):
+            state, prop, _, _, _, _ = make_instance(rng, num_users=7,
+                                                    num_items=12)
+            reps = forward_pass(state, prop, 0, ("id",))
+            virtual = random_virtual(rng, 7, 12, max_group)
+            users = rng.integers(7, size=12)  # repeats and uncovered users
+            batch = TripletBatch(users=users,
+                                 pos_items=np.zeros(12, dtype=np.int64),
+                                 neg_items=np.ones(12, dtype=np.int64))
+            report, grads = backward(batch, virtual, reps, prop, lam=1.0,
+                                     joint=True, num_layers=0,
+                                     wo_aggr=wo_aggr,
+                                     per_distinct_user=per_distinct_user)
+            want_loss, want_grad = virtual_branch_oracle(
+                users, virtual, reps.fused, reps.num_users, 1.0, wo_aggr,
+                per_distinct_user)
+            if want_loss is None:
+                assert report.l_vbpr is None
+                continue
+            assert abs(report.l_vbpr - want_loss) <= 1e-12
+            got = np.vstack([grads["id"]["user"], grads["id"]["item"]])
+            assert np.max(np.abs(got - want_grad)) <= 1e-12
+
+    def test_uncovered_batch_has_no_virtual_loss(self, rng):
+        state, prop, _, reps, batch, _ = make_instance(rng)
+        virtual = make_virtual({99: [0]}, {99: [1]})
+        report, _ = backward(batch, virtual, reps, prop, lam=0.3,
+                             joint=True, num_layers=1)
+        assert report.l_vbpr is None
+        assert report.l_total == 0.7 * report.l_bpr
+
+    @pytest.mark.parametrize("wo_aggr", [False, True])
+    @pytest.mark.parametrize("per_distinct_user", [False, True])
+    def test_gradcheck_variable_groups(self, rng, wo_aggr,
+                                       per_distinct_user):
+        state, prop, _, reps, batch, _ = make_instance(rng, num_items=10,
+                                                       batch=8)
+        virtual = random_virtual(rng, 4, 10, 4)
+        options = dict(num_layers=1, mask=("id", "visual"),
+                       readout_mode="sum", lam=0.4, joint=True,
+                       wo_aggr=wo_aggr, wo_scale=False,
+                       score_mode="per_modality",
+                       per_distinct_user=per_distinct_user)
+        _, analytic = backward(batch, virtual, reps, prop, lam=0.4,
+                               joint=True, num_layers=1, wo_aggr=wo_aggr,
+                               per_distinct_user=per_distinct_user)
+        numeric = finite_difference(
+            lambda s: total_loss(s, prop, batch, virtual, **options), state)
+        assert max_relative_error(analytic, numeric) <= 1e-4
 
 
 class TestLossBounds:

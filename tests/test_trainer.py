@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_bundle
+from mdvt import backbone
 from mdvt.errors import CheckpointError, ConfigError
 from mdvt.trainer import (RunConfig, evaluate_split,
                           load_checkpoint, run_strategy_search,
@@ -220,6 +221,30 @@ class TestEvaluateSplit:
         assert report.num_users_evaluated > 0
         assert set(report.recall) == {5, 10}
         assert len(report.buckets) == 4
+
+    def test_repeated_calls_build_the_operator_once(self, rng, monkeypatch):
+        bundle = make_bundle(rng, num_users=6, num_items=10, extra_edges=6)
+        config = quick_config(max_epochs=3, patience=3)
+        builds = []
+        build = backbone.Propagator.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(backbone.Propagator, "__init__", counted)
+        state, _ = train_run(bundle, config)  # one evaluation per epoch
+        first = evaluate_split(state, bundle, config, "test").to_dict()
+        again = evaluate_split(state, bundle, config, "test").to_dict()
+        evaluate_split(state, bundle, config, "validation")
+        assert len(builds) == 1
+        assert first == again
+        mask = bundle.split.train_and_validation
+        assert mask is bundle.split.train_and_validation
+        for u in range(bundle.num_users):
+            assert set(mask[u].tolist()) == (
+                set(bundle.split.train.adjacency[u].tolist())
+                | set(bundle.split.validation.adjacency[u].tolist()))
 
     def test_unknown_split_rejected(self, rng):
         bundle = make_bundle(rng, num_users=5, num_items=8, extra_edges=4)

@@ -5,9 +5,10 @@ from conftest import covered_random_records, make_set
 from mdvt.backbone import Propagator, forward_pass, init_embeddings
 from mdvt.dataset import ModalityBundle, PopularityTable, build_graph
 from mdvt.errors import ConfigError, SelectionError, TrainingCollapseError
-from mdvt.triplet_forge import (SelectionParams, cosine_row, refresh,
-                                select_frequency, select_threshold,
-                                select_topn)
+from mdvt.triplet_forge import SelectionParams, cosine_rows, refresh, select
+from oracles import (adjacency_of, cosine_row, groups_of, refresh_oracle,
+                     select_frequency, select_one, select_threshold,
+                     select_topn)
 
 
 # --- definitional oracles (python sort/filter, independent of the
@@ -279,10 +280,7 @@ class TestRefresh:
         seen = train.adjacency
         a = refresh(reps, params, 3, users, seen_items=seen)
         b = refresh(reps, params, 3, users, seen_items=seen)
-        assert a.users() == b.users()
-        for u in a.users():
-            assert a.positives[u].tolist() == b.positives[u].tolist()
-            assert a.negatives[u].tolist() == b.negatives[u].tolist()
+        assert groups_of(a) == groups_of(b)
         assert a.built_at_epoch == 3
 
     def test_seen_items_excluded_from_positives(self, rng):
@@ -291,9 +289,8 @@ class TestRefresh:
         users = sorted({u for u, _ in train.records})
         seen = train.adjacency
         vset = refresh(reps, params, 0, users, seen_items=seen)
-        for u in vset.users():
-            assert not set(vset.positives[u].tolist()) & \
-                set(seen[u].tolist())
+        for u, (pos, _) in groups_of(vset).items():
+            assert not set(pos) & set(seen[u].tolist())
 
     def test_include_seen_flag_disables_exclusion(self, rng):
         reps, train = small_reps(rng)
@@ -304,10 +301,8 @@ class TestRefresh:
                           0, users, seen_items=seen)
         exclude = refresh(reps, SelectionParams(constructor="topn", n=2),
                           0, users, seen_items=seen)
-        any_difference = any(
-            include.positives[u].tolist() != exclude.positives[u].tolist()
-            for u in include.users())
-        assert any_difference
+        with_seen, without = groups_of(include), groups_of(exclude)
+        assert any(with_seen[u][0] != without[u][0] for u in with_seen)
 
     def test_dump_format(self, rng, tmp_path):
         reps, train = small_reps(rng)
@@ -319,4 +314,128 @@ class TestRefresh:
         line = out.read_text(encoding="utf-8").splitlines()[0]
         user, pos, neg = line.split("\t")
         assert pos.startswith("pos:") and neg.startswith("neg:")
-        assert int(user) == vset.users()[0]
+        assert int(user) == vset.users[0]
+        assert len(vset.positives) == len(vset.users)
+        groups = refresh_oracle(reps, SelectionParams(constructor="topn", n=2),
+                                users, seen_items=train.adjacency)
+        assert out.read_text(encoding="utf-8") == "".join(
+            f"{u}\tpos:{','.join(map(str, p))}\tneg:{','.join(map(str, n))}\n"
+            for u, (p, n) in sorted(groups.items()))
+
+
+ALL_PARAMS = [
+    SelectionParams(constructor="topn", n=2),
+    SelectionParams(constructor="topn", n=1, include_seen=True),
+    SelectionParams(constructor="threshold", threshold=0.7),
+    SelectionParams(constructor="threshold_topn", n=2, threshold=0.2),
+    SelectionParams(constructor="interval", n=3, threshold=0.6, n_floor=2),
+    SelectionParams(constructor="interval", n=1, threshold=0.1, n_floor=1,
+                    n_cap=2),
+    SelectionParams(constructor="freq_f1", n=2),
+    SelectionParams(constructor="freq_f2", n=2),
+]
+
+
+def per_user_groups(params, sim, seen, pop):
+    """select_one row by row, as {row: (positives, negatives)}."""
+    out = {}
+    for r in range(len(sim)):
+        exclusion = None if seen is None else seen[r]
+        pos, neg = select_one(params, sim[r], pop, exclusion)
+        out[r] = (pos.tolist(), neg.tolist())
+    return out
+
+
+def per_user_error(params, sim, seen, pop):
+    try:
+        per_user_groups(params, sim, seen, pop)
+    except SelectionError as exc:
+        return str(exc)
+    return None
+
+
+class TestSelectBlock:
+    """The batched selection against the per-user selectors, on blocks of
+    rows with heavy ties."""
+
+    @pytest.mark.parametrize("params", ALL_PARAMS,
+                             ids=lambda p: f"{p.constructor}-{p.n}")
+    def test_matches_per_user_selectors(self, rng, params):
+        checked = 0
+        for _ in range(150):
+            rows, cols = int(rng.integers(1, 9)), int(rng.integers(4, 40))
+            sim = np.stack([random_row(rng, cols) for _ in range(rows)])
+            excluded = None if params.include_seen else adjacency_of(
+                {r: set(rng.choice(cols, size=int(rng.integers(0, cols // 2)),
+                                   replace=False).tolist())
+                 for r in range(rows)}, rows)
+            pop = PopularityTable(
+                item_train_count=rng.integers(0, 5, size=cols),
+                user_train_count=np.ones(rows, dtype=np.int64))
+            error = per_user_error(params, sim, excluded, pop)
+            if error is not None:
+                with pytest.raises(SelectionError) as caught:
+                    select(params, sim, excluded, pop)
+                assert str(caught.value) == error
+                continue
+            pos, neg = select(params, sim, excluded, pop)
+            want = per_user_groups(params, sim, excluded, pop)
+            for r in range(rows):
+                assert (pos[r].tolist(), neg[r].tolist()) == want[r]
+            checked += 1
+        assert checked >= 50
+
+
+class TestRefreshOracle:
+    @pytest.mark.parametrize("params", ALL_PARAMS,
+                             ids=lambda p: f"{p.constructor}-{p.n}")
+    def test_matches_per_user_loop(self, rng, params):
+        for _ in range(5):
+            reps, train = small_reps(rng, num_users=9, num_items=16)
+            users = np.flatnonzero(train.adjacency.row_lengths)
+            pop = PopularityTable(
+                item_train_count=rng.integers(0, 4, size=16),
+                user_train_count=np.ones(9, dtype=np.int64))
+            try:
+                want = refresh_oracle(reps, params, users,
+                                      seen_items=train.adjacency,
+                                      popularity=pop)
+            except SelectionError as exc:
+                with pytest.raises(SelectionError) as caught:
+                    refresh(reps, params, 0, users,
+                            seen_items=train.adjacency, popularity=pop)
+                assert str(caught.value) == str(exc)
+                continue
+            got = refresh(reps, params, 0, users, seen_items=train.adjacency,
+                          popularity=pop)
+            assert groups_of(got) == want
+
+    def test_cosine_rows_match_one_user_rows(self, rng):
+        users = rng.normal(size=(300, 16))
+        items = rng.normal(size=(70, 16))
+        items[3] = 0.0
+        norms = np.linalg.norm(items, axis=1)
+        sim, collapsed = cosine_rows(users, items, norms)
+        assert not collapsed.any()
+        for u in range(300):
+            assert np.array_equal(sim[u], cosine_row(users[u], items))
+
+    @pytest.mark.parametrize("first", ["collapse", "selection"])
+    def test_first_failing_user_decides_the_error(self, rng, first):
+        reps, train = small_reps(rng, num_users=6, num_items=12)
+        users = np.arange(6)
+        # User 4 collapses; user 2 (or 5) sees all but 3 items, too few
+        # for top-2.
+        reps.fused[4] = 0.0
+        crowded = 2 if first == "selection" else 5
+        seen = adjacency_of({u: set(range(9)) if u == crowded else
+                             set(train.adjacency[u].tolist())
+                             for u in users}, 6)
+        params = SelectionParams(constructor="topn", n=2)
+        kind = SelectionError if first == "selection" \
+            else TrainingCollapseError
+        with pytest.raises(kind) as want:
+            refresh_oracle(reps, params, users, seen_items=seen)
+        with pytest.raises(kind) as got:
+            refresh(reps, params, 0, users, seen_items=seen)
+        assert str(got.value) == str(want.value)
