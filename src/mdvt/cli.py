@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import logging
@@ -19,7 +20,7 @@ from pathlib import Path
 from . import __version__, trainer
 from .dataset import (bundle_fingerprint, load_bundle, load_interactions,
                       load_modality_features, save_bundle, split_dataset,
-                      ModalityBundle)
+                      write_atomic, ModalityBundle)
 from .errors import CheckpointError, ConfigError, DataError, MdvtError
 from .trainer import RunConfig
 
@@ -158,8 +159,7 @@ def _execute_train(bundle_dir: str, config: RunConfig, out_path: str) -> dict:
                               time.perf_counter() - start)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
-                   encoding="utf-8")
+    write_atomic(out, json.dumps(report, sort_keys=True, indent=2) + "\n")
     trainer.save_checkpoint(out.with_suffix(".ckpt"), result.best_state,
                             result.best_config,
                             bundle_fingerprint(bundle_dir))
@@ -179,6 +179,19 @@ def cmd_train(args) -> int:
 def _sweep_cell(bundle_dir: str, config_dict: dict, out_path: str) -> dict:
     config = RunConfig.from_dict(config_dict)
     return _execute_train(bundle_dir, config, out_path)
+
+
+def _summary_row(overrides: dict, config: RunConfig, report: dict,
+                 resumed: bool) -> dict:
+    return {
+        "config_hash": config.config_hash()[:16],
+        "overrides": overrides,
+        "val_ndcg10": report["metrics"]["validation"]["ndcg"]["10"],
+        "val_recall10": report["metrics"]["validation"]["recall"]["10"],
+        "test_ndcg10": report["metrics"]["test"]["ndcg"]["10"],
+        "test_recall10": report["metrics"]["test"]["recall"]["10"],
+        "resumed": resumed,
+    }
 
 
 def cmd_sweep(args) -> int:
@@ -210,14 +223,18 @@ def cmd_sweep(args) -> int:
         config = RunConfig.from_dict(cfg_dict)
         cells.append((overrides, config))
 
-    pending, rows = [], []
+    pending, summary = [], []
     for overrides, config in cells:
         cell_path = runs_dir / f"cell-{config.config_hash()[:16]}.json"
         if args.resume and cell_path.exists():
-            report = json.loads(cell_path.read_text(encoding="utf-8"))
-            rows.append((overrides, config, report, True))
-        else:
-            pending.append((overrides, config, cell_path))
+            try:
+                report = json.loads(cell_path.read_text(encoding="utf-8"))
+                summary.append(_summary_row(overrides, config, report, True))
+                continue
+            except (ValueError, KeyError, TypeError) as exc:
+                log.warning("%s is unreadable (%r); running the cell again",
+                            cell_path, exc)
+        pending.append((overrides, config, cell_path))
 
     if args.workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -227,40 +244,29 @@ def cmd_sweep(args) -> int:
                     str(cell_path)))
                 for overrides, config, cell_path in pending]
             for overrides, config, fut in futures:
-                rows.append((overrides, config, fut.result(), False))
+                summary.append(_summary_row(overrides, config, fut.result(),
+                                            False))
     else:
         for overrides, config, cell_path in pending:
             report = _sweep_cell(args.bundle, config.to_dict(),
                                  str(cell_path))
-            rows.append((overrides, config, report, False))
+            summary.append(_summary_row(overrides, config, report, False))
 
-    summary = []
-    for overrides, config, report, resumed in rows:
-        summary.append({
-            "config_hash": config.config_hash()[:16],
-            "overrides": overrides,
-            "val_ndcg10": report["metrics"]["validation"]["ndcg"]["10"],
-            "val_recall10": report["metrics"]["validation"]["recall"]["10"],
-            "test_ndcg10": report["metrics"]["test"]["ndcg"]["10"],
-            "test_recall10": report["metrics"]["test"]["recall"]["10"],
-            "resumed": resumed,
-        })
     summary.sort(key=lambda r: (-r["val_ndcg10"], r["config_hash"]))
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
-    with (out_dir / "summary.csv").open("w", newline="",
-                                        encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["config_hash", "overrides", "val_ndcg10",
-                         "val_recall10", "test_ndcg10", "test_recall10",
-                         "resumed"])
-        for row in summary:
-            writer.writerow([row["config_hash"],
-                             json.dumps(row["overrides"], sort_keys=True),
-                             row["val_ndcg10"], row["val_recall10"],
-                             row["test_ndcg10"], row["test_recall10"],
-                             row["resumed"]])
+    write_atomic(out_dir / "summary.json",
+                 json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    table = io.StringIO(newline="")
+    writer = csv.writer(table)
+    writer.writerow(["config_hash", "overrides", "val_ndcg10",
+                     "val_recall10", "test_ndcg10", "test_recall10",
+                     "resumed"])
+    for row in summary:
+        writer.writerow([row["config_hash"],
+                         json.dumps(row["overrides"], sort_keys=True),
+                         row["val_ndcg10"], row["val_recall10"],
+                         row["test_ndcg10"], row["test_recall10"],
+                         row["resumed"]])
+    write_atomic(out_dir / "summary.csv", table.getvalue())
     print(f"{len(summary)} cells "
           f"({sum(1 for r in summary if r['resumed'])} resumed); "
           f"best val ndcg@10={summary[0]['val_ndcg10']:.6f}")
@@ -287,9 +293,8 @@ def cmd_eval(args) -> int:
         hi = bucket["hi"] if bucket["hi"] is not None else "+"
         print(f"bucket [{bucket['lo']}-{hi}] users={bucket['count']}")
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
+        write_atomic(args.out,
+                     json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 
 

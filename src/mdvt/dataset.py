@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -637,8 +638,32 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
 
 
 def bundle_fingerprint(bundle_dir: str | Path) -> str:
-    """Identity hash of a bundle, from its stats.json bytes."""
-    stats_path = Path(bundle_dir) / "stats.json"
-    if not stats_path.exists():
+    """Identity hash of a bundle's content: stats.json, the split files,
+    the id tables and the feature files, in that order, each hashed as its
+    name, byte length and bytes."""
+    root = Path(bundle_dir)
+    if not (root / "stats.json").exists():
         raise DataError(f"not a dataset bundle: {bundle_dir}")
-    return hashlib.sha256(stats_path.read_bytes()).hexdigest()
+    names = ["stats.json", "train.tsv", "val.tsv", "test.tsv", "users.txt",
+             "items.txt"]
+    names += sorted(f"features/{p.name}"
+                    for p in (root / "features").glob("*.feat"))
+    digest = hashlib.sha256()
+    for name in names:
+        data = (root / name).read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode("utf-8") + data)
+    return digest.hexdigest()
+
+
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Write ``path`` through a temporary file in the same directory and
+    ``os.replace``: a reader, or a run killed midway, sees the old file or
+    the new one, never a torn one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str)
+                        else data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

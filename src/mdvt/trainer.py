@@ -12,18 +12,22 @@ run with it disabled.
 
 from __future__ import annotations
 
+import collections
+import copy
 import dataclasses
 import hashlib
 import json
 import logging
 import struct
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import backbone, evaluator, objective, triplet_forge, warmup
-from .dataset import DatasetBundle, FEATURE_MAGIC, make_batches
+from .dataset import (DatasetBundle, FEATURE_MAGIC, make_batches,
+                      write_atomic)
 from .errors import CheckpointError, ConfigError, MdvtError
 
 log = logging.getLogger(__name__)
@@ -153,14 +157,31 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        """Parse a JSON config object: ConfigError on an unknown key or a
+        wrongly typed value. A bool is not a number; an int is a valid
+        float and is kept as given."""
+        unknown = sorted(set(data) - set(_FIELD_TYPES))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        kwargs = dict(data)
-        for key in ("modality_mask", "static_set", "eval_ks"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(kwargs[key])
+        kwargs = {}
+        for key, value in data.items():
+            kind = _FIELD_TYPES[key]
+            optional = type(None) in typing.get_args(kind)
+            if optional:
+                kind = typing.get_args(kind)[0]
+            item = (typing.get_args(kind)[0]
+                    if typing.get_origin(kind) is tuple else None)
+            if item and isinstance(value, (list, tuple)) and all(
+                    _is_a(v, item) for v in value):
+                value = tuple(value)
+            elif not ((value is None and optional)
+                      or (item is None and _is_a(value, kind))):
+                expected = (f"a list of {_NAMES[item]}s" if item
+                            else f"a {_NAMES[kind]}")
+                raise ConfigError(
+                    f"config key {key!r} must be {expected}"
+                    f"{' or null' if optional else ''} (got {value!r})")
+            kwargs[key] = value
         return cls(**kwargs)
 
     def config_hash(self) -> str:
@@ -192,6 +213,19 @@ class RunConfig:
         # machinery is inert; skipping it keeps such runs bit-identical to
         # disabled ones.
         return self.mdvt_enabled and self.lam > 0.0
+
+
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+_NAMES = {bool: "boolean", int: "whole number", float: "number",
+          str: "string"}
+
+
+def _is_a(value, kind: type) -> bool:
+    """isinstance for config values: a bool is not a number, and an int is
+    a valid float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass
@@ -321,63 +355,102 @@ def train_epoch(state: backbone.EmbeddingState,
         epoch=epoch)
 
 
+class TrainingRun:
+    """One training run, advanced an epoch at a time.
+
+    It holds everything the next epoch reads: the tables, the Adam
+    moments and step, both RNG streams, the warm-up plan, the history and
+    the early-stopping bookkeeping. ``fork`` copies that state, so a
+    strategy search can branch candidates off one shared warm-up trunk.
+    """
+
+    def __init__(self, bundle: DatasetBundle, config: RunConfig) -> None:
+        config.validate()
+        streams = np.random.SeedSequence(config.seed).spawn(3)
+        init_seed = int(streams[0].generate_state(1)[0])
+        self.rng_shuffle = np.random.default_rng(streams[1])
+        self.rng_negative = np.random.default_rng(streams[2])
+        self.state = backbone.init_embeddings(
+            bundle.modalities, bundle.num_users, config.embed_dim, init_seed)
+        unknown = [m for m in _mask_for(self.state, config)
+                   if m not in self.state.modalities]
+        if unknown:
+            raise ConfigError(
+                f"modality_mask names unknown modalities: {unknown}")
+        self.bundle, self.config = bundle, config
+        self.prop = propagator(bundle, config.norm)
+        self.opt = objective.OptimizerState.for_state(
+            self.state, config.learning_rate, config.weight_decay)
+        self.plan = config.build_plan()
+        self.history = TrainHistory()
+        # Replaced on improvement, never mutated: forks may share it.
+        self.best_state = self.state.copy()
+        self.best_ndcg: float | None = None
+        self.epochs_since_best = 0
+        self.epoch = 0
+
+    @property
+    def done(self) -> bool:
+        return (self.epoch >= self.config.max_epochs
+                or self.epochs_since_best >= self.config.patience)
+
+    def step(self) -> None:
+        """Train epoch ``self.epoch`` (with a fresh virtual-triplet set if
+        it is a joint epoch), validate it and update early stopping."""
+        config, epoch, history = self.config, self.epoch, self.history
+        virtual = None
+        if config.mdvt_active and warmup.is_joint_phase(self.plan, epoch,
+                                                        history.l_total):
+            if history.trigger_epoch is None:
+                history.trigger_epoch = epoch
+            reps = backbone.forward_pass(
+                self.state, self.prop, config.num_layers,
+                _mask_for(self.state, config), config.readout)
+            seen = self.bundle.split.train.adjacency
+            virtual = triplet_forge.refresh(
+                reps, config.selection_params(), epoch,
+                np.flatnonzero(seen.row_lengths), seen_items=seen,
+                popularity=self.bundle.popularity)
+        report = train_epoch(self.state, self.opt, self.prop, self.bundle,
+                             config, epoch, virtual, self.rng_shuffle,
+                             self.rng_negative)
+        history.append_losses(report)
+        val = evaluate_split(self.state, self.bundle, config, "validation")
+        history.append_validation(val)
+        ndcg10 = val.ndcg[10]
+        if self.best_ndcg is None or ndcg10 > self.best_ndcg:
+            self.best_ndcg = ndcg10
+            history.best_epoch = epoch
+            self.best_state = self.state.copy()
+            self.epochs_since_best = 0
+        else:
+            self.epochs_since_best += 1
+        history.stopped_epoch = epoch
+        self.epoch += 1
+
+    def finish(self) -> tuple[backbone.EmbeddingState, TrainHistory]:
+        """Train until early stopping or ``max_epochs``; return the best
+        epoch's state and the history."""
+        while not self.done:
+            self.step()
+        return self.best_state, self.history
+
+    def fork(self, trigger: int) -> "TrainingRun":
+        """An independent copy of this run whose first joint epoch is
+        ``trigger``: the tables, Adam moments, RNG streams, plan and history
+        are copied; the bundle, the config and the best state are shared."""
+        shared = (self.bundle, self.config, self.prop, self.best_state)
+        other = copy.deepcopy(self, {id(obj): obj for obj in shared})
+        other.plan.resolved_trigger = trigger
+        return other
+
+
 def train_run(bundle: DatasetBundle, config: RunConfig
               ) -> tuple[backbone.EmbeddingState, TrainHistory]:
     """Run one full training: warm-up epochs, joint epochs with a fresh
     virtual-triplet set each epoch, early stopping on validation NDCG@10,
     and best-epoch restoration."""
-    config.validate()
-    streams = np.random.SeedSequence(config.seed).spawn(3)
-    init_seed = int(streams[0].generate_state(1)[0])
-    rng_shuffle = np.random.default_rng(streams[1])
-    rng_negative = np.random.default_rng(streams[2])
-
-    state = backbone.init_embeddings(bundle.modalities, bundle.num_users,
-                                     config.embed_dim, init_seed)
-    mask = _mask_for(state, config)
-    unknown = [m for m in mask if m not in state.modalities]
-    if unknown:
-        raise ConfigError(f"modality_mask names unknown modalities: {unknown}")
-    prop = propagator(bundle, config.norm)
-    opt = objective.OptimizerState.for_state(state, config.learning_rate,
-                                             config.weight_decay)
-    plan = config.build_plan()
-    params = config.selection_params()
-    seen = bundle.split.train.adjacency
-    trainable = np.flatnonzero(seen.row_lengths)
-
-    history = TrainHistory()
-    best_state = state.copy()
-    best_ndcg: float | None = None
-    epochs_since_best = 0
-    for epoch in range(config.max_epochs):
-        virtual = None
-        if config.mdvt_active and warmup.is_joint_phase(plan, epoch,
-                                                        history.l_total):
-            if history.trigger_epoch is None:
-                history.trigger_epoch = epoch
-            reps = backbone.forward_pass(state, prop, config.num_layers,
-                                         mask, config.readout)
-            virtual = triplet_forge.refresh(
-                reps, params, epoch, trainable, seen_items=seen,
-                popularity=bundle.popularity)
-        report = train_epoch(state, opt, prop, bundle, config, epoch,
-                             virtual, rng_shuffle, rng_negative)
-        history.append_losses(report)
-        val = evaluate_split(state, bundle, config, "validation")
-        history.append_validation(val)
-        ndcg10 = val.ndcg[10]
-        if best_ndcg is None or ndcg10 > best_ndcg:
-            best_ndcg = ndcg10
-            history.best_epoch = epoch
-            best_state = state.copy()
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-        history.stopped_epoch = epoch
-        if epochs_since_best >= config.patience:
-            break
-    return best_state, history
+    return TrainingRun(bundle, config).finish()
 
 
 @dataclass
@@ -386,21 +459,21 @@ class CandidateResult:
 
     label: str
     candidate: int | None
-    trigger_epoch: int | None
-    val_ndcg10: float
-    best_epoch: int
-    stopped_epoch: int
     history: TrainHistory
     state: backbone.EmbeddingState
+
+    @property
+    def val_ndcg10(self) -> float:
+        return self.history.best_val_ndcg10()
 
     def summary(self) -> dict:
         return {
             "label": self.label,
             "candidate": self.candidate,
-            "trigger_epoch": self.trigger_epoch,
+            "trigger_epoch": self.history.trigger_epoch,
             "val_ndcg10": self.val_ndcg10,
-            "best_epoch": self.best_epoch,
-            "stopped_epoch": self.stopped_epoch,
+            "best_epoch": self.history.best_epoch,
+            "stopped_epoch": self.history.stopped_epoch,
         }
 
 
@@ -417,62 +490,93 @@ class SearchResult:
     dynamic_estimate: int | None = None
 
 
-def _run_candidate(bundle: DatasetBundle, config: RunConfig, label: str,
-                   candidate: int | None) -> CandidateResult:
-    cfg = dataclasses.replace(config, warmup_candidate=candidate)
-    state, history = train_run(bundle, cfg)
-    return CandidateResult(
-        label=label,
-        candidate=candidate,
-        trigger_epoch=history.trigger_epoch,
-        val_ndcg10=history.best_val_ndcg10(),
-        best_epoch=history.best_epoch,
-        stopped_epoch=history.stopped_epoch,
-        history=history,
-        state=state,
-    )
+def _result(label: str, candidate: int | None, run: TrainingRun,
+            how: str) -> CandidateResult:
+    log.info("%s %s", label, how)
+    state, history = run.finish()
+    return CandidateResult(label, candidate, history, state)
+
+
+def _branch(trunk: TrainingRun, label: str, candidate: int,
+            last: bool) -> CandidateResult:
+    """Advance the warm-up-only trunk to the start of epoch ``candidate``
+    and fork it there; the last candidate takes the trunk over. A trunk
+    that stops first is the candidate's result: it never triggers."""
+    while trunk.epoch < candidate and not trunk.done:
+        trunk.step()
+    if trunk.done:
+        return _result(label, candidate, trunk, "shares the trunk (trunk "
+                       f"stopped at epoch {trunk.history.stopped_epoch})")
+    if last:
+        trunk.plan.resolved_trigger = candidate
+        return _result(label, candidate, trunk,
+                       f"takes the trunk over at epoch {candidate}")
+    return _result(label, candidate, trunk.fork(candidate),
+                   f"forks the trunk at epoch {candidate}")
 
 
 def run_strategy_search(bundle: DatasetBundle, config: RunConfig
                         ) -> SearchResult:
     """Resolve the warm-up trigger per the configured strategy.
 
-    dynamic: one run. static: one run per candidate in the static set.
+    dynamic: one run. static: one candidate per entry of the static set.
     hybrid: one dynamic probe, reused as the candidate equal to its own
     trigger, plus the remaining candidates in [estimate-s, estimate+s].
     The winner is the run with the highest validation NDCG@10 (ties go to
     the earlier candidate).
+
+    Warm-up epochs never read the trigger, so candidate ``c`` equals a
+    warm-up-only trunk (trigger ``max_epochs``) up to the start of epoch
+    ``c``, where it is forked: each warm-up epoch is trained once.
     """
     config.validate()
+    alone = dataclasses.replace(config, warmup_candidate=None)
+    warmup_only = dataclasses.replace(config,
+                                      warmup_candidate=config.max_epochs)
     if not config.mdvt_active:
-        result = _run_candidate(bundle, config, "baseline", None)
+        result = _result("baseline", None, TrainingRun(bundle, alone),
+                         "trains alone")
         return SearchResult("disabled", config, result.state, result.history,
                             [result.summary()], None)
 
-    results: list[CandidateResult] = []
     dynamic_estimate = None
     if config.strategy == "dynamic":
-        results.append(_run_candidate(bundle, config, "dynamic", None))
-        dynamic_estimate = results[0].trigger_epoch
+        results = [_result("dynamic", None, TrainingRun(bundle, alone),
+                           "trains alone")]
+        dynamic_estimate = results[0].history.trigger_epoch
     elif config.strategy == "static":
-        for cand in warmup.static_candidates(config.static_set):
-            results.append(_run_candidate(bundle, config, f"static:{cand}",
-                                          cand))
+        trunk = TrainingRun(bundle, warmup_only)
+        cands = warmup.static_candidates(config.static_set)
+        results = [_branch(trunk, f"static:{c}", c, c == cands[-1])
+                   for c in cands]
     else:  # hybrid
-        probe = _run_candidate(bundle, config, "dynamic_probe", None)
-        dynamic_estimate = probe.trigger_epoch
-        if dynamic_estimate is None:
+        trunk = TrainingRun(bundle, warmup_only)
+        # The probe's trigger rule, checked on the trunk at the start of
+        # each epoch. The last s epoch-start snapshots are the candidates
+        # below the estimate.
+        window = collections.deque(maxlen=config.s)
+        while not trunk.done and warmup.dynamic_trigger(
+                trunk.history.l_total, config.g) is None:
+            window.append(trunk.fork(trunk.epoch))
+            trunk.step()
+        if trunk.done:
             log.warning("dynamic probe never triggered; "
                         "keeping the probe run as the result")
-            results.append(probe)
+            results = [_result("dynamic_probe", None, trunk,
+                               "is the warm-up-only trunk")]
         else:
-            probe.candidate = dynamic_estimate
-            results.append(probe)
-            for cand in warmup.hybrid_candidates(dynamic_estimate, config.s):
-                if cand == dynamic_estimate:
-                    continue
-                results.append(_run_candidate(bundle, config,
-                                              f"hybrid:{cand}", cand))
+            dynamic_estimate = trunk.epoch
+            results = [_branch(trunk, "dynamic_probe", trunk.epoch, False)]
+            while window:
+                run = window.popleft()
+                cand = run.epoch
+                results.append(_result(f"hybrid:{cand}", cand, run,
+                                       f"forks the trunk at epoch {cand}"))
+            upper = [c for c in warmup.hybrid_candidates(dynamic_estimate,
+                                                         config.s)
+                     if c > dynamic_estimate]
+            results += [_branch(trunk, f"hybrid:{c}", c, c == upper[-1])
+                        for c in upper]
 
     ordered = sorted(results, key=lambda r: (r.candidate is None,
                                              r.candidate or 0))
@@ -488,7 +592,7 @@ def run_strategy_search(bundle: DatasetBundle, config: RunConfig
         best_state=winner.state,
         best_history=winner.history,
         candidates=[r.summary() for r in results],
-        resolved_trigger=winner.trigger_epoch,
+        resolved_trigger=winner.history.trigger_epoch,
         dynamic_estimate=dynamic_estimate,
     )
 
@@ -523,7 +627,7 @@ def save_checkpoint(path: str | Path, state: backbone.EmbeddingState,
         parts.append(FEATURE_MAGIC)
         parts.append(struct.pack("<II", mat.shape[0], mat.shape[1]))
         parts.append(mat.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def load_checkpoint(path: str | Path

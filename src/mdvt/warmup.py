@@ -28,7 +28,6 @@ class WarmupPlan:
     g: float = DEFAULT_G
     s: int = DEFAULT_S
     resolved_trigger: int | None = None
-    dynamic_estimate: int | None = None
 
     def validate(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -99,8 +98,6 @@ def is_joint_phase(plan: WarmupPlan, epoch: int,
         fired = dynamic_trigger(loss_history, plan.g)
         if fired is not None:
             plan.resolved_trigger = fired
-            if plan.dynamic_estimate is None:
-                plan.dynamic_estimate = fired
     if plan.resolved_trigger is None:
         return False
     return epoch >= plan.resolved_trigger

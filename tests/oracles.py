@@ -3,11 +3,14 @@
 The batched production paths (``evaluator.top_k``, ``triplet_forge.select``
 and ``refresh``, the virtual branch of ``objective.backward``) are checked
 against these loops: selections, rankings and metrics must match exactly,
-virtual losses and gradients to 1e-12.
+virtual losses and gradients to 1e-12. The strategy search, which forks
+its candidates off one shared warm-up trunk, is checked bit for bit
+against ``independent_search``, which trains every candidate from epoch 0.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Collection
 
@@ -16,7 +19,9 @@ from scipy.special import expit
 
 from mdvt.dataset import Adjacency, PopularityTable
 from mdvt.errors import ConfigError, SelectionError, TrainingCollapseError
+from mdvt import warmup
 from mdvt.objective import softplus
+from mdvt.trainer import CandidateResult, SearchResult, train_run
 from mdvt.triplet_forge import SelectionParams, VirtualTripletSet
 
 
@@ -369,3 +374,63 @@ def virtual_branch_oracle(users: np.ndarray, virtual: VirtualTripletSet,
                       np.full((n_group, 1), -coef / n_group) * z[u])
     return acc / total, grad_fused
 
+
+
+# --- strategy search, one independent run per candidate ---------------------
+
+def _run_candidate(bundle, config, label: str,
+                   candidate: int | None) -> CandidateResult:
+    cfg = dataclasses.replace(config, warmup_candidate=candidate)
+    state, history = train_run(bundle, cfg)
+    return CandidateResult(label, candidate, history, state)
+
+
+def independent_search(bundle, config
+                       ) -> tuple[SearchResult, list[CandidateResult]]:
+    """``trainer.run_strategy_search`` with every candidate trained from
+    epoch 0 by its own ``train_run``; also returns each candidate's run."""
+    config.validate()
+    if not config.mdvt_active:
+        result = _run_candidate(bundle, config, "baseline", None)
+        return SearchResult("disabled", config, result.state, result.history,
+                            [result.summary()], None), [result]
+
+    results: list[CandidateResult] = []
+    dynamic_estimate = None
+    if config.strategy == "dynamic":
+        results.append(_run_candidate(bundle, config, "dynamic", None))
+        dynamic_estimate = results[0].history.trigger_epoch
+    elif config.strategy == "static":
+        for cand in warmup.static_candidates(config.static_set):
+            results.append(_run_candidate(bundle, config, f"static:{cand}",
+                                          cand))
+    else:  # hybrid
+        probe = _run_candidate(bundle, config, "dynamic_probe", None)
+        dynamic_estimate = probe.history.trigger_epoch
+        results.append(probe)
+        if dynamic_estimate is not None:
+            probe.candidate = dynamic_estimate
+            for cand in warmup.hybrid_candidates(dynamic_estimate,
+                                                 config.s):
+                if cand == dynamic_estimate:
+                    continue
+                results.append(_run_candidate(bundle, config,
+                                              f"hybrid:{cand}", cand))
+
+    ordered = sorted(results, key=lambda r: (r.candidate is None,
+                                             r.candidate or 0))
+    winner = ordered[0]
+    for res in ordered[1:]:
+        if res.val_ndcg10 > winner.val_ndcg10:
+            winner = res
+    best_config = dataclasses.replace(config,
+                                      warmup_candidate=winner.candidate)
+    return SearchResult(
+        strategy=config.strategy,
+        best_config=best_config,
+        best_state=winner.state,
+        best_history=winner.history,
+        candidates=[r.summary() for r in results],
+        resolved_trigger=winner.history.trigger_epoch,
+        dynamic_estimate=dynamic_estimate,
+    ), results

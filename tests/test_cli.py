@@ -1,10 +1,11 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from mdvt.cli import main
-from mdvt.dataset import load_bundle, write_modality_features
+from mdvt.dataset import load_bundle, write_atomic, write_modality_features
 from mdvt.errors import DataError
 
 
@@ -124,6 +125,56 @@ class TestTrain:
                      "--config", str(config),
                      "--out", str(tmp_path / "o.json")]) == 1
 
+    @pytest.mark.parametrize("key, value, expected", [
+        ("lam", "0.2", "a number"),
+        ("embed_dim", 8.5, "a whole number"),
+        ("static_set", 5, "a list of whole numbers"),
+        ("eval_ks", [10, "5"], "a list of whole numbers"),
+        ("top_n", True, "a whole number"),
+        ("modality_mask", "visual", "a list of strings or null"),
+    ])
+    def test_wrong_type_exit_1(self, tmp_path, capsys, key, value,
+                               expected):
+        bundle = prepare_bundle(tmp_path)
+        config = base_config(tmp_path, **{key: value})
+        capsys.readouterr()
+        assert main(["train", "--bundle", str(bundle),
+                     "--config", str(config),
+                     "--out", str(tmp_path / "o.json")]) == 1
+        line = single_error_line(capsys)
+        assert f"{key!r} must be {expected}" in line
+
+    def test_int_for_float_kept_as_given(self, tmp_path):
+        bundle = prepare_bundle(tmp_path)
+        config = base_config(tmp_path, learning_rate=1, weight_decay=0)
+        out = tmp_path / "run.json"
+        assert main(["train", "--bundle", str(bundle),
+                     "--config", str(config), "--out", str(out)]) == 0
+        echo = json.loads(out.read_text(encoding="utf-8"))["config"]
+        assert echo["learning_rate"] == 1
+        assert isinstance(echo["learning_rate"], int)
+
+    def test_failed_write_keeps_old_outputs(self, tmp_path, monkeypatch):
+        bundle = prepare_bundle(tmp_path)
+        config = base_config(tmp_path)
+        out = tmp_path / "run.json"
+        argv = ["train", "--bundle", str(bundle), "--config", str(config),
+                "--out", str(out)]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.glob("run.*")}
+        write_bytes = pathlib.Path.write_bytes
+
+        def torn(self, data):
+            write_bytes(self, data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pathlib.Path, "write_bytes", torn)
+        assert main(argv) == 2
+        monkeypatch.undo()
+        after = {p.name: p.read_bytes() for p in tmp_path.glob("run.*")}
+        assert after == before
+        assert not list(tmp_path.glob(".run.*"))
+
     def test_off_grid_lambda_warns_but_runs(self, tmp_path):
         bundle = prepare_bundle(tmp_path)
         config = base_config(tmp_path, lam=0.7)
@@ -200,6 +251,29 @@ class TestSweep:
         for cell in sorted((out / "runs").glob("cell-*.json")):
             assert stamps[cell.name] == cell.stat().st_mtime_ns
 
+    def test_resume_reruns_a_torn_cell(self, tmp_path, caplog):
+        bundle = prepare_bundle(tmp_path)
+        config = base_config(tmp_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lam": [0.1, 0.2]}), encoding="utf-8")
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--bundle", str(bundle), "--config", str(config),
+                "--grid", str(grid), "--out", str(out)]
+        assert main(argv) == 0
+        torn, kept = sorted((out / "runs").glob("cell-*.json"))
+        whole = json.loads(torn.read_text(encoding="utf-8"))
+        torn.write_bytes(torn.read_bytes()[:100])
+        assert main(argv + ["--resume"]) == 0
+        assert torn.name in caplog.text and "again" in caplog.text
+        again = json.loads(torn.read_text(encoding="utf-8"))
+        whole.pop("wall_clock_seconds")
+        again.pop("wall_clock_seconds")
+        assert again == whole
+        summary = json.loads((out / "summary.json")
+                             .read_text(encoding="utf-8"))
+        resumed = {row["config_hash"]: row["resumed"] for row in summary}
+        assert resumed == {torn.stem[5:]: False, kept.stem[5:]: True}
+
     def test_empty_grid_exit_1(self, tmp_path):
         bundle = prepare_bundle(tmp_path)
         config = base_config(tmp_path)
@@ -240,6 +314,32 @@ class TestEval:
                      str(config), "--out", str(out)]) == 0
         other = prepare_bundle(tmp_path / "other", seed=9)
         assert main(["eval", "--bundle", str(other), "--checkpoint",
+                     str(tmp_path / "run.ckpt")]) == 3
+
+    @pytest.mark.parametrize("name", ["train.tsv", "features/visual.feat"])
+    def test_edited_bundle_content_exit_3(self, tmp_path, name):
+        # stats.json is untouched: the fingerprint covers the content.
+        bundle = prepare_bundle(tmp_path)
+        config = base_config(tmp_path)
+        out = tmp_path / "run.json"
+        assert main(["train", "--bundle", str(bundle), "--config",
+                     str(config), "--out", str(out)]) == 0
+        path = bundle / name
+        if name == "train.tsv":
+            lines = path.read_text(encoding="utf-8").splitlines()
+            user, item = lines[0].split("\t")
+            taken = {ln for split in ("train.tsv", "val.tsv", "test.tsv")
+                     for ln in (bundle / split).read_text(
+                         encoding="utf-8").splitlines()}
+            lines[0] = next(f"{user}\t{i}" for i in range(10)
+                            if f"{user}\t{i}" not in taken)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            load_bundle(bundle)  # still a valid bundle
+        else:
+            blob = bytearray(path.read_bytes())
+            blob[-1] ^= 0x01
+            path.write_bytes(bytes(blob))
+        assert main(["eval", "--bundle", str(bundle), "--checkpoint",
                      str(tmp_path / "run.ckpt")]) == 3
 
     def test_same_checkpoint_identical_output(self, tmp_path, capsys):
@@ -399,3 +499,28 @@ class TestReportEcho:
         first.pop("wall_clock_seconds")
         second.pop("wall_clock_seconds")
         assert first == second
+
+
+class TestWriteAtomic:
+    def test_replaces_the_target(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old", encoding="utf-8")
+        write_atomic(target, "new")
+        assert target.read_text(encoding="utf-8") == "new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_failure_midway_keeps_the_old_target(self, tmp_path,
+                                                 monkeypatch):
+        target = tmp_path / "out.ckpt"
+        target.write_bytes(b"old bytes")
+
+        def torn(self, data):
+            with self.open("wb") as fh:
+                fh.write(data[:3])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pathlib.Path, "write_bytes", torn)
+        with pytest.raises(OSError):
+            write_atomic(target, b"new bytes")
+        assert target.read_bytes() == b"old bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.ckpt"]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import make_bundle
-from mdvt import backbone
+from oracles import independent_search
+from planted import planted_bundle
+from mdvt import backbone, trainer
 from mdvt.errors import CheckpointError, ConfigError
 from mdvt.trainer import (RunConfig, evaluate_split,
                           load_checkpoint, run_strategy_search,
@@ -160,6 +162,116 @@ class TestStrategySearch:
                                      quick_config(mdvt_enabled=False))
         assert result.strategy == "disabled"
         assert len(result.candidates) == 1
+
+
+def tables(state):
+    return [(key, table.tobytes()) for key, table in state.param_items()]
+
+
+def shared(search) -> list[int]:
+    """Candidates that never triggered: they are the trunk's own run."""
+    return [c["candidate"] for c in search.candidates
+            if c["trigger_epoch"] is None]
+
+
+def search_config(**overrides) -> RunConfig:
+    base = dict(embed_dim=8, num_layers=1, lam=0.2, top_n=2, batch_size=64,
+                learning_rate=0.02, max_epochs=12, patience=12, seed=3,
+                strategy="hybrid", g=0.2, s=2)
+    base.update(overrides)
+    return RunConfig(**base)
+
+
+class TestTrunkSearch:
+    """The shared-trunk search equals one independent run per candidate
+    bit for bit, and trains each warm-up epoch once."""
+
+    def search(self, config, monkeypatch):
+        bundle = planted_bundle(1, num_users=40, num_items=32, feature_dim=8)
+        want, want_runs = independent_search(bundle, config)
+        runs, epochs = [], []
+        result, train_epoch = trainer._result, trainer.train_epoch
+
+        def recorded(*args, **kwargs):
+            runs.append(result(*args, **kwargs))
+            return runs[-1]
+
+        def counted(*args, **kwargs):
+            epochs.append(1)
+            return train_epoch(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_result", recorded)
+        monkeypatch.setattr(trainer, "train_epoch", counted)
+        got = run_strategy_search(bundle, config)
+
+        assert got.candidates == want.candidates
+        assert (got.strategy, got.best_config, got.resolved_trigger,
+                got.dynamic_estimate) == (want.strategy, want.best_config,
+                                          want.resolved_trigger,
+                                          want.dynamic_estimate)
+        assert got.best_history.to_dict() == want.best_history.to_dict()
+        assert tables(got.best_state) == tables(want.best_state)
+        by_label = {run.label: run for run in runs}
+        assert sorted(by_label) == sorted(r.label for r in want_runs)
+        for ref in want_runs:
+            run = by_label[ref.label]
+            assert run.history.to_dict() == ref.history.to_dict()
+            assert tables(run.state) == tables(ref.state)
+
+        warm, joint = [], 0
+        for cand in want.candidates:
+            trained = cand["stopped_epoch"] + 1
+            trigger = cand["trigger_epoch"]
+            warm.append(trained if trigger is None else min(trigger, trained))
+            joint += trained - warm[-1]
+        assert len(epochs) == max(warm) + joint
+        return want
+
+    def test_static_candidate_zero_and_duplicates(self, monkeypatch):
+        want = self.search(search_config(strategy="static",
+                                         static_set=(6, 0, 3, 3)),
+                           monkeypatch)
+        assert [c["candidate"] for c in want.candidates] == [0, 3, 6]
+
+    def test_static_candidates_past_the_trunk(self, monkeypatch):
+        # The warm-up-only trunk stops early at epoch 3: candidates 4 and 6
+        # never trigger, nor do 12 and 15 (at or past max_epochs).
+        want = self.search(search_config(strategy="static", seed=1,
+                                         patience=1,
+                                         static_set=(0, 2, 4, 6, 12, 15)),
+                           monkeypatch)
+        assert shared(want) == [4, 6, 12, 15]
+
+    def test_hybrid_window_below_zero(self, monkeypatch):
+        want = self.search(search_config(seed=0, patience=2, s=5),
+                           monkeypatch)
+        assert want.dynamic_estimate - 5 < 0
+        assert sorted(c["candidate"] for c in want.candidates) == \
+            list(range(0, want.dynamic_estimate + 6))
+
+    def test_hybrid_trunk_stops_before_the_top(self, monkeypatch):
+        # Estimate 2; the trunk stops early at epoch 3, so 4..7 share it.
+        want = self.search(search_config(seed=1, patience=1, s=5),
+                           monkeypatch)
+        assert want.dynamic_estimate == 2
+        assert shared(want) == [4, 5, 6, 7]
+
+    def test_hybrid_top_past_max_epochs(self, monkeypatch):
+        want = self.search(search_config(seed=1, patience=2, s=5,
+                                         learning_rate=0.05), monkeypatch)
+        assert want.dynamic_estimate == 8
+        assert shared(want) == [12, 13]
+
+    def test_probe_never_fires(self, monkeypatch):
+        want = self.search(search_config(g=0.001), monkeypatch)
+        assert want.dynamic_estimate is None
+        assert [c["label"] for c in want.candidates] == ["dynamic_probe"]
+
+    @pytest.mark.parametrize("overrides", [
+        {"strategy": "dynamic"}, {"lam": 0.0}, {"mdvt_enabled": False},
+        {"lam": 0.0, "strategy": "static"}])
+    def test_single_run_paths(self, monkeypatch, overrides):
+        self.search(search_config(**overrides), monkeypatch)
 
 
 class TestCheckpoint:
