@@ -73,14 +73,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(path: str, seed_override: int | None = None) -> RunConfig:
-    cfg_path = Path(path)
-    if not cfg_path.exists():
-        raise ConfigError(f"config file not found: {cfg_path}")
+def _read_json(path: str, what: str):
+    """Parse a JSON input file; ConfigError naming the file if it is
+    missing, not UTF-8 or not JSON."""
+    file = Path(path)
+    if not file.exists():
+        raise ConfigError(f"{what} file not found: {file}")
     try:
-        data = json.loads(cfg_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        return json.loads(file.read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ConfigError(f"{what} file {file} is not valid UTF-8 JSON: "
+                          f"{exc}") from exc
+
+
+def _load_config(path: str, seed_override: int | None = None) -> RunConfig:
+    data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise ConfigError("config JSON must be an object of flat keys")
     config = RunConfig.from_dict(data)
@@ -144,7 +151,7 @@ def build_run_report(bundle_stats: dict, config: RunConfig,
 def _execute_train(bundle_dir: str, config: RunConfig, out_path: str) -> dict:
     start = time.perf_counter()
     bundle = load_bundle(bundle_dir)
-    warnings = config.validate()
+    warnings = config.off_grid_warnings()
     for message in warnings:
         log.warning("config: %s", message)
     result = trainer.run_strategy_search(bundle, config)
@@ -196,24 +203,14 @@ def _summary_row(overrides: dict, config: RunConfig, report: dict,
 
 def cmd_sweep(args) -> int:
     base = _load_config(args.config)
-    grid_path = Path(args.grid)
-    if not grid_path.exists():
-        raise ConfigError(f"grid file not found: {grid_path}")
-    grid = json.loads(grid_path.read_text(encoding="utf-8"))
+    grid = _read_json(args.grid, "grid")
     if not isinstance(grid, dict) or not grid:
         raise ConfigError("grid must be a non-empty JSON object")
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    bad = sorted(set(grid) - known)
-    if bad:
-        raise ConfigError(f"unknown grid keys: {', '.join(bad)}")
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid values for {key!r} must be a "
                               "non-empty list")
 
-    out_dir = Path(args.out)
-    runs_dir = out_dir / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
     keys = sorted(grid)
     cells = []
     for combo in itertools.product(*(grid[k] for k in keys)):
@@ -223,6 +220,9 @@ def cmd_sweep(args) -> int:
         config = RunConfig.from_dict(cfg_dict)
         cells.append((overrides, config))
 
+    out_dir = Path(args.out)
+    runs_dir = out_dir / "runs"
+    runs_dir.mkdir(parents=True, exist_ok=True)
     pending, summary = [], []
     for overrides, config in cells:
         cell_path = runs_dir / f"cell-{config.config_hash()[:16]}.json"
@@ -282,11 +282,11 @@ def cmd_eval(args) -> int:
             f"(stored {stored_fp[:12]}, bundle {actual_fp[:12]})")
     bundle = load_bundle(args.bundle)
     state = trainer.state_from_tables(tables, config.embed_dim)
-    config = dataclasses.replace(config, eval_ks=tuple(sorted(set(args.k))))
+    ks = tuple(sorted(set(args.k)))
     metrics = trainer.evaluate_split(state, bundle, config, "test",
-                                     with_buckets=True)
+                                     with_buckets=True, ks=ks)
     payload = metrics.to_dict()
-    for k in sorted(set(args.k)):
+    for k in ks:
         print(f"recall@{k}={payload['recall'][str(k)]:.6f} "
               f"ndcg@{k}={payload['ndcg'][str(k)]:.6f}")
     for bucket in payload["buckets"]:

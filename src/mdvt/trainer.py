@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import struct
 import typing
 from dataclasses import dataclass, field
@@ -42,9 +43,14 @@ THRESHOLD_GRID = (0.5, 0.6, 0.7, 0.8, 0.9)
 N_FLOOR_GRID = (0, 1, 2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Every knob of a single training run (and of strategy searches)."""
+    """Every knob of a single training run (and of strategy searches).
+
+    Building one checks every value (``__post_init__``), and a built one
+    cannot be changed, so every RunConfig is valid; derive variants with
+    ``dataclasses.replace``, which checks them again.
+    """
 
     embed_dim: int = 64
     num_layers: int = 1
@@ -77,46 +83,72 @@ class RunConfig:
     eval_ks: tuple[int, ...] = (5, 10)
     warmup_candidate: int | None = None
 
-    def validate(self) -> list[str]:
-        """Raise ConfigError listing every invalid field; return warnings
-        for values outside the usual search grids."""
+    def __post_init__(self) -> None:
+        """Check every value: its type against the annotation (a bool is
+        not a number; an int is a valid float and is kept as given; a
+        list becomes a tuple), then every range rule. Raises one
+        ConfigError listing every problem."""
         problems = []
-        if self.embed_dim < 1:
-            problems.append(f"embed_dim must be >= 1 (got {self.embed_dim})")
-        if self.num_layers < 0:
-            problems.append(f"num_layers must be >= 0 (got {self.num_layers})")
+        for key, kind in _FIELD_TYPES.items():
+            value = getattr(self, key)
+            optional = type(None) in typing.get_args(kind)
+            if optional:
+                kind = typing.get_args(kind)[0]
+            item = (typing.get_args(kind)[0]
+                    if typing.get_origin(kind) is tuple else None)
+            if item and isinstance(value, (list, tuple)) and all(
+                    _is_a(v, item) for v in value):
+                object.__setattr__(self, key, tuple(value))
+            elif not ((value is None and optional)
+                      or (item is None and _is_a(value, kind))):
+                expected = (f"a list of {_NAMES[item]}s" if item
+                            else f"a {_NAMES[kind]}")
+                problems.append(
+                    f"config key {key!r} must be {expected}"
+                    f"{' or null' if optional else ''} (got {value!r})")
+            elif isinstance(value, float) and not math.isfinite(value):
+                problems.append(f"config key {key!r} must be a finite "
+                                f"number (got {value!r})")
+        if not problems:
+            problems = self._range_problems()
+        if problems:
+            raise ConfigError("invalid config: " + "; ".join(problems))
+
+    def _range_problems(self) -> list[str]:
+        problems = []
+        for key, low in (("embed_dim", 1), ("num_layers", 0), ("top_n", 1),
+                         ("batch_size", 1), ("max_epochs", 1),
+                         ("patience", 1), ("seed", 0), ("weight_decay", 0),
+                         ("n_floor", 0), ("n_cap", 0),
+                         ("warmup_candidate", 0)):
+            value = getattr(self, key)
+            if value is not None and value < low:
+                problems.append(f"{key} must be >= {low} (got {value})")
+        for key, low in (("static_set", 0), ("eval_ks", 1)):
+            values = getattr(self, key)
+            if any(v < low for v in values):
+                problems.append(f"{key} entries must be >= {low} "
+                                f"(got {list(values)})")
+        for key, allowed in (("constructor", triplet_forge.CONSTRUCTOR_TAGS),
+                             ("norm", backbone.NORM_MODES),
+                             ("readout", backbone.READOUT_MODES),
+                             ("score_mode", backbone.SCORE_MODES),
+                             ("loss_reporting", ("mean", "sum")),
+                             ("strategy", warmup.STRATEGIES)):
+            if getattr(self, key) not in allowed:
+                problems.append(f"unknown {key} {getattr(self, key)!r}")
         if not 0.0 <= self.lam <= 1.0:
             problems.append(f"lam must lie in [0, 1] (got {self.lam})")
-        if self.top_n < 1:
-            problems.append(f"top_n must be >= 1 (got {self.top_n})")
-        if self.batch_size < 1:
-            problems.append(f"batch_size must be >= 1 (got {self.batch_size})")
         if self.learning_rate <= 0:
             problems.append("learning_rate must be positive "
                             f"(got {self.learning_rate})")
-        if self.max_epochs < 1:
-            problems.append(f"max_epochs must be >= 1 (got {self.max_epochs})")
-        if self.patience < 1:
-            problems.append(f"patience must be >= 1 (got {self.patience})")
-        if self.constructor not in triplet_forge.CONSTRUCTOR_TAGS:
-            problems.append(f"unknown constructor {self.constructor!r}")
-        if self.norm not in backbone.NORM_MODES:
-            problems.append(f"unknown norm {self.norm!r}")
-        if self.readout not in backbone.READOUT_MODES:
-            problems.append(f"unknown readout {self.readout!r}")
-        if self.score_mode not in backbone.SCORE_MODES:
-            problems.append(f"unknown score_mode {self.score_mode!r}")
-        if self.loss_reporting not in ("mean", "sum"):
-            problems.append(f"unknown loss_reporting {self.loss_reporting!r}")
-        if self.strategy not in warmup.STRATEGIES:
-            problems.append(f"unknown strategy {self.strategy!r}")
         if self.strategy == "static" and not self.static_set:
             problems.append("static strategy requires a non-empty static_set")
         if self.strategy in ("dynamic", "hybrid") and not 0.0 < self.g < 1.0:
             problems.append(f"g must lie in (0, 1) (got {self.g})")
         if self.strategy == "hybrid" and self.s < 1:
             problems.append(f"s must be >= 1 (got {self.s})")
-        if self.constructor in ("threshold", "threshold_topn", "interval"):
+        if self.constructor in triplet_forge.THRESHOLD_TAGS:
             if self.sim_threshold is None or not 0 < self.sim_threshold < 1:
                 problems.append("sim_threshold must lie in (0, 1) for "
                                 f"constructor {self.constructor!r}")
@@ -124,9 +156,10 @@ class RunConfig:
             problems.append("interval constructor requires n_floor")
         if 10 not in self.eval_ks:
             problems.append("eval_ks must include 10 (early-stopping metric)")
-        if problems:
-            raise ConfigError("invalid config: " + "; ".join(problems))
+        return problems
 
+    def off_grid_warnings(self) -> list[str]:
+        """Notes on values outside the usual search grids."""
         warnings = []
         if self.mdvt_enabled:
             if self.lam not in LAMBDA_GRID and self.lam != 0.0:
@@ -157,32 +190,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """Parse a JSON config object: ConfigError on an unknown key or a
-        wrongly typed value. A bool is not a number; an int is a valid
-        float and is kept as given."""
+        """Parse a JSON config object: ConfigError on an unknown key or on
+        any value the constructor rejects."""
         unknown = sorted(set(data) - set(_FIELD_TYPES))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        kwargs = {}
-        for key, value in data.items():
-            kind = _FIELD_TYPES[key]
-            optional = type(None) in typing.get_args(kind)
-            if optional:
-                kind = typing.get_args(kind)[0]
-            item = (typing.get_args(kind)[0]
-                    if typing.get_origin(kind) is tuple else None)
-            if item and isinstance(value, (list, tuple)) and all(
-                    _is_a(v, item) for v in value):
-                value = tuple(value)
-            elif not ((value is None and optional)
-                      or (item is None and _is_a(value, kind))):
-                expected = (f"a list of {_NAMES[item]}s" if item
-                            else f"a {_NAMES[kind]}")
-                raise ConfigError(
-                    f"config key {key!r} must be {expected}"
-                    f"{' or null' if optional else ''} (got {value!r})")
-            kwargs[key] = value
-        return cls(**kwargs)
+        return cls(**data)
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True)
@@ -197,15 +210,6 @@ class RunConfig:
             n_cap=self.n_cap,
             include_seen=self.include_seen,
         )
-
-    def build_plan(self) -> warmup.WarmupPlan:
-        plan = warmup.WarmupPlan(strategy=self.strategy,
-                                 static_set=self.static_set,
-                                 g=self.g, s=self.s)
-        if self.warmup_candidate is not None:
-            plan.resolved_trigger = self.warmup_candidate
-        plan.validate()
-        return plan
 
     @property
     def mdvt_active(self) -> bool:
@@ -270,9 +274,11 @@ class TrainHistory:
 
 
 def evaluate_split(state: backbone.EmbeddingState, bundle: DatasetBundle,
-                   config: RunConfig, which: str,
-                   with_buckets: bool = False) -> evaluator.MetricsReport:
-    """Rank the requested split with the current state.
+                   config: RunConfig, which: str, with_buckets: bool = False,
+                   ks: tuple[int, ...] | None = None
+                   ) -> evaluator.MetricsReport:
+    """Rank the requested split with the current state, at the cutoffs
+    ``ks`` (default ``config.eval_ks``).
 
     Validation masks the train items; test masks train plus validation.
     Users with no train record (cold users) are excluded from the
@@ -295,8 +301,9 @@ def evaluate_split(state: backbone.EmbeddingState, bundle: DatasetBundle,
         return backbone.score_matrix(reps, block, config.score_mode)
 
     counts = bundle.popularity.user_train_count if with_buckets else None
-    return evaluator.evaluate_rankings(score_rows, users, relevant, masked,
-                                       tuple(config.eval_ks), counts)
+    return evaluator.evaluate_rankings(
+        score_rows, users, relevant, masked,
+        config.eval_ks if ks is None else ks, counts)
 
 
 def propagator(bundle: DatasetBundle, norm: str) -> backbone.Propagator:
@@ -310,7 +317,7 @@ def _mask_for(state: backbone.EmbeddingState,
               config: RunConfig) -> tuple[str, ...]:
     if config.modality_mask is None:
         return state.modalities
-    return tuple(config.modality_mask)
+    return config.modality_mask
 
 
 def train_epoch(state: backbone.EmbeddingState,
@@ -359,13 +366,13 @@ class TrainingRun:
     """One training run, advanced an epoch at a time.
 
     It holds everything the next epoch reads: the tables, the Adam
-    moments and step, both RNG streams, the warm-up plan, the history and
-    the early-stopping bookkeeping. ``fork`` copies that state, so a
-    strategy search can branch candidates off one shared warm-up trunk.
+    moments and step, both RNG streams, the first joint epoch
+    (``trigger``), the history and the early-stopping bookkeeping.
+    ``fork`` copies that state, so a strategy search can branch candidates
+    off one shared warm-up trunk.
     """
 
     def __init__(self, bundle: DatasetBundle, config: RunConfig) -> None:
-        config.validate()
         streams = np.random.SeedSequence(config.seed).spawn(3)
         init_seed = int(streams[0].generate_state(1)[0])
         self.rng_shuffle = np.random.default_rng(streams[1])
@@ -381,7 +388,9 @@ class TrainingRun:
         self.prop = propagator(bundle, config.norm)
         self.opt = objective.OptimizerState.for_state(
             self.state, config.learning_rate, config.weight_decay)
-        self.plan = config.build_plan()
+        # A preset warm-up candidate, or None until a dynamic or hybrid
+        # run's trigger rule fires.
+        self.trigger = config.warmup_candidate
         self.history = TrainHistory()
         # Replaced on improvement, never mutated: forks may share it.
         self.best_state = self.state.copy()
@@ -394,13 +403,22 @@ class TrainingRun:
         return (self.epoch >= self.config.max_epochs
                 or self.epochs_since_best >= self.config.patience)
 
+    def is_joint(self) -> bool:
+        """Whether epoch ``self.epoch`` trains with the virtual loss. A
+        dynamic or hybrid run without a trigger evaluates the trigger rule
+        on the completed-epoch losses and latches the first firing."""
+        if self.trigger is None and self.config.strategy in ("dynamic",
+                                                             "hybrid"):
+            self.trigger = warmup.dynamic_trigger(self.history.l_total,
+                                                  self.config.g)
+        return self.trigger is not None and self.epoch >= self.trigger
+
     def step(self) -> None:
         """Train epoch ``self.epoch`` (with a fresh virtual-triplet set if
         it is a joint epoch), validate it and update early stopping."""
         config, epoch, history = self.config, self.epoch, self.history
         virtual = None
-        if config.mdvt_active and warmup.is_joint_phase(self.plan, epoch,
-                                                        history.l_total):
+        if config.mdvt_active and self.is_joint():
             if history.trigger_epoch is None:
                 history.trigger_epoch = epoch
             reps = backbone.forward_pass(
@@ -437,11 +455,11 @@ class TrainingRun:
 
     def fork(self, trigger: int) -> "TrainingRun":
         """An independent copy of this run whose first joint epoch is
-        ``trigger``: the tables, Adam moments, RNG streams, plan and history
-        are copied; the bundle, the config and the best state are shared."""
+        ``trigger``: the tables, Adam moments, RNG streams and history are
+        copied; the bundle, the config and the best state are shared."""
         shared = (self.bundle, self.config, self.prop, self.best_state)
         other = copy.deepcopy(self, {id(obj): obj for obj in shared})
-        other.plan.resolved_trigger = trigger
+        other.trigger = trigger
         return other
 
 
@@ -508,7 +526,7 @@ def _branch(trunk: TrainingRun, label: str, candidate: int,
         return _result(label, candidate, trunk, "shares the trunk (trunk "
                        f"stopped at epoch {trunk.history.stopped_epoch})")
     if last:
-        trunk.plan.resolved_trigger = candidate
+        trunk.trigger = candidate
         return _result(label, candidate, trunk,
                        f"takes the trunk over at epoch {candidate}")
     return _result(label, candidate, trunk.fork(candidate),
@@ -529,7 +547,6 @@ def run_strategy_search(bundle: DatasetBundle, config: RunConfig
     warm-up-only trunk (trigger ``max_epochs``) up to the start of epoch
     ``c``, where it is forked: each warm-up epoch is trained once.
     """
-    config.validate()
     alone = dataclasses.replace(config, warmup_candidate=None)
     warmup_only = dataclasses.replace(config,
                                       warmup_candidate=config.max_epochs)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .backbone import Representations
 from .dataset import Adjacency, PopularityTable
-from .errors import ConfigError, SelectionError, TrainingCollapseError
+from .errors import SelectionError, TrainingCollapseError
 from .evaluator import BLOCK_ROWS, top_k
 
 CONSTRUCTOR_TAGS = ("topn", "threshold", "threshold_topn", "interval",
@@ -46,8 +46,6 @@ class VirtualTripletSet:
     constructor_tag: str
 
     def __post_init__(self) -> None:
-        if self.constructor_tag not in CONSTRUCTOR_TAGS:
-            raise ConfigError(f"unknown constructor {self.constructor_tag!r}")
         pos, neg = self.positives, self.negatives
         assert len(self.users) == len(pos) == len(neg) and np.array_equal(
             pos.row_lengths, neg.row_lengths), "virtual groups misaligned"
@@ -88,7 +86,8 @@ def cosine_rows(user_vecs: np.ndarray, item_matrix: np.ndarray,
 
 @dataclass
 class SelectionParams:
-    """Which selector to run and its knobs."""
+    """Which selector to run and its knobs, as ``RunConfig.selection_params``
+    takes them from a checked config."""
 
     constructor: str = "topn"
     n: int = 2
@@ -96,19 +95,6 @@ class SelectionParams:
     n_floor: int | None = None
     n_cap: int | None = None
     include_seen: bool = False
-
-    def validate(self) -> None:
-        if self.constructor not in CONSTRUCTOR_TAGS:
-            raise ConfigError(f"unknown constructor {self.constructor!r}")
-        if self.constructor in THRESHOLD_TAGS:
-            if self.threshold is None:
-                raise ConfigError(
-                    f"constructor {self.constructor!r} requires a threshold")
-            if not 0.0 < self.threshold < 1.0:
-                raise ConfigError(f"similarity threshold must lie in (0, 1), "
-                                  f"got {self.threshold}")
-        if self.constructor == "interval" and self.n_floor is None:
-            raise ConfigError("interval constructor requires n_floor")
 
 
 def _raise_first(users: np.ndarray, collapsed: np.ndarray,
@@ -200,7 +186,6 @@ def refresh(reps: Representations, params: SelectionParams, epoch: int,
     ``seen_items[u]`` (a row of the train CSR) lists the items excluded
     from user ``u``'s positives unless ``include_seen`` is set.
     """
-    params.validate()
     users = np.unique(np.asarray(trainable_users, dtype=np.int64))
     items = reps.fused_items
     item_norms = np.linalg.norm(items, axis=1)

@@ -229,7 +229,6 @@ def refresh_oracle(reps, params: SelectionParams, trainable_users,
                    ) -> dict[int, tuple[list, list]]:
     """The virtual groups one user at a time, as ``groups_of`` returns
     them; raises what the first failing user raises."""
-    params.validate()
     fused_items = reps.fused_items
     item_norms = np.linalg.norm(fused_items, axis=1)
     out = {}
@@ -389,7 +388,6 @@ def independent_search(bundle, config
                        ) -> tuple[SearchResult, list[CandidateResult]]:
     """``trainer.run_strategy_search`` with every candidate trained from
     epoch 0 by its own ``train_run``; also returns each candidate's run."""
-    config.validate()
     if not config.mdvt_active:
         result = _run_candidate(bundle, config, "baseline", None)
         return SearchResult("disabled", config, result.state, result.history,

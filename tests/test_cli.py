@@ -144,6 +144,49 @@ class TestTrain:
         line = single_error_line(capsys)
         assert f"{key!r} must be {expected}" in line
 
+    @pytest.mark.parametrize("key, overrides", [
+        ("learning_rate", {"learning_rate": float("nan")}),
+        ("learning_rate", {"learning_rate": float("inf")}),
+        ("weight_decay", {"weight_decay": float("nan")}),
+        ("weight_decay", {"weight_decay": -5.0}),
+        ("n_floor", {"constructor": "interval", "sim_threshold": 0.5,
+                     "n_floor": -2}),
+        ("n_cap", {"constructor": "interval", "sim_threshold": 0.5,
+                   "n_floor": 1, "n_cap": -1}),
+        ("static_set", {"strategy": "hybrid", "static_set": [-3]}),
+        ("static_set", {"strategy": "static", "static_set": [-3]}),
+        ("eval_ks", {"eval_ks": [0, 10]}),
+        ("warmup_candidate", {"warmup_candidate": -1}),
+        ("seed", {"seed": -1}),
+    ])
+    def test_out_of_range_exit_1(self, tmp_path, capsys, key, overrides):
+        bundle = prepare_bundle(tmp_path)
+        config = base_config(tmp_path, **overrides)
+        capsys.readouterr()
+        assert main(["train", "--bundle", str(bundle),
+                     "--config", str(config),
+                     "--out", str(tmp_path / "o.json")]) == 1
+        assert key in single_error_line(capsys)
+        assert not (tmp_path / "o.json").exists()
+
+    def test_negative_seed_override_exit_1(self, tmp_path, capsys):
+        bundle = prepare_bundle(tmp_path)
+        capsys.readouterr()
+        assert main(["train", "--bundle", str(bundle),
+                     "--config", str(base_config(tmp_path)),
+                     "--out", str(tmp_path / "o.json"),
+                     "--seed", "-1"]) == 1
+        assert "seed" in single_error_line(capsys)
+
+    def test_non_utf8_config_exit_1(self, tmp_path, capsys):
+        config = base_config(tmp_path)
+        config.write_bytes(b"\xff\xfe" + config.read_bytes())
+        capsys.readouterr()
+        assert main(["train", "--bundle", str(tmp_path / "bundle"),
+                     "--config", str(config),
+                     "--out", str(tmp_path / "o.json")]) == 1
+        assert "config.json" in single_error_line(capsys)
+
     def test_int_for_float_kept_as_given(self, tmp_path):
         bundle = prepare_bundle(tmp_path)
         config = base_config(tmp_path, learning_rate=1, weight_decay=0)
@@ -283,14 +326,26 @@ class TestSweep:
                      str(config), "--grid", str(grid),
                      "--out", str(tmp_path / "s")]) == 1
 
-    def test_unknown_grid_key_exit_1(self, tmp_path):
+    def test_unknown_grid_key_exit_1(self, tmp_path, capsys):
         bundle = prepare_bundle(tmp_path)
         config = base_config(tmp_path)
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"bogus": [1]}), encoding="utf-8")
+        capsys.readouterr()
         assert main(["sweep", "--bundle", str(bundle), "--config",
                      str(config), "--grid", str(grid),
                      "--out", str(tmp_path / "s")]) == 1
+        assert "unknown config keys: bogus" in single_error_line(capsys)
+
+    @pytest.mark.parametrize("blob", [b"{not json", b'\xff\xfe{"lam": [0.2]}'])
+    def test_malformed_grid_exit_1(self, tmp_path, capsys, blob):
+        grid = tmp_path / "grid.json"
+        grid.write_bytes(blob)
+        capsys.readouterr()
+        assert main(["sweep", "--bundle", str(tmp_path / "bundle"),
+                     "--config", str(base_config(tmp_path)),
+                     "--grid", str(grid), "--out", str(tmp_path / "s")]) == 1
+        assert "grid.json" in single_error_line(capsys)
 
 
 class TestEval:
@@ -305,6 +360,21 @@ class TestEval:
                      str(tmp_path / "run.ckpt"), "--k", "5", "10"]) == 0
         printed = capsys.readouterr().out
         assert "recall@5=" in printed and "ndcg@10=" in printed
+
+    def test_single_cutoff_without_10(self, tmp_path, capsys):
+        # The train-time rule "eval_ks must include 10" does not bind eval.
+        bundle = prepare_bundle(tmp_path)
+        assert main(["train", "--bundle", str(bundle), "--config",
+                     str(base_config(tmp_path)),
+                     "--out", str(tmp_path / "run.json")]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--bundle", str(bundle), "--checkpoint",
+                     str(tmp_path / "run.ckpt"), "--k", "5"]) == 0
+        printed = capsys.readouterr().out
+        metric_lines = [ln for ln in printed.splitlines() if "@" in ln]
+        assert len(metric_lines) == 1
+        assert metric_lines[0].startswith("recall@5=")
+        assert "ndcg@5=" in metric_lines[0]
 
     def test_stale_checkpoint_exit_3(self, tmp_path):
         bundle = prepare_bundle(tmp_path)

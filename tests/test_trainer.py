@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_bundle
 from oracles import independent_search
@@ -21,6 +22,21 @@ def quick_config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
+# Each key gets its default (so that a share of the configs is valid), a
+# plausible value or an arbitrary JSON-like one, NaN and infinities included.
+_SCALARS = st.one_of(st.integers(), st.floats(), st.booleans(),
+                     st.text(max_size=6), st.none(),
+                     st.integers(0, 20), st.floats(0.0, 1.0),
+                     st.sampled_from(("topn", "interval", "static", "hybrid",
+                                      "sum", "mean", "dual", "id")))
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                    st.sampled_from(([10], [5, 10], [0, 3], [])))
+_ENTRIES = st.tuples(st.sampled_from(dataclasses.fields(RunConfig)),
+                     st.booleans(), _VALUES).map(
+    lambda e: (e[0].name, e[0].default if e[1] else e[2]))
+_CONFIG_DICTS = st.lists(_ENTRIES, max_size=5).map(dict)
+
+
 def history_dict(bundle, config):
     _, history = train_run(bundle, config)
     return history.to_dict()
@@ -28,9 +44,8 @@ def history_dict(bundle, config):
 
 class TestRunConfig:
     def test_validate_lists_every_problem(self):
-        config = quick_config(embed_dim=0, lam=3.0, norm="bogus")
         with pytest.raises(ConfigError) as err:
-            config.validate()
+            quick_config(embed_dim=0, lam=3.0, norm="bogus")
         message = str(err.value)
         assert "embed_dim" in message
         assert "lam" in message
@@ -41,7 +56,7 @@ class TestRunConfig:
             RunConfig.from_dict({"lmabda": 0.2})
 
     def test_off_grid_values_warn_only(self):
-        warnings = quick_config(lam=0.7).validate()
+        warnings = quick_config(lam=0.7).off_grid_warnings()
         assert any("lam" in w for w in warnings)
 
     def test_round_trip(self):
@@ -49,6 +64,20 @@ class TestRunConfig:
         again = RunConfig.from_dict(config.to_dict())
         assert again == config
         assert again.config_hash() == config.config_hash()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CONFIG_DICTS)
+    def test_from_dict_fuzz(self, data):
+        # Either a valid config or ConfigError, never another exception;
+        # a config that exists round-trips exactly.
+        try:
+            config = RunConfig.from_dict(data)
+        except ConfigError:
+            return
+        again = RunConfig.from_dict(config.to_dict())
+        assert again == config
+        assert again.config_hash() == config.config_hash()
+        assert all(isinstance(w, str) for w in config.off_grid_warnings())
 
     def test_hash_changes_with_values(self):
         assert quick_config(lam=0.1).config_hash() != \

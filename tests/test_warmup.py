@@ -1,8 +1,10 @@
 import pytest
 
+from conftest import make_bundle
 from mdvt.errors import ConfigError, MdvtError
-from mdvt.warmup import (WarmupPlan, dynamic_trigger, hybrid_candidates,
-                         is_joint_phase, static_candidates,
+from mdvt.trainer import RunConfig, TrainingRun
+from mdvt.warmup import (dynamic_trigger, hybrid_candidates,
+                         static_candidates,
                          DEFAULT_G, DEFAULT_S, DEFAULT_STATIC_SET)
 
 
@@ -36,8 +38,10 @@ class TestDynamicTrigger:
             dynamic_trigger([1.0, -0.5], 0.1)
 
     def test_g_bounds(self):
-        with pytest.raises(ConfigError):
-            dynamic_trigger([1.0, 0.9], 1.5)
+        # The config boundary guarantees the g the rule is called with.
+        for strategy in ("dynamic", "hybrid"):
+            with pytest.raises(ConfigError, match="g must lie"):
+                RunConfig(strategy=strategy, g=1.5)
 
     def test_monotone_in_g(self):
         # Smaller g can only delay the trigger (None counts as "never").
@@ -68,12 +72,13 @@ class TestStaticCandidates:
         assert static_candidates({5, 5, 0}) == [0, 5]
 
     def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            static_candidates(set())
+        with pytest.raises(ConfigError, match="non-empty static_set"):
+            RunConfig(strategy="static", static_set=())
 
     def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            static_candidates([-1, 3])
+        for strategy in ("static", "dynamic", "hybrid"):
+            with pytest.raises(ConfigError, match="static_set entries"):
+                RunConfig(strategy=strategy, static_set=(-1, 3))
 
 
 class TestHybridCandidates:
@@ -98,36 +103,46 @@ class TestHybridCandidates:
         assert DEFAULT_S == 2
 
 
+def run_with(rng, **overrides) -> TrainingRun:
+    bundle = make_bundle(rng, num_users=6, num_items=10, extra_edges=6)
+    return TrainingRun(bundle, RunConfig(embed_dim=4, batch_size=8,
+                                         **overrides))
+
+
 class TestIsJointPhase:
-    def test_static_candidate_boundary(self):
-        plan = WarmupPlan(strategy="static", resolved_trigger=20)
-        assert not is_joint_phase(plan, 19, [])
-        assert is_joint_phase(plan, 20, [])
+    def test_static_candidate_boundary(self, rng):
+        run = run_with(rng, strategy="static", warmup_candidate=20)
+        run.epoch = 19
+        assert not run.is_joint()
+        run.epoch = 20
+        assert run.is_joint()
 
-    def test_candidate_zero_joint_from_first_epoch(self):
-        plan = WarmupPlan(strategy="static", resolved_trigger=0)
-        assert is_joint_phase(plan, 0, [])
+    def test_candidate_zero_joint_from_first_epoch(self, rng):
+        run = run_with(rng, strategy="static", warmup_candidate=0)
+        assert run.epoch == 0 and run.is_joint()
 
-    def test_dynamic_latches(self):
-        plan = WarmupPlan(strategy="dynamic", g=0.1)
-        history = [100.0, 50.0, 47.0]
-        assert is_joint_phase(plan, 3, history)
-        assert plan.resolved_trigger == 3
+    def test_dynamic_latches(self, rng):
+        run = run_with(rng, strategy="dynamic", g=0.1)
+        run.history.l_total = [100.0, 50.0, 47.0]
+        run.epoch = 3
+        assert run.is_joint()
+        assert run.trigger == 3
         # A later loss jump cannot un-trigger.
-        history += [500.0, 20.0]
+        run.history.l_total += [500.0, 20.0]
         for epoch in range(3, 9):
-            assert is_joint_phase(plan, epoch, history)
+            run.epoch = epoch
+            assert run.is_joint()
 
-    def test_dynamic_not_fired_yet(self):
-        plan = WarmupPlan(strategy="dynamic", g=0.1)
-        assert not is_joint_phase(plan, 1, [100.0])
-        assert plan.resolved_trigger is None
+    def test_dynamic_not_fired_yet(self, rng):
+        run = run_with(rng, strategy="dynamic", g=0.1)
+        run.history.l_total = [100.0]
+        run.epoch = 1
+        assert not run.is_joint()
+        assert run.trigger is None
 
     def test_plan_validation(self):
-        with pytest.raises(ConfigError):
-            is_joint_phase(WarmupPlan(strategy="nope"), 0, [])
-        with pytest.raises(ConfigError):
-            is_joint_phase(WarmupPlan(strategy="dynamic", g=2.0), 0, [])
-        with pytest.raises(ConfigError):
-            is_joint_phase(WarmupPlan(strategy="static", static_set=()),
-                           0, [])
+        for bad in (dict(strategy="nope"), dict(strategy="dynamic", g=2.0),
+                    dict(strategy="static", static_set=()),
+                    dict(strategy="static", warmup_candidate=-1)):
+            with pytest.raises(ConfigError):
+                RunConfig(**bad)
