@@ -9,13 +9,14 @@ propagation operator (see objective.backward).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .dataset import InteractionGraph, ModalityBundle
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 NORM_MODES = ("dual", "sym")
 READOUT_MODES = ("sum", "mean")
@@ -24,38 +25,40 @@ SCORE_MODES = ("per_modality", "fused")
 
 @dataclass
 class EmbeddingState:
-    """Trainable user/item tables per modality, float64 for training."""
+    """Trainable tables, float64 for training: one ``(V, d)`` table per
+    modality over the union vertex set, users first.
 
-    user: dict[str, np.ndarray]
-    item: dict[str, np.ndarray]
+    ``user[m]``/``item[m]`` are writeable row views of ``tables[m]``, made
+    on each read; only ``tables`` is stored, so a copy or deepcopy of the
+    state never shares or detaches them.
+    """
+
+    tables: dict[str, np.ndarray]
+    num_users: int
     init_seed: int
     embed_dim: int
 
     @property
     def modalities(self) -> tuple[str, ...]:
-        return tuple(self.user)
+        return tuple(self.tables)
 
     @property
-    def num_users(self) -> int:
-        return next(iter(self.user.values())).shape[0]
+    def user(self) -> dict[str, np.ndarray]:
+        return {m: t[:self.num_users] for m, t in self.tables.items()}
 
     @property
-    def num_items(self) -> int:
-        return next(iter(self.item.values())).shape[0]
+    def item(self) -> dict[str, np.ndarray]:
+        return {m: t[self.num_users:] for m, t in self.tables.items()}
 
     def param_items(self):
         """(key, table) pairs in a fixed order: per modality, user then item."""
-        for m in self.user:
-            yield f"user.{m}", self.user[m]
-            yield f"item.{m}", self.item[m]
+        for m, t in self.tables.items():
+            yield f"user.{m}", t[:self.num_users]
+            yield f"item.{m}", t[self.num_users:]
 
     def copy(self) -> "EmbeddingState":
-        return EmbeddingState(
-            user={m: t.copy() for m, t in self.user.items()},
-            item={m: t.copy() for m, t in self.item.items()},
-            init_seed=self.init_seed,
-            embed_dim=self.embed_dim,
-        )
+        return dataclasses.replace(
+            self, tables={m: t.copy() for m, t in self.tables.items()})
 
 
 def init_embeddings(bundle: ModalityBundle, num_users: int, embed_dim: int,
@@ -68,70 +71,31 @@ def init_embeddings(bundle: ModalityBundle, num_users: int, embed_dim: int,
     per table keeps the draw deterministic and independent of the other
     tables.
     """
-    if embed_dim < 1:
-        raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
     scale = 0.5 / np.sqrt(embed_dim)
     streams = np.random.SeedSequence(seed).spawn(2 * len(bundle.modalities))
-    user: dict[str, np.ndarray] = {}
-    item: dict[str, np.ndarray] = {}
+    state = EmbeddingState(
+        tables={m: np.empty((num_users + bundle.num_items, embed_dim))
+                for m in bundle.modalities},
+        num_users=num_users, init_seed=seed, embed_dim=embed_dim)
     for k, m in enumerate(bundle.modalities):
         rng_u = np.random.default_rng(streams[2 * k])
         rng_i = np.random.default_rng(streams[2 * k + 1])
-        user[m] = rng_u.uniform(-scale, scale, (num_users, embed_dim))
+        state.user[m][:] = rng_u.uniform(-scale, scale, (num_users, embed_dim))
+        item = state.item[m]
         if m == "id":
-            item[m] = rng_i.uniform(-scale, scale,
-                                    (bundle.num_items, embed_dim))
+            item[:] = rng_i.uniform(-scale, scale,
+                                   (bundle.num_items, embed_dim))
             continue
         feats = bundle.features[m].astype(np.float64)
         f_m = feats.shape[1]
         if f_m < 1:
             raise DataError(f"modality {m!r} has {f_m} feature columns")
         if f_m == embed_dim:
-            item[m] = feats.copy()
+            item[:] = feats
         else:
             projection = rng_i.standard_normal((f_m, embed_dim)) / np.sqrt(f_m)
-            item[m] = feats @ projection
-    return EmbeddingState(user=user, item=item, init_seed=seed,
-                          embed_dim=embed_dim)
-
-
-def propagate(x0: np.ndarray, prop: "Propagator", num_layers: int
-              ) -> list[np.ndarray]:
-    """Layer cache [x0, P x0, ..., P^L x0] over the union vertex set."""
-    if num_layers < 0:
-        raise ConfigError(f"num_layers must be >= 0, got {num_layers}")
-    cache = [x0]
-    cur = x0
-    for _ in range(num_layers):
-        cur = prop.apply(cur)
-        cache.append(cur)
-    return cache
-
-
-def readout(cache: list[np.ndarray], mode: str = "sum") -> np.ndarray:
-    """Combine the layer cache into final representations."""
-    if mode not in READOUT_MODES:
-        raise ConfigError(f"unknown readout mode {mode!r}")
-    out = cache[0].copy()
-    for layer in cache[1:]:
-        out += layer
-    if mode == "mean":
-        out /= len(cache)
-    return out
-
-
-def fuse(finals: dict[str, np.ndarray], mask: tuple[str, ...]) -> np.ndarray:
-    """Element-wise mean of the masked modalities' final representations."""
-    if not mask:
-        raise ConfigError("fusion mask selects no modality")
-    missing = [m for m in mask if m not in finals]
-    if missing:
-        raise ConfigError(f"fusion mask names unknown modalities: {missing}")
-    out = finals[mask[0]].copy()
-    for m in mask[1:]:
-        out += finals[m]
-    out /= len(mask)
-    return out
+            item[:] = feats @ projection
+    return state
 
 
 class Propagator:
@@ -143,9 +107,6 @@ class Propagator:
     """
 
     def __init__(self, graph: InteractionGraph, norm: str = "dual") -> None:
-        if norm not in NORM_MODES:
-            raise ConfigError(f"unknown norm mode {norm!r}")
-        self.norm = norm
         nu = graph.num_users
         v = graph.num_vertices
         users, items = graph.edges()
@@ -162,7 +123,7 @@ class Propagator:
 
 @dataclass
 class Representations:
-    """One forward pass: per-modality finals, fused matrices, layer caches.
+    """One forward pass: per-modality finals and the fused matrix.
 
     All matrices are stacked over the union vertex set (users first), with
     split views for user/item blocks.
@@ -170,7 +131,6 @@ class Representations:
 
     finals: dict[str, np.ndarray]
     fused: np.ndarray
-    caches: dict[str, list[np.ndarray]]
     num_users: int
     mask: tuple[str, ...]
 
@@ -192,24 +152,29 @@ class Representations:
 def forward_pass(state: EmbeddingState, prop: Propagator, num_layers: int,
                  mask: tuple[str, ...], readout_mode: str = "sum"
                  ) -> Representations:
-    """Propagate every modality, read out, and fuse under ``mask``."""
+    """Propagate every modality table, read out the layer sum (or mean)
+    and fuse the ``mask`` modalities by element-wise mean. The arguments
+    are unchecked: ``RunConfig`` and ``TrainingRun`` guarantee them."""
     finals: dict[str, np.ndarray] = {}
-    caches: dict[str, list[np.ndarray]] = {}
-    for m in state.modalities:
-        x0 = np.vstack([state.user[m], state.item[m]])
-        cache = propagate(x0, prop, num_layers)
-        caches[m] = cache
-        finals[m] = readout(cache, readout_mode)
-    fused = fuse(finals, mask)
-    return Representations(finals=finals, fused=fused, caches=caches,
+    for m, layer in state.tables.items():
+        out = layer.copy()
+        for _ in range(num_layers):
+            layer = prop.apply(layer)
+            out += layer
+        if readout_mode == "mean":
+            out /= num_layers + 1
+        finals[m] = out
+    fused = finals[mask[0]].copy()
+    for m in mask[1:]:
+        fused += finals[m]
+    fused /= len(mask)
+    return Representations(finals=finals, fused=fused,
                            num_users=state.num_users, mask=mask)
 
 
 def score_matrix(reps: Representations, users: np.ndarray,
                  mode: str = "per_modality") -> np.ndarray:
     """Scores of several users against all items, one row per user."""
-    if mode not in SCORE_MODES:
-        raise ConfigError(f"unknown score mode {mode!r}")
     if mode == "fused":
         return reps.fused_users[users] @ reps.fused_items.T
     out = None

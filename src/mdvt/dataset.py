@@ -294,6 +294,8 @@ def split_dataset(interactions: InteractionSet, seed: int) -> DatasetSplit:
     views but reported as cold; they are excluded from training and from
     metric averaging downstream.
     """
+    if seed < 0:
+        raise ConfigError(f"split seed must be >= 0 (got {seed})")
     n = len(interactions)
     if n < 10:
         raise DataError(f"need at least 10 interactions to split, got {n}")

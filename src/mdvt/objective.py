@@ -15,14 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .backbone import Propagator, Representations
 from .dataset import TripletBatch
-from .errors import ConfigError, MdvtError
+from .errors import MdvtError
 from .triplet_forge import VirtualTripletSet
-
-COMBINE_MODES = ("default", "wo_scale")
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -43,12 +42,9 @@ class LossReport:
 def combined_loss(l_bpr: float, l_vbpr: float | None, lam: float,
                   mode: str = "default") -> float:
     """Joint loss: (1-lambda)*bpr + lambda*vbpr, or bpr + lambda*vbpr when
-    the align-scale is ablated. A warm-up batch (no virtual loss) is the
-    plain bpr loss."""
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
-    if mode not in COMBINE_MODES:
-        raise ConfigError(f"unknown loss combination mode {mode!r}")
+    the align-scale is ablated (``mode="wo_scale"``). A warm-up batch (no
+    virtual loss) is the plain bpr loss. ``RunConfig`` guarantees lambda
+    in [0, 1]."""
     if l_vbpr is None:
         return l_bpr
     if mode == "wo_scale":
@@ -81,14 +77,15 @@ def _virtual_rows(users: np.ndarray, virtual: VirtualTripletSet,
 
 def _virtual_loss(rows: np.ndarray, weight: np.ndarray,
                   virtual: VirtualTripletSet, z: np.ndarray, num_users: int,
-                  w_v: float, wo_aggr: bool, grad_fused: np.ndarray) -> float:
-    """Weighted mean virtual loss of ``rows``; adds ``w_v`` times its
-    gradient to ``grad_fused``.
+                  w_v: float, wo_aggr: bool
+                  ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Weighted mean virtual loss of ``rows``, and ``(targets, steps)``:
+    ``w_v`` times its gradient w.r.t. ``z`` as steps into vertex rows.
 
     Rows of one group length are computed together. Stacked matrix
     products keep each user's sums in the order of a one-user product, and
-    the scatter visits users ascending, each user's positives then its
-    negatives, so the result equals a one-user-at-a-time loop's.
+    the steps into items come users ascending, each user's positives then
+    its negatives, so scattering them in order equals a one-user loop.
     """
     total = float(weight.sum())
     pos, neg = virtual.positives.take(rows), virtual.negatives.take(rows)
@@ -118,22 +115,34 @@ def _virtual_loss(rows: np.ndarray, weight: np.ndarray,
             coef = (w_v * weight[sel] / total) * (expit(gap) - 1.0)
             user_grad[sel] = coef[:, None] * delta
             pair_coef[at] = (coef / n)[:, None]
-    if w_v != 0.0:
-        grad_fused[users] += user_grad
-        # Each user's positives, then its negatives, users ascending.
-        pair = np.arange(len(pair_coef))
-        to_pos = pair + np.repeat(pos.indptr[:-1], lengths)
-        to_neg = pair + np.repeat(pos.indptr[1:], lengths)
-        targets = np.empty(2 * len(pair), dtype=np.int64)
-        targets[to_pos] = pos.indices + num_users
-        targets[to_neg] = neg.indices + num_users
-        step = pair_coef[:, None] * z[np.repeat(users, lengths)]
-        steps = np.empty((2 * len(pair), z.shape[1]))
-        steps[to_pos] = step
-        steps[to_neg] = -step
-        np.add.at(grad_fused, targets, steps)
+    # Each user's positives, then its negatives, users ascending.
+    pair = np.arange(len(pair_coef))
+    to_pos = pair + np.repeat(pos.indptr[:-1], lengths)
+    to_neg = pair + np.repeat(pos.indptr[1:], lengths)
+    targets = np.empty(2 * len(pair), dtype=np.int64)
+    targets[to_pos] = pos.indices + num_users
+    targets[to_neg] = neg.indices + num_users
+    step = pair_coef[:, None] * z[np.repeat(users, lengths)]
+    steps = np.empty((2 * len(pair), z.shape[1]))
+    steps[to_pos] = step
+    steps[to_neg] = -step
     # Running sum left to right, as a loop accumulates it.
-    return float(np.cumsum(terms)[-1] / total)
+    return (float(np.cumsum(terms)[-1] / total),
+            np.concatenate([users, targets]),
+            np.concatenate([user_grad, steps]))
+
+
+def _selection(targets: np.ndarray, num_rows: int) -> sp.csr_matrix:
+    """The ``num_rows x len(targets)`` CSR with a 1 at ``(targets[k], k)``:
+    ``S @ steps`` adds the steps into their rows in order ``k``, from zero,
+    bit for bit. scipy's CSR times dense product sums each row's entries
+    in stored order from zero, the stable sort stores a row's columns
+    ascending, and multiplying by 1.0 is exact."""
+    counts = np.bincount(targets, minlength=num_rows)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csr_matrix((np.ones(len(targets)),
+                          np.argsort(targets, kind="stable"), indptr),
+                         shape=(num_rows, len(targets)))
 
 
 def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
@@ -144,52 +153,54 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
              per_distinct_user: bool = False):
     """Batch losses and gradients w.r.t. every embedding table.
 
-    Returns ``(LossReport, grads)`` where ``grads[modality]`` holds
-    ``{"user": array, "item": array}``. Only tables reachable from the
-    batch vertices (and the virtual groups) through the propagation
-    neighborhoods receive nonzero gradient.
+    Returns ``(LossReport, grads)`` where ``grads[modality]`` is the
+    ``(V, d)`` gradient of that modality's table (users first, like
+    ``EmbeddingState.tables``). Only rows reachable from the batch vertices
+    (and the virtual groups) through the propagation neighborhoods are
+    nonzero. Each scatter is one selection-CSR product (``_selection``).
     d(-log sigmoid(g))/dg = -(1 - sigmoid(g)).
     """
     w_bpr, w_v = _loss_weights(lam, joint, wo_scale)
-    num_users = reps.num_users
-    batch_size = len(batch)
+    num_users, size = reps.num_users, len(batch)
     users = batch.users
     pos = batch.pos_items + num_users
     neg = batch.neg_items + num_users
 
-    grads_final = {m: np.zeros_like(f) for m, f in reps.finals.items()}
-    grad_fused = np.zeros_like(reps.fused)
-
-    # Real-triplet branch.
-    if score_mode == "per_modality":
-        gaps = np.zeros(batch_size)
-        for m, f in reps.finals.items():
-            gaps += np.einsum("bd,bd->b", f[users], f[pos] - f[neg])
-    else:
-        z = reps.fused
-        gaps = np.einsum("bd,bd->b", z[users], z[pos] - z[neg])
+    # Real-triplet branch, per modality or on the fused matrix: one block of
+    # steps each, in batch order: c*(f[pos]-f[neg]) into the users, c*f[u]
+    # into pos, -c*f[u] into neg. Filled in place: fresh pages cost more
+    # than the arithmetic.
+    scored = (reps.finals if score_mode == "per_modality"
+              else {None: reps.fused})
+    bpr_steps = {}
+    gaps = np.zeros(size)
+    for m, f in scored.items():
+        steps = bpr_steps[m] = np.empty((3 * size, f.shape[1]))
+        diff, f_users = steps[:size], steps[size:2 * size]
+        np.take(f, pos, axis=0, out=diff)
+        diff -= f[neg]
+        np.take(f, users, axis=0, out=f_users)
+        gaps += np.einsum("bd,bd->b", f_users, diff)
     l_bpr = float(np.mean(softplus(-gaps)))
-    if w_bpr != 0.0:
-        coef = (w_bpr / batch_size) * (expit(gaps) - 1.0)
-        if score_mode == "per_modality":
-            for m, f in reps.finals.items():
-                g = grads_final[m]
-                np.add.at(g, users, coef[:, None] * (f[pos] - f[neg]))
-                np.add.at(g, pos, coef[:, None] * f[users])
-                np.add.at(g, neg, -coef[:, None] * f[users])
-        else:
-            z = reps.fused
-            np.add.at(grad_fused, users, coef[:, None] * (z[pos] - z[neg]))
-            np.add.at(grad_fused, pos, coef[:, None] * z[users])
-            np.add.at(grad_fused, neg, -coef[:, None] * z[users])
+    if w_bpr == 0.0:
+        bpr_steps.clear()
+    coef = ((w_bpr / size) * (expit(gaps) - 1.0))[:, None]
+    for steps in bpr_steps.values():
+        steps[:size] *= coef
+        steps[size:2 * size] *= coef
+        np.negative(steps[size:2 * size], out=steps[2 * size:])
+    bpr_targets = np.concatenate([users, pos, neg])
 
-    # Virtual-triplet branch.
+    # (targets, steps) into the fused matrix: fused-mode BPR steps first.
+    fused = [(bpr_targets, bpr_steps.pop(None))] if None in bpr_steps else []
     l_vbpr = None
     if joint and virtual is not None:
         rows, weight = _virtual_rows(users, virtual, per_distinct_user)
         if rows.size:
-            l_vbpr = _virtual_loss(rows, weight, virtual, reps.fused,
-                                   num_users, w_v, wo_aggr, grad_fused)
+            l_vbpr, *scatter = _virtual_loss(
+                rows, weight, virtual, reps.fused, num_users, w_v, wo_aggr)
+            if w_v != 0.0:
+                fused.append(scatter)
 
     if not joint:
         l_total = l_bpr
@@ -202,27 +213,33 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
     report = LossReport(l_bpr=l_bpr, l_vbpr=l_vbpr if joint else None,
                         l_total=l_total, epoch=-1)
 
-    # Fusion backward, then the shared propagation/readout transpose.
-    if np.any(grad_fused):
-        share = grad_fused / len(reps.mask)
-        for m in reps.mask:
-            grads_final[m] += share
-    grads: dict[str, dict[str, np.ndarray]] = {}
-    for m, g in grads_final.items():
-        acc = g.copy()
-        cur = g
+    share = None
+    if fused:
+        targets, steps = (np.concatenate(parts) for parts in zip(*fused))
+        grad_fused = _selection(targets, len(reps.fused)) @ steps
+        if np.any(grad_fused):
+            share = grad_fused / len(reps.mask)
+    select = _selection(bpr_targets, len(reps.fused)) if bpr_steps else None
+    grads = {}
+    for m, f in reps.finals.items():
+        acc = (np.zeros_like(f) if select is None
+               else select @ bpr_steps.pop(m))
+        # Fusion backward, then the shared propagation/readout transpose.
+        if share is not None and m in reps.mask:
+            acc += share
+        layer = acc
         for _ in range(num_layers):
-            cur = prop.apply(cur)
-            acc += cur
+            layer = prop.apply(layer)
+            acc += layer
         if readout_mode == "mean":
             acc /= num_layers + 1
-        grads[m] = {"user": acc[:num_users], "item": acc[num_users:]}
+        grads[m] = acc
     return report, grads
 
 
 @dataclass
 class OptimizerState:
-    """Adam moments mirroring the embedding tables."""
+    """Adam moments mirroring the modality tables."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -236,31 +253,40 @@ class OptimizerState:
     @classmethod
     def for_state(cls, state, learning_rate: float,
                   weight_decay: float = 0.0) -> "OptimizerState":
-        m = {key: np.zeros_like(t) for key, t in state.param_items()}
-        v = {key: np.zeros_like(t) for key, t in state.param_items()}
+        m = {key: np.zeros_like(t) for key, t in state.tables.items()}
+        v = {key: np.zeros_like(t) for key, t in state.tables.items()}
         return cls(m=m, v=v, step=0, learning_rate=learning_rate,
                    weight_decay=weight_decay)
 
 
 def adam_step(state, opt: OptimizerState,
-              grads: dict[str, dict[str, np.ndarray]]) -> None:
-    """One in-place Adam update with bias correction."""
+              grads: dict[str, np.ndarray]) -> None:
+    """One in-place Adam update with bias correction. Every gradient is
+    checked before any table moves: a non-finite one raises and leaves
+    the tables and moments as they were."""
     opt.step += 1
     t = opt.step
+    for m in state.tables:
+        if not np.all(np.isfinite(grads[m])):
+            role = ("item" if np.all(np.isfinite(grads[m][:state.num_users]))
+                    else "user")
+            raise MdvtError(f"non-finite gradient for table {role}.{m} "
+                            f"at optimizer step {t}")
     bc1 = 1.0 - opt.beta1 ** t
     bc2 = 1.0 - opt.beta2 ** t
-    for key, param in state.param_items():
-        role, modality = key.split(".", 1)
-        g = grads[modality][role]
-        if not np.all(np.isfinite(g)):
-            raise MdvtError(f"non-finite gradient for table {key} "
-                            f"at optimizer step {t}")
+    # Two temporaries, reused by every table; each line computes what
+    # ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` does, in order.
+    a, b = (np.empty_like(next(iter(state.tables.values())))
+            for _ in range(2))
+    for key, param in state.tables.items():
+        g = grads[key]
         if opt.weight_decay:
-            g = g + opt.weight_decay * param
-        m = opt.m[key]
-        v = opt.v[key]
+            g = np.add(g, np.multiply(opt.weight_decay, param, out=a), out=a)
+        m, v = opt.m[key], opt.v[key]
         m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
+        m += np.multiply(1.0 - opt.beta1, g, out=b)
         v *= opt.beta2
-        v += (1.0 - opt.beta2) * np.square(g)
-        param -= opt.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        v += np.multiply(1.0 - opt.beta2, np.square(g, out=b), out=b)
+        np.multiply(opt.learning_rate, np.divide(m, bc1, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), opt.eps, out=b)
+        param -= np.divide(a, b, out=a)

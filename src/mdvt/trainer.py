@@ -154,6 +154,8 @@ class RunConfig:
                                 f"constructor {self.constructor!r}")
         if self.constructor == "interval" and self.n_floor is None:
             problems.append("interval constructor requires n_floor")
+        if self.modality_mask == ():
+            problems.append("modality_mask must name at least one modality")
         if 10 not in self.eval_ks:
             problems.append("eval_ks must include 10 (early-stopping metric)")
         return problems
@@ -696,7 +698,12 @@ def state_from_tables(tables: dict[str, np.ndarray], embed_dim: int
     for key, mat in tables.items():
         role, modality = key.split(".", 1)
         (user if role == "user" else item)[modality] = mat
-    if set(user) != set(item):
+    if not user or set(user) != set(item):
         raise CheckpointError("checkpoint tables are not paired per modality")
-    return backbone.EmbeddingState(user=user, item=item, init_seed=-1,
-                                   embed_dim=embed_dim)
+    (user_shape, item_shape), *others = {(user[m].shape, item[m].shape)
+                                         for m in user}
+    if others or user_shape[1] != embed_dim or item_shape[1] != embed_dim:
+        raise CheckpointError("checkpoint tables differ in shape")
+    return backbone.EmbeddingState(
+        tables={m: np.vstack([user[m], item[m]]) for m in user},
+        num_users=user_shape[0], init_seed=-1, embed_dim=embed_dim)

@@ -3,7 +3,9 @@
 The batched production paths (``evaluator.top_k``, ``triplet_forge.select``
 and ``refresh``, the virtual branch of ``objective.backward``) are checked
 against these loops: selections, rankings and metrics must match exactly,
-virtual losses and gradients to 1e-12. The strategy search, which forks
+virtual losses and gradients to 1e-12. ``objective.backward``'s
+selection-CSR scatters are checked bit for bit against
+``backward_add_at``, the same computation with ``np.add.at``. The strategy search, which forks
 its candidates off one shared warm-up trunk, is checked bit for bit
 against ``independent_search``, which trains every candidate from epoch 0.
 """
@@ -19,7 +21,7 @@ from scipy.special import expit
 
 from mdvt.dataset import Adjacency, PopularityTable
 from mdvt.errors import ConfigError, SelectionError, TrainingCollapseError
-from mdvt import warmup
+from mdvt import objective, warmup
 from mdvt.objective import softplus
 from mdvt.trainer import CandidateResult, SearchResult, train_run
 from mdvt.triplet_forge import SelectionParams, VirtualTripletSet
@@ -373,6 +375,130 @@ def virtual_branch_oracle(users: np.ndarray, virtual: VirtualTripletSet,
                       np.full((n_group, 1), -coef / n_group) * z[u])
     return acc / total, grad_fused
 
+
+
+# --- backward with np.add.at scatters --------------------------------------
+
+def _virtual_loss_add_at(rows, weight, virtual, z, num_users, w_v, wo_aggr,
+                         grad_fused) -> float:
+    """The batched virtual loss; adds ``w_v`` times its gradient to
+    ``grad_fused`` with one ordered ``np.add.at``."""
+    total = float(weight.sum())
+    pos, neg = virtual.positives.take(rows), virtual.negatives.take(rows)
+    users = virtual.users[rows]
+    lengths = pos.row_lengths
+    terms = np.empty(len(rows))
+    user_grad = np.empty((len(rows), z.shape[1]))
+    pair_coef = np.empty(len(pos.indices))
+    for n in np.unique(lengths):
+        sel = np.flatnonzero(lengths == n)
+        at = pos.indptr[sel, None] + np.arange(n)
+        zu = z[users[sel]]
+        zp = z[pos.indices[at] + num_users]
+        zn = z[neg.indices[at] + num_users]
+        if wo_aggr:
+            diff = zp - zn
+            gaps = np.matmul(diff, zu[:, :, None])[:, :, 0]
+            terms[sel] = weight[sel] * np.mean(softplus(-gaps), axis=1)
+            coef = (w_v * weight[sel] / (total * n))[:, None] * (
+                expit(gaps) - 1.0)
+            user_grad[sel] = np.matmul(coef[:, None, :], diff)[:, 0]
+            pair_coef[at] = coef
+        else:
+            delta = zp.mean(axis=1) - zn.mean(axis=1)
+            gap = np.matmul(zu[:, None, :], delta[:, :, None])[:, 0, 0]
+            terms[sel] = weight[sel] * softplus(-gap)
+            coef = (w_v * weight[sel] / total) * (expit(gap) - 1.0)
+            user_grad[sel] = coef[:, None] * delta
+            pair_coef[at] = (coef / n)[:, None]
+    if w_v != 0.0:
+        grad_fused[users] += user_grad
+        pair = np.arange(len(pair_coef))
+        to_pos = pair + np.repeat(pos.indptr[:-1], lengths)
+        to_neg = pair + np.repeat(pos.indptr[1:], lengths)
+        targets = np.empty(2 * len(pair), dtype=np.int64)
+        targets[to_pos] = pos.indices + num_users
+        targets[to_neg] = neg.indices + num_users
+        step = pair_coef[:, None] * z[np.repeat(users, lengths)]
+        steps = np.empty((2 * len(pair), z.shape[1]))
+        steps[to_pos] = step
+        steps[to_neg] = -step
+        np.add.at(grad_fused, targets, steps)
+    return float(np.cumsum(terms)[-1] / total)
+
+
+def backward_add_at(batch, virtual, reps, prop, *, lam, joint, num_layers,
+                    wo_aggr=False, wo_scale=False, score_mode="per_modality",
+                    readout_mode="sum", per_distinct_user=False):
+    """``objective.backward`` with every scatter an ``np.add.at`` into a
+    zeroed array, three per modality for the real triplets: the
+    reference its selection-CSR products must equal bit for bit.
+    Returns ``(LossReport, {modality: (V, d) gradient})``."""
+    w_bpr, w_v = objective._loss_weights(lam, joint, wo_scale)
+    num_users = reps.num_users
+    batch_size = len(batch)
+    users = batch.users
+    pos = batch.pos_items + num_users
+    neg = batch.neg_items + num_users
+    grads_final = {m: np.zeros_like(f) for m, f in reps.finals.items()}
+    grad_fused = np.zeros_like(reps.fused)
+
+    if score_mode == "per_modality":
+        gaps = np.zeros(batch_size)
+        for m, f in reps.finals.items():
+            gaps += np.einsum("bd,bd->b", f[users], f[pos] - f[neg])
+    else:
+        z = reps.fused
+        gaps = np.einsum("bd,bd->b", z[users], z[pos] - z[neg])
+    l_bpr = float(np.mean(softplus(-gaps)))
+    if w_bpr != 0.0:
+        coef = (w_bpr / batch_size) * (expit(gaps) - 1.0)
+        if score_mode == "per_modality":
+            for m, f in reps.finals.items():
+                g = grads_final[m]
+                np.add.at(g, users, coef[:, None] * (f[pos] - f[neg]))
+                np.add.at(g, pos, coef[:, None] * f[users])
+                np.add.at(g, neg, -coef[:, None] * f[users])
+        else:
+            z = reps.fused
+            np.add.at(grad_fused, users, coef[:, None] * (z[pos] - z[neg]))
+            np.add.at(grad_fused, pos, coef[:, None] * z[users])
+            np.add.at(grad_fused, neg, -coef[:, None] * z[users])
+
+    l_vbpr = None
+    if joint and virtual is not None:
+        rows, weight = objective._virtual_rows(users, virtual,
+                                               per_distinct_user)
+        if rows.size:
+            l_vbpr = _virtual_loss_add_at(rows, weight, virtual, reps.fused,
+                                          num_users, w_v, wo_aggr,
+                                          grad_fused)
+    if not joint:
+        l_total = l_bpr
+    elif l_vbpr is not None:
+        l_total = objective.combined_loss(
+            l_bpr, l_vbpr, lam, "wo_scale" if wo_scale else "default")
+    else:
+        l_total = w_bpr * l_bpr
+    report = objective.LossReport(l_bpr=l_bpr,
+                                  l_vbpr=l_vbpr if joint else None,
+                                  l_total=l_total, epoch=-1)
+
+    if np.any(grad_fused):
+        share = grad_fused / len(reps.mask)
+        for m in reps.mask:
+            grads_final[m] += share
+    grads = {}
+    for m, g in grads_final.items():
+        acc = g.copy()
+        cur = g
+        for _ in range(num_layers):
+            cur = prop.apply(cur)
+            acc += cur
+        if readout_mode == "mean":
+            acc /= num_layers + 1
+        grads[m] = acc
+    return report, grads
 
 
 # --- strategy search, one independent run per candidate ---------------------

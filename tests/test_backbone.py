@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import covered_random_records, make_set
-from mdvt.backbone import (Propagator, Representations,
-                           forward_pass, fuse, init_embeddings, propagate,
-                           readout, score_matrix)
+from mdvt.backbone import (EmbeddingState, Propagator, forward_pass,
+                           init_embeddings, score_matrix)
 from mdvt.dataset import ModalityBundle, build_graph
 from mdvt.errors import ConfigError, DataError
+from mdvt.trainer import RunConfig
 
 
 def id_bundle(num_items):
@@ -18,16 +18,28 @@ def feat_bundle(features):
                           num_items=features.shape[0])
 
 
+def state_of(tables, num_users):
+    """An EmbeddingState holding the given (V, d) tables."""
+    return EmbeddingState(tables=tables, num_users=num_users, init_seed=0,
+                          embed_dim=next(iter(tables.values())).shape[1])
+
+
 def make_reps(user_finals, item_finals, mask=None):
-    """Representations straight from explicit per-modality matrices."""
-    finals = {m: np.vstack([u, i])
+    """Representations straight from explicit per-modality matrices: a
+    zero-layer forward pass over them."""
+    tables = {m: np.vstack([u, i])
               for (m, u), i in zip(user_finals.items(),
                                    item_finals.values())}
-    mask = mask or tuple(finals)
     num_users = next(iter(user_finals.values())).shape[0]
-    return Representations(finals=finals, fused=fuse(finals, mask),
-                           caches={m: [f] for m, f in finals.items()},
-                           num_users=num_users, mask=mask)
+    return forward_pass(state_of(tables, num_users), None, 0,
+                        mask or tuple(tables))
+
+
+def final_of(x0, prop, num_layers, readout_mode="sum", num_users=1):
+    """The final representation of one id table ``x0`` (users first)."""
+    reps = forward_pass(state_of({"id": x0}, num_users), prop, num_layers,
+                        ("id",), readout_mode)
+    return reps.finals["id"]
 
 
 class TestInitEmbeddings:
@@ -70,22 +82,23 @@ class TestPropagate:
         graph = build_graph(make_set([(0, 0)], 1, 1))
         prop = Propagator(graph)
         x0 = np.array([[2.0], [5.0]])
-        cache = propagate(x0, prop, 1)
         # User picks up the item's layer-0 value and vice versa.
-        assert cache[1][0, 0] == pytest.approx(5.0)
-        assert cache[1][1, 0] == pytest.approx(2.0)
+        layer1 = final_of(x0, prop, 1) - x0
+        assert layer1[0, 0] == pytest.approx(5.0)
+        assert layer1[1, 0] == pytest.approx(2.0)
 
     def test_two_item_mean(self):
         graph = build_graph(make_set([(0, 0), (0, 1)], 1, 2))
         prop = Propagator(graph)
         x0 = np.array([[0.0], [4.0], [8.0]])
-        cache = propagate(x0, prop, 1)
-        assert cache[1][0, 0] == pytest.approx((4.0 + 8.0) / 2)
+        assert final_of(x0, prop, 1)[0, 0] == pytest.approx((4.0 + 8.0) / 2)
 
     def test_layer_zero_only(self):
         graph = build_graph(make_set([(0, 0)], 1, 1))
-        cache = propagate(np.ones((2, 3)), Propagator(graph), 0)
-        assert len(cache) == 1
+        x0 = np.ones((2, 3))
+        final = final_of(x0, Propagator(graph), 0)
+        assert np.array_equal(final, x0)
+        assert not np.shares_memory(final, x0)
 
     def test_matches_dense_operator(self, rng):
         # Oracle: explicit D^-1 A D^-1 (or the sqrt variant) built densely.
@@ -126,58 +139,68 @@ class TestPropagate:
         relabeled = sorted((u, int(perm[i])) for u, i in records)
         x_items = rng.normal(size=(ni, 2))
         x_users = rng.normal(size=(nu, 2))
-        base = propagate(np.vstack([x_users, x_items]),
-                         Propagator(build_graph(make_set(records, nu, ni))),
-                         2)[-1]
+        base = final_of(np.vstack([x_users, x_items]),
+                        Propagator(build_graph(make_set(records, nu, ni))),
+                        2, num_users=nu)
         x_items_p = np.empty_like(x_items)
         x_items_p[perm] = x_items
-        moved = propagate(np.vstack([x_users, x_items_p]),
-                          Propagator(build_graph(
-                              make_set(relabeled, nu, ni))), 2)[-1]
+        moved = final_of(np.vstack([x_users, x_items_p]),
+                         Propagator(build_graph(make_set(relabeled, nu, ni))),
+                         2, num_users=nu)
         assert np.allclose(base[:nu], moved[:nu], atol=1e-12)
         assert np.allclose(base[nu:], moved[nu + perm], atol=1e-12)
 
     def test_negative_layers_rejected(self):
-        graph = build_graph(make_set([(0, 0)], 1, 1))
-        with pytest.raises(ConfigError):
-            propagate(np.ones((2, 1)), Propagator(graph), -1)
+        # RunConfig rejects it; forward_pass no longer re-checks per call.
+        with pytest.raises(ConfigError, match="num_layers must be >= 0"):
+            RunConfig(num_layers=-1)
 
 
 class TestReadout:
+    def single_edge(self):
+        return Propagator(build_graph(make_set([(0, 0)], 1, 1)))
+
     def test_single_layer_identity(self):
-        x = np.array([[1.0, 2.0]])
-        assert np.array_equal(readout([x]), x)
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(final_of(x, self.single_edge(), 0), x)
 
     def test_sum_of_layers(self):
-        got = readout([np.array([[1.0]]), np.array([[0.5]])])
+        got = final_of(np.array([[1.0], [0.5]]), self.single_edge(), 1)
         assert got[0, 0] == pytest.approx(1.5)
 
     def test_mean_mode(self):
-        got = readout([np.array([[1.0]]), np.array([[0.5]])], mode="mean")
+        got = final_of(np.array([[1.0], [0.5]]), self.single_edge(), 1,
+                       readout_mode="mean")
         assert got[0, 0] == pytest.approx(0.75)
 
     def test_zero_layers_zero_readout(self):
-        got = readout([np.zeros((2, 2)), np.zeros((2, 2))])
+        got = final_of(np.zeros((2, 2)), self.single_edge(), 2)
         assert np.array_equal(got, np.zeros((2, 2)))
 
 
 class TestFuse:
     def test_single_modality_identity(self, rng):
         f = rng.normal(size=(4, 3))
-        assert np.array_equal(fuse({"id": f}, ("id",)), f)
+        reps = make_reps({"id": f[:1]}, {"id": f[1:]})
+        assert np.array_equal(reps.fused, f)
 
     def test_two_modality_mean(self):
-        finals = {"a": np.array([[1.0, 0.0]]), "b": np.array([[0.0, 1.0]])}
-        got = fuse(finals, ("a", "b"))
-        assert np.allclose(got, [[0.5, 0.5]])
+        reps = make_reps({"a": np.array([[1.0, 0.0]]),
+                          "b": np.array([[0.0, 1.0]])},
+                         {"a": np.zeros((1, 2)), "b": np.zeros((1, 2))})
+        assert np.allclose(reps.fused_users, [[0.5, 0.5]])
 
     def test_empty_mask_rejected(self):
-        with pytest.raises(ConfigError):
-            fuse({"id": np.zeros((1, 1))}, ())
+        # RunConfig rejects it; forward_pass no longer re-checks per call.
+        with pytest.raises(ConfigError, match="at least one modality"):
+            RunConfig(modality_mask=())
 
     def test_mask_selects_subset(self):
-        finals = {"a": np.full((1, 2), 2.0), "b": np.full((1, 2), 4.0)}
-        assert np.allclose(fuse(finals, ("b",)), 4.0)
+        reps = make_reps({"a": np.full((1, 2), 2.0),
+                          "b": np.full((1, 2), 4.0)},
+                         {"a": np.zeros((1, 2)), "b": np.zeros((1, 2))},
+                         mask=("b",))
+        assert np.allclose(reps.fused_users, 4.0)
 
 
 def user_scores(reps, user, mode="per_modality"):
@@ -242,11 +265,19 @@ class TestForwardPass:
         assert np.array_equal(reps.fused_users, state.user["id"])
         assert np.array_equal(reps.fused_items, state.item["id"])
 
-    def test_cache_retained_per_modality(self, rng):
+    @pytest.mark.parametrize("readout_mode", ["sum", "mean"])
+    def test_finals_are_layer_sums_per_modality(self, rng, readout_mode):
+        # Each modality's (V, d) table is propagated as it is; its final is
+        # x + Px + P(Px) (divided by L+1 for "mean"), added in that order.
         records = covered_random_records(rng, 3, 4, 3)
-        graph = build_graph(make_set(records, 3, 4))
+        prop = Propagator(build_graph(make_set(records, 3, 4)))
         feats = rng.normal(size=(4, 2)).astype(np.float32)
         state = init_embeddings(feat_bundle(feats), 3, 2, seed=3)
-        reps = forward_pass(state, Propagator(graph), 2, ("id", "visual"))
-        assert len(reps.caches["id"]) == 3
-        assert len(reps.caches["visual"]) == 3
+        reps = forward_pass(state, prop, 2, ("id", "visual"), readout_mode)
+        for m, table in state.tables.items():
+            assert table.shape == (7, 2)
+            want = table + prop.apply(table)
+            want += prop.apply(prop.apply(table))
+            if readout_mode == "mean":
+                want /= 3
+            assert np.array_equal(reps.finals[m], want)

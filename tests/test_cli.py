@@ -83,6 +83,14 @@ class TestPrepare:
             assert (bundle_a / name).read_bytes() == \
                 (bundle_b / name).read_bytes()
 
+    def test_negative_seed_exit_1(self, tmp_path, capsys):
+        inter = tmp_path / "toy.tsv"
+        write_interactions(inter)
+        assert main(["prepare", "--interactions", str(inter),
+                     "--out", str(tmp_path / "b"), "--seed", "-1"]) == 1
+        assert "seed" in single_error_line(capsys)
+        assert not (tmp_path / "b").exists()
+
     def test_missing_interactions_exit_2(self, tmp_path):
         assert main(["prepare", "--interactions",
                      str(tmp_path / "none.tsv"),

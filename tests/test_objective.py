@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,10 @@ from mdvt.dataset import ModalityBundle, TripletBatch, build_graph
 from mdvt.errors import ConfigError, MdvtError
 from mdvt.objective import (OptimizerState, adam_step, backward,
                             combined_loss, softplus)
+from mdvt.trainer import RunConfig
 from mdvt.triplet_forge import SelectionParams, refresh
-from oracles import (aggregate_virtual, bpr_loss, make_virtual,
-                     virtual_branch_oracle, virtual_bpr_loss)
+from oracles import (aggregate_virtual, backward_add_at, bpr_loss,
+                     make_virtual, virtual_branch_oracle, virtual_bpr_loss)
 
 LN2 = float(np.log(2.0))
 
@@ -171,8 +174,9 @@ class TestCombinedLoss:
         assert combined_loss(0.7, None, 0.3) == pytest.approx(0.7)
 
     def test_lambda_out_of_range(self):
-        with pytest.raises(ConfigError):
-            combined_loss(1.0, 0.5, 1.2)
+        # RunConfig rejects it; combined_loss no longer re-checks per batch.
+        with pytest.raises(ConfigError, match="lam must lie"):
+            RunConfig(lam=1.2)
 
 
 class TestBackwardValues:
@@ -206,9 +210,7 @@ class TestBackwardValues:
         assert base.l_vbpr == pytest.approx(ablt.l_vbpr, abs=1e-12)
         assert base.l_total == pytest.approx(ablt.l_total, abs=1e-12)
         for m in gbase:
-            for role in ("user", "item"):
-                assert np.allclose(gbase[m][role], gablt[m][role],
-                                   atol=1e-12)
+            assert np.allclose(gbase[m], gablt[m], atol=1e-12)
 
     def test_lambda_zero_matches_pure_bpr_gradients(self, rng):
         state, prop, _, reps, batch, virtual = make_instance(rng)
@@ -217,8 +219,7 @@ class TestBackwardValues:
         _, g_warm = backward(batch, None, reps, prop, lam=0.0, joint=False,
                              num_layers=1)
         for m in g_joint:
-            for role in ("user", "item"):
-                assert np.array_equal(g_joint[m][role], g_warm[m][role])
+            assert np.array_equal(g_joint[m], g_warm[m])
 
     def test_gradient_touches_only_reachable_tables(self, rng):
         # L=0: gradients live exactly on the batch/virtual vertices.
@@ -229,12 +230,10 @@ class TestBackwardValues:
         report, grads = backward(batch, None, reps, prop, lam=0.0,
                                  joint=False, num_layers=0)
         for m in grads:
-            touched_users = np.flatnonzero(
-                np.abs(grads[m]["user"]).sum(axis=1))
-            touched_items = np.flatnonzero(
-                np.abs(grads[m]["item"]).sum(axis=1))
-            assert set(touched_users.tolist()) <= {0}
-            assert set(touched_items.tolist()) <= {1, 2}
+            touched = np.flatnonzero(np.abs(grads[m]).sum(axis=1))
+            # Vertex rows: user 0, items 1 and 2 after the state's users.
+            nu = state.num_users
+            assert set(touched.tolist()) <= {0, nu + 1, nu + 2}
 
     def test_loss_gap_derivative_at_zero(self):
         # d softplus(-g)/dg at g=0 is -(1 - sigmoid(0)) = -0.5.
@@ -307,9 +306,7 @@ class TestAdam:
         return init_embeddings(bundle, 2, 2, seed=int(rng.integers(1e6)))
 
     def zero_grads(self, state):
-        return {m: {"user": np.zeros_like(state.user[m]),
-                    "item": np.zeros_like(state.item[m])}
-                for m in state.modalities}
+        return {m: np.zeros_like(t) for m, t in state.tables.items()}
 
     def test_zero_gradient_keeps_parameters(self, rng):
         state = self.make_state(rng)
@@ -324,7 +321,7 @@ class TestAdam:
         before = {k: t.copy() for k, t in state.param_items()}
         opt = OptimizerState.for_state(state, learning_rate=0.05)
         grads = self.zero_grads(state)
-        grads["id"]["user"][:] = 0.7
+        grads["id"][:state.num_users] = 0.7
         adam_step(state, opt, grads)
         delta = before["user.id"] - state.user["id"]
         assert np.allclose(delta, 0.05, rtol=1e-6)
@@ -337,7 +334,7 @@ class TestAdam:
             state = init_embeddings(bundle, 2, 2, seed=seed)
             opt = OptimizerState.for_state(state, learning_rate=0.01)
             grads = self.zero_grads(state)
-            grads["id"]["item"][:] = -0.3
+            grads["id"][state.num_users:] = -0.3
             for _ in range(5):
                 adam_step(state, opt, grads)
             results.append(state.item["id"].copy())
@@ -347,9 +344,34 @@ class TestAdam:
         state = self.make_state(rng)
         opt = OptimizerState.for_state(state, learning_rate=0.01)
         grads = self.zero_grads(state)
-        grads["id"]["user"][0, 0] = np.nan
+        grads["id"][0, 0] = np.nan
         with pytest.raises(MdvtError, match="user.id"):
             adam_step(state, opt, grads)
+
+
+    @pytest.mark.parametrize("modality", ["id", "visual"])
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_non_finite_gradient_moves_nothing(self, rng, modality, row):
+        # Every gradient is checked before any table or moment moves; an
+        # item row (-1) names the item table.
+        bundle = ModalityBundle(("id", "visual"),
+                                {"visual": rng.normal(size=(3, 2))},
+                                num_items=3)
+        state = init_embeddings(bundle, 2, 2, seed=int(rng.integers(1e6)))
+        opt = OptimizerState.for_state(state, learning_rate=0.01)
+        grads = {m: np.full_like(t, 0.5) for m, t in state.tables.items()}
+        adam_step(state, opt, grads)
+        before = [t.copy() for t in (*state.tables.values(),
+                                     *opt.m.values(), *opt.v.values())]
+        grads[modality][row, 1] = np.inf if row else np.nan
+        role = "user" if row == 0 else "item"
+        with pytest.raises(MdvtError,
+                           match=f"table {role}.{modality} at optimizer "
+                                 "step 2"):
+            adam_step(state, opt, grads)
+        after = [*state.tables.values(), *opt.m.values(), *opt.v.values()]
+        for want, got in zip(before, after):
+            assert np.array_equal(want, got)
 
 
 class TestOptionSwitches:
@@ -435,9 +457,7 @@ class TestOptionSwitches:
         state = init_embeddings(bundle, 2, 2, seed=8)
         opt = OptimizerState.for_state(state, learning_rate=0.01,
                                        weight_decay=0.1)
-        grads = {m: {"user": np.zeros_like(state.user[m]),
-                     "item": np.zeros_like(state.item[m])}
-                 for m in state.modalities}
+        grads = {m: np.zeros_like(t) for m, t in state.tables.items()}
         norm_before = np.linalg.norm(state.user["id"])
         for _ in range(20):
             adam_step(state, opt, grads)
@@ -474,8 +494,7 @@ class TestVirtualBranchOracle:
                 assert report.l_vbpr is None
                 continue
             assert abs(report.l_vbpr - want_loss) <= 1e-12
-            got = np.vstack([grads["id"]["user"], grads["id"]["item"]])
-            assert np.max(np.abs(got - want_grad)) <= 1e-12
+            assert np.max(np.abs(grads["id"] - want_grad)) <= 1e-12
 
     def test_uncovered_batch_has_no_virtual_loss(self, rng):
         state, prop, _, reps, batch, _ = make_instance(rng)
@@ -503,6 +522,55 @@ class TestVirtualBranchOracle:
         numeric = finite_difference(
             lambda s: total_loss(s, prop, batch, virtual, **options), state)
         assert max_relative_error(analytic, numeric) <= 1e-4
+
+
+class TestScatterOracle:
+    """``backward``'s selection-CSR scatters against ``np.add.at`` into
+    zeroed arrays (``oracles.backward_add_at``): losses and every gradient
+    bit for bit, on batches that repeat users and items."""
+
+    @pytest.mark.parametrize("norm", ["dual", "sym"])
+    @pytest.mark.parametrize("readout_mode", ["sum", "mean"])
+    @pytest.mark.parametrize("score_mode", ["per_modality", "fused"])
+    def test_matches_add_at(self, rng, norm, readout_mode, score_mode):
+        num_users, num_items = 7, 12
+        graph = build_graph(make_set(
+            bounded_records(rng, num_users, num_items, 6), num_users,
+            num_items))
+        prop = Propagator(graph, norm)
+        bundle = ModalityBundle(
+            ("id", "visual"),
+            {"visual": rng.normal(size=(num_items, 5)).astype(np.float32)},
+            num_items=num_items)
+        state = init_embeddings(bundle, num_users, 4, seed=3)
+        cases = 0
+        for layers, mask in ((0, ("id", "visual")), (1, ("visual",)),
+                             (2, ("id", "visual"))):
+            reps = forward_pass(state, prop, layers, mask, readout_mode)
+            batch = TripletBatch(
+                users=rng.integers(num_users, size=20),
+                pos_items=rng.integers(num_items, size=20),
+                neg_items=rng.integers(num_items, size=20))
+            virtual = random_virtual(rng, num_users, num_items, 3)
+            for vset, lam, wo_aggr, wo_scale, per_distinct_user in (
+                    itertools.product((None, virtual), (0.3, 1.0),
+                                      (False, True), (False, True),
+                                      (False, True))):
+                options = dict(
+                    lam=lam, joint=vset is not None, num_layers=layers,
+                    wo_aggr=wo_aggr, wo_scale=wo_scale,
+                    score_mode=score_mode, readout_mode=readout_mode,
+                    per_distinct_user=per_distinct_user)
+                got, grads = backward(batch, vset, reps, prop, **options)
+                want, want_grads = backward_add_at(batch, vset, reps, prop,
+                                                   **options)
+                assert (got.l_bpr, got.l_vbpr, got.l_total) == (
+                    want.l_bpr, want.l_vbpr, want.l_total)
+                assert grads.keys() == want_grads.keys()
+                for m, g in grads.items():
+                    assert g.tobytes() == want_grads[m].tobytes()
+                cases += 1
+        assert cases == 96
 
 
 class TestLossBounds:

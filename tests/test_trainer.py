@@ -319,6 +319,15 @@ class TestCheckpoint:
             got = rebuilt.user[m] if role == "user" else rebuilt.item[m]
             assert np.allclose(got, table, atol=1e-6)
 
+    def test_mismatched_tables_rejected(self):
+        good = {"user.id": np.zeros((2, 4)), "item.id": np.zeros((3, 4))}
+        for bad in ({}, {**good, "user.id": np.zeros((2, 5))},
+                    {**good, "user.v": np.zeros((1, 4)),
+                     "item.v": np.zeros((3, 4))}):
+            with pytest.raises(CheckpointError):
+                state_from_tables(bad, 4)
+        assert state_from_tables(good, 4).tables["id"].shape == (5, 4)
+
     def test_byte_stable(self, rng, tmp_path):
         bundle = make_bundle(rng, num_users=5, num_items=8, extra_edges=4)
         config = quick_config(max_epochs=2, patience=2)
@@ -350,6 +359,64 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+
+class TestStateViews:
+    """``user[m]``/``item[m]`` are views of the object's own ``tables[m]``
+    however a state was made; writing through them moves that object's
+    forward pass and nothing else."""
+
+    def check_own_views(self, state, other, prop):
+        untouched = {m: t.copy() for m, t in other.tables.items()}
+        for m in state.modalities:
+            for view in (state.user[m], state.item[m]):
+                assert np.shares_memory(view, state.tables[m])
+                assert not np.shares_memory(view, other.tables[m])
+            before = backbone.forward_pass(state, prop, 1,
+                                           state.modalities).finals[m]
+            state.user[m][0] += 1.0
+            state.item[m][-1] -= 1.0
+            after = backbone.forward_pass(state, prop, 1,
+                                          state.modalities).finals[m]
+            assert not np.array_equal(before[0], after[0])
+            assert not np.array_equal(before[-1], after[-1])
+        for m, table in other.tables.items():
+            assert np.array_equal(table, untouched[m])
+
+    def test_copy(self, rng):
+        bundle = make_bundle(rng)
+        prop = trainer.propagator(bundle, "dual")
+        state = trainer.TrainingRun(bundle, quick_config()).state
+        copied = state.copy()
+        self.check_own_views(copied, state, prop)
+        self.check_own_views(state, copied, prop)
+
+    def test_fork(self, rng):
+        bundle = make_bundle(rng)
+        trunk = trainer.TrainingRun(bundle, quick_config(
+            strategy="static", warmup_candidate=6))
+        trunk.step()
+        fork = trunk.fork(1)
+        self.check_own_views(fork.state, trunk.state, trunk.prop)
+        self.check_own_views(trunk.state, fork.state, trunk.prop)
+        for m in trunk.state.modalities:
+            assert not np.shares_memory(fork.opt.m[m], trunk.opt.m[m])
+        # Training the fork (a joint epoch) leaves the trunk where it was.
+        kept = tables(trunk.state), trunk.opt.step
+        fork.step()
+        assert (tables(trunk.state), trunk.opt.step) == kept
+        assert tables(fork.state) != kept[0]
+
+    def test_checkpoint(self, rng, tmp_path):
+        bundle = make_bundle(rng)
+        config = quick_config()
+        state = trainer.TrainingRun(bundle, config).state
+        save_checkpoint(tmp_path / "run.ckpt", state, config, "fp")
+        loaded = [state_from_tables(load_checkpoint(tmp_path / "run.ckpt")[2],
+                                    config.embed_dim) for _ in range(2)]
+        prop = trainer.propagator(bundle, config.norm)
+        self.check_own_views(loaded[0], loaded[1], prop)
+        self.check_own_views(loaded[1], state, prop)
 
 
 class TestEvaluateSplit:
