@@ -281,7 +281,8 @@ def cmd_eval(args) -> int:
             f"checkpoint was trained on a different bundle "
             f"(stored {stored_fp[:12]}, bundle {actual_fp[:12]})")
     bundle = load_bundle(args.bundle)
-    state = trainer.state_from_tables(tables, config.embed_dim)
+    state = trainer.state_from_tables(tables, config.embed_dim,
+                                      config.modality_mask)
     ks = tuple(sorted(set(args.k)))
     metrics = trainer.evaluate_split(state, bundle, config, "test",
                                      with_buckets=True, ks=ks)

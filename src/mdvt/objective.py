@@ -42,9 +42,8 @@ class LossReport:
 def combined_loss(l_bpr: float, l_vbpr: float | None, lam: float,
                   mode: str = "default") -> float:
     """Joint loss: (1-lambda)*bpr + lambda*vbpr, or bpr + lambda*vbpr when
-    the align-scale is ablated (``mode="wo_scale"``). A warm-up batch (no
-    virtual loss) is the plain bpr loss. ``RunConfig`` guarantees lambda
-    in [0, 1]."""
+    the align-scale is ablated (``mode="wo_scale"``); a warm-up batch (no
+    virtual loss) gives bpr. ``RunConfig`` guarantees lambda in [0, 1]."""
     if l_vbpr is None:
         return l_bpr
     if mode == "wo_scale":
@@ -56,9 +55,7 @@ def _loss_weights(lam: float, joint: bool, wo_scale: bool
                   ) -> tuple[float, float]:
     if not joint:
         return 1.0, 0.0
-    if wo_scale:
-        return 1.0, lam
-    return 1.0 - lam, lam
+    return (1.0 if wo_scale else 1.0 - lam), lam
 
 
 def _virtual_rows(users: np.ndarray, virtual: VirtualTripletSet,
@@ -224,9 +221,10 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
     for m, f in reps.finals.items():
         acc = (np.zeros_like(f) if select is None
                else select @ bpr_steps.pop(m))
-        # Fusion backward, then the shared propagation/readout transpose.
-        if share is not None and m in reps.mask:
-            acc += share
+        # Fusion backward once per mask entry, then propagation's transpose.
+        if share is not None:
+            for _ in range(reps.mask.count(m)):
+                acc += share
         layer = acc
         for _ in range(num_layers):
             layer = prop.apply(layer)

@@ -317,9 +317,7 @@ def propagator(bundle: DatasetBundle, norm: str) -> backbone.Propagator:
 
 def _mask_for(state: backbone.EmbeddingState,
               config: RunConfig) -> tuple[str, ...]:
-    if config.modality_mask is None:
-        return state.modalities
-    return config.modality_mask
+    return config.modality_mask or state.modalities
 
 
 def train_epoch(state: backbone.EmbeddingState,
@@ -690,9 +688,10 @@ def load_checkpoint(path: str | Path
             f"{path}: unreadable checkpoint ({exc!r})") from None
 
 
-def state_from_tables(tables: dict[str, np.ndarray], embed_dim: int
+def state_from_tables(tables: dict[str, np.ndarray], embed_dim: int,
+                      mask: tuple[str, ...] | None = None
                       ) -> backbone.EmbeddingState:
-    """Rebuild an EmbeddingState from checkpoint tables."""
+    """Rebuild an EmbeddingState from checkpoint tables that hold ``mask``."""
     user: dict[str, np.ndarray] = {}
     item: dict[str, np.ndarray] = {}
     for key, mat in tables.items():
@@ -704,6 +703,8 @@ def state_from_tables(tables: dict[str, np.ndarray], embed_dim: int
                                          for m in user}
     if others or user_shape[1] != embed_dim or item_shape[1] != embed_dim:
         raise CheckpointError("checkpoint tables differ in shape")
+    if missing := [m for m in mask or () if m not in user]:
+        raise CheckpointError(f"checkpoint lacks masked modalities {missing}")
     return backbone.EmbeddingState(
         tables={m: np.vstack([user[m], item[m]]) for m in user},
         num_users=user_shape[0], init_seed=-1, embed_dim=embed_dim)

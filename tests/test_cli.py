@@ -7,6 +7,7 @@ import pytest
 from mdvt.cli import main
 from mdvt.dataset import load_bundle, write_atomic, write_modality_features
 from mdvt.errors import DataError
+from mdvt.trainer import load_checkpoint, save_checkpoint, state_from_tables
 
 
 def write_interactions(path, num_users=12, num_items=10, per_user=4,
@@ -419,6 +420,23 @@ class TestEval:
             path.write_bytes(bytes(blob))
         assert main(["eval", "--bundle", str(bundle), "--checkpoint",
                      str(tmp_path / "run.ckpt")]) == 3
+
+    def test_masked_modality_missing_from_checkpoint_exit_3(self, tmp_path,
+                                                            capsys):
+        # The config hash covers only the config echo, not the tables.
+        bundle = prepare_bundle(tmp_path)
+        config = base_config(tmp_path, modality_mask=["id", "visual"])
+        assert main(["train", "--bundle", str(bundle), "--config",
+                     str(config), "--out", str(tmp_path / "run.json")]) == 0
+        ckpt = tmp_path / "run.ckpt"
+        run_config, fingerprint, tables = load_checkpoint(ckpt)
+        id_only = {k: v for k, v in tables.items() if k.endswith(".id")}
+        save_checkpoint(ckpt, state_from_tables(id_only, 4), run_config,
+                        fingerprint)
+        capsys.readouterr()
+        assert main(["eval", "--bundle", str(bundle), "--checkpoint",
+                     str(ckpt)]) == 3
+        assert "['visual']" in single_error_line(capsys)
 
     def test_same_checkpoint_identical_output(self, tmp_path, capsys):
         bundle = prepare_bundle(tmp_path)

@@ -545,7 +545,8 @@ class TestScatterOracle:
         state = init_embeddings(bundle, num_users, 4, seed=3)
         cases = 0
         for layers, mask in ((0, ("id", "visual")), (1, ("visual",)),
-                             (2, ("id", "visual"))):
+                             (2, ("id", "visual")),
+                             (1, ("id", "visual", "visual"))):
             reps = forward_pass(state, prop, layers, mask, readout_mode)
             batch = TripletBatch(
                 users=rng.integers(num_users, size=20),
@@ -570,7 +571,7 @@ class TestScatterOracle:
                 for m, g in grads.items():
                     assert g.tobytes() == want_grads[m].tobytes()
                 cases += 1
-        assert cases == 96
+        assert cases == 128
 
 
 class TestLossBounds:
