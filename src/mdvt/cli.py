@@ -18,9 +18,9 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__, trainer
-from .dataset import (bundle_fingerprint, load_bundle, load_interactions,
-                      load_modality_features, save_bundle, split_dataset,
-                      write_atomic, ModalityBundle)
+from .dataset import (load_bundle, load_interactions, load_modality_features,
+                      save_bundle, split_dataset, write_atomic,
+                      ModalityBundle)
 from .errors import CheckpointError, ConfigError, DataError, MdvtError
 from .trainer import RunConfig
 
@@ -168,8 +168,7 @@ def _execute_train(bundle_dir: str, config: RunConfig, out_path: str) -> dict:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(out, json.dumps(report, sort_keys=True, indent=2) + "\n")
     trainer.save_checkpoint(out.with_suffix(".ckpt"), result.best_state,
-                            result.best_config,
-                            bundle_fingerprint(bundle_dir))
+                            result.best_config, bundle.fingerprint)
     return report
 
 
@@ -202,6 +201,8 @@ def _summary_row(overrides: dict, config: RunConfig, report: dict,
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1 (got {args.workers})")
     base = _load_config(args.config)
     grid = _read_json(args.grid, "grid")
     if not isinstance(grid, dict) or not grid:
@@ -275,12 +276,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     config, stored_fp, tables = trainer.load_checkpoint(args.checkpoint)
-    actual_fp = bundle_fingerprint(args.bundle)
-    if stored_fp != actual_fp:
+    bundle = load_bundle(args.bundle)
+    if stored_fp != bundle.fingerprint:
         raise CheckpointError(
             f"checkpoint was trained on a different bundle "
-            f"(stored {stored_fp[:12]}, bundle {actual_fp[:12]})")
-    bundle = load_bundle(args.bundle)
+            f"(stored {stored_fp[:12]}, bundle {bundle.fingerprint[:12]})")
     state = trainer.state_from_tables(tables, config.embed_dim,
                                       config.modality_mask)
     ks = tuple(sorted(set(args.k)))

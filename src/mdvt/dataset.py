@@ -5,9 +5,12 @@ negative sampling, triplet batch streaming, and popularity counts.
 from __future__ import annotations
 
 import hashlib
+import io
+import itertools
 import json
 import logging
 import os
+import re
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -74,13 +77,15 @@ class Adjacency:
 
 @dataclass
 class InteractionSet:
-    """Deduplicated implicit-feedback records over dense user/item indices.
+    """Deduplicated implicit-feedback records over dense user/item indices:
+    record ``k`` is ``(users[k], items[k])``, both int64 arrays.
 
     Split views share ``num_users``/``num_items`` and the id tables of the
     full set, so indices are comparable across train/val/test.
     """
 
-    records: list[tuple[int, int]]
+    users: np.ndarray
+    items: np.ndarray
     num_users: int
     num_items: int
     user_ids: tuple[str, ...]
@@ -88,39 +93,32 @@ class InteractionSet:
     duplicates_dropped: int = 0
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    @cached_property
-    def user_array(self) -> np.ndarray:
-        return np.array([u for u, _ in self.records], dtype=np.int64)
-
-    @cached_property
-    def item_array(self) -> np.ndarray:
-        return np.array([i for _, i in self.records], dtype=np.int64)
+        return len(self.users)
 
     @cached_property
     def item_index(self) -> dict[str, int]:
         return {raw: k for k, raw in enumerate(self.item_ids)}
 
-    def view(self, records: list[tuple[int, int]]) -> "InteractionSet":
+    def view(self, users: np.ndarray, items: np.ndarray) -> "InteractionSet":
         """A subset sharing this set's id space."""
-        return InteractionSet(records, self.num_users, self.num_items,
+        return InteractionSet(users, items, self.num_users, self.num_items,
                               self.user_ids, self.item_ids)
 
     @cached_property
     def adjacency(self) -> Adjacency:
         """The records as a CSR; raises DataError on an index outside
         ``[0, num_users)`` / ``[0, num_items)``."""
-        users, items = self.user_array, self.item_array
-        for role, idx, bound in (("user", users, self.num_users),
-                                 ("item", items, self.num_items)):
+        for role, idx, bound in (("user", self.users, self.num_users),
+                                 ("item", self.items, self.num_items)):
             bad = (idx < 0) | (idx >= bound)
             if bad.any():
                 raise DataError(f"{role} index {int(idx[bad][0])} outside "
                                 f"[0, {bound})")
-        order = np.lexsort((items, users))
-        indptr = np.searchsorted(users[order], np.arange(self.num_users + 1))
-        return Adjacency(indptr, items[order])
+        # In range, (user, item) order is the order of these keys.
+        keys = np.sort(self.users * self.num_items + self.items)
+        users, items = np.divmod(keys, self.num_items)
+        indptr = np.searchsorted(users, np.arange(self.num_users + 1))
+        return Adjacency(indptr, items)
 
 
 @dataclass
@@ -141,8 +139,9 @@ class DatasetSplit:
     @cached_property
     def train_and_validation(self) -> Adjacency:
         """Train plus validation records as a CSR: the test ranking mask."""
-        return self.train.view(self.train.records
-                               + self.validation.records).adjacency
+        train, val = self.train, self.validation
+        return train.view(np.concatenate([train.users, val.users]),
+                          np.concatenate([train.items, val.items])).adjacency
 
     @property
     def num_users(self) -> int:
@@ -245,45 +244,78 @@ def load_interactions(path: str | Path) -> InteractionSet:
     """Parse a ``user<TAB>item`` text file into a dense-indexed set.
 
     Raw ids are remapped in first-appearance order. Duplicate pairs are
-    dropped and counted. Lines starting with ``#`` and blank lines are
-    ignored.
+    dropped and counted, each pair keeping its first occurrence. Lines
+    starting with ``#`` and blank lines are ignored, and each line is
+    stripped of surrounding whitespace.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"interactions file not found: {path}")
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    records: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    duplicates = 0
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise DataError(
-                    f"{path}:{lineno}: expected 'user<TAB>item', got {line!r}")
-            u = user_index.setdefault(parts[0], len(user_index))
-            i = item_index.setdefault(parts[1], len(item_index))
-            if (u, i) in seen:
-                duplicates += 1
-                continue
-            seen.add((u, i))
-            records.append((u, i))
-    if not records:
+    data = _read_bytes(path)
+    text = _decode(path, data)
+    if (_is_pair_lines(data) and not data.startswith(b"#")
+            and b"\n#" not in data
+            and (data.isascii() or not _OTHER_SPACE.search(text))):
+        # Nothing to strip or skip: every line is exactly two fields.
+        fields = text[:-1].replace("\n", "\t").split("\t")
+        user_raw, item_raw = fields[0::2], fields[1::2]
+    else:
+        user_raw, item_raw = _interaction_lines(path, text)
+    if not user_raw:
         raise DataError(f"{path}: no interaction records")
+    users, user_ids = _first_appearance(user_raw)
+    items, item_ids = _first_appearance(item_raw)
+    keys = users * len(item_ids) + items
+    ordered = np.sort(keys)
+    duplicates = int(np.count_nonzero(ordered[1:] == ordered[:-1]))
     if duplicates:
+        keep = np.sort(np.unique(keys, return_index=True)[1])
+        users, items = users[keep], items[keep]
         log.info("dropped %d duplicate interactions from %s", duplicates, path)
-    return InteractionSet(
-        records=records,
-        num_users=len(user_index),
-        num_items=len(item_index),
-        user_ids=tuple(user_index),
-        item_ids=tuple(item_index),
-        duplicates_dropped=duplicates,
-    )
+    return InteractionSet(users, items, len(user_ids), len(item_ids),
+                          user_ids, item_ids, duplicates_dropped=duplicates)
+
+
+# Whitespace that str.strip() removes, other than tab and newline.
+_OTHER_SPACE = re.compile(r"[^\S\t\n]")
+
+
+def _is_pair_lines(data: bytes) -> bool:
+    """Whether ``data`` is lines of two non-empty fields split by one tab,
+    each line ending in a newline, with no other byte below ``!`` (no
+    space, carriage return or other control byte)."""
+    if not data.endswith(b"\n"):
+        return False
+    raw = np.frombuffer(data, dtype=np.uint8)
+    cuts = np.flatnonzero(raw < 33)
+    # The last cut is the final newline, so alternation means pairs.
+    return bool(np.all(raw[cuts[0::2]] == 9) and np.all(raw[cuts[1::2]] == 10)
+                and np.all(np.diff(cuts, prepend=-1) > 1))
+
+
+def _interaction_lines(path: Path, text: str) -> tuple[list[str], list[str]]:
+    """The raw (user, item) ids of ``text``'s records, line by line: the
+    general path for comments, blank lines and surrounding whitespace."""
+    users, items = [], []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise DataError(
+                f"{path}:{lineno}: expected 'user<TAB>item', got {line!r}")
+        users.append(parts[0])
+        items.append(parts[1])
+    return users, items
+
+
+def _first_appearance(raw: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Dense indices of ``raw`` numbered in first-appearance order, and the
+    distinct ids in that order."""
+    index = dict(zip(dict.fromkeys(raw), itertools.count()))
+    return (np.fromiter(map(index.__getitem__, raw), dtype=np.int64,
+                        count=len(raw)), tuple(index))
 
 
 def split_dataset(interactions: InteractionSet, seed: int) -> DatasetSplit:
@@ -302,16 +334,11 @@ def split_dataset(interactions: InteractionSet, seed: int) -> DatasetSplit:
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_hold = int(round(0.1 * n))
-    records = interactions.records
-    test = [records[k] for k in perm[:n_hold]]
-    val = [records[k] for k in perm[n_hold:2 * n_hold]]
-    train = [records[k] for k in perm[2 * n_hold:]]
-    split = DatasetSplit(
-        train=interactions.view(train),
-        validation=interactions.view(val),
-        test=interactions.view(test),
-        split_seed=seed,
-    )
+    test, val, train = (
+        interactions.view(interactions.users[k], interactions.items[k])
+        for k in (perm[:n_hold], perm[n_hold:2 * n_hold], perm[2 * n_hold:]))
+    split = DatasetSplit(train=train, validation=val, test=test,
+                         split_seed=seed)
     if split.cold_users:
         log.warning("%d users have no train records after splitting",
                     len(split.cold_users))
@@ -379,8 +406,8 @@ def make_batches(train: InteractionSet, graph: InteractionGraph,
     neg_rng = negative_rng if negative_rng is not None else rng
     n = len(train)
     perm = rng.permutation(n)
-    users = train.user_array[perm]
-    items = train.item_array[perm]
+    users = train.users[perm]
+    items = train.items[perm]
     for start in range(0, n, batch_size):
         u = users[start:start + batch_size]
         p = items[start:start + batch_size]
@@ -390,8 +417,8 @@ def make_batches(train: InteractionSet, graph: InteractionGraph,
 
 def compute_popularity(train: InteractionSet) -> PopularityTable:
     """Train interaction counts per item and per user."""
-    item_counts = np.bincount(train.item_array, minlength=train.num_items)
-    user_counts = np.bincount(train.user_array, minlength=train.num_users)
+    item_counts = np.bincount(train.items, minlength=train.num_items)
+    user_counts = np.bincount(train.users, minlength=train.num_users)
     return PopularityTable(item_train_count=item_counts.astype(np.int64),
                            user_train_count=user_counts.astype(np.int64))
 
@@ -432,13 +459,20 @@ def load_modality_features(path: str | Path, modality: str, num_items: int,
     """Read and validate a feature matrix for ``modality``.
 
     Returns a float32 array with exactly ``num_items`` rows in dense item
-    order. Raises DataError on magic mismatch, row-count mismatch, or any
-    non-finite value.
+    order. Raises DataError on magic mismatch, row-count mismatch, a matrix
+    with no columns, any non-finite value, or a sidecar that is not UTF-8
+    or names an unknown or repeated item.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"feature file not found: {path}")
-    blob = path.read_bytes()
+    return _parse_features(path, _read_bytes(path), modality, num_items,
+                           item_index)
+
+
+def _parse_features(path: Path, blob: bytes, modality: str, num_items: int,
+                    item_index: dict[str, int] | None = None) -> np.ndarray:
+    """:func:`load_modality_features` on the bytes of ``path``."""
     if len(blob) < 16 or blob[:8] != FEATURE_MAGIC:
         raise DataError(f"{path}: bad magic for modality {modality!r}")
     rows, cols = struct.unpack("<II", blob[8:16])
@@ -446,6 +480,9 @@ def load_modality_features(path: str | Path, modality: str, num_items: int,
     if len(blob) != expected:
         raise DataError(f"{path}: expected {expected} bytes for "
                         f"{rows}x{cols}, got {len(blob)}")
+    if cols == 0:
+        raise DataError(f"{path}: no feature columns for modality "
+                        f"{modality!r}")
     mat = np.frombuffer(blob, dtype="<f4", offset=16).reshape(rows, cols)
     bad = np.argwhere(~np.isfinite(mat))
     if bad.size:
@@ -453,26 +490,34 @@ def load_modality_features(path: str | Path, modality: str, num_items: int,
         raise DataError(f"{path}: non-finite value at ({r}, {c}) "
                         f"in modality {modality!r}")
     sidecar = Path(str(path) + ".ids")
-    if sidecar.exists():
-        raw_ids = [ln for ln in sidecar.read_text(encoding="utf-8").splitlines()
-                   if ln]
-        if len(raw_ids) != rows:
-            raise DataError(f"{sidecar}: {len(raw_ids)} ids for {rows} rows")
-        if item_index is None:
-            raise DataError(f"{path}: sidecar present but no item id map given")
-        dense = np.full((num_items, cols), np.nan, dtype=np.float32)
-        for row, raw in enumerate(raw_ids):
-            if raw not in item_index:
-                raise DataError(f"{sidecar}: unknown item id {raw!r}")
-            dense[item_index[raw]] = mat[row]
-        missing = np.flatnonzero(np.isnan(dense[:, 0]))
-        if missing.size:
-            raise DataError(f"{path}: no feature row for {missing.size} items "
-                            f"(first dense index {int(missing[0])})")
-        return dense
-    if rows != num_items:
-        raise DataError(f"{path}: {rows} feature rows but {num_items} items")
-    return mat.copy()
+    if not sidecar.exists():
+        if rows != num_items:
+            raise DataError(f"{path}: {rows} feature rows but {num_items} "
+                            "items")
+        return mat.copy()
+    numbered = [(n, raw) for n, raw in enumerate(
+        _decode(sidecar, _read_bytes(sidecar)).splitlines(), start=1) if raw]
+    if len(numbered) != rows:
+        raise DataError(f"{sidecar}: {len(numbered)} ids for {rows} rows")
+    if item_index is None:
+        raise DataError(f"{path}: sidecar present but no item id map given")
+    dense_row = np.fromiter((item_index.get(raw, -1) for _, raw in numbered),
+                            dtype=np.int64, count=rows)
+    if (dense_row < 0).any():
+        raise DataError(f"{sidecar}: unknown item id "
+                        f"{numbered[int(np.argmax(dense_row < 0))][1]!r}")
+    repeated = np.ones(rows, dtype=bool)
+    repeated[np.unique(dense_row, return_index=True)[1]] = False
+    if repeated.any():
+        lineno, raw = numbered[int(np.argmax(repeated))]
+        raise DataError(f"{sidecar}:{lineno}: duplicate item id {raw!r}")
+    missing = np.setdiff1d(np.arange(num_items), dense_row)
+    if missing.size:
+        raise DataError(f"{path}: no feature row for {missing.size} items "
+                        f"(first dense index {int(missing[0])})")
+    dense = np.empty((num_items, cols), dtype=np.float32)
+    dense[dense_row] = mat
+    return dense
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +534,9 @@ class DatasetBundle:
     modalities: ModalityBundle
     popularity: PopularityTable
     stats: dict
+    # SHA-256 of the bundle files as load_bundle read them; a checkpoint
+    # stores it. Empty for a bundle built in memory.
+    fingerprint: str = ""
     # Propagation operators by norm mode, built once (trainer.propagator).
     propagators: dict = field(default_factory=dict, repr=False,
                               compare=False)
@@ -525,38 +573,53 @@ def _bundle_stats(split: DatasetSplit, modalities: ModalityBundle,
     }
 
 
-def _write_tsv(path: Path, records: list[tuple[int, int]]) -> None:
-    path.write_text("".join(f"{u}\t{i}\n" for u, i in records),
-                    encoding="utf-8")
+def _write_tsv(path: Path, part: InteractionSet) -> None:
+    # One format call over all pairs: half the time of a join of per-line
+    # formats, with the same bytes.
+    pairs = np.column_stack([part.users, part.items]).ravel().tolist()
+    path.write_text("%d\t%d\n" * len(part) % tuple(pairs), encoding="utf-8")
 
 
-def _read_text(path: Path) -> str:
-    """A bundle text file; DataError if missing, unreadable or not UTF-8."""
+def _read_bytes(path: Path) -> bytes:
+    """A file's bytes; DataError if missing or unreadable."""
     try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: "
-                        f"{exc.reason})") from None
+        return path.read_bytes()
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from None
 
 
-def _read_split(path: Path, base: InteractionSet) -> InteractionSet:
-    """A split TSV as a view of ``base``; building its CSR here checks
-    every index against the id tables. A repeated line is an error: it
-    would count its edge twice."""
-    lines = _read_text(path).splitlines()
-    records = []
-    for lineno, ln in enumerate(lines, start=1):
-        if not ln:
-            continue
+def _decode(path: Path, data: bytes) -> str:
+    """The bytes of ``path`` as reading it in text mode gives them: UTF-8
+    with universal newlines. DataError if they are not UTF-8."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: "
+                        f"{exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _read_split(path: Path, data: bytes, base: InteractionSet
+                ) -> InteractionSet:
+    """A split TSV's bytes as a view of ``base``; building its CSR here
+    checks every index against the id tables. A repeated line is an error:
+    it would count its edge twice.
+
+    Bytes that are only digits, one tab a line and newlines are parsed in
+    one pass. Any other file goes line by line, naming the first line that
+    is not two integers (as ``int`` reads them) within int64.
+    """
+    pairs = None
+    if not data.translate(None, b"0123456789\t\n") and _is_pair_lines(data):
         try:
-            u, i = ln.split("\t")
-            records.append((int(u), int(i)))
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: expected 'user<TAB>item' "
-                            f"indices, got {ln!r}") from None
-    part = base.view(records)
+            pairs = np.loadtxt(io.BytesIO(data), dtype=np.int64,
+                               delimiter="\t", comments=None, ndmin=2)
+        except ValueError:  # an index beyond int64: let the loop name it
+            pass
+    if pairs is None:
+        pairs = _split_lines(path, _decode(path, data).splitlines())
+    users, items = np.ascontiguousarray(pairs.T)
+    part = base.view(users, items)
     try:
         adj = part.adjacency
     except DataError as exc:
@@ -564,13 +627,36 @@ def _read_split(path: Path, base: InteractionSet) -> InteractionSet:
     keys = adj.entry_rows * part.num_items + adj.indices  # ascending
     if np.any(keys[1:] == keys[:-1]):
         seen = set()
-        for lineno, ln in enumerate(lines, start=1):
+        for lineno, ln in enumerate(_decode(path, data).splitlines(),
+                                    start=1):
             pair = tuple(map(int, ln.split("\t"))) if ln else None
             if pair and pair in seen:
                 raise DataError(f"{path}:{lineno}: duplicate interaction "
                                 f"(user {pair[0]}, item {pair[1]})")
             seen.add(pair)
     return part
+
+
+_INT64 = range(-2**63, 2**63)
+
+
+def _split_lines(path: Path, lines: list[str]) -> np.ndarray:
+    """``lines`` as an ``(n, 2)`` int64 array of (user, item), blank lines
+    skipped."""
+    records = []
+    for lineno, ln in enumerate(lines, start=1):
+        if not ln:
+            continue
+        try:
+            u, i = ln.split("\t")
+            pair = (int(u), int(i))
+            if pair[0] not in _INT64 or pair[1] not in _INT64:
+                raise ValueError
+            records.append(pair)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: expected 'user<TAB>item' "
+                            f"indices, got {ln!r}") from None
+    return np.array(records, dtype=np.int64).reshape(-1, 2)
 
 
 def save_bundle(out_dir: str | Path, split: DatasetSplit,
@@ -585,9 +671,9 @@ def save_bundle(out_dir: str | Path, split: DatasetSplit,
         "".join(f"{u}\n" for u in full.user_ids), encoding="utf-8")
     (out / "items.txt").write_text(
         "".join(f"{i}\n" for i in full.item_ids), encoding="utf-8")
-    _write_tsv(out / "train.tsv", split.train.records)
-    _write_tsv(out / "val.tsv", split.validation.records)
-    _write_tsv(out / "test.tsv", split.test.records)
+    _write_tsv(out / "train.tsv", split.train)
+    _write_tsv(out / "val.tsv", split.validation)
+    _write_tsv(out / "test.tsv", split.test)
     feat_dir = out / "features"
     if modalities.features:
         feat_dir.mkdir(exist_ok=True)
@@ -600,59 +686,65 @@ def save_bundle(out_dir: str | Path, split: DatasetSplit,
 
 
 def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
-    """Load a bundle written by :func:`save_bundle`."""
+    """Load a bundle written by :func:`save_bundle`, reading each file
+    once; the fingerprint is computed from the bytes read."""
     root = Path(bundle_dir)
     stats_path = root / "stats.json"
     if not stats_path.exists():
         raise DataError(f"not a dataset bundle (missing stats.json): {root}")
+    blobs: dict[str, bytes] = {}
+
+    def read(name: str) -> bytes:
+        blobs[name] = _read_bytes(root / name)
+        return blobs[name]
+
+    stats_text = _decode(stats_path, read("stats.json"))
     try:
-        stats = json.loads(stats_path.read_text(encoding="utf-8"))
+        stats = json.loads(stats_text)
         expected = (stats["num_users"], stats["num_items"])
         names = ["id"] + sorted(m for m in stats["modalities"] if m != "id")
+        if len(set(names)) < len(names):
+            raise ValueError(f"repeated modality in {names}")
         split_seed = stats["split_seed"]
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{stats_path}: malformed ({exc!r})") from None
-    user_ids = tuple(ln for ln in _read_text(root / "users.txt")
-                     .splitlines() if ln)
-    item_ids = tuple(ln for ln in _read_text(root / "items.txt")
-                     .splitlines() if ln)
+    user_ids, item_ids = (
+        tuple(ln for ln in _decode(root / name, read(name)).splitlines()
+              if ln)
+        for name in ("users.txt", "items.txt"))
     nu, ni = len(user_ids), len(item_ids)
     if (nu, ni) != expected:
         raise DataError(f"{root}: id tables disagree with stats.json")
-    base = InteractionSet([], nu, ni, user_ids, item_ids)
-    train, val, test = (_read_split(root / f"{name}.tsv", base)
-                        for name in ("train", "val", "test"))
-    split = DatasetSplit(train, val, test, split_seed=split_seed)
-    features = {}
-    for name in names:
-        if name == "id":
-            continue
-        features[name] = load_modality_features(
-            root / "features" / f"{name}.feat", name, ni)
-    modalities = ModalityBundle(tuple(names), features, num_items=ni)
+    empty = np.zeros(0, dtype=np.int64)
+    base = InteractionSet(empty, empty, nu, ni, user_ids, item_ids)
+    train, val, test = (
+        _read_split(root / name, read(name), base)
+        for name in ("train.tsv", "val.tsv", "test.tsv"))
+    features = {name: _parse_features(root / "features" / f"{name}.feat",
+                                      read(f"features/{name}.feat"), name, ni)
+                for name in names[1:]}
     return DatasetBundle(
-        split=split,
+        split=DatasetSplit(train, val, test, split_seed=split_seed),
+        modalities=ModalityBundle(tuple(names), features, num_items=ni),
         graph=build_graph(train),
-        modalities=modalities,
         popularity=compute_popularity(train),
         stats=stats,
+        fingerprint=_fingerprint(root, blobs),
     )
 
 
-def bundle_fingerprint(bundle_dir: str | Path) -> str:
+def _fingerprint(root: Path, blobs: dict[str, bytes]) -> str:
     """Identity hash of a bundle's content: stats.json, the split files,
-    the id tables and the feature files, in that order, each hashed as its
-    name, byte length and bytes."""
-    root = Path(bundle_dir)
-    if not (root / "stats.json").exists():
-        raise DataError(f"not a dataset bundle: {bundle_dir}")
+    the id tables and every ``features/*.feat`` file, in that order, each
+    hashed as its name, byte length and bytes. ``blobs`` holds the files
+    already read; the rest are read here."""
     names = ["stats.json", "train.tsv", "val.tsv", "test.tsv", "users.txt",
              "items.txt"]
     names += sorted(f"features/{p.name}"
                     for p in (root / "features").glob("*.feat"))
     digest = hashlib.sha256()
     for name in names:
-        data = (root / name).read_bytes()
+        data = blobs[name] if name in blobs else _read_bytes(root / name)
         digest.update(f"{name}\0{len(data)}\0".encode("utf-8") + data)
     return digest.hexdigest()
 

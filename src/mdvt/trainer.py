@@ -695,7 +695,7 @@ def state_from_tables(tables: dict[str, np.ndarray], embed_dim: int,
     user: dict[str, np.ndarray] = {}
     item: dict[str, np.ndarray] = {}
     for key, mat in tables.items():
-        role, modality = key.split(".", 1)
+        role, _, modality = key.partition(".")
         (user if role == "user" else item)[modality] = mat
     if not user or set(user) != set(item):
         raise CheckpointError("checkpoint tables are not paired per modality")

@@ -10,13 +10,21 @@ from mdvt.dataset import (DatasetBundle, DatasetSplit, InteractionSet,
 
 
 def make_set(records, num_users, num_items) -> InteractionSet:
+    """A set of ``(user, item)`` pairs with ids ``u<k>``/``i<k>``."""
+    users, items = np.array(records, dtype=np.int64).reshape(-1, 2).T
     return InteractionSet(
-        records=list(records),
+        users=users.copy(),
+        items=items.copy(),
         num_users=num_users,
         num_items=num_items,
         user_ids=tuple(f"u{k}" for k in range(num_users)),
         item_ids=tuple(f"i{k}" for k in range(num_items)),
     )
+
+
+def pairs_of(part: InteractionSet) -> list[tuple[int, int]]:
+    """A set's records as ``(user, item)`` tuples, in record order."""
+    return list(zip(part.users.tolist(), part.items.tolist()))
 
 
 def covered_random_records(rng, num_users, num_items, extra_edges):
@@ -37,8 +45,7 @@ def make_bundle(rng, num_users=6, num_items=8, extra_edges=6,
     """A tiny in-memory bundle with a fully covered train graph."""
     train_records = covered_random_records(rng, num_users, num_items,
                                            extra_edges)
-    full = make_set(train_records, num_users, num_items)
-    train = full.view(train_records)
+    train = make_set(train_records, num_users, num_items)
     seen = train.adjacency
     if val_records is None:
         val_records = []
@@ -58,8 +65,8 @@ def make_bundle(rng, num_users=6, num_items=8, extra_edges=6,
                     (u, int(free[int(rng.integers(len(free)))])))
     split = DatasetSplit(
         train=train,
-        validation=full.view(list(val_records)),
-        test=full.view(list(test_records)),
+        validation=make_set(val_records, num_users, num_items),
+        test=make_set(test_records, num_users, num_items),
         split_seed=0,
     )
     features = {}

@@ -1,5 +1,11 @@
 """One-user-at-a-time reference implementations.
 
+The interaction and split-file loaders (``dataset.load_interactions`` and
+``dataset._read_split``, which parse canonical files in one vectorised
+pass) are checked against ``load_interactions_loop`` and
+``read_split_loop``, the line-by-line loaders they replaced: the same
+records, ids and duplicate count, or the same error and message.
+
 The batched production paths (``evaluator.top_k``, ``triplet_forge.select``
 and ``refresh``, the virtual branch of ``objective.backward``) are checked
 against these loops: selections, rankings and metrics must match exactly,
@@ -15,16 +21,98 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections.abc import Collection
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
 from mdvt.dataset import Adjacency, PopularityTable
-from mdvt.errors import ConfigError, SelectionError, TrainingCollapseError
+from mdvt.errors import (ConfigError, DataError, SelectionError,
+                         TrainingCollapseError)
 from mdvt import objective, warmup
 from mdvt.objective import softplus
 from mdvt.trainer import CandidateResult, SearchResult, train_run
 from mdvt.triplet_forge import SelectionParams, VirtualTripletSet
+
+
+# --- text loaders, one line at a time --------------------------------------
+
+def _check_utf8(path: Path) -> None:
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: "
+                        f"{exc.reason})") from None
+
+
+def load_interactions_loop(path) -> tuple[list, tuple, tuple, int]:
+    """(records, user ids, item ids, duplicates dropped) of a raw
+    ``user<TAB>item`` file: each line stripped, blank and ``#`` lines
+    skipped, ids numbered on first appearance, repeated pairs dropped."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"interactions file not found: {path}")
+    _check_utf8(path)
+    user_index: dict[str, int] = {}
+    item_index: dict[str, int] = {}
+    records: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    duplicates = 0
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise DataError(
+                    f"{path}:{lineno}: expected 'user<TAB>item', got {line!r}")
+            u = user_index.setdefault(parts[0], len(user_index))
+            i = item_index.setdefault(parts[1], len(item_index))
+            if (u, i) in seen:
+                duplicates += 1
+                continue
+            seen.add((u, i))
+            records.append((u, i))
+    if not records:
+        raise DataError(f"{path}: no interaction records")
+    return records, tuple(user_index), tuple(item_index), duplicates
+
+
+def read_split_loop(path, num_users: int, num_items: int) -> list:
+    """The ``(user, item)`` records of a bundle split file. Errors, in
+    order: a line that is not two ``int``s within int64, then the first
+    user and then the first item index outside the id tables, then the
+    first repeated line."""
+    path = Path(path)
+    _check_utf8(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    records = []
+    for lineno, ln in enumerate(lines, start=1):
+        if not ln:
+            continue
+        try:
+            u, i = ln.split("\t")
+            pair = (int(u), int(i))
+        except ValueError:
+            pair = None
+        if pair is None or not all(-2**63 <= v < 2**63 for v in pair):
+            raise DataError(f"{path}:{lineno}: expected 'user<TAB>item' "
+                            f"indices, got {ln!r}")
+        records.append(pair)
+    for role, k, bound in (("user", 0, num_users), ("item", 1, num_items)):
+        bad = [r[k] for r in records if not 0 <= r[k] < bound]
+        if bad:
+            raise DataError(f"{path}: {role} index {bad[0]} outside "
+                            f"[0, {bound})")
+    seen = set()
+    for lineno, ln in enumerate(lines, start=1):
+        pair = tuple(map(int, ln.split("\t"))) if ln else None
+        if pair and pair in seen:
+            raise DataError(f"{path}:{lineno}: duplicate interaction "
+                            f"(user {pair[0]}, item {pair[1]})")
+        seen.add(pair)
+    return records
 
 
 # --- virtual sets as {user: (positives, negatives)} ------------------------

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from mdvt.dataset import (DatasetBundle, DatasetSplit, InteractionSet,
-                          ModalityBundle, build_graph, compute_popularity)
+from conftest import make_set
+from mdvt.dataset import (DatasetBundle, DatasetSplit, ModalityBundle,
+                          build_graph, compute_popularity)
 
 
 def planted_bundle(seed: int, num_users: int = 200, num_items: int = 100,
@@ -41,18 +42,13 @@ def planted_bundle(seed: int, num_users: int = 200, num_items: int = 100,
         for i in picks[train_per_user + val_per_user:]:
             test.append((u, int(i)))
 
-    full = InteractionSet(
-        records=train + val + test,
-        num_users=num_users,
-        num_items=num_items,
-        user_ids=tuple(f"u{k}" for k in range(num_users)),
-        item_ids=tuple(f"i{k}" for k in range(num_items)),
-    )
-    split = DatasetSplit(train=full.view(train), validation=full.view(val),
-                         test=full.view(test), split_seed=seed)
+    split = DatasetSplit(train=make_set(train, num_users, num_items),
+                         validation=make_set(val, num_users, num_items),
+                         test=make_set(test, num_users, num_items),
+                         split_seed=seed)
     modalities = ModalityBundle(("id", "visual"), {"visual": features},
                                 num_items=num_items)
-    n_total = len(full.records)
+    n_total = len(train) + len(val) + len(test)
     return DatasetBundle(
         split=split,
         graph=build_graph(split.train),

@@ -97,6 +97,43 @@ class TestPrepare:
                      str(tmp_path / "none.tsv"),
                      "--out", str(tmp_path / "b")]) == 2
 
+    def test_non_utf8_interactions_exit_2(self, tmp_path, capsys):
+        inter = tmp_path / "x.tsv"
+        inter.write_bytes(b"\xff\xfeu1\ti1\n")
+        assert main(["prepare", "--interactions", str(inter),
+                     "--out", str(tmp_path / "b")]) == 2
+        assert "x.tsv: not UTF-8" in single_error_line(capsys)
+
+    def prepare_with_sidecar(self, tmp_path, matrix, sidecar: bytes):
+        inter = tmp_path / "toy.tsv"
+        num_items = write_interactions(inter)
+        feat = tmp_path / "visual.feat"
+        write_modality_features(feat, matrix(num_items))
+        (tmp_path / "visual.feat.ids").write_bytes(sidecar)
+        return main(["prepare", "--interactions", str(inter),
+                     "--feature", f"visual={feat}",
+                     "--out", str(tmp_path / "b")])
+
+    def test_non_utf8_sidecar_exit_2(self, tmp_path, capsys):
+        ids = "".join(f"item{i}\n" for i in range(9)).encode() + b"\xff\n"
+        assert self.prepare_with_sidecar(
+            tmp_path, lambda n: np.ones((n, 2), np.float32), ids) == 2
+        assert "visual.feat.ids: not UTF-8" in single_error_line(capsys)
+
+    def test_zero_column_features_exit_2(self, tmp_path, capsys):
+        ids = "".join(f"item{i}\n" for i in range(10)).encode()
+        assert self.prepare_with_sidecar(
+            tmp_path, lambda n: np.ones((n, 0), np.float32), ids) == 2
+        assert "no feature columns" in single_error_line(capsys)
+
+    def test_repeated_sidecar_id_exit_2(self, tmp_path, capsys):
+        ids = "".join(f"item{i}\n" for i in (0, 1, 2, 1, 4, 5, 6, 7, 8, 9))
+        assert self.prepare_with_sidecar(
+            tmp_path, lambda n: np.ones((n, 2), np.float32),
+            ids.encode()) == 2
+        assert "visual.feat.ids:4: duplicate item id 'item1'" in \
+            single_error_line(capsys)
+
 
 class TestTrain:
     def test_report_schema_and_checkpoint(self, tmp_path):
@@ -326,6 +363,17 @@ class TestSweep:
         resumed = {row["config_hash"]: row["resumed"] for row in summary}
         assert resumed == {torn.stem[5:]: False, kept.stem[5:]: True}
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lam": [0.1]}), encoding="utf-8")
+        assert main(["sweep", "--bundle", str(tmp_path / "none"),
+                     "--config", str(base_config(tmp_path)),
+                     "--grid", str(grid), "--out", str(tmp_path / "s"),
+                     "--workers", workers]) == 1
+        assert "--workers" in single_error_line(capsys)
+        assert not (tmp_path / "s").exists()
+
     def test_empty_grid_exit_1(self, tmp_path):
         bundle = prepare_bundle(tmp_path)
         config = base_config(tmp_path)
@@ -477,8 +525,10 @@ class TestMalformedFiles:
         assert self.train(tmp_path, bundle) == 2
         assert "train.tsv" in single_error_line(capsys)
 
-    @pytest.mark.parametrize("text", ["{not json", "[]",
-                                      '{"num_users": 12, "num_items": 10}'])
+    @pytest.mark.parametrize("text", [
+        "{not json", "[]", '{"num_users": 12, "num_items": 10}',
+        '{"num_users": 12, "num_items": 10, "split_seed": 7, '
+        '"modalities": ["visual", "visual"]}'])
     def test_malformed_stats_json_exit_2(self, tmp_path, capsys, text):
         bundle = prepare_bundle(tmp_path)
         (bundle / "stats.json").write_text(text, encoding="utf-8")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_set
+from conftest import make_set, pairs_of
 from mdvt.dataset import (FEATURE_MAGIC, build_graph, compute_popularity,
                           load_interactions, load_modality_features,
                           make_batches, sample_negatives, split_dataset,
@@ -48,14 +48,14 @@ class TestLoadInteractions:
         got = load_interactions(path)
         assert got.user_ids == ("b", "a")
         assert got.item_ids == ("y", "x")
-        assert got.records[0] == (0, 0)
+        assert pairs_of(got) == [(0, 0), (1, 1), (0, 1)]
 
     def test_remap_stable_across_runs(self, tmp_path):
         path = write_lines(tmp_path, ["b\ty", "a\tx", "c\tz"])
         first = load_interactions(path)
         second = load_interactions(path)
         assert first.user_ids == second.user_ids
-        assert first.records == second.records
+        assert pairs_of(first) == pairs_of(second)
 
 
 class TestSplitDataset:
@@ -72,9 +72,9 @@ class TestSplitDataset:
         full = make_set([(k % 4, k % 6) for k in range(20)], 4, 6)
         a = split_dataset(full, seed=7)
         b = split_dataset(full, seed=7)
-        assert a.train.records == b.train.records
-        assert a.validation.records == b.validation.records
-        assert a.test.records == b.test.records
+        assert pairs_of(a.train) == pairs_of(b.train)
+        assert pairs_of(a.validation) == pairs_of(b.validation)
+        assert pairs_of(a.test) == pairs_of(b.test)
 
     def test_too_small_rejected(self):
         full = make_set([(k % 3, k % 3) for k in range(9)], 3, 3)
@@ -85,9 +85,9 @@ class TestSplitDataset:
         records = [(u, i) for u in range(6) for i in range(9)]
         full = make_set(records, 6, 9)
         split = split_dataset(full, seed=11)
-        train = set(split.train.records)
-        val = set(split.validation.records)
-        test = set(split.test.records)
+        train = set(pairs_of(split.train))
+        val = set(pairs_of(split.validation))
+        test = set(pairs_of(split.test))
         assert train | val | test == set(records)
         assert not train & val and not train & test and not val & test
 
@@ -99,7 +99,7 @@ class TestSplitDataset:
         found = False
         for seed in range(40):
             split = split_dataset(full, seed)
-            trained = {u for u, _ in split.train.records}
+            trained = set(split.train.users.tolist())
             if 5 not in trained:
                 assert 5 in split.cold_users
                 found = True
@@ -265,7 +265,7 @@ class TestSampleNegative:
                for b in make_batches(train, graph, batch_size,
                                      np.random.default_rng(10), neg_rng)]
         ref_rng = np.random.default_rng(11)
-        users = train.user_array[np.random.default_rng(10)
+        users = train.users[np.random.default_rng(10)
                                  .permutation(len(train))]
         want = [scalar_negatives(users[k:k + batch_size], records, ni,
                                  ref_rng)
@@ -280,7 +280,7 @@ class TestSampleNegative:
         got = [b.neg_items.tolist()
                for b in make_batches(train, build_graph(train), 50, rng)]
         ref = np.random.default_rng(4)
-        users = train.user_array[ref.permutation(len(train))]
+        users = train.users[ref.permutation(len(train))]
         want = [scalar_negatives(users[k:k + 50], records, ni, ref)
                 for k in range(0, len(users), 50)]
         assert got == want
@@ -305,7 +305,7 @@ class TestMakeBatches:
 
     def test_deterministic_order(self):
         train = make_set([(k % 4, k % 6) for k in range(12)], 4, 6)
-        train = make_set(sorted(set(train.records)), 4, 6)
+        train = make_set(sorted(set(pairs_of(train))), 4, 6)
         graph = build_graph(train)
         a = [(b.users.tolist(), b.pos_items.tolist(), b.neg_items.tolist())
              for b in make_batches(train, graph, 4,

@@ -323,7 +323,9 @@ class TestCheckpoint:
         good = {"user.id": np.zeros((2, 4)), "item.id": np.zeros((3, 4))}
         for bad in ({}, {**good, "user.id": np.zeros((2, 5))},
                     {**good, "user.v": np.zeros((1, 4)),
-                     "item.v": np.zeros((3, 4))}):
+                     "item.v": np.zeros((3, 4))},
+                    {**good, "user_v": np.zeros((2, 4))},
+                    {**good, "role.v": np.zeros((2, 4))}):
             with pytest.raises(CheckpointError):
                 state_from_tables(bad, 4)
         assert state_from_tables(good, 4).tables["id"].shape == (5, 4)

@@ -276,7 +276,7 @@ class TestRefresh:
     def test_deterministic_for_fixed_reps(self, rng):
         reps, train = small_reps(rng)
         params = SelectionParams(constructor="topn", n=2)
-        users = sorted({u for u, _ in train.records})
+        users = np.unique(train.users).tolist()
         seen = train.adjacency
         a = refresh(reps, params, 3, users, seen_items=seen)
         b = refresh(reps, params, 3, users, seen_items=seen)
@@ -286,7 +286,7 @@ class TestRefresh:
     def test_seen_items_excluded_from_positives(self, rng):
         reps, train = small_reps(rng)
         params = SelectionParams(constructor="topn", n=2)
-        users = sorted({u for u, _ in train.records})
+        users = np.unique(train.users).tolist()
         seen = train.adjacency
         vset = refresh(reps, params, 0, users, seen_items=seen)
         for u, (pos, _) in groups_of(vset).items():
@@ -294,7 +294,7 @@ class TestRefresh:
 
     def test_include_seen_flag_disables_exclusion(self, rng):
         reps, train = small_reps(rng)
-        users = sorted({u for u, _ in train.records})
+        users = np.unique(train.users).tolist()
         seen = train.adjacency
         include = refresh(reps, SelectionParams(constructor="topn", n=2,
                                                 include_seen=True),
@@ -306,7 +306,7 @@ class TestRefresh:
 
     def test_dump_format(self, rng, tmp_path):
         reps, train = small_reps(rng)
-        users = sorted({u for u, _ in train.records})
+        users = np.unique(train.users).tolist()
         vset = refresh(reps, SelectionParams(constructor="topn", n=2), 0,
                        users, seen_items=train.adjacency)
         out = tmp_path / "virtual.tsv"
