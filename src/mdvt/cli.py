@@ -121,8 +121,7 @@ def cmd_prepare(args) -> int:
 
 def build_run_report(bundle_stats: dict, config: RunConfig,
                      warnings: list[str], result: trainer.SearchResult,
-                     val_metrics, test_metrics,
-                     wall_clock: float) -> dict:
+                     test_metrics, wall_clock: float) -> dict:
     return {
         "tool_version": __version__,
         "config": config.to_dict(),
@@ -141,7 +140,7 @@ def build_run_report(bundle_stats: dict, config: RunConfig,
         },
         "history": result.best_history.to_dict(),
         "metrics": {
-            "validation": val_metrics.to_dict(),
+            "validation": result.best_validation.to_dict(),
             "test": test_metrics.to_dict(),
         },
         "wall_clock_seconds": wall_clock,
@@ -155,14 +154,11 @@ def _execute_train(bundle_dir: str, config: RunConfig, out_path: str) -> dict:
     for message in warnings:
         log.warning("config: %s", message)
     result = trainer.run_strategy_search(bundle, config)
-    val_metrics = trainer.evaluate_split(result.best_state, bundle,
-                                         result.best_config, "validation",
-                                         with_buckets=True)
     test_metrics = trainer.evaluate_split(result.best_state, bundle,
                                           result.best_config, "test",
                                           with_buckets=True)
     report = build_run_report(bundle.stats, config, warnings, result,
-                              val_metrics, test_metrics,
+                              test_metrics,
                               time.perf_counter() - start)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -23,6 +23,11 @@ from .dataset import TripletBatch
 from .errors import MdvtError
 from .triplet_forge import VirtualTripletSet
 
+# Rows per block of the row-blocked passes (Adam, and the local step's
+# row add): 512 rows of 64 float64 columns are 256 KiB per array, so a
+# block's arrays stay in a core's L2 cache through all of its passes.
+ROW_BLOCK = 512
+
 
 def softplus(x: np.ndarray) -> np.ndarray:
     """log(1 + exp(x)) without overflow; -log(sigmoid(g)) == softplus(-g)."""
@@ -73,20 +78,24 @@ def _virtual_rows(users: np.ndarray, virtual: VirtualTripletSet,
 
 
 def _virtual_loss(rows: np.ndarray, weight: np.ndarray,
-                  virtual: VirtualTripletSet, z: np.ndarray, num_users: int,
+                  virtual: VirtualTripletSet, reps: Representations,
                   w_v: float, wo_aggr: bool
                   ) -> tuple[float, np.ndarray, np.ndarray]:
     """Weighted mean virtual loss of ``rows``, and ``(targets, steps)``:
-    ``w_v`` times its gradient w.r.t. ``z`` as steps into vertex rows.
+    ``w_v`` times its gradient w.r.t. ``reps.fused`` as steps into its
+    rows.
 
     Rows of one group length are computed together. Stacked matrix
     products keep each user's sums in the order of a one-user product, and
     the steps into items come users ascending, each user's positives then
     its negatives, so scattering them in order equals a one-user loop.
     """
+    z = reps.fused
     total = float(weight.sum())
     pos, neg = virtual.positives.take(rows), virtual.negatives.take(rows)
-    users = virtual.users[rows]
+    users = reps.locate(virtual.users[rows])
+    pos_rows = reps.locate(pos.indices + reps.num_users)
+    neg_rows = reps.locate(neg.indices + reps.num_users)
     lengths = pos.row_lengths
     terms = np.empty(len(rows))
     user_grad = np.empty((len(rows), z.shape[1]))
@@ -95,8 +104,8 @@ def _virtual_loss(rows: np.ndarray, weight: np.ndarray,
         sel = np.flatnonzero(lengths == n)
         at = pos.indptr[sel, None] + np.arange(n)
         zu = z[users[sel]]
-        zp = z[pos.indices[at] + num_users]
-        zn = z[neg.indices[at] + num_users]
+        zp = z[pos_rows[at]]
+        zn = z[neg_rows[at]]
         if wo_aggr:
             diff = zp - zn
             gaps = np.matmul(diff, zu[:, :, None])[:, :, 0]
@@ -117,8 +126,8 @@ def _virtual_loss(rows: np.ndarray, weight: np.ndarray,
     to_pos = pair + np.repeat(pos.indptr[:-1], lengths)
     to_neg = pair + np.repeat(pos.indptr[1:], lengths)
     targets = np.empty(2 * len(pair), dtype=np.int64)
-    targets[to_pos] = pos.indices + num_users
-    targets[to_neg] = neg.indices + num_users
+    targets[to_pos] = pos_rows
+    targets[to_neg] = neg_rows
     step = pair_coef[:, None] * z[np.repeat(users, lengths)]
     steps = np.empty((2 * len(pair), z.shape[1]))
     steps[to_pos] = step
@@ -127,6 +136,23 @@ def _virtual_loss(rows: np.ndarray, weight: np.ndarray,
     return (float(np.cumsum(terms)[-1] / total),
             np.concatenate([users, targets]),
             np.concatenate([user_grad, steps]))
+
+
+def batch_vertices(batch: TripletBatch, virtual: VirtualTripletSet | None,
+                   num_users: int, num_vertices: int) -> np.ndarray:
+    """The vertex ids, ascending, whose final representations ``backward``
+    reads for ``batch``: its users, positives and negatives and, with a
+    virtual set, the virtual positives and negatives of its covered users.
+    """
+    read = np.zeros(num_vertices, dtype=bool)
+    read[batch.users] = True
+    read[batch.pos_items + num_users] = True
+    read[batch.neg_items + num_users] = True
+    if virtual is not None:
+        rows, _ = _virtual_rows(batch.users, virtual, False)
+        read[virtual.positives.take(rows).indices + num_users] = True
+        read[virtual.negatives.take(rows).indices + num_users] = True
+    return np.flatnonzero(read)
 
 
 def _selection(targets: np.ndarray, num_rows: int) -> sp.csr_matrix:
@@ -156,12 +182,16 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
     (and the virtual groups) through the propagation neighborhoods are
     nonzero. Each scatter is one selection-CSR product (``_selection``).
     d(-log sigmoid(g))/dg = -(1 - sigmoid(g)).
+
+    ``reps`` may be compact (``forward_pass(..., rows=batch_vertices(...))``):
+    the scatters then fill its rows only, and ``_spread`` fans them out to
+    the whole table, giving the full pass's gradients bit for bit.
     """
     w_bpr, w_v = _loss_weights(lam, joint, wo_scale)
     num_users, size = reps.num_users, len(batch)
-    users = batch.users
-    pos = batch.pos_items + num_users
-    neg = batch.neg_items + num_users
+    users = reps.locate(batch.users)
+    pos = reps.locate(batch.pos_items + num_users)
+    neg = reps.locate(batch.neg_items + num_users)
 
     # Real-triplet branch, per modality or on the fused matrix: one block of
     # steps each, in batch order: c*(f[pos]-f[neg]) into the users, c*f[u]
@@ -192,10 +222,10 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
     fused = [(bpr_targets, bpr_steps.pop(None))] if None in bpr_steps else []
     l_vbpr = None
     if joint and virtual is not None:
-        rows, weight = _virtual_rows(users, virtual, per_distinct_user)
+        rows, weight = _virtual_rows(batch.users, virtual, per_distinct_user)
         if rows.size:
-            l_vbpr, *scatter = _virtual_loss(
-                rows, weight, virtual, reps.fused, num_users, w_v, wo_aggr)
+            l_vbpr, *scatter = _virtual_loss(rows, weight, virtual, reps,
+                                             w_v, wo_aggr)
             if w_v != 0.0:
                 fused.append(scatter)
 
@@ -225,14 +255,44 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
         if share is not None:
             for _ in range(reps.mask.count(m)):
                 acc += share
-        layer = acc
-        for _ in range(num_layers):
-            layer = prop.apply(layer)
-            acc += layer
+        if reps.rows is None:
+            layer = acc
+            for _ in range(num_layers):
+                layer = prop.apply(layer)
+                acc += layer
+        else:
+            acc = _spread(acc, reps, prop, num_layers)
         if readout_mode == "mean":
             acc /= num_layers + 1
         grads[m] = acc
     return report, grads
+
+
+def _spread(acc: np.ndarray, reps: Representations, prop: Propagator,
+            num_layers: int) -> np.ndarray:
+    """The whole-table layer sum of compact-row gradients ``acc``: what
+    the full pass computes from ``acc`` scattered into zeros, bit for bit.
+
+    The first propagation is ``block.T @ acc``. The operator is exactly
+    symmetric (each weight reads ``deg[r] * deg[c]``, which commutes), and
+    the CSC product adds each output row's terms in ascending vertex
+    order: the CSR row's order less its ``+0.0`` terms, which change no
+    sum that starts from ``+0.0``. Later layers run on the whole table.
+    """
+    if num_layers == 0:
+        out = np.zeros((len(reps.index), acc.shape[1]))
+        out[reps.rows] = acc
+        return out
+    layer = reps.block.T @ acc
+    out = layer.copy() if num_layers > 1 else layer
+    # In blocks, so the gathered rows are a small temporary.
+    for start in range(0, len(acc), ROW_BLOCK):
+        rows = reps.rows[start:start + ROW_BLOCK]
+        out[rows] += acc[start:start + ROW_BLOCK]
+    for _ in range(num_layers - 1):
+        layer = prop.apply(layer)
+        out += layer
+    return out
 
 
 @dataclass
@@ -261,7 +321,10 @@ def adam_step(state, opt: OptimizerState,
               grads: dict[str, np.ndarray]) -> None:
     """One in-place Adam update with bias correction. Every gradient is
     checked before any table moves: a non-finite one raises and leaves
-    the tables and moments as they were."""
+    the tables and moments as they were.
+
+    Each table is walked in blocks of ``ROW_BLOCK`` rows; every element
+    sees the same ufuncs in the same order as a whole-table update."""
     opt.step += 1
     t = opt.step
     for m in state.tables:
@@ -272,19 +335,24 @@ def adam_step(state, opt: OptimizerState,
                             f"at optimizer step {t}")
     bc1 = 1.0 - opt.beta1 ** t
     bc2 = 1.0 - opt.beta2 ** t
-    # Two temporaries, reused by every table; each line computes what
+    # Two temporaries, reused by every block; each line computes what
     # ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` does, in order.
-    a, b = (np.empty_like(next(iter(state.tables.values())))
-            for _ in range(2))
-    for key, param in state.tables.items():
-        g = grads[key]
-        if opt.weight_decay:
-            g = np.add(g, np.multiply(opt.weight_decay, param, out=a), out=a)
-        m, v = opt.m[key], opt.v[key]
-        m *= opt.beta1
-        m += np.multiply(1.0 - opt.beta1, g, out=b)
-        v *= opt.beta2
-        v += np.multiply(1.0 - opt.beta2, np.square(g, out=b), out=b)
-        np.multiply(opt.learning_rate, np.divide(m, bc1, out=a), out=a)
-        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), opt.eps, out=b)
-        param -= np.divide(a, b, out=a)
+    first = next(iter(state.tables.values()))
+    a_block, b_block = (np.empty((min(len(first), ROW_BLOCK),
+                                  first.shape[1])) for _ in range(2))
+    for key, table in state.tables.items():
+        for start in range(0, len(table), ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            param, g = table[rows], grads[key][rows]
+            m, v = opt.m[key][rows], opt.v[key][rows]
+            a, b = a_block[:len(param)], b_block[:len(param)]
+            if opt.weight_decay:
+                g = np.add(g, np.multiply(opt.weight_decay, param, out=a),
+                           out=a)
+            m *= opt.beta1
+            m += np.multiply(1.0 - opt.beta1, g, out=b)
+            v *= opt.beta2
+            v += np.multiply(1.0 - opt.beta2, np.square(g, out=b), out=b)
+            np.multiply(opt.learning_rate, np.divide(m, bc1, out=a), out=a)
+            np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), opt.eps, out=b)
+            param -= np.divide(a, b, out=a)

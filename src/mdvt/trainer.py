@@ -320,6 +320,14 @@ def _mask_for(state: backbone.EmbeddingState,
     return config.modality_mask or state.modalities
 
 
+# Propagation work (operator entries times embed_dim) above which a batch
+# step propagates only the rows its loss reads (``forward_pass(...,
+# rows=...)``). Measured: search-small (3.6e4) runs faster on the full
+# path, where gathering the rows costs more than it saves; joint-mid
+# (5.1e6) and bpr-wide (1.5e7) run faster on the local one.
+LOCAL_STEP_MIN_WORK = 2 ** 20
+
+
 def train_epoch(state: backbone.EmbeddingState,
                 opt: objective.OptimizerState, prop: backbone.Propagator,
                 bundle: DatasetBundle, config: RunConfig, epoch: int,
@@ -327,15 +335,19 @@ def train_epoch(state: backbone.EmbeddingState,
                 rng_shuffle: np.random.Generator,
                 rng_negative: np.random.Generator) -> objective.LossReport:
     """One pass over the shuffled train triplets; virtual is None during
-    warm-up."""
+    warm-up. Both the local and the full step give the same bits."""
     mask = _mask_for(state, config)
     joint = virtual is not None
+    local = prop.matrix.nnz * state.embed_dim > LOCAL_STEP_MIN_WORK
     sums = {"l_bpr": 0.0, "l_total": 0.0}
     vbpr_sum, vbpr_batches, n_batches = 0.0, 0, 0
     for batch in make_batches(bundle.split.train, bundle.graph,
                               config.batch_size, rng_shuffle, rng_negative):
+        rows = (objective.batch_vertices(batch, virtual, state.num_users,
+                                         prop.matrix.shape[0])
+                if local else None)
         reps = backbone.forward_pass(state, prop, config.num_layers, mask,
-                                     config.readout)
+                                     config.readout, rows)
         report, grads = objective.backward(
             batch, virtual, reps, prop,
             lam=config.lam, joint=joint, num_layers=config.num_layers,
@@ -346,6 +358,12 @@ def train_epoch(state: backbone.EmbeddingState,
             raise MdvtError(
                 f"non-finite loss at epoch {epoch}, batch {n_batches}: "
                 f"l_bpr={report.l_bpr}, l_vbpr={report.l_vbpr}")
+        # Drop the representations now, so that the next batch's reuse
+        # their memory instead of sitting beside them at its peak. The
+        # gradients stay until the next backward returns: freeing them too
+        # frees the top of the heap, which malloc hands back to the kernel,
+        # and every batch then page-faults its arrays in again.
+        del reps
         objective.adam_step(state, opt, grads)
         sums["l_bpr"] += report.l_bpr
         sums["l_total"] += report.l_total
@@ -392,8 +410,9 @@ class TrainingRun:
         # run's trigger rule fires.
         self.trigger = config.warmup_candidate
         self.history = TrainHistory()
-        # Replaced on improvement, never mutated: forks may share it.
+        # Replaced on improvement, never mutated: forks may share them.
         self.best_state = self.state.copy()
+        self.best_validation: evaluator.MetricsReport | None = None
         self.best_ndcg: float | None = None
         self.epochs_since_best = 0
         self.epoch = 0
@@ -433,13 +452,17 @@ class TrainingRun:
                              config, epoch, virtual, self.rng_shuffle,
                              self.rng_negative)
         history.append_losses(report)
-        val = evaluate_split(self.state, self.bundle, config, "validation")
+        # With buckets: the best epoch's report is the run's validation
+        # result, so nothing ranks the best state again.
+        val = evaluate_split(self.state, self.bundle, config, "validation",
+                             with_buckets=True)
         history.append_validation(val)
         ndcg10 = val.ndcg[10]
         if self.best_ndcg is None or ndcg10 > self.best_ndcg:
             self.best_ndcg = ndcg10
             history.best_epoch = epoch
             self.best_state = self.state.copy()
+            self.best_validation = val
             self.epochs_since_best = 0
         else:
             self.epochs_since_best += 1
@@ -456,8 +479,10 @@ class TrainingRun:
     def fork(self, trigger: int) -> "TrainingRun":
         """An independent copy of this run whose first joint epoch is
         ``trigger``: the tables, Adam moments, RNG streams and history are
-        copied; the bundle, the config and the best state are shared."""
-        shared = (self.bundle, self.config, self.prop, self.best_state)
+        copied; the bundle, the config, the best state and its validation
+        report are shared."""
+        shared = (self.bundle, self.config, self.prop, self.best_state,
+                  self.best_validation)
         other = copy.deepcopy(self, {id(obj): obj for obj in shared})
         other.trigger = trigger
         return other
@@ -479,6 +504,7 @@ class CandidateResult:
     candidate: int | None
     history: TrainHistory
     state: backbone.EmbeddingState
+    validation: evaluator.MetricsReport
 
     @property
     def val_ndcg10(self) -> float:
@@ -497,12 +523,15 @@ class CandidateResult:
 
 @dataclass
 class SearchResult:
-    """Winner of a warm-up strategy search plus the per-candidate table."""
+    """Winner of a warm-up strategy search plus the per-candidate table.
+    ``best_validation`` ranks the validation split with ``best_state``,
+    with buckets."""
 
     strategy: str
     best_config: RunConfig
     best_state: backbone.EmbeddingState
     best_history: TrainHistory
+    best_validation: evaluator.MetricsReport
     candidates: list[dict]
     resolved_trigger: int | None
     dynamic_estimate: int | None = None
@@ -512,7 +541,8 @@ def _result(label: str, candidate: int | None, run: TrainingRun,
             how: str) -> CandidateResult:
     log.info("%s %s", label, how)
     state, history = run.finish()
-    return CandidateResult(label, candidate, history, state)
+    return CandidateResult(label, candidate, history, state,
+                           run.best_validation)
 
 
 def _branch(trunk: TrainingRun, label: str, candidate: int,
@@ -554,7 +584,7 @@ def run_strategy_search(bundle: DatasetBundle, config: RunConfig
         result = _result("baseline", None, TrainingRun(bundle, alone),
                          "trains alone")
         return SearchResult("disabled", config, result.state, result.history,
-                            [result.summary()], None)
+                            result.validation, [result.summary()], None)
 
     dynamic_estimate = None
     if config.strategy == "dynamic":
@@ -608,6 +638,7 @@ def run_strategy_search(bundle: DatasetBundle, config: RunConfig
         best_config=best_config,
         best_state=winner.state,
         best_history=winner.history,
+        best_validation=winner.validation,
         candidates=[r.summary() for r in results],
         resolved_trigger=winner.history.trigger_epoch,
         dynamic_estimate=dynamic_estimate,

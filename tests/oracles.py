@@ -11,9 +11,11 @@ and ``refresh``, the virtual branch of ``objective.backward``) are checked
 against these loops: selections, rankings and metrics must match exactly,
 virtual losses and gradients to 1e-12. ``objective.backward``'s
 selection-CSR scatters are checked bit for bit against
-``backward_add_at``, the same computation with ``np.add.at``. The strategy search, which forks
-its candidates off one shared warm-up trunk, is checked bit for bit
-against ``independent_search``, which trains every candidate from epoch 0.
+``backward_add_at``, the same computation with ``np.add.at``, and
+``objective.adam_step``'s row blocks against ``adam_step_whole_table``.
+The strategy search, which forks its candidates off one shared warm-up
+trunk, is checked bit for bit against ``independent_search``, which
+trains every candidate from epoch 0.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ import numpy as np
 from scipy.special import expit
 
 from mdvt.dataset import Adjacency, PopularityTable
-from mdvt.errors import (ConfigError, DataError, SelectionError,
+from mdvt.errors import (ConfigError, DataError, MdvtError, SelectionError,
                          TrainingCollapseError)
 from mdvt import objective, warmup
 from mdvt.objective import softplus
-from mdvt.trainer import CandidateResult, SearchResult, train_run
+from mdvt.trainer import CandidateResult, SearchResult, TrainingRun
 from mdvt.triplet_forge import SelectionParams, VirtualTripletSet
 
 
@@ -589,23 +591,57 @@ def backward_add_at(batch, virtual, reps, prop, *, lam, joint, num_layers,
     return report, grads
 
 
+# --- Adam over whole tables ------------------------------------------------
+
+def adam_step_whole_table(state, opt, grads) -> None:
+    """``objective.adam_step`` with each ufunc over a whole table at once:
+    the reference its row-blocked update must equal bit for bit."""
+    opt.step += 1
+    t = opt.step
+    for m in state.tables:
+        if not np.all(np.isfinite(grads[m])):
+            role = ("item" if np.all(np.isfinite(grads[m][:state.num_users]))
+                    else "user")
+            raise MdvtError(f"non-finite gradient for table {role}.{m} "
+                            f"at optimizer step {t}")
+    bc1 = 1.0 - opt.beta1 ** t
+    bc2 = 1.0 - opt.beta2 ** t
+    a, b = (np.empty_like(next(iter(state.tables.values())))
+            for _ in range(2))
+    for key, param in state.tables.items():
+        g = grads[key]
+        if opt.weight_decay:
+            g = np.add(g, np.multiply(opt.weight_decay, param, out=a), out=a)
+        m, v = opt.m[key], opt.v[key]
+        m *= opt.beta1
+        m += np.multiply(1.0 - opt.beta1, g, out=b)
+        v *= opt.beta2
+        v += np.multiply(1.0 - opt.beta2, np.square(g, out=b), out=b)
+        np.multiply(opt.learning_rate, np.divide(m, bc1, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), opt.eps, out=b)
+        param -= np.divide(a, b, out=a)
+
+
 # --- strategy search, one independent run per candidate ---------------------
 
 def _run_candidate(bundle, config, label: str,
                    candidate: int | None) -> CandidateResult:
-    cfg = dataclasses.replace(config, warmup_candidate=candidate)
-    state, history = train_run(bundle, cfg)
-    return CandidateResult(label, candidate, history, state)
+    run = TrainingRun(bundle, dataclasses.replace(
+        config, warmup_candidate=candidate))
+    state, history = run.finish()
+    return CandidateResult(label, candidate, history, state,
+                           run.best_validation)
 
 
 def independent_search(bundle, config
                        ) -> tuple[SearchResult, list[CandidateResult]]:
     """``trainer.run_strategy_search`` with every candidate trained from
-    epoch 0 by its own ``train_run``; also returns each candidate's run."""
+    epoch 0 by its own ``TrainingRun``; also returns each candidate's run."""
     if not config.mdvt_active:
         result = _run_candidate(bundle, config, "baseline", None)
         return SearchResult("disabled", config, result.state, result.history,
-                            [result.summary()], None), [result]
+                            result.validation, [result.summary()],
+                            None), [result]
 
     results: list[CandidateResult] = []
     dynamic_estimate = None
@@ -642,6 +678,7 @@ def independent_search(bundle, config
         best_config=best_config,
         best_state=winner.state,
         best_history=winner.history,
+        best_validation=winner.validation,
         candidates=[r.summary() for r in results],
         resolved_trigger=winner.history.trigger_epoch,
         dynamic_estimate=dynamic_estimate,

@@ -281,3 +281,25 @@ class TestForwardPass:
             if readout_mode == "mean":
                 want /= 3
             assert np.array_equal(reps.finals[m], want)
+
+    def test_compact_pass_refuses_whole_views(self, rng):
+        # A pass over some rows must not stand in for a whole matrix:
+        # ranking or selecting from it would read the wrong rows.
+        records = covered_random_records(rng, 3, 4, 3)
+        prop = Propagator(build_graph(make_set(records, 3, 4)))
+        feats = rng.normal(size=(4, 2)).astype(np.float32)
+        state = init_embeddings(feat_bundle(feats), 3, 2, seed=3)
+        rows = np.array([0, 2, 4])
+        reps = forward_pass(state, prop, 1, ("id", "visual"), rows=rows)
+        full = forward_pass(state, prop, 1, ("id", "visual"))
+        assert np.array_equal(reps.fused, full.fused[rows])
+        assert np.array_equal(reps.locate(np.array([4, 0])), [2, 0])
+        views = (lambda: reps.users("id"), lambda: reps.items("visual"),
+                 lambda: reps.fused_users, lambda: reps.fused_items,
+                 lambda: score_matrix(reps, np.array([0])),
+                 lambda: score_matrix(reps, np.array([0]), "fused"))
+        for view in views:
+            with pytest.raises(ValueError, match="compact"):
+                view()
+        with pytest.raises(IndexError):  # vertex 1 is not one of the rows
+            reps.fused[reps.locate(np.array([1]))]

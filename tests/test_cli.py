@@ -4,6 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from mdvt import backbone, trainer
 from mdvt.cli import main
 from mdvt.dataset import load_bundle, write_atomic, write_modality_features
 from mdvt.errors import DataError
@@ -285,6 +286,62 @@ class TestTrain:
             report.pop("wall_clock_seconds")
             reports.append(report)
         assert reports[0] == reports[1]
+
+    def test_validation_ranked_once_per_epoch(self, tmp_path, monkeypatch):
+        # The report's validation block is the best epoch's ranking made
+        # during training; after the search only the test split is ranked.
+        bundle = prepare_bundle(tmp_path)
+        config = base_config(tmp_path)
+        splits = []
+        evaluate = trainer.evaluate_split
+
+        def recorded(*args, **kwargs):
+            splits.append(args[3])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "evaluate_split", recorded)
+        out = tmp_path / "run.json"
+        assert main(["train", "--bundle", str(bundle),
+                     "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        epochs = report["history"]["stopped_epoch"] + 1
+        assert splits == ["validation"] * epochs + ["test"]
+
+    @pytest.mark.parametrize("overrides", [
+        dict(strategy="static", static_set=[0, 2]),
+        dict(strategy="hybrid", s=1, num_layers=2, readout="mean"),
+        dict(strategy="hybrid", s=1, score_mode="fused",
+             modality_mask=["id", "visual", "visual"],
+             per_distinct_user=True, wo_aggr=True)],
+        ids=["static", "hybrid", "hybrid_fused"])
+    def test_local_step_same_bytes(self, tmp_path, monkeypatch, overrides):
+        # The toy operator sits below the size rule, so training takes the
+        # full step; a rule of 0 sends every batch through the local one.
+        bundle = prepare_bundle(tmp_path)
+        config = base_config(tmp_path, **overrides)
+        compact = []
+        forward_pass = backbone.forward_pass
+
+        def recorded(*args, **kwargs):
+            reps = forward_pass(*args, **kwargs)
+            compact.append(reps.rows is not None)
+            return reps
+
+        monkeypatch.setattr(backbone, "forward_pass", recorded)
+        outputs = []
+        for name, rule in (("full", trainer.LOCAL_STEP_MIN_WORK),
+                           ("local", 0)):
+            monkeypatch.setattr(trainer, "LOCAL_STEP_MIN_WORK", rule)
+            compact.clear()
+            out = tmp_path / f"{name}.json"
+            assert main(["train", "--bundle", str(bundle),
+                         "--config", str(config), "--out", str(out)]) == 0
+            assert any(compact) == (name == "local")
+            report = json.loads(out.read_text(encoding="utf-8"))
+            report.pop("wall_clock_seconds")
+            outputs.append((json.dumps(report, sort_keys=True),
+                            out.with_suffix(".ckpt").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_seed_override_changes_run(self, tmp_path):
         bundle = prepare_bundle(tmp_path)

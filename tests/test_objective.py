@@ -2,19 +2,22 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_set
 from gradtools import (batch_losses, finite_difference, max_relative_error,
                        total_loss)
+from mdvt import objective
 from mdvt.backbone import Propagator, forward_pass, init_embeddings
 from mdvt.dataset import ModalityBundle, TripletBatch, build_graph
 from mdvt.errors import ConfigError, MdvtError
 from mdvt.objective import (OptimizerState, adam_step, backward,
-                            combined_loss, softplus)
+                            batch_vertices, combined_loss, softplus)
 from mdvt.trainer import RunConfig
 from mdvt.triplet_forge import SelectionParams, refresh
-from oracles import (aggregate_virtual, backward_add_at, bpr_loss,
-                     make_virtual, virtual_branch_oracle, virtual_bpr_loss)
+from oracles import (adam_step_whole_table, aggregate_virtual,
+                     backward_add_at, bpr_loss, groups_of, make_virtual,
+                     virtual_branch_oracle, virtual_bpr_loss)
 
 LN2 = float(np.log(2.0))
 
@@ -254,12 +257,17 @@ class TestBackwardValues:
 
 
 class TestGradientCheck:
-    def gradcheck(self, rng, **kv):
+    def gradcheck(self, rng, local=False, **kv):
         layers = kv.pop("layers", 1)
         mask = kv.pop("mask", ("id", "visual"))
         state, prop, _, reps, batch, virtual = make_instance(
             rng, layers=layers, mask=mask, **{k: v for k, v in kv.items()
                                               if k in ("n", "d")})
+        if local:  # the batch-local step's compact pass
+            rows = batch_vertices(batch, virtual if kv.get("joint", True)
+                                  else None, state.num_users,
+                                  prop.matrix.shape[0])
+            reps = forward_pass(state, prop, layers, mask, rows=rows)
         options = dict(num_layers=layers, mask=mask, readout_mode="sum",
                        lam=kv.get("lam", 0.3), joint=kv.get("joint", True),
                        wo_aggr=kv.get("wo_aggr", False),
@@ -298,6 +306,15 @@ class TestGradientCheck:
 
     def test_two_layers(self, rng):
         assert self.gradcheck(rng, layers=2) <= 1e-4
+
+    @pytest.mark.parametrize("kv", [
+        dict(joint=False), {}, dict(wo_aggr=True), dict(wo_scale=True),
+        dict(score_mode="fused"), dict(mask=("id",)), dict(layers=0),
+        dict(layers=2), dict(layers=3)],
+        ids=["bpr_only", "joint", "wo_aggr", "wo_scale", "fused", "id_only",
+             "layers0", "layers2", "layers3"])
+    def test_local_step(self, rng, kv):
+        assert self.gradcheck(rng, local=True, **kv) <= 1e-4
 
 
 class TestAdam:
@@ -368,6 +385,59 @@ class TestAdam:
         with pytest.raises(MdvtError,
                            match=f"table {role}.{modality} at optimizer "
                                  "step 2"):
+            adam_step(state, opt, grads)
+        after = [*state.tables.values(), *opt.m.values(), *opt.v.values()]
+        for want, got in zip(before, after):
+            assert np.array_equal(want, got)
+
+    @pytest.mark.parametrize("block, num_users, num_items",
+                             [(3, 3, 5), (None, 300, 700)])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_blocks_match_whole_table_oracle(self, rng, monkeypatch, block,
+                                             num_users, num_items,
+                                             weight_decay):
+        # 8 rows in blocks of 3, and 1000 rows in the default blocks: the
+        # last block is short in both.
+        if block is not None:
+            monkeypatch.setattr(objective, "ROW_BLOCK", block)
+        assert (num_users + num_items) % objective.ROW_BLOCK
+        bundle = ModalityBundle(
+            ("id", "visual"), {"visual": rng.normal(size=(num_items, 3))},
+            num_items=num_items)
+        runs = []
+        for _ in range(2):
+            state = init_embeddings(bundle, num_users, 3, seed=21)
+            runs.append((state, OptimizerState.for_state(
+                state, learning_rate=0.01, weight_decay=weight_decay)))
+        for _ in range(4):
+            grads = {m: rng.normal(size=t.shape)
+                     for m, t in runs[0][0].tables.items()}
+            adam_step(*runs[0], {m: g.copy() for m, g in grads.items()})
+            adam_step_whole_table(*runs[1], grads)
+        (state, opt), (want_state, want_opt) = runs
+        assert opt.step == want_opt.step == 4
+        for got, want in ((state.tables, want_state.tables),
+                          (opt.m, want_opt.m), (opt.v, want_opt.v)):
+            for m in got:
+                assert got[m].tobytes() == want[m].tobytes()
+
+    def test_non_finite_in_a_later_block_moves_nothing(self, rng,
+                                                       monkeypatch):
+        # The check covers every block of every table before the first
+        # block moves.
+        monkeypatch.setattr(objective, "ROW_BLOCK", 3)
+        bundle = ModalityBundle(("id", "visual"),
+                                {"visual": rng.normal(size=(5, 2))},
+                                num_items=5)
+        state = init_embeddings(bundle, 3, 2, seed=4)
+        opt = OptimizerState.for_state(state, learning_rate=0.01)
+        grads = {m: np.full_like(t, 0.5) for m, t in state.tables.items()}
+        adam_step(state, opt, grads)
+        before = [t.copy() for t in (*state.tables.values(),
+                                     *opt.m.values(), *opt.v.values())]
+        grads["visual"][7, 1] = np.inf
+        with pytest.raises(MdvtError,
+                           match="table item.visual at optimizer step 2"):
             adam_step(state, opt, grads)
         after = [*state.tables.values(), *opt.m.values(), *opt.v.values()]
         for want, got in zip(before, after):
@@ -586,3 +656,70 @@ class TestLossBounds:
     def test_all_zero_gaps_give_ln2(self):
         gaps = np.zeros(5)
         assert float(np.mean(softplus(-gaps))) == pytest.approx(LN2)
+
+
+class TestLocalStep:
+    """The batch-local step against the full one: ``forward_pass`` over
+    ``batch_vertices`` gives the full pass's rows, and ``backward`` on it
+    gives the full pass's losses and gradients, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           layers=st.sampled_from([0, 1, 2, 3]),
+           readout_mode=st.sampled_from(["sum", "mean"]),
+           score_mode=st.sampled_from(["per_modality", "fused"]),
+           norm=st.sampled_from(["dual", "sym"]),
+           mask=st.sampled_from([("id", "visual"), ("visual",),
+                                 ("id", "visual", "visual")]),
+           joint=st.booleans(), lam=st.sampled_from([0.3, 1.0]),
+           wo_aggr=st.booleans(), wo_scale=st.booleans(),
+           per_distinct_user=st.booleans())
+    def test_matches_full_step(self, seed, layers, readout_mode, score_mode,
+                               norm, mask, joint, lam, wo_aggr, wo_scale,
+                               per_distinct_user):
+        rng = np.random.default_rng(seed)
+        num_users = int(rng.integers(2, 8))
+        num_items = int(rng.integers(4, 12))
+        graph = build_graph(make_set(
+            bounded_records(rng, num_users, num_items, num_items - 2),
+            num_users, num_items))
+        prop = Propagator(graph, norm)
+        bundle = ModalityBundle(
+            ("id", "visual"),
+            {"visual": rng.normal(size=(num_items, 4)).astype(np.float32)},
+            num_items=num_items)
+        state = init_embeddings(bundle, num_users, 3,
+                                seed=int(rng.integers(1e6)))
+        size = int(rng.integers(1, 10))
+        batch = TripletBatch(users=rng.integers(num_users, size=size),
+                             pos_items=rng.integers(num_items, size=size),
+                             neg_items=rng.integers(num_items, size=size))
+        virtual = (random_virtual(rng, num_users, num_items,
+                                  min(3, num_items // 2)) if joint else None)
+
+        rows = batch_vertices(batch, virtual, num_users, graph.num_vertices)
+        want_rows = {*batch.users.tolist(),
+                     *(batch.pos_items + num_users).tolist(),
+                     *(batch.neg_items + num_users).tolist()}
+        for u, (pos, neg) in (groups_of(virtual) if joint else {}).items():
+            if u in batch.users:
+                want_rows.update(i + num_users for i in (*pos, *neg))
+        assert rows.tolist() == sorted(want_rows)
+
+        full = forward_pass(state, prop, layers, mask, readout_mode)
+        local = forward_pass(state, prop, layers, mask, readout_mode, rows)
+        for m, f in full.finals.items():
+            assert local.finals[m].tobytes() == f[rows].tobytes()
+        assert local.fused.tobytes() == full.fused[rows].tobytes()
+
+        options = dict(lam=lam, joint=joint, num_layers=layers,
+                       wo_aggr=wo_aggr, wo_scale=wo_scale,
+                       score_mode=score_mode, readout_mode=readout_mode,
+                       per_distinct_user=per_distinct_user)
+        got, grads = backward(batch, virtual, local, prop, **options)
+        want, want_grads = backward(batch, virtual, full, prop, **options)
+        assert (got.l_bpr, got.l_vbpr, got.l_total) == (
+            want.l_bpr, want.l_vbpr, want.l_total)
+        assert grads.keys() == want_grads.keys()
+        for m, g in grads.items():
+            assert g.tobytes() == want_grads[m].tobytes()

@@ -185,6 +185,23 @@ class TestStrategySearch:
         best = max(c["val_ndcg10"] for c in result.candidates)
         assert result.best_history.best_val_ndcg10() == pytest.approx(best)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(strategy="static", static_set=(0, 2)),
+        dict(mdvt_enabled=False)])
+    def test_best_validation_ranks_the_best_state(self, rng, overrides):
+        # The report's validation block is the best epoch's own ranking:
+        # ranking the returned state again gives the same metrics.
+        bundle = make_bundle(rng, num_users=8, num_items=10, extra_edges=8)
+        result = run_strategy_search(
+            bundle, quick_config(learning_rate=0.02, **overrides))
+        assert result.best_history.best_epoch > 0  # not the first report
+        again = evaluate_split(result.best_state, bundle, result.best_config,
+                               "validation", with_buckets=True)
+        assert result.best_validation.to_dict() == again.to_dict()
+        assert len(again.buckets) == 4
+        assert (result.best_validation.ndcg[10]
+                == result.best_history.best_val_ndcg10())
+
     def test_disabled_is_single_baseline(self, rng):
         bundle = make_bundle(rng, num_users=6, num_items=10, extra_edges=6)
         result = run_strategy_search(bundle,
@@ -240,12 +257,15 @@ class TestTrunkSearch:
                                           want.dynamic_estimate)
         assert got.best_history.to_dict() == want.best_history.to_dict()
         assert tables(got.best_state) == tables(want.best_state)
+        assert (got.best_validation.to_dict()
+                == want.best_validation.to_dict())
         by_label = {run.label: run for run in runs}
         assert sorted(by_label) == sorted(r.label for r in want_runs)
         for ref in want_runs:
             run = by_label[ref.label]
             assert run.history.to_dict() == ref.history.to_dict()
             assert tables(run.state) == tables(ref.state)
+            assert run.validation.to_dict() == ref.validation.to_dict()
 
         warm, joint = [], 0
         for cand in want.candidates:
