@@ -147,13 +147,14 @@ def build_run_report(bundle_stats: dict, config: RunConfig,
     }
 
 
-def _execute_train(bundle_dir: str, config: RunConfig, out_path: str) -> dict:
+def _execute_train(bundle_dir: str, config: RunConfig, out_path: str,
+                   processes: int | None = None) -> dict:
     start = time.perf_counter()
     bundle = load_bundle(bundle_dir)
     warnings = config.off_grid_warnings()
     for message in warnings:
         log.warning("config: %s", message)
-    result = trainer.run_strategy_search(bundle, config)
+    result = trainer.run_strategy_search(bundle, config, processes)
     test_metrics = trainer.evaluate_split(result.best_state, bundle,
                                           result.best_config, "test",
                                           with_buckets=True)
@@ -178,9 +179,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _sweep_cell(bundle_dir: str, config_dict: dict, out_path: str) -> dict:
+def _sweep_cell(bundle_dir: str, config_dict: dict, out_path: str,
+                processes: int | None = None) -> dict:
     config = RunConfig.from_dict(config_dict)
-    return _execute_train(bundle_dir, config, out_path)
+    return _execute_train(bundle_dir, config, out_path, processes)
 
 
 def _summary_row(overrides: dict, config: RunConfig, report: dict,
@@ -234,11 +236,12 @@ def cmd_sweep(args) -> int:
         pending.append((overrides, config, cell_path))
 
     if args.workers > 1 and len(pending) > 1:
+        # The cells fill the cores, so each trains its candidates in turn.
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             futures = [
                 (overrides, config, pool.submit(
                     _sweep_cell, args.bundle, config.to_dict(),
-                    str(cell_path)))
+                    str(cell_path), processes=1))
                 for overrides, config, cell_path in pending]
             for overrides, config, fut in futures:
                 summary.append(_summary_row(overrides, config, fut.result(),

@@ -3,6 +3,7 @@ breakdown."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -85,7 +86,14 @@ class MetricsReport:
     recall: dict[int, float]
     ndcg: dict[int, float]
     num_users_evaluated: int
-    buckets: list[BucketMetrics] = field(default_factory=list)
+    # ``sparsity_breakdown``'s arguments, or None for no breakdown.
+    per_user: tuple | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def buckets(self) -> list[BucketMetrics]:
+        """The sparsity breakdown, computed once, when first read."""
+        return [] if self.per_user is None else sparsity_breakdown(
+            *self.per_user)
 
     def to_dict(self) -> dict:
         return {
@@ -136,14 +144,12 @@ def evaluate_rankings(score_rows, users, relevant: Adjacency,
     ndcg = {k: dcg[:, k - 1] / ideal[np.minimum(k, num_relevant) - 1]
             for k in ks}
     n = len(users)
-    report = MetricsReport(
+    return MetricsReport(
         recall={k: float(np.mean(v)) if n else 0.0 for k, v in recall.items()},
         ndcg={k: float(np.mean(v)) if n else 0.0 for k, v in ndcg.items()},
-        num_users_evaluated=n)
-    if user_train_count is not None:
-        report.buckets = sparsity_breakdown(user_train_count[users], recall,
-                                            ndcg, ks)
-    return report
+        num_users_evaluated=n,
+        per_user=(None if user_train_count is None
+                  else (user_train_count[users], recall, ndcg, ks)))
 
 
 def sparsity_breakdown(train_counts: np.ndarray,

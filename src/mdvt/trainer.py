@@ -19,6 +19,9 @@ import hashlib
 import json
 import logging
 import math
+import os
+import pickle
+import signal
 import struct
 import typing
 from dataclasses import dataclass, field
@@ -537,34 +540,156 @@ class SearchResult:
     dynamic_estimate: int | None = None
 
 
-def _result(label: str, candidate: int | None, run: TrainingRun,
-            how: str) -> CandidateResult:
-    log.info("%s %s", label, how)
-    state, history = run.finish()
-    return CandidateResult(label, candidate, history, state,
-                           run.best_validation)
+def candidate_processes() -> int:
+    """Child processes a search may train forked candidates in at once: one
+    per core this process may use, or 1 (in turn, here) without fork."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
 
 
-def _branch(trunk: TrainingRun, label: str, candidate: int,
-            last: bool) -> CandidateResult:
+class _Candidates:
+    """A search's candidate results, in the order the candidates start.
+    With ``processes`` > 1, a fork of the trunk trains in a child process
+    that inherits it copy-on-write and pipes back its pickled result or
+    error; at most ``processes`` run at once. Children never log."""
+
+    def __init__(self, processes: int) -> None:
+        self.processes = processes
+        self.results: list[CandidateResult | None] = []
+        # Running children, oldest first: (index, pid, pipe, label, candidate)
+        self.running: collections.deque[tuple] = collections.deque()
+
+    def add(self, label: str, candidate: int | None, run: TrainingRun,
+            how: str, forked: bool = False) -> None:
+        log.info("%s %s", label, how)
+        if not forked or self.processes <= 1:
+            state, history = run.finish()
+            self.results.append(CandidateResult(label, candidate, history,
+                                                state, run.best_validation))
+            return
+        if len(self.running) == self.processes:
+            self._wait()
+        read, write = os.pipe()
+        if (pid := os.fork()) == 0:
+            _train_child(run, read, write)
+        os.close(write)
+        self.running.append((len(self.results), pid, os.fdopen(read, "rb"),
+                             label, candidate))
+        self.results.append(None)
+
+    def _wait(self) -> None:
+        """Take the oldest child's result, or stop all and raise its error."""
+        index, pid, pipe, label, candidate = self.running[0]
+        with pipe:
+            data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        self.running.popleft()
+        payload = pickle.loads(data) if code == 0 else MdvtError(
+            f"the process training candidate {label} ended without a "
+            f"result ({f'signal {-code}' if code < 0 else f'exit {code}'})")
+        if isinstance(payload, Exception):
+            self.close()
+            raise payload
+        state, history, validation = payload
+        self.results[index] = CandidateResult(label, candidate, history,
+                                              state, validation)
+
+    def gather(self) -> list[CandidateResult]:
+        while self.running:
+            self._wait()
+        return self.results
+
+    def close(self) -> None:
+        """Kill and reap every child still running."""
+        while self.running:
+            _, pid, pipe, *_ = self.running.popleft()
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _train_child(run: TrainingRun, read: int, write: int
+                 ) -> typing.NoReturn:
+    """In a forked child: train ``run``, pipe back its result or error,
+    and exit without unwinding the parent's stack."""
+    code = 1
+    try:
+        os.close(read)
+        try:
+            payload = (*run.finish(), run.best_validation)
+        except Exception as exc:  # raised again by the parent
+            payload = exc
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _branch(trunk: TrainingRun, candidates: _Candidates, label: str,
+            candidate: int, last: bool) -> None:
     """Advance the warm-up-only trunk to the start of epoch ``candidate``
     and fork it there; the last candidate takes the trunk over. A trunk
     that stops first is the candidate's result: it never triggers."""
     while trunk.epoch < candidate and not trunk.done:
         trunk.step()
     if trunk.done:
-        return _result(label, candidate, trunk, "shares the trunk (trunk "
+        candidates.add(label, candidate, trunk, "shares the trunk (trunk "
                        f"stopped at epoch {trunk.history.stopped_epoch})")
-    if last:
+    elif last:
         trunk.trigger = candidate
-        return _result(label, candidate, trunk,
+        candidates.add(label, candidate, trunk,
                        f"takes the trunk over at epoch {candidate}")
-    return _result(label, candidate, trunk.fork(candidate),
-                   f"forks the trunk at epoch {candidate}")
+    else:
+        candidates.add(label, candidate, trunk.fork(candidate),
+                       f"forks the trunk at epoch {candidate}", forked=True)
 
 
-def run_strategy_search(bundle: DatasetBundle, config: RunConfig
-                        ) -> SearchResult:
+def _start(bundle: DatasetBundle, config: RunConfig,
+           candidates: _Candidates) -> int | None:
+    """Start every candidate of the search; return the hybrid estimate."""
+    if not config.mdvt_active or config.strategy == "dynamic":
+        alone = dataclasses.replace(config, warmup_candidate=None)
+        candidates.add("dynamic" if config.mdvt_active else "baseline",
+                       None, TrainingRun(bundle, alone), "trains alone")
+        return None
+    trunk = TrainingRun(bundle, dataclasses.replace(
+        config, warmup_candidate=config.max_epochs))
+    if config.strategy == "static":
+        cands = warmup.static_candidates(config.static_set)
+        for c in cands:
+            _branch(trunk, candidates, f"static:{c}", c, c == cands[-1])
+        return None
+    # hybrid: the probe's trigger rule, checked on the trunk at the start of
+    # each epoch. The last s epoch-start snapshots are the candidates below
+    # the estimate.
+    window = collections.deque(maxlen=config.s)
+    while not trunk.done and warmup.dynamic_trigger(
+            trunk.history.l_total, config.g) is None:
+        window.append(trunk.fork(trunk.epoch))
+        trunk.step()
+    if trunk.done:
+        log.warning("dynamic probe never triggered; "
+                    "keeping the probe run as the result")
+        candidates.add("dynamic_probe", None, trunk,
+                       "is the warm-up-only trunk")
+        return None
+    estimate = trunk.epoch
+    _branch(trunk, candidates, "dynamic_probe", estimate, False)
+    while window:
+        run = window.popleft()
+        candidates.add(f"hybrid:{run.epoch}", run.epoch, run,
+                       f"forks the trunk at epoch {run.epoch}", forked=True)
+    upper = [c for c in warmup.hybrid_candidates(estimate, config.s)
+             if c > estimate]
+    for c in upper:
+        _branch(trunk, candidates, f"hybrid:{c}", c, c == upper[-1])
+    return estimate
+
+
+def run_strategy_search(bundle: DatasetBundle, config: RunConfig,
+                        processes: int | None = None) -> SearchResult:
     """Resolve the warm-up trigger per the configured strategy.
 
     dynamic: one run. static: one candidate per entry of the static set.
@@ -575,55 +700,27 @@ def run_strategy_search(bundle: DatasetBundle, config: RunConfig
 
     Warm-up epochs never read the trigger, so candidate ``c`` equals a
     warm-up-only trunk (trigger ``max_epochs``) up to the start of epoch
-    ``c``, where it is forked: each warm-up epoch is trained once.
+    ``c``, where it is forked: each warm-up epoch is trained once. Forked
+    candidates train in up to ``processes`` child processes at once
+    (default ``candidate_processes()``; 1 trains them in turn here), with
+    the same results, and the same first error, as one after another.
     """
-    alone = dataclasses.replace(config, warmup_candidate=None)
-    warmup_only = dataclasses.replace(config,
-                                      warmup_candidate=config.max_epochs)
+    candidates = _Candidates(candidate_processes() if processes is None
+                             else processes)
+    try:
+        dynamic_estimate = _start(bundle, config, candidates)
+        results = candidates.gather()
+    except Exception:
+        candidates.gather()  # an earlier candidate's error comes first
+        raise
+    finally:
+        candidates.close()
     if not config.mdvt_active:
-        result = _result("baseline", None, TrainingRun(bundle, alone),
-                         "trains alone")
+        (result,) = results
         return SearchResult("disabled", config, result.state, result.history,
                             result.validation, [result.summary()], None)
-
-    dynamic_estimate = None
     if config.strategy == "dynamic":
-        results = [_result("dynamic", None, TrainingRun(bundle, alone),
-                           "trains alone")]
         dynamic_estimate = results[0].history.trigger_epoch
-    elif config.strategy == "static":
-        trunk = TrainingRun(bundle, warmup_only)
-        cands = warmup.static_candidates(config.static_set)
-        results = [_branch(trunk, f"static:{c}", c, c == cands[-1])
-                   for c in cands]
-    else:  # hybrid
-        trunk = TrainingRun(bundle, warmup_only)
-        # The probe's trigger rule, checked on the trunk at the start of
-        # each epoch. The last s epoch-start snapshots are the candidates
-        # below the estimate.
-        window = collections.deque(maxlen=config.s)
-        while not trunk.done and warmup.dynamic_trigger(
-                trunk.history.l_total, config.g) is None:
-            window.append(trunk.fork(trunk.epoch))
-            trunk.step()
-        if trunk.done:
-            log.warning("dynamic probe never triggered; "
-                        "keeping the probe run as the result")
-            results = [_result("dynamic_probe", None, trunk,
-                               "is the warm-up-only trunk")]
-        else:
-            dynamic_estimate = trunk.epoch
-            results = [_branch(trunk, "dynamic_probe", trunk.epoch, False)]
-            while window:
-                run = window.popleft()
-                cand = run.epoch
-                results.append(_result(f"hybrid:{cand}", cand, run,
-                                       f"forks the trunk at epoch {cand}"))
-            upper = [c for c in warmup.hybrid_candidates(dynamic_estimate,
-                                                         config.s)
-                     if c > dynamic_estimate]
-            results += [_branch(trunk, f"hybrid:{c}", c, c == upper[-1])
-                        for c in upper]
 
     ordered = sorted(results, key=lambda r: (r.candidate is None,
                                              r.candidate or 0))

@@ -1,5 +1,7 @@
 import json
+import os
 import pathlib
+import signal
 
 import numpy as np
 import pytest
@@ -52,6 +54,19 @@ def base_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
+
+
+def train_outputs(out) -> tuple[str, bytes]:
+    """A run's report less its wall clock, and its checkpoint bytes."""
+    report = json.loads(out.read_text(encoding="utf-8"))
+    report.pop("wall_clock_seconds")
+    return json.dumps(report, sort_keys=True), \
+        out.with_suffix(".ckpt").read_bytes()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 REPORT_FIELDS = {"tool_version", "config", "config_warnings", "dataset",
@@ -337,10 +352,7 @@ class TestTrain:
             assert main(["train", "--bundle", str(bundle),
                          "--config", str(config), "--out", str(out)]) == 0
             assert any(compact) == (name == "local")
-            report = json.loads(out.read_text(encoding="utf-8"))
-            report.pop("wall_clock_seconds")
-            outputs.append((json.dumps(report, sort_keys=True),
-                            out.with_suffix(".ckpt").read_bytes()))
+            outputs.append(train_outputs(out))
         assert outputs[0] == outputs[1]
 
     def test_seed_override_changes_run(self, tmp_path):
@@ -683,6 +695,136 @@ class TestSweepGrids:
         par = json.loads((par_out / "summary.json")
                          .read_text(encoding="utf-8"))
         assert seq == par
+
+
+FORKING = dict(strategy="hybrid", s=2, max_epochs=8, patience=8)
+
+
+class TestCandidateProcesses:
+    """Forked candidates trained in child processes give the bytes, and the
+    failures, of training them one after another in this process."""
+
+    def train(self, tmp_path, config, monkeypatch, processes):
+        monkeypatch.setattr(trainer, "candidate_processes",
+                            lambda: processes)
+        out = tmp_path / f"run-{processes}.json"
+        code = main(["train", "--bundle", str(tmp_path / "bundle"),
+                     "--config", str(config), "--out", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("overrides", [
+        dict(strategy="static", static_set=[0, 2]),
+        dict(strategy="hybrid", s=1, num_layers=2, readout="mean"),
+        dict(strategy="hybrid", s=1, score_mode="fused",
+             modality_mask=["id", "visual", "visual"],
+             per_distinct_user=True, wo_aggr=True),
+        FORKING],
+        ids=["static", "hybrid", "hybrid_fused", "hybrid_wide"])
+    def test_same_bytes(self, tmp_path, monkeypatch, overrides):
+        prepare_bundle(tmp_path)
+        config = base_config(tmp_path, **overrides)
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        outputs = []
+        for processes in (1, 3):
+            forks.clear()
+            code, out = self.train(tmp_path, config, monkeypatch, processes)
+            assert code == 0
+            assert bool(forks) == (processes > 1)
+            outputs.append(train_outputs(out))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("overrides", [
+        FORKING,
+        # The takeover fails in this process before the error of the
+        # forked static:0, which failed first in serial order, is read.
+        dict(strategy="static", static_set=[0, 2], max_epochs=8,
+             patience=8)], ids=["hybrid", "static"])
+    def test_failing_candidate_same_error(self, tmp_path, monkeypatch,
+                                          capsys, overrides):
+        prepare_bundle(tmp_path)
+        config = base_config(tmp_path, **overrides)
+        step = trainer.TrainingRun.step
+
+        def poisoned(run):
+            # Non-finite tables, so a non-finite loss, at every run's
+            # second joint epoch.
+            if run.trigger is not None and run.epoch == run.trigger + 1:
+                for table in run.state.tables.values():
+                    table[:] = np.nan
+            step(run)
+
+        monkeypatch.setattr(trainer.TrainingRun, "step", poisoned)
+        capsys.readouterr()
+        failures = []
+        for processes in (1, 3):
+            code, _ = self.train(tmp_path, config, monkeypatch, processes)
+            failures.append((code, single_error_line(capsys)))
+            assert_no_child_left()
+        assert failures[0] == failures[1]
+        assert failures[0][0] == 4
+        assert "non-finite loss" in failures[0][1]
+
+    def test_killed_child_one_error_line(self, tmp_path, monkeypatch,
+                                         capsys):
+        prepare_bundle(tmp_path)
+        config = base_config(tmp_path, **FORKING)
+        parent, step = os.getpid(), trainer.TrainingRun.step
+
+        def killed(run):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            step(run)
+
+        def hung(signum, frame):
+            raise TimeoutError("the search still waits for its children")
+
+        monkeypatch.setattr(trainer.TrainingRun, "step", killed)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            code, _ = self.train(tmp_path, config, monkeypatch, 3)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 4
+        assert single_error_line(capsys) == (
+            "error: the process training candidate dynamic_probe ended "
+            "without a result (signal 9)")
+        assert_no_child_left()
+
+    def test_pool_cells_train_candidates_in_turn(self, tmp_path,
+                                                 monkeypatch):
+        # Cells on a --workers pool already fill the cores, so they never
+        # ask for candidate processes; the cells' bytes do not change.
+        bundle = prepare_bundle(tmp_path)
+        config = base_config(tmp_path, **FORKING)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lam": [0.1, 0.2]}), encoding="utf-8")
+        asked = tmp_path / "asked"
+
+        def processes():
+            asked.touch()  # seen from the pool's processes too
+            return 3
+
+        monkeypatch.setattr(trainer, "candidate_processes", processes)
+        cells = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers-{workers}"
+            assert main(["sweep", "--bundle", str(bundle), "--config",
+                         str(config), "--grid", str(grid), "--out", str(out),
+                         "--workers", workers]) == 0
+            assert asked.exists() == (workers == "1")
+            asked.unlink(missing_ok=True)
+            cells[workers] = [train_outputs(path) for path in
+                              sorted((out / "runs").glob("cell-*.json"))]
+        assert len(cells["1"]) == 2
+        assert cells["1"] == cells["2"]
 
 
 class TestReportEcho:

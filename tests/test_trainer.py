@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import os
 
 import numpy as np
 import pytest
@@ -230,50 +232,84 @@ def search_config(**overrides) -> RunConfig:
 
 class TestTrunkSearch:
     """The shared-trunk search equals one independent run per candidate
-    bit for bit, and trains each warm-up epoch once."""
+    bit for bit, and trains each warm-up epoch once, whether forked
+    candidates train in this process or in child processes."""
 
     def search(self, config, monkeypatch):
         bundle = planted_bundle(1, num_users=40, num_items=32, feature_dim=8)
         want, want_runs = independent_search(bundle, config)
-        runs, epochs = [], []
-        result, train_epoch = trainer._result, trainer.train_epoch
+        runs, forked, epochs, children = [], [], [], []
+        add, gather = trainer._Candidates.add, trainer._Candidates.gather
+        train_epoch, fork, waitpid = trainer.train_epoch, os.fork, os.waitpid
 
-        def recorded(*args, **kwargs):
-            runs.append(result(*args, **kwargs))
-            return runs[-1]
+        # Candidates are recorded where the parent gathers them: a forked
+        # candidate trains in a child process, out of this process's sight.
+        def recorded(candidates):
+            runs[:] = gather(candidates)
+            return runs
+
+        def noted(candidates, label, *args, **kwargs):
+            if kwargs.get("forked") and candidates.processes > 1:
+                forked.append(label)
+            return add(candidates, label, *args, **kwargs)
 
         def counted(*args, **kwargs):
             epochs.append(1)
             return train_epoch(*args, **kwargs)
 
-        monkeypatch.setattr(trainer, "_result", recorded)
+        def forking():
+            children.append(1)
+            return fork()
+
+        def reaping(pid, options):
+            children.append(-1)
+            return waitpid(pid, options)
+
+        monkeypatch.setattr(trainer._Candidates, "gather", recorded)
+        monkeypatch.setattr(trainer._Candidates, "add", noted)
         monkeypatch.setattr(trainer, "train_epoch", counted)
-        got = run_strategy_search(bundle, config)
-
-        assert got.candidates == want.candidates
-        assert (got.strategy, got.best_config, got.resolved_trigger,
-                got.dynamic_estimate) == (want.strategy, want.best_config,
-                                          want.resolved_trigger,
-                                          want.dynamic_estimate)
-        assert got.best_history.to_dict() == want.best_history.to_dict()
-        assert tables(got.best_state) == tables(want.best_state)
-        assert (got.best_validation.to_dict()
-                == want.best_validation.to_dict())
-        by_label = {run.label: run for run in runs}
-        assert sorted(by_label) == sorted(r.label for r in want_runs)
-        for ref in want_runs:
-            run = by_label[ref.label]
-            assert run.history.to_dict() == ref.history.to_dict()
-            assert tables(run.state) == tables(ref.state)
-            assert run.validation.to_dict() == ref.validation.to_dict()
-
+        monkeypatch.setattr(os, "fork", forking)
+        monkeypatch.setattr(os, "waitpid", reaping)
         warm, joint = [], 0
         for cand in want.candidates:
             trained = cand["stopped_epoch"] + 1
             trigger = cand["trigger_epoch"]
             warm.append(trained if trigger is None else min(trigger, trained))
             joint += trained - warm[-1]
-        assert len(epochs) == max(warm) + joint
+        for processes in (1, 3):
+            for record in (runs, forked, epochs, children):
+                record.clear()
+            got = run_strategy_search(bundle, config, processes)
+
+            assert got.candidates == want.candidates
+            assert (got.strategy, got.best_config, got.resolved_trigger,
+                    got.dynamic_estimate) == (want.strategy,
+                                              want.best_config,
+                                              want.resolved_trigger,
+                                              want.dynamic_estimate)
+            assert got.best_history.to_dict() == want.best_history.to_dict()
+            assert tables(got.best_state) == tables(want.best_state)
+            assert (got.best_validation.to_dict()
+                    == want.best_validation.to_dict())
+            by_label = {run.label: run for run in runs}
+            assert sorted(by_label) == sorted(r.label for r in want_runs)
+            for ref in want_runs:
+                run = by_label[ref.label]
+                assert run.history.to_dict() == ref.history.to_dict()
+                assert tables(run.state) == tables(ref.state)
+                assert run.validation.to_dict() == ref.validation.to_dict()
+
+            # The parent trains every epoch but the forked candidates'
+            # joint epochs, which their children train.
+            in_children = sum(c["stopped_epoch"] + 1 - c["candidate"]
+                              for c in want.candidates
+                              if c["label"] in forked)
+            assert len(epochs) == max(warm) + joint - in_children
+            self.most_children = max(itertools.accumulate(children),
+                                     default=0)
+            assert children.count(1) == len(forked)
+            assert self.most_children <= processes
+        self.forked = forked
         return want
 
     def test_static_candidate_zero_and_duplicates(self, monkeypatch):
@@ -281,6 +317,7 @@ class TestTrunkSearch:
                                          static_set=(6, 0, 3, 3)),
                            monkeypatch)
         assert [c["candidate"] for c in want.candidates] == [0, 3, 6]
+        assert self.forked == ["static:0", "static:3"]
 
     def test_static_candidates_past_the_trunk(self, monkeypatch):
         # The warm-up-only trunk stops early at epoch 3: candidates 4 and 6
@@ -290,6 +327,7 @@ class TestTrunkSearch:
                                          static_set=(0, 2, 4, 6, 12, 15)),
                            monkeypatch)
         assert shared(want) == [4, 6, 12, 15]
+        assert self.forked == ["static:0", "static:2"]
 
     def test_hybrid_window_below_zero(self, monkeypatch):
         want = self.search(search_config(seed=0, patience=2, s=5),
@@ -297,6 +335,9 @@ class TestTrunkSearch:
         assert want.dynamic_estimate - 5 < 0
         assert sorted(c["candidate"] for c in want.candidates) == \
             list(range(0, want.dynamic_estimate + 6))
+        # More forks than the three child slots: the oldest is waited for.
+        assert self.forked == [c["label"] for c in want.candidates[:-1]]
+        assert self.most_children == 3
 
     def test_hybrid_trunk_stops_before_the_top(self, monkeypatch):
         # Estimate 2; the trunk stops early at epoch 3, so 4..7 share it.
@@ -321,6 +362,7 @@ class TestTrunkSearch:
         {"lam": 0.0, "strategy": "static"}])
     def test_single_run_paths(self, monkeypatch, overrides):
         self.search(search_config(**overrides), monkeypatch)
+        assert self.forked == []
 
 
 class TestCheckpoint:
