@@ -2,29 +2,11 @@
 
 __version__ = "0.1.0"
 
+from .dataset import load_bundle, load_interactions, split_dataset
 from .errors import (CheckpointError, ConfigError, DataError, MdvtError,
                      SelectionError, TrainingCollapseError)
-
-
-def __getattr__(name):
-    # Lazy re-exports of the main library surface; keeps `import mdvt`
-    # light for CLI --version and error handling.
-    surface = {
-        "RunConfig": "trainer",
-        "TrainHistory": "trainer",
-        "train_run": "trainer",
-        "run_strategy_search": "trainer",
-        "evaluate_split": "trainer",
-        "load_bundle": "dataset",
-        "load_interactions": "dataset",
-        "split_dataset": "dataset",
-    }
-    if name in surface:
-        import importlib
-        module = importlib.import_module(f".{surface[name]}", __name__)
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from .trainer import (RunConfig, TrainHistory, evaluate_split,
+                      run_strategy_search, train_run)
 
 __all__ = [
     "__version__",

@@ -75,12 +75,15 @@ def _build_parser() -> _Parser:
 
 def _read_json(path: str, what: str):
     """Parse a JSON input file; ConfigError naming the file if it is
-    missing, not UTF-8 or not JSON."""
+    missing, unreadable (a directory, say), not UTF-8 or not JSON."""
     file = Path(path)
     if not file.exists():
         raise ConfigError(f"{what} file not found: {file}")
     try:
         return json.loads(file.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {file}: "
+                          f"{exc.strerror or exc}") from None
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise ConfigError(f"{what} file {file} is not valid UTF-8 JSON: "
                           f"{exc}") from exc
@@ -100,18 +103,18 @@ def cmd_prepare(args) -> int:
     interactions = load_interactions(args.interactions)
     split = split_dataset(interactions, args.seed)
     features = {}
-    names = ["id"]
     for spec in args.feature:
         if "=" not in spec:
             raise ConfigError(f"--feature must be NAME=PATH, got {spec!r}")
         name, path = spec.split("=", 1)
         if name == "id":
             raise ConfigError('"id" is implicit and carries no feature file')
+        if name in features:
+            raise ConfigError(f"--feature {name!r} given twice")
         features[name] = load_modality_features(
             path, name, interactions.num_items,
             item_index=interactions.item_index)
-        names.append(name)
-    modalities = ModalityBundle(tuple(names), features,
+    modalities = ModalityBundle(("id", *features), features,
                                 num_items=interactions.num_items)
     stats = save_bundle(args.out, split, modalities,
                         interactions.duplicates_dropped)
@@ -156,8 +159,7 @@ def _execute_train(bundle_dir: str, config: RunConfig, out_path: str,
         log.warning("config: %s", message)
     result = trainer.run_strategy_search(bundle, config, processes)
     test_metrics = trainer.evaluate_split(result.best_state, bundle,
-                                          result.best_config, "test",
-                                          with_buckets=True)
+                                          result.best_config, "test")
     report = build_run_report(bundle.stats, config, warnings, result,
                               test_metrics,
                               time.perf_counter() - start)
@@ -283,8 +285,7 @@ def cmd_eval(args) -> int:
     state = trainer.state_from_tables(tables, config.embed_dim,
                                       config.modality_mask)
     ks = tuple(sorted(set(args.k)))
-    metrics = trainer.evaluate_split(state, bundle, config, "test",
-                                     with_buckets=True, ks=ks)
+    metrics = trainer.evaluate_split(state, bundle, config, "test", ks=ks)
     payload = metrics.to_dict()
     for k in ks:
         print(f"recall@{k}={payload['recall'][str(k)]:.6f} "

@@ -1,5 +1,5 @@
-"""Interaction ingestion, 8:1:1 splitting, bipartite graph construction,
-negative sampling, triplet batch streaming, and popularity counts.
+"""Interaction ingestion, 8:1:1 splitting, bipartite graph construction
+with train degrees, negative sampling, and triplet batch streaming.
 """
 
 from __future__ import annotations
@@ -155,7 +155,8 @@ class DatasetSplit:
 @dataclass
 class InteractionGraph:
     """Bipartite train graph over the union vertex set (users then items):
-    the train set's user->item CSR plus the degree of every vertex."""
+    the train set's user->item CSR plus the degree of every vertex, which
+    is its train interaction count."""
 
     num_users: int
     num_items: int
@@ -192,40 +193,16 @@ class InteractionGraph:
 
 @dataclass
 class ModalityBundle:
-    """Ordered modality channels; "id" carries no feature matrix."""
+    """Ordered modality channels; "id" carries no feature matrix. Its
+    inputs are checked where they enter: ``cli.cmd_prepare`` and
+    :func:`load_bundle`."""
 
     modalities: tuple[str, ...]
     features: dict[str, np.ndarray]
     num_items: int
 
-    def __post_init__(self) -> None:
-        if len(set(self.modalities)) != len(self.modalities):
-            raise ConfigError(f"duplicate modality names: {self.modalities}")
-        if "id" not in self.modalities:
-            raise ConfigError('modality set must contain "id"')
-        if "id" in self.features:
-            raise ConfigError('"id" modality must not carry a feature matrix')
-        for name in self.modalities:
-            if name == "id":
-                continue
-            if name not in self.features:
-                raise ConfigError(f"modality {name!r} declared without features")
-            rows = self.features[name].shape[0]
-            if rows != self.num_items:
-                raise DataError(
-                    f"feature matrix for {name!r} has {rows} rows, "
-                    f"expected {self.num_items}")
-
     def feature_dims(self) -> dict[str, int]:
         return {m: int(f.shape[1]) for m, f in self.features.items()}
-
-
-@dataclass
-class PopularityTable:
-    """Per-item / per-user train interaction counts."""
-
-    item_train_count: np.ndarray
-    user_train_count: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -415,14 +392,6 @@ def make_batches(train: InteractionSet, graph: InteractionGraph,
                            neg_items=sample_negatives(u, graph, neg_rng))
 
 
-def compute_popularity(train: InteractionSet) -> PopularityTable:
-    """Train interaction counts per item and per user."""
-    item_counts = np.bincount(train.items, minlength=train.num_items)
-    user_counts = np.bincount(train.users, minlength=train.num_users)
-    return PopularityTable(item_train_count=item_counts.astype(np.int64),
-                           user_train_count=user_counts.astype(np.int64))
-
-
 # ---------------------------------------------------------------------------
 # Feature file format (bit-exact):
 #   bytes 0-7   magic b"MDVTFEAT"
@@ -532,7 +501,6 @@ class DatasetBundle:
     split: DatasetSplit
     graph: InteractionGraph
     modalities: ModalityBundle
-    popularity: PopularityTable
     stats: dict
     # SHA-256 of the bundle files as load_bundle read them; a checkpoint
     # stores it. Empty for a bundle built in memory.
@@ -727,7 +695,6 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
         split=DatasetSplit(train, val, test, split_seed=split_seed),
         modalities=ModalityBundle(tuple(names), features, num_items=ni),
         graph=build_graph(train),
-        popularity=compute_popularity(train),
         stats=stats,
         fingerprint=_fingerprint(root, blobs),
     )

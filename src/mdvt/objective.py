@@ -44,20 +44,12 @@ class LossReport:
     epoch: int
 
 
-def combined_loss(l_bpr: float, l_vbpr: float | None, lam: float,
-                  mode: str = "default") -> float:
-    """Joint loss: (1-lambda)*bpr + lambda*vbpr, or bpr + lambda*vbpr when
-    the align-scale is ablated (``mode="wo_scale"``); a warm-up batch (no
-    virtual loss) gives bpr. ``RunConfig`` guarantees lambda in [0, 1]."""
-    if l_vbpr is None:
-        return l_bpr
-    if mode == "wo_scale":
-        return l_bpr + lam * l_vbpr
-    return (1.0 - lam) * l_bpr + lam * l_vbpr
-
-
 def _loss_weights(lam: float, joint: bool, wo_scale: bool
                   ) -> tuple[float, float]:
+    """``(w_bpr, w_v)`` of ``l_total = w_bpr * l_bpr + w_v * l_vbpr``:
+    (1-lambda, lambda) in a joint batch, (1, lambda) with the align-scale
+    ablated (``wo_scale``), (1, 0) in warm-up. ``RunConfig`` guarantees
+    lambda in [0, 1]."""
     if not joint:
         return 1.0, 0.0
     return (1.0 if wo_scale else 1.0 - lam), lam
@@ -229,16 +221,10 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
             if w_v != 0.0:
                 fused.append(scatter)
 
-    if not joint:
-        l_total = l_bpr
-    elif l_vbpr is not None:
-        l_total = combined_loss(l_bpr, l_vbpr,
-                                lam, "wo_scale" if wo_scale else "default")
-    else:
-        # Joint batch without any virtual entry: the bpr weight still applies.
-        l_total = w_bpr * l_bpr
-    report = LossReport(l_bpr=l_bpr, l_vbpr=l_vbpr if joint else None,
-                        l_total=l_total, epoch=-1)
+    # A joint batch without any virtual entry still weights the bpr term.
+    l_total = w_bpr * l_bpr + w_v * (0.0 if l_vbpr is None else l_vbpr)
+    report = LossReport(l_bpr=l_bpr, l_vbpr=l_vbpr, l_total=l_total,
+                        epoch=-1)
 
     share = None
     if fused:

@@ -279,7 +279,7 @@ class TrainHistory:
 
 
 def evaluate_split(state: backbone.EmbeddingState, bundle: DatasetBundle,
-                   config: RunConfig, which: str, with_buckets: bool = False,
+                   config: RunConfig, which: str,
                    ks: tuple[int, ...] | None = None
                    ) -> evaluator.MetricsReport:
     """Rank the requested split with the current state, at the cutoffs
@@ -287,7 +287,8 @@ def evaluate_split(state: backbone.EmbeddingState, bundle: DatasetBundle,
 
     Validation masks the train items; test masks train plus validation.
     Users with no train record (cold users) are excluded from the
-    averages, matching the evaluation protocol of the split design.
+    averages, matching the evaluation protocol of the split design. The
+    report buckets users by train degree when its buckets are first read.
     """
     split = bundle.split
     if which == "validation":
@@ -305,10 +306,10 @@ def evaluate_split(state: backbone.EmbeddingState, bundle: DatasetBundle,
     def score_rows(block: np.ndarray) -> np.ndarray:
         return backbone.score_matrix(reps, block, config.score_mode)
 
-    counts = bundle.popularity.user_train_count if with_buckets else None
     return evaluator.evaluate_rankings(
         score_rows, users, relevant, masked,
-        config.eval_ks if ks is None else ks, counts)
+        config.eval_ks if ks is None else ks,
+        bundle.graph.degrees[:bundle.num_users])
 
 
 def propagator(bundle: DatasetBundle, norm: str) -> backbone.Propagator:
@@ -450,15 +451,14 @@ class TrainingRun:
             virtual = triplet_forge.refresh(
                 reps, config.selection_params(), epoch,
                 np.flatnonzero(seen.row_lengths), seen_items=seen,
-                popularity=self.bundle.popularity)
+                item_counts=self.bundle.graph.degrees[self.bundle.num_users:])
         report = train_epoch(self.state, self.opt, self.prop, self.bundle,
                              config, epoch, virtual, self.rng_shuffle,
                              self.rng_negative)
         history.append_losses(report)
-        # With buckets: the best epoch's report is the run's validation
-        # result, so nothing ranks the best state again.
-        val = evaluate_split(self.state, self.bundle, config, "validation",
-                             with_buckets=True)
+        # The best epoch's report is the run's validation result, so
+        # nothing ranks the best state again.
+        val = evaluate_split(self.state, self.bundle, config, "validation")
         history.append_validation(val)
         ndcg10 = val.ndcg[10]
         if self.best_ndcg is None or ndcg10 > self.best_ndcg:
@@ -527,8 +527,7 @@ class CandidateResult:
 @dataclass
 class SearchResult:
     """Winner of a warm-up strategy search plus the per-candidate table.
-    ``best_validation`` ranks the validation split with ``best_state``,
-    with buckets."""
+    ``best_validation`` ranks the validation split with ``best_state``."""
 
     strategy: str
     best_config: RunConfig
@@ -782,7 +781,10 @@ def load_checkpoint(path: str | Path
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    blob = path.read_bytes()
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: {exc.strerror or exc}") from None
     if blob[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad checkpoint magic")
     try:

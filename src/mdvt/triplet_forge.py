@@ -17,12 +17,11 @@ block, then ``evaluator.top_k`` for each group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .backbone import Representations
-from .dataset import Adjacency, PopularityTable
+from .dataset import Adjacency
 from .errors import SelectionError, TrainingCollapseError
 from .evaluator import BLOCK_ROWS, top_k
 
@@ -55,15 +54,6 @@ class VirtualTripletSet:
                           pos.entry_rows * width + pos.indices)
         assert not overlap.any(), "virtual groups overlap for user " \
             f"{self.users[neg.entry_rows[overlap][0]]}"
-
-    def dump(self, path: str | Path) -> None:
-        """Debug text dump: ``user<TAB>pos:i1,i2<TAB>neg:j1,j2`` per line."""
-        lines = []
-        for r, u in enumerate(self.users):
-            pos = ",".join(str(i) for i in self.positives[r])
-            neg = ",".join(str(i) for i in self.negatives[r])
-            lines.append(f"{u}\tpos:{pos}\tneg:{neg}\n")
-        Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def cosine_rows(user_vecs: np.ndarray, item_matrix: np.ndarray,
@@ -122,17 +112,18 @@ def _rerank(pool: Adjacency, values: np.ndarray, n: int) -> Adjacency:
 
 def select(params: SelectionParams, sim: np.ndarray,
            seen: Adjacency | None = None,
-           popularity: PopularityTable | None = None,
+           item_counts: np.ndarray | None = None,
            users: np.ndarray | None = None,
            collapsed: np.ndarray | None = None
            ) -> tuple[Adjacency, Adjacency]:
     """Virtual ``(positives, negatives)`` of a block of users: one CSR row
     per row of ``sim``, empty where a threshold admits nothing.
 
-    ``seen`` holds each row's excluded positive candidates. Raises the
-    error a one-user-at-a-time loop meets first: a collapsed user
-    (``collapsed[r]``) or a row with too few candidates. ``users`` names
-    the rows in messages.
+    ``seen`` holds each row's excluded positive candidates, and
+    ``item_counts`` every item's train degree, which the frequency
+    constructors rank by. Raises the error a one-user-at-a-time loop meets
+    first: a collapsed user (``collapsed[r]``) or a row with too few
+    candidates. ``users`` names the rows in messages.
     """
     rows, num_items = sim.shape
     users = np.arange(rows) if users is None else users
@@ -166,20 +157,19 @@ def select(params: SelectionParams, sim: np.ndarray,
     if tag == "topn":
         positives = top_k(sim, n, seen)
         return positives, top_k(-sim, n, positives)
-    counts = popularity.item_train_count.astype(np.int64)
     if tag == "freq_f1":
-        block = np.broadcast_to(counts, sim.shape)
+        block = np.broadcast_to(item_counts, sim.shape)
         positives = top_k(block, n, seen)
         return positives, top_k(-block, n, positives)
     # freq_f2: the n most / least popular of the 2n most / least similar.
-    positives = _rerank(top_k(sim, 2 * n, seen), counts, n)
-    return positives, _rerank(top_k(-sim, 2 * n, positives), -counts, n)
+    positives = _rerank(top_k(sim, 2 * n, seen), item_counts, n)
+    return positives, _rerank(top_k(-sim, 2 * n, positives), -item_counts, n)
 
 
 def refresh(reps: Representations, params: SelectionParams, epoch: int,
             trainable_users: list[int] | np.ndarray,
             seen_items: Adjacency | None = None,
-            popularity: PopularityTable | None = None) -> VirtualTripletSet:
+            item_counts: np.ndarray | None = None) -> VirtualTripletSet:
     """Rebuild the virtual-triplet set from the current fused
     representations, taking the users in ascending order.
 
@@ -197,7 +187,7 @@ def refresh(reps: Representations, params: SelectionParams, epoch: int,
                                      item_norms)
         groups.append(select(params, sim,
                              seen_items.take(block) if exclude else None,
-                             popularity, block, collapsed))
+                             item_counts, block, collapsed))
     lengths = np.concatenate([np.zeros(0, dtype=np.int64)]
                              + [pos.row_lengths for pos, _ in groups])
     covered = lengths > 0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mdvt.dataset import (DatasetBundle, DatasetSplit, InteractionSet,
-                          ModalityBundle, build_graph, compute_popularity)
+                          ModalityBundle, build_graph)
 
 
 def make_set(records, num_users, num_items) -> InteractionSet:
@@ -82,7 +82,6 @@ def make_bundle(rng, num_users=6, num_items=8, extra_edges=6,
         split=split,
         graph=build_graph(train),
         modalities=modalities,
-        popularity=compute_popularity(train),
         stats={
             "num_users": num_users,
             "num_items": num_items,

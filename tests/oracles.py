@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from mdvt.dataset import Adjacency, PopularityTable
+from mdvt.dataset import Adjacency
 from mdvt.errors import (ConfigError, DataError, MdvtError, SelectionError,
                          TrainingCollapseError)
 from mdvt import objective, warmup
@@ -246,10 +246,11 @@ def select_threshold(values: np.ndarray, threshold: float,
 
 
 def select_frequency(values: np.ndarray, n: int,
-                     popularity: PopularityTable, mode: str,
+                     item_counts: np.ndarray, mode: str,
                      exclusion: Collection[int] | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Interaction-frequency selection variants.
+    """Interaction-frequency selection variants, by ``item_counts`` (each
+    item's train interaction count).
 
     ``f1`` ignores similarity entirely: the n most-popular items become
     positives, the n least-popular negatives. ``f2`` pre-filters by
@@ -258,7 +259,7 @@ def select_frequency(values: np.ndarray, n: int,
     """
     if mode not in ("f1", "f2"):
         raise ConfigError(f"frequency mode must be 'f1' or 'f2', got {mode!r}")
-    counts = popularity.item_train_count.astype(np.int64)
+    counts = np.asarray(item_counts, dtype=np.int64)
     candidates = _positive_candidates(len(values), exclusion)
     if len(candidates) < 2 * n:
         raise SelectionError(
@@ -294,7 +295,7 @@ def select_frequency(values: np.ndarray, n: int,
 
 
 def select_one(params: SelectionParams, row: np.ndarray,
-               popularity: PopularityTable | None,
+               item_counts: np.ndarray | None,
                exclusion: Collection[int] | None
                ) -> tuple[np.ndarray, np.ndarray]:
     """The per-user selector ``params`` names, applied to one row."""
@@ -311,13 +312,13 @@ def select_one(params: SelectionParams, row: np.ndarray,
         return select_threshold(row, params.threshold, cap=cap,
                                 floor=params.n_floor, exclusion=exclusion)
     if tag == "freq_f1":
-        return select_frequency(row, params.n, popularity, "f1", exclusion)
-    return select_frequency(row, params.n, popularity, "f2", exclusion)
+        return select_frequency(row, params.n, item_counts, "f1", exclusion)
+    return select_frequency(row, params.n, item_counts, "f2", exclusion)
 
 
 def refresh_oracle(reps, params: SelectionParams, trainable_users,
                    seen_items: Adjacency | None = None,
-                   popularity: PopularityTable | None = None
+                   item_counts: np.ndarray | None = None
                    ) -> dict[int, tuple[list, list]]:
     """The virtual groups one user at a time, as ``groups_of`` returns
     them; raises what the first failing user raises."""
@@ -331,7 +332,7 @@ def refresh_oracle(reps, params: SelectionParams, trainable_users,
         exclusion = None
         if not params.include_seen and seen_items is not None:
             exclusion = seen_items[u]
-        pos, neg = select_one(params, row, popularity, exclusion)
+        pos, neg = select_one(params, row, item_counts, exclusion)
         if len(pos):
             out[u] = (pos.tolist(), neg.tolist())
     return out
@@ -563,13 +564,18 @@ def backward_add_at(batch, virtual, reps, prop, *, lam, joint, num_layers,
             l_vbpr = _virtual_loss_add_at(rows, weight, virtual, reps.fused,
                                           num_users, w_v, wo_aggr,
                                           grad_fused)
+    # The enhanced pair-wise loss case by case: bpr alone in warm-up;
+    # (1-lambda)*bpr + lambda*vbpr, or bpr + lambda*vbpr with the
+    # align-scale ablated; a joint batch without any virtual entry keeps
+    # only its weighted bpr term.
     if not joint:
         l_total = l_bpr
-    elif l_vbpr is not None:
-        l_total = objective.combined_loss(
-            l_bpr, l_vbpr, lam, "wo_scale" if wo_scale else "default")
-    else:
+    elif l_vbpr is None:
         l_total = w_bpr * l_bpr
+    elif wo_scale:
+        l_total = l_bpr + lam * l_vbpr
+    else:
+        l_total = (1.0 - lam) * l_bpr + lam * l_vbpr
     report = objective.LossReport(l_bpr=l_bpr,
                                   l_vbpr=l_vbpr if joint else None,
                                   l_total=l_total, epoch=-1)

@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import make_set
 from mdvt.dataset import (DatasetBundle, DatasetSplit, ModalityBundle,
-                          build_graph, compute_popularity)
+                          build_graph)
 
 
 def planted_bundle(seed: int, num_users: int = 200, num_items: int = 100,
@@ -53,7 +53,6 @@ def planted_bundle(seed: int, num_users: int = 200, num_items: int = 100,
         split=split,
         graph=build_graph(split.train),
         modalities=modalities,
-        popularity=compute_popularity(split.train),
         stats={
             "num_users": num_users,
             "num_items": num_items,

@@ -22,16 +22,15 @@ from mdvt.trainer import (RunConfig, evaluate_split, run_strategy_search,
                           train_run)
 from mdvt.triplet_forge import SelectionParams, select
 from mdvt.warmup import dynamic_trigger, hybrid_candidates
-from mdvt.dataset import PopularityTable
 from oracles import adjacency_of
 from test_triplet_forge import (oracle_frequency, oracle_threshold,
                                 oracle_topn, random_row)
 from test_evaluator import brute_ndcg, brute_recall
 
 
-def select_row(params, values, popularity=None):
+def select_row(params, values, item_counts=None):
     """The production selection of one similarity row."""
-    pos, neg = select(params, values[None, :], popularity=popularity)
+    pos, neg = select(params, values[None, :], item_counts=item_counts)
     return pos[0], neg[0]
 
 
@@ -150,14 +149,12 @@ def test_criterion_2_selection_oracle():
         num_items = int(rng.integers(4, 50))
         values = random_row(rng, num_items)
         counts = rng.integers(0, 8, size=num_items)
-        pop = PopularityTable(item_train_count=counts,
-                              user_train_count=np.array([1]))
         mode = "f1" if rng.random() < 0.5 else "f2"
         n = int(rng.integers(1, max(2, num_items // 3)))
         if num_items < 2 * n:
             continue
         pos, neg = select_row(SelectionParams(f"freq_{mode}", n=n), values,
-                              pop)
+                              counts)
         opos, oneg = oracle_frequency(values, n, counts, mode)
         mismatches += pos.tolist() != opos or neg.tolist() != oneg
         compared += 1

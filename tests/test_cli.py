@@ -142,6 +142,21 @@ class TestPrepare:
             tmp_path, lambda n: np.ones((n, 0), np.float32), ids) == 2
         assert "no feature columns" in single_error_line(capsys)
 
+    def test_repeated_feature_name_exit_1(self, tmp_path, capsys):
+        inter = tmp_path / "toy.tsv"
+        num_items = write_interactions(inter)
+        feat = tmp_path / "visual.feat"
+        ids = [f"item{i}" for i in range(num_items)]
+        write_modality_features(feat, np.ones((num_items, 2), np.float32),
+                                item_ids=ids)
+        capsys.readouterr()
+        assert main(["prepare", "--interactions", str(inter),
+                     "--feature", f"visual={feat}",
+                     "--feature", f"visual={feat}",
+                     "--out", str(tmp_path / "b")]) == 1
+        assert "--feature 'visual' given twice" in single_error_line(capsys)
+        assert not (tmp_path / "b").exists()
+
     def test_repeated_sidecar_id_exit_2(self, tmp_path, capsys):
         ids = "".join(f"item{i}\n" for i in (0, 1, 2, 1, 4, 5, 6, 7, 8, 9))
         assert self.prepare_with_sidecar(
@@ -655,6 +670,21 @@ class TestMalformedFiles:
 class TestArgErrors:
     def test_bad_subcommand_exit_1(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        (["train", "--config", "DIR", "--out", "OUT"], 1),
+        (["sweep", "--config", "CONFIG", "--grid", "DIR", "--out", "OUT"], 1),
+        (["eval", "--checkpoint", "DIR"], 3),
+    ], ids=["train-config", "sweep-grid", "eval-checkpoint"])
+    def test_directory_input_exit_code(self, tmp_path, capsys, argv, code):
+        # The input's own exit code, not the generic one for OS errors.
+        (tmp_path / "adir").mkdir()
+        paths = {"DIR": str(tmp_path / "adir"), "OUT": str(tmp_path / "out"),
+                 "CONFIG": str(base_config(tmp_path))}
+        capsys.readouterr()
+        assert main([argv[0], "--bundle", str(tmp_path / "bundle")]
+                    + [paths.get(arg, arg) for arg in argv[1:]]) == code
+        assert "adir" in single_error_line(capsys)
 
     def test_missing_required_flag_exit_1(self):
         assert main(["train", "--bundle", "x"]) == 1

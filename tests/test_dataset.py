@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import make_set, pairs_of
-from mdvt.dataset import (FEATURE_MAGIC, build_graph, compute_popularity,
-                          load_interactions, load_modality_features,
-                          make_batches, sample_negatives, split_dataset,
+from mdvt.dataset import (FEATURE_MAGIC, build_graph, load_interactions,
+                          load_modality_features, make_batches,
+                          sample_negatives, split_dataset,
                           write_modality_features)
 from mdvt.errors import ConfigError, DataError
 
@@ -385,17 +385,20 @@ class TestFeatures:
 
 
 class TestPopularity:
+    """Train interaction counts are the graph's degrees: users first, then
+    items."""
+
     def test_item_counts(self):
-        pop = compute_popularity(make_set([(0, 0), (1, 0)], 2, 2))
-        assert pop.item_train_count[0] == 2
-        assert pop.item_train_count[1] == 0
+        degrees = build_graph(make_set([(0, 0), (1, 0)], 2, 2)).degrees
+        assert degrees[2:].tolist() == [2, 0]
+        assert degrees.dtype == np.int64
 
     def test_user_counts(self):
-        pop = compute_popularity(make_set([(0, 0)], 2, 1))
-        assert pop.user_train_count.tolist() == [1, 0]
+        degrees = build_graph(make_set([(0, 0)], 2, 1)).degrees
+        assert degrees[:2].tolist() == [1, 0]
 
     def test_totals_match(self):
         records = sorted({(k % 4, k % 5) for k in range(15)})
-        pop = compute_popularity(make_set(records, 4, 5))
-        assert pop.item_train_count.sum() == len(records)
-        assert pop.user_train_count.sum() == len(records)
+        degrees = build_graph(make_set(records, 4, 5)).degrees
+        assert degrees[4:].sum() == len(records)
+        assert degrees[:4].sum() == len(records)

@@ -12,7 +12,7 @@ from mdvt.backbone import Propagator, forward_pass, init_embeddings
 from mdvt.dataset import ModalityBundle, TripletBatch, build_graph
 from mdvt.errors import ConfigError, MdvtError
 from mdvt.objective import (OptimizerState, adam_step, backward,
-                            batch_vertices, combined_loss, softplus)
+                            batch_vertices, softplus)
 from mdvt.trainer import RunConfig
 from mdvt.triplet_forge import SelectionParams, refresh
 from oracles import (adam_step_whole_table, aggregate_virtual,
@@ -163,21 +163,36 @@ class TestVirtualBprLoss:
 
 
 class TestCombinedLoss:
-    def test_lambda_zero(self):
-        assert combined_loss(1.25, 0.5, 0.0) == pytest.approx(1.25)
+    """``backward``'s ``l_total`` weighting of its ``l_bpr`` and ``l_vbpr``,
+    to the last bit."""
 
-    def test_align_scaled(self):
-        assert combined_loss(1.0, 0.5, 0.2) == pytest.approx(0.9)
+    def losses(self, rng, **kv):
+        state, prop, _, reps, batch, virtual = make_instance(rng)
+        report, _ = backward(batch, virtual, reps, prop, num_layers=1, **kv)
+        return report
 
-    def test_wo_scale(self):
-        assert combined_loss(1.0, 0.5, 0.2, mode="wo_scale") == \
-            pytest.approx(1.1)
+    def test_lambda_zero(self, rng):
+        report = self.losses(rng, lam=0.0, joint=True)
+        assert report.l_vbpr is not None
+        assert report.l_total == report.l_bpr
 
-    def test_warmup_passthrough(self):
-        assert combined_loss(0.7, None, 0.3) == pytest.approx(0.7)
+    def test_align_scaled(self, rng):
+        report = self.losses(rng, lam=0.2, joint=True)
+        assert report.l_vbpr is not None
+        assert report.l_total == (1.0 - 0.2) * report.l_bpr \
+            + 0.2 * report.l_vbpr
+
+    def test_wo_scale(self, rng):
+        report = self.losses(rng, lam=0.2, joint=True, wo_scale=True)
+        assert report.l_total == report.l_bpr + 0.2 * report.l_vbpr
+
+    def test_warmup_passthrough(self, rng):
+        report = self.losses(rng, lam=0.3, joint=False)
+        assert report.l_vbpr is None
+        assert report.l_total == report.l_bpr
 
     def test_lambda_out_of_range(self):
-        # RunConfig rejects it; combined_loss no longer re-checks per batch.
+        # RunConfig rejects it; backward does not re-check it per batch.
         with pytest.raises(ConfigError, match="lam must lie"):
             RunConfig(lam=1.2)
 

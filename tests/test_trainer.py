@@ -198,7 +198,7 @@ class TestStrategySearch:
             bundle, quick_config(learning_rate=0.02, **overrides))
         assert result.best_history.best_epoch > 0  # not the first report
         again = evaluate_split(result.best_state, bundle, result.best_config,
-                               "validation", with_buckets=True)
+                               "validation")
         assert result.best_validation.to_dict() == again.to_dict()
         assert len(again.buckets) == 4
         assert (result.best_validation.ndcg[10]
@@ -488,8 +488,7 @@ class TestEvaluateSplit:
         bundle = make_bundle(rng, num_users=6, num_items=10, extra_edges=6)
         config = quick_config(max_epochs=1, patience=1)
         state, _ = train_run(bundle, config)
-        report = evaluate_split(state, bundle, config, "test",
-                                with_buckets=True)
+        report = evaluate_split(state, bundle, config, "test")
         assert report.num_users_evaluated > 0
         assert set(report.recall) == {5, 10}
         assert len(report.buckets) == 4

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import covered_random_records, make_set
 from mdvt.backbone import Propagator, forward_pass, init_embeddings
-from mdvt.dataset import ModalityBundle, PopularityTable, build_graph
+from mdvt.dataset import ModalityBundle, build_graph
 from mdvt.errors import ConfigError, SelectionError, TrainingCollapseError
 from mdvt.triplet_forge import SelectionParams, cosine_rows, refresh, select
 from oracles import (adjacency_of, cosine_row, groups_of, refresh_oracle,
@@ -220,8 +220,7 @@ class TestSelectThreshold:
 
 
 class TestSelectFrequency:
-    POP = PopularityTable(item_train_count=np.array([5, 1, 3, 0]),
-                          user_train_count=np.array([9]))
+    POP = np.array([5, 1, 3, 0])
 
     def test_f1_spec_example(self):
         pos, neg = select_frequency(np.zeros(4), 1, self.POP, "f1")
@@ -229,8 +228,7 @@ class TestSelectFrequency:
         assert neg.tolist() == [3]
 
     def test_f2_spec_example(self):
-        counts = PopularityTable(item_train_count=np.array([1, 9, 1, 1]),
-                                 user_train_count=np.array([9]))
+        counts = np.array([1, 9, 1, 1])
         pos, _ = select_frequency(np.array([0.9, 0.8, 0.7, 0.1]), 1,
                                   counts, "f2")
         assert pos.tolist() == [1]
@@ -247,13 +245,11 @@ class TestSelectFrequency:
             num_items = int(rng.integers(4, 50))
             values = random_row(rng, num_items)
             counts = rng.integers(0, 8, size=num_items)
-            pop = PopularityTable(item_train_count=counts,
-                                  user_train_count=np.array([1]))
             mode = "f1" if rng.random() < 0.5 else "f2"
             n = int(rng.integers(1, max(2, num_items // 3)))
             if num_items < 2 * n:
                 continue
-            pos, neg = select_frequency(values, n, pop, mode)
+            pos, neg = select_frequency(values, n, counts, mode)
             opos, oneg = oracle_frequency(values, n, counts, mode)
             assert pos.tolist() == opos
             assert neg.tolist() == oneg
@@ -304,24 +300,6 @@ class TestRefresh:
         with_seen, without = groups_of(include), groups_of(exclude)
         assert any(with_seen[u][0] != without[u][0] for u in with_seen)
 
-    def test_dump_format(self, rng, tmp_path):
-        reps, train = small_reps(rng)
-        users = np.unique(train.users).tolist()
-        vset = refresh(reps, SelectionParams(constructor="topn", n=2), 0,
-                       users, seen_items=train.adjacency)
-        out = tmp_path / "virtual.tsv"
-        vset.dump(out)
-        line = out.read_text(encoding="utf-8").splitlines()[0]
-        user, pos, neg = line.split("\t")
-        assert pos.startswith("pos:") and neg.startswith("neg:")
-        assert int(user) == vset.users[0]
-        assert len(vset.positives) == len(vset.users)
-        groups = refresh_oracle(reps, SelectionParams(constructor="topn", n=2),
-                                users, seen_items=train.adjacency)
-        assert out.read_text(encoding="utf-8") == "".join(
-            f"{u}\tpos:{','.join(map(str, p))}\tneg:{','.join(map(str, n))}\n"
-            for u, (p, n) in sorted(groups.items()))
-
 
 ALL_PARAMS = [
     SelectionParams(constructor="topn", n=2),
@@ -369,9 +347,7 @@ class TestSelectBlock:
                 {r: set(rng.choice(cols, size=int(rng.integers(0, cols // 2)),
                                    replace=False).tolist())
                  for r in range(rows)}, rows)
-            pop = PopularityTable(
-                item_train_count=rng.integers(0, 5, size=cols),
-                user_train_count=np.ones(rows, dtype=np.int64))
+            pop = rng.integers(0, 5, size=cols)
             error = per_user_error(params, sim, excluded, pop)
             if error is not None:
                 with pytest.raises(SelectionError) as caught:
@@ -393,21 +369,19 @@ class TestRefreshOracle:
         for _ in range(5):
             reps, train = small_reps(rng, num_users=9, num_items=16)
             users = np.flatnonzero(train.adjacency.row_lengths)
-            pop = PopularityTable(
-                item_train_count=rng.integers(0, 4, size=16),
-                user_train_count=np.ones(9, dtype=np.int64))
+            pop = rng.integers(0, 4, size=16)
             try:
                 want = refresh_oracle(reps, params, users,
                                       seen_items=train.adjacency,
-                                      popularity=pop)
+                                      item_counts=pop)
             except SelectionError as exc:
                 with pytest.raises(SelectionError) as caught:
                     refresh(reps, params, 0, users,
-                            seen_items=train.adjacency, popularity=pop)
+                            seen_items=train.adjacency, item_counts=pop)
                 assert str(caught.value) == str(exc)
                 continue
             got = refresh(reps, params, 0, users, seen_items=train.adjacency,
-                          popularity=pop)
+                          item_counts=pop)
             assert groups_of(got) == want
 
     def test_cosine_rows_match_one_user_rows(self, rng):
