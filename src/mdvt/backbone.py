@@ -38,7 +38,6 @@ class EmbeddingState:
 
     tables: dict[str, np.ndarray]
     num_users: int
-    init_seed: int
     embed_dim: int
 
     @property
@@ -79,7 +78,7 @@ def init_embeddings(bundle: ModalityBundle, num_users: int, embed_dim: int,
     state = EmbeddingState(
         tables={m: np.empty((num_users + bundle.num_items, embed_dim))
                 for m in bundle.modalities},
-        num_users=num_users, init_seed=seed, embed_dim=embed_dim)
+        num_users=num_users, embed_dim=embed_dim)
     for k, m in enumerate(bundle.modalities):
         rng_u = np.random.default_rng(streams[2 * k])
         rng_i = np.random.default_rng(streams[2 * k + 1])

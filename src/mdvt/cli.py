@@ -8,13 +8,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
 import logging
+import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__, trainer
@@ -61,7 +62,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", required=True,
                    help="JSON mapping config keys to value lists")
     p.add_argument("--out", required=True, help="sweep output directory")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="cells trained at once (above 1, each in a child "
+                        "process that trains its candidates in turn)")
     p.add_argument("--resume", action="store_true",
                    help="skip cells whose report already exists")
 
@@ -100,20 +103,25 @@ def _load_config(path: str, seed_override: int | None = None) -> RunConfig:
 
 
 def cmd_prepare(args) -> int:
-    interactions = load_interactions(args.interactions)
-    split = split_dataset(interactions, args.seed)
-    features = {}
+    paths = {}
     for spec in args.feature:
         if "=" not in spec:
             raise ConfigError(f"--feature must be NAME=PATH, got {spec!r}")
         name, path = spec.split("=", 1)
         if name == "id":
             raise ConfigError('"id" is implicit and carries no feature file')
-        if name in features:
+        # The name is the bundle's file name features/<name>.feat.
+        if not name or os.sep in name or (os.altsep and os.altsep in name):
+            raise ConfigError(f"--feature name must be non-empty and hold "
+                              f"no path separator, got {name!r}")
+        if name in paths:
             raise ConfigError(f"--feature {name!r} given twice")
-        features[name] = load_modality_features(
-            path, name, interactions.num_items,
-            item_index=interactions.item_index)
+        paths[name] = path
+    interactions = load_interactions(args.interactions)
+    split = split_dataset(interactions, args.seed)
+    features = {name: load_modality_features(
+        path, name, interactions.num_items,
+        item_index=interactions.item_index) for name, path in paths.items()}
     modalities = ModalityBundle(("id", *features), features,
                                 num_items=interactions.num_items)
     stats = save_bundle(args.out, split, modalities,
@@ -150,21 +158,20 @@ def build_run_report(bundle_stats: dict, config: RunConfig,
     }
 
 
-def _execute_train(bundle_dir: str, config: RunConfig, out_path: str,
-                   processes: int | None = None) -> dict:
+def _execute_train(bundle_dir: str, config: RunConfig, out_path: str) -> dict:
     start = time.perf_counter()
+    out = Path(out_path)
+    out.parent.mkdir(parents=True, exist_ok=True)  # fails before training
     bundle = load_bundle(bundle_dir)
     warnings = config.off_grid_warnings()
     for message in warnings:
         log.warning("config: %s", message)
-    result = trainer.run_strategy_search(bundle, config, processes)
+    result = trainer.run_strategy_search(bundle, config)
     test_metrics = trainer.evaluate_split(result.best_state, bundle,
                                           result.best_config, "test")
     report = build_run_report(bundle.stats, config, warnings, result,
                               test_metrics,
                               time.perf_counter() - start)
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(out, json.dumps(report, sort_keys=True, indent=2) + "\n")
     trainer.save_checkpoint(out.with_suffix(".ckpt"), result.best_state,
                             result.best_config, bundle.fingerprint)
@@ -179,12 +186,6 @@ def cmd_train(args) -> int:
           f"ndcg@10={test['ndcg']['10']:.6f} "
           f"(report: {args.out})")
     return 0
-
-
-def _sweep_cell(bundle_dir: str, config_dict: dict, out_path: str,
-                processes: int | None = None) -> dict:
-    config = RunConfig.from_dict(config_dict)
-    return _execute_train(bundle_dir, config, out_path, processes)
 
 
 def _summary_row(overrides: dict, config: RunConfig, report: dict,
@@ -237,22 +238,14 @@ def cmd_sweep(args) -> int:
                             cell_path, exc)
         pending.append((overrides, config, cell_path))
 
-    if args.workers > 1 and len(pending) > 1:
-        # The cells fill the cores, so each trains its candidates in turn.
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [
-                (overrides, config, pool.submit(
-                    _sweep_cell, args.bundle, config.to_dict(),
-                    str(cell_path), processes=1))
-                for overrides, config, cell_path in pending]
-            for overrides, config, fut in futures:
-                summary.append(_summary_row(overrides, config, fut.result(),
-                                            False))
-    else:
-        for overrides, config, cell_path in pending:
-            report = _sweep_cell(args.bundle, config.to_dict(),
-                                 str(cell_path))
-            summary.append(_summary_row(overrides, config, report, False))
+    # With one worker or one pending cell, cells train here.
+    with trainer.ForkPool(min(args.workers, len(pending))) as pool:
+        for _, config, cell_path in pending:
+            pool.add(cell_path.stem, functools.partial(
+                _execute_train, args.bundle, config, str(cell_path)))
+        reports = pool.gather()
+    for (overrides, config, _), report in zip(pending, reports):
+        summary.append(_summary_row(overrides, config, report, False))
 
     summary.sort(key=lambda r: (-r["val_ndcg10"], r["config_hash"]))
     write_atomic(out_dir / "summary.json",

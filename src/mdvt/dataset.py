@@ -696,22 +696,21 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
         modalities=ModalityBundle(tuple(names), features, num_items=ni),
         graph=build_graph(train),
         stats=stats,
-        fingerprint=_fingerprint(root, blobs),
+        fingerprint=_fingerprint(blobs),
     )
 
 
-def _fingerprint(root: Path, blobs: dict[str, bytes]) -> str:
-    """Identity hash of a bundle's content: stats.json, the split files,
-    the id tables and every ``features/*.feat`` file, in that order, each
-    hashed as its name, byte length and bytes. ``blobs`` holds the files
-    already read; the rest are read here."""
+def _fingerprint(blobs: dict[str, bytes]) -> str:
+    """Identity hash of the bundle files ``load_bundle`` read (``blobs``):
+    stats.json, the split files, the id tables and the feature files
+    stats.json names (sorted by path), in that order, each hashed as its
+    name, byte length and bytes."""
     names = ["stats.json", "train.tsv", "val.tsv", "test.tsv", "users.txt",
              "items.txt"]
-    names += sorted(f"features/{p.name}"
-                    for p in (root / "features").glob("*.feat"))
+    names += sorted(name for name in blobs if name.startswith("features/"))
     digest = hashlib.sha256()
     for name in names:
-        data = blobs[name] if name in blobs else _read_bytes(root / name)
+        data = blobs[name]
         digest.update(f"{name}\0{len(data)}\0".encode("utf-8") + data)
     return digest.hexdigest()
 

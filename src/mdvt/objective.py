@@ -41,7 +41,6 @@ class LossReport:
     l_bpr: float
     l_vbpr: float | None
     l_total: float
-    epoch: int
 
 
 def _loss_weights(lam: float, joint: bool, wo_scale: bool
@@ -223,8 +222,7 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
 
     # A joint batch without any virtual entry still weights the bpr term.
     l_total = w_bpr * l_bpr + w_v * (0.0 if l_vbpr is None else l_vbpr)
-    report = LossReport(l_bpr=l_bpr, l_vbpr=l_vbpr, l_total=l_total,
-                        epoch=-1)
+    report = LossReport(l_bpr=l_bpr, l_vbpr=l_vbpr, l_total=l_total)
 
     share = None
     if fused:

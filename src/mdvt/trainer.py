@@ -13,6 +13,7 @@ run with it disabled.
 from __future__ import annotations
 
 import collections
+import contextlib
 import copy
 import dataclasses
 import hashlib
@@ -380,8 +381,7 @@ def train_epoch(state: backbone.EmbeddingState,
     return objective.LossReport(
         l_bpr=scale * sums["l_bpr"] / n_batches,
         l_vbpr=l_vbpr if joint else None,
-        l_total=scale * sums["l_total"] / n_batches,
-        epoch=epoch)
+        l_total=scale * sums["l_total"] / n_batches)
 
 
 class TrainingRun:
@@ -541,60 +541,70 @@ class SearchResult:
 
 def candidate_processes() -> int:
     """Child processes a search may train forked candidates in at once: one
-    per core this process may use, or 1 (in turn, here) without fork."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    per core this process may use, or 1 without ``sched_getaffinity``."""
+    if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return 1
 
 
-class _Candidates:
-    """A search's candidate results, in the order the candidates start.
-    With ``processes`` > 1, a fork of the trunk trains in a child process
-    that inherits it copy-on-write and pipes back its pickled result or
-    error; at most ``processes`` run at once. Children never log."""
+# True in a ForkPool's child, whose parent's pool already fills the cores.
+_in_child = False
+
+
+class ForkPool(contextlib.AbstractContextManager):
+    """Runs zero-argument jobs; ``gather`` returns their results in the
+    order added. A job added with ``fork`` runs in a forked child that
+    pipes back its pickled result or error, at most ``processes`` at once;
+    other jobs, and all when ``processes`` is 1 or ``os.fork`` is missing,
+    run here when added. Its ``with`` block raises the first error in job
+    order (a dead child's as one MdvtError) and kills and reaps the rest."""
 
     def __init__(self, processes: int) -> None:
-        self.processes = processes
-        self.results: list[CandidateResult | None] = []
-        # Running children, oldest first: (index, pid, pipe, label, candidate)
+        self.processes = processes if hasattr(os, "fork") else 1
+        self.results: list = []
+        # Running children, oldest first: (index, pid, pipe, what)
         self.running: collections.deque[tuple] = collections.deque()
 
-    def add(self, label: str, candidate: int | None, run: TrainingRun,
-            how: str, forked: bool = False) -> None:
-        log.info("%s %s", label, how)
-        if not forked or self.processes <= 1:
-            state, history = run.finish()
-            self.results.append(CandidateResult(label, candidate, history,
-                                                state, run.best_validation))
+    def __exit__(self, kind, error, trace) -> None:
+        try:
+            if isinstance(error, Exception):
+                self.gather()  # an earlier job's error comes first
+        finally:
+            self.close()
+
+    def add(self, what: str, job: typing.Callable[[], typing.Any],
+            fork: bool = True) -> None:
+        """Run ``job``; ``what`` names it in the message of a dead child."""
+        if not fork or self.processes <= 1:
+            self.results.append(job())
             return
         if len(self.running) == self.processes:
             self._wait()
         read, write = os.pipe()
         if (pid := os.fork()) == 0:
-            _train_child(run, read, write)
+            _run_child(job, read, write)
         os.close(write)
         self.running.append((len(self.results), pid, os.fdopen(read, "rb"),
-                             label, candidate))
+                             what))
         self.results.append(None)
 
     def _wait(self) -> None:
         """Take the oldest child's result, or stop all and raise its error."""
-        index, pid, pipe, label, candidate = self.running[0]
+        index, pid, pipe, what = self.running[0]
         with pipe:
             data = pipe.read()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         self.running.popleft()
         payload = pickle.loads(data) if code == 0 else MdvtError(
-            f"the process training candidate {label} ended without a "
-            f"result ({f'signal {-code}' if code < 0 else f'exit {code}'})")
+            f"the process training {what} ended without a result "
+            f"({f'signal {-code}' if code < 0 else f'exit {code}'})")
         if isinstance(payload, Exception):
             self.close()
             raise payload
-        state, history, validation = payload
-        self.results[index] = CandidateResult(label, candidate, history,
-                                              state, validation)
+        self.results[index] = payload
 
-    def gather(self) -> list[CandidateResult]:
+    def gather(self) -> list:
+        """Every job's result, in the order the jobs were added."""
         while self.running:
             self._wait()
         return self.results
@@ -602,21 +612,23 @@ class _Candidates:
     def close(self) -> None:
         """Kill and reap every child still running."""
         while self.running:
-            _, pid, pipe, *_ = self.running.popleft()
+            _, pid, pipe, _ = self.running.popleft()
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _train_child(run: TrainingRun, read: int, write: int
-                 ) -> typing.NoReturn:
-    """In a forked child: train ``run``, pipe back its result or error,
-    and exit without unwinding the parent's stack."""
+def _run_child(job: typing.Callable[[], typing.Any], read: int, write: int
+               ) -> typing.NoReturn:
+    """In a forked child: run ``job``, pipe back its result or error, and
+    exit without unwinding the parent's stack."""
+    global _in_child
+    _in_child = True
     code = 1
     try:
         os.close(read)
         try:
-            payload = (*run.finish(), run.best_validation)
+            payload = job()
         except Exception as exc:  # raised again by the parent
             payload = exc
         with os.fdopen(write, "wb") as pipe:
@@ -626,39 +638,51 @@ def _train_child(run: TrainingRun, read: int, write: int
         os._exit(code)
 
 
-def _branch(trunk: TrainingRun, candidates: _Candidates, label: str,
-            candidate: int, last: bool) -> None:
+def _add(pool: ForkPool, label: str, candidate: int | None,
+         run: TrainingRun, how: str, forked: bool = False) -> None:
+    """Log how candidate ``label`` starts; add its training to ``pool``."""
+    log.info("%s %s", label, how)
+
+    def train() -> CandidateResult:
+        state, history = run.finish()
+        return CandidateResult(label, candidate, history, state,
+                               run.best_validation)
+    pool.add(f"candidate {label}", train, fork=forked)
+
+
+def _branch(trunk: TrainingRun, pool: ForkPool, label: str, candidate: int,
+            last: bool) -> None:
     """Advance the warm-up-only trunk to the start of epoch ``candidate``
     and fork it there; the last candidate takes the trunk over. A trunk
     that stops first is the candidate's result: it never triggers."""
     while trunk.epoch < candidate and not trunk.done:
         trunk.step()
     if trunk.done:
-        candidates.add(label, candidate, trunk, "shares the trunk (trunk "
-                       f"stopped at epoch {trunk.history.stopped_epoch})")
+        _add(pool, label, candidate, trunk, "shares the trunk (trunk "
+             f"stopped at epoch {trunk.history.stopped_epoch})")
     elif last:
         trunk.trigger = candidate
-        candidates.add(label, candidate, trunk,
-                       f"takes the trunk over at epoch {candidate}")
+        _add(pool, label, candidate, trunk,
+             f"takes the trunk over at epoch {candidate}")
     else:
-        candidates.add(label, candidate, trunk.fork(candidate),
-                       f"forks the trunk at epoch {candidate}", forked=True)
+        _add(pool, label, candidate, trunk.fork(candidate),
+             f"forks the trunk at epoch {candidate}", forked=True)
 
 
 def _start(bundle: DatasetBundle, config: RunConfig,
-           candidates: _Candidates) -> int | None:
+           pool: ForkPool) -> int | None:
     """Start every candidate of the search; return the hybrid estimate."""
     if not config.mdvt_active or config.strategy == "dynamic":
         alone = dataclasses.replace(config, warmup_candidate=None)
-        candidates.add("dynamic" if config.mdvt_active else "baseline",
-                       None, TrainingRun(bundle, alone), "trains alone")
+        _add(pool, "dynamic" if config.mdvt_active else "baseline", None,
+             TrainingRun(bundle, alone), "trains alone")
         return None
     trunk = TrainingRun(bundle, dataclasses.replace(
         config, warmup_candidate=config.max_epochs))
     if config.strategy == "static":
         cands = warmup.static_candidates(config.static_set)
         for c in cands:
-            _branch(trunk, candidates, f"static:{c}", c, c == cands[-1])
+            _branch(trunk, pool, f"static:{c}", c, c == cands[-1])
         return None
     # hybrid: the probe's trigger rule, checked on the trunk at the start of
     # each epoch. The last s epoch-start snapshots are the candidates below
@@ -671,24 +695,23 @@ def _start(bundle: DatasetBundle, config: RunConfig,
     if trunk.done:
         log.warning("dynamic probe never triggered; "
                     "keeping the probe run as the result")
-        candidates.add("dynamic_probe", None, trunk,
-                       "is the warm-up-only trunk")
+        _add(pool, "dynamic_probe", None, trunk, "is the warm-up-only trunk")
         return None
     estimate = trunk.epoch
-    _branch(trunk, candidates, "dynamic_probe", estimate, False)
+    _branch(trunk, pool, "dynamic_probe", estimate, False)
     while window:
         run = window.popleft()
-        candidates.add(f"hybrid:{run.epoch}", run.epoch, run,
-                       f"forks the trunk at epoch {run.epoch}", forked=True)
+        _add(pool, f"hybrid:{run.epoch}", run.epoch, run,
+             f"forks the trunk at epoch {run.epoch}", forked=True)
     upper = [c for c in warmup.hybrid_candidates(estimate, config.s)
              if c > estimate]
     for c in upper:
-        _branch(trunk, candidates, f"hybrid:{c}", c, c == upper[-1])
+        _branch(trunk, pool, f"hybrid:{c}", c, c == upper[-1])
     return estimate
 
 
-def run_strategy_search(bundle: DatasetBundle, config: RunConfig,
-                        processes: int | None = None) -> SearchResult:
+def run_strategy_search(bundle: DatasetBundle, config: RunConfig
+                        ) -> SearchResult:
     """Resolve the warm-up trigger per the configured strategy.
 
     dynamic: one run. static: one candidate per entry of the static set.
@@ -700,20 +723,13 @@ def run_strategy_search(bundle: DatasetBundle, config: RunConfig,
     Warm-up epochs never read the trigger, so candidate ``c`` equals a
     warm-up-only trunk (trigger ``max_epochs``) up to the start of epoch
     ``c``, where it is forked: each warm-up epoch is trained once. Forked
-    candidates train in up to ``processes`` child processes at once
-    (default ``candidate_processes()``; 1 trains them in turn here), with
-    the same results, and the same first error, as one after another.
+    candidates train in up to ``candidate_processes()`` child processes at
+    once (in turn here when this process is a ForkPool's child), with the
+    same results, and the same first error, as one after another.
     """
-    candidates = _Candidates(candidate_processes() if processes is None
-                             else processes)
-    try:
-        dynamic_estimate = _start(bundle, config, candidates)
-        results = candidates.gather()
-    except Exception:
-        candidates.gather()  # an earlier candidate's error comes first
-        raise
-    finally:
-        candidates.close()
+    with ForkPool(1 if _in_child else candidate_processes()) as pool:
+        dynamic_estimate = _start(bundle, config, pool)
+        results = pool.gather()
     if not config.mdvt_active:
         (result,) = results
         return SearchResult("disabled", config, result.state, result.history,
@@ -837,4 +853,4 @@ def state_from_tables(tables: dict[str, np.ndarray], embed_dim: int,
         raise CheckpointError(f"checkpoint lacks masked modalities {missing}")
     return backbone.EmbeddingState(
         tables={m: np.vstack([user[m], item[m]]) for m in user},
-        num_users=user_shape[0], init_seed=-1, embed_dim=embed_dim)
+        num_users=user_shape[0], embed_dim=embed_dim)

@@ -578,7 +578,7 @@ def backward_add_at(batch, virtual, reps, prop, *, lam, joint, num_layers,
         l_total = (1.0 - lam) * l_bpr + lam * l_vbpr
     report = objective.LossReport(l_bpr=l_bpr,
                                   l_vbpr=l_vbpr if joint else None,
-                                  l_total=l_total, epoch=-1)
+                                  l_total=l_total)
 
     if np.any(grad_fused):
         share = grad_fused / len(reps.mask)

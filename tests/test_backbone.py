@@ -20,7 +20,7 @@ def feat_bundle(features):
 
 def state_of(tables, num_users):
     """An EmbeddingState holding the given (V, d) tables."""
-    return EmbeddingState(tables=tables, num_users=num_users, init_seed=0,
+    return EmbeddingState(tables=tables, num_users=num_users,
                           embed_dim=next(iter(tables.values())).shape[1])
 
 

@@ -157,6 +157,16 @@ class TestPrepare:
         assert "--feature 'visual' given twice" in single_error_line(capsys)
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("name", ["", "a/b"])
+    def test_bad_feature_name_exit_1(self, tmp_path, capsys, name):
+        # Checked before any input is read: neither input exists.
+        capsys.readouterr()
+        assert main(["prepare", "--interactions", str(tmp_path / "no.tsv"),
+                     "--feature", f"{name}={tmp_path / 'no.feat'}",
+                     "--out", str(tmp_path / "b")]) == 1
+        assert "path separator" in single_error_line(capsys)
+        assert not (tmp_path / "b").exists()
+
     def test_repeated_sidecar_id_exit_2(self, tmp_path, capsys):
         ids = "".join(f"item{i}\n" for i in (0, 1, 2, 1, 4, 5, 6, 7, 8, 9))
         assert self.prepare_with_sidecar(
@@ -186,6 +196,23 @@ class TestTrain:
                                           "trigger_epoch", "best_epoch",
                                           "stopped_epoch"}
         assert (tmp_path / "run.ckpt").exists()
+
+    def test_report_parent_is_a_file_fails_before_training(
+            self, tmp_path, monkeypatch, capsys):
+        bundle = prepare_bundle(tmp_path)
+        config = base_config(tmp_path)
+        trained, train_epoch = [], trainer.train_epoch
+
+        def counted(*args, **kwargs):
+            trained.append(1)
+            return train_epoch(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train_epoch", counted)
+        capsys.readouterr()
+        assert main(["train", "--bundle", str(bundle), "--config",
+                     str(config), "--out", str(config / "run.json")]) == 2
+        assert "File exists" in single_error_line(capsys)
+        assert trained == []
 
     def test_unknown_config_key_exit_1(self, tmp_path):
         bundle = prepare_bundle(tmp_path)
@@ -553,6 +580,20 @@ class TestEval:
         assert main(["eval", "--bundle", str(bundle), "--checkpoint",
                      str(tmp_path / "run.ckpt")]) == 3
 
+    def test_stray_feature_file_keeps_the_fingerprint(self, tmp_path):
+        # A file that stats.json does not name (left by an earlier prepare,
+        # say) is not part of the bundle.
+        bundle = prepare_bundle(tmp_path)
+        assert main(["train", "--bundle", str(bundle), "--config",
+                     str(base_config(tmp_path)),
+                     "--out", str(tmp_path / "run.json")]) == 0
+        fingerprint = load_bundle(bundle).fingerprint
+        (bundle / "features" / "text.feat").write_bytes(
+            (bundle / "features" / "visual.feat").read_bytes())
+        assert load_bundle(bundle).fingerprint == fingerprint
+        assert main(["eval", "--bundle", str(bundle), "--checkpoint",
+                     str(tmp_path / "run.ckpt")]) == 0
+
     def test_masked_modality_missing_from_checkpoint_exit_3(self, tmp_path,
                                                             capsys):
         # The config hash covers only the config echo, not the tables.
@@ -855,6 +896,68 @@ class TestCandidateProcesses:
                               sorted((out / "runs").glob("cell-*.json"))]
         assert len(cells["1"]) == 2
         assert cells["1"] == cells["2"]
+
+
+class TestSweepCells:
+    """Sweep cells trained in child processes fail as they do one after
+    another in this process."""
+
+    def sweep(self, tmp_path, grid, workers):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid), encoding="utf-8")
+        out = tmp_path / f"workers-{workers}"
+        code = main(["sweep", "--bundle", str(tmp_path / "bundle"),
+                     "--config", str(tmp_path / "config.json"),
+                     "--grid", str(path), "--out", str(out),
+                     "--workers", workers])
+        return code, out
+
+    def test_killed_cell_one_error_line(self, tmp_path, monkeypatch,
+                                        capsys):
+        prepare_bundle(tmp_path)
+        config = base_config(tmp_path, **FORKING)
+        first = trainer.RunConfig.from_dict(
+            {**json.loads(config.read_text(encoding="utf-8")), "lam": 0.1})
+        parent, step = os.getpid(), trainer.TrainingRun.step
+
+        def killed(run):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            step(run)
+
+        def hung(signum, frame):
+            raise TimeoutError("the sweep still waits for its cells")
+
+        monkeypatch.setattr(trainer.TrainingRun, "step", killed)
+        capsys.readouterr()
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            code, _ = self.sweep(tmp_path, {"lam": [0.1, 0.2]}, "2")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 4
+        assert single_error_line(capsys) == (
+            f"error: the process training cell-{first.config_hash()[:16]} "
+            "ended without a result (signal 9)")
+        assert_no_child_left()
+
+    def test_failing_first_cell_writes_no_cell(self, tmp_path, capsys):
+        # The first cell fails; the cells after it train for much longer.
+        prepare_bundle(tmp_path)
+        base_config(tmp_path, **FORKING)
+        grid = {"lam": [0.1, 0.2, 0.3], "modality_mask": [["nope"], ["id"]]}
+        capsys.readouterr()
+        failures = []
+        for workers in ("1", "2"):
+            code, out = self.sweep(tmp_path, grid, workers)
+            failures.append((code, single_error_line(capsys)))
+            assert list((out / "runs").glob("cell-*.json")) == []
+            assert_no_child_left()
+        assert failures[0] == failures[1]
+        assert failures[0][0] == 1
+        assert "['nope']" in failures[0][1]
 
 
 class TestReportEcho:

@@ -239,19 +239,19 @@ class TestTrunkSearch:
         bundle = planted_bundle(1, num_users=40, num_items=32, feature_dim=8)
         want, want_runs = independent_search(bundle, config)
         runs, forked, epochs, children = [], [], [], []
-        add, gather = trainer._Candidates.add, trainer._Candidates.gather
+        add, gather = trainer.ForkPool.add, trainer.ForkPool.gather
         train_epoch, fork, waitpid = trainer.train_epoch, os.fork, os.waitpid
 
         # Candidates are recorded where the parent gathers them: a forked
         # candidate trains in a child process, out of this process's sight.
-        def recorded(candidates):
-            runs[:] = gather(candidates)
+        def recorded(pool):
+            runs[:] = gather(pool)
             return runs
 
-        def noted(candidates, label, *args, **kwargs):
-            if kwargs.get("forked") and candidates.processes > 1:
-                forked.append(label)
-            return add(candidates, label, *args, **kwargs)
+        def noted(pool, what, *args, **kwargs):
+            if kwargs.get("fork") and pool.processes > 1:
+                forked.append(what.removeprefix("candidate "))
+            return add(pool, what, *args, **kwargs)
 
         def counted(*args, **kwargs):
             epochs.append(1)
@@ -265,8 +265,8 @@ class TestTrunkSearch:
             children.append(-1)
             return waitpid(pid, options)
 
-        monkeypatch.setattr(trainer._Candidates, "gather", recorded)
-        monkeypatch.setattr(trainer._Candidates, "add", noted)
+        monkeypatch.setattr(trainer.ForkPool, "gather", recorded)
+        monkeypatch.setattr(trainer.ForkPool, "add", noted)
         monkeypatch.setattr(trainer, "train_epoch", counted)
         monkeypatch.setattr(os, "fork", forking)
         monkeypatch.setattr(os, "waitpid", reaping)
@@ -279,7 +279,9 @@ class TestTrunkSearch:
         for processes in (1, 3):
             for record in (runs, forked, epochs, children):
                 record.clear()
-            got = run_strategy_search(bundle, config, processes)
+            monkeypatch.setattr(trainer, "candidate_processes",
+                                lambda: processes)
+            got = run_strategy_search(bundle, config)
 
             assert got.candidates == want.candidates
             assert (got.strategy, got.best_config, got.resolved_trigger,
