@@ -24,11 +24,12 @@ from .errors import DataError
 NORM_MODES = ("dual", "sym")
 READOUT_MODES = ("sum", "mean")
 SCORE_MODES = ("per_modality", "fused")
+DTYPE = np.float32  # of the tables and the operator; derived arrays follow
 
 
 @dataclass
 class EmbeddingState:
-    """Trainable tables, float64 for training: one ``(V, d)`` table per
+    """Trainable tables, ``DTYPE`` (float32): one ``(V, d)`` table per
     modality over the union vertex set, users first.
 
     ``user[m]``/``item[m]`` are writeable row views of ``tables[m]``, made
@@ -71,12 +72,12 @@ def init_embeddings(bundle: ModalityBundle, num_users: int, embed_dim: int,
     Projection: identity when the feature width already equals d, otherwise
     a fixed seed-derived Gaussian matrix scaled by 1/sqrt(f). One substream
     per table keeps the draw deterministic and independent of the other
-    tables.
+    tables. Drawn and projected in float64, then rounded once to ``DTYPE``.
     """
     scale = 0.5 / np.sqrt(embed_dim)
     streams = np.random.SeedSequence(seed).spawn(2 * len(bundle.modalities))
     state = EmbeddingState(
-        tables={m: np.empty((num_users + bundle.num_items, embed_dim))
+        tables={m: np.empty((num_users + bundle.num_items, embed_dim), DTYPE)
                 for m in bundle.modalities},
         num_users=num_users, embed_dim=embed_dim)
     for k, m in enumerate(bundle.modalities):
@@ -117,7 +118,8 @@ class Propagator:
         deg = graph.degrees.astype(np.float64)
         prod = deg[rows] * deg[cols]
         weights = 1.0 / prod if norm == "dual" else 1.0 / np.sqrt(prod)
-        self.matrix = sp.csr_matrix((weights, (rows, cols)), shape=(v, v))
+        self.matrix = sp.csr_matrix((weights.astype(DTYPE), (rows, cols)),
+                                    shape=(v, v))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x

@@ -269,6 +269,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     config, stored_fp, tables = trainer.load_checkpoint(args.checkpoint)
     bundle = load_bundle(args.bundle)
     if stored_fp != bundle.fingerprint:

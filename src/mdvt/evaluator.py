@@ -32,7 +32,7 @@ def top_k(scores: np.ndarray, k: int, excluded: Adjacency | None = None
     """
     rows, cols = scores.shape
     k = min(k, cols)
-    masked = np.array(scores, dtype=float)  # -inf marks an excluded column
+    masked = scores.astype(np.result_type(scores, 0.0))  # ints widen, for -inf
     if excluded is not None:
         masked[excluded.entry_rows, excluded.indices] = -np.inf
     lengths = np.minimum(k, np.count_nonzero(masked > -np.inf, axis=1))

@@ -24,7 +24,7 @@ from .errors import MdvtError
 from .triplet_forge import VirtualTripletSet
 
 # Rows per block of the row-blocked passes (Adam, and the local step's
-# row add): 512 rows of 64 float64 columns are 256 KiB per array, so a
+# row add): 512 rows of 64 float32 columns are 128 KiB per array, so a
 # block's arrays stay in a core's L2 cache through all of its passes.
 ROW_BLOCK = 512
 
@@ -57,15 +57,14 @@ def _loss_weights(lam: float, joint: bool, wo_scale: bool
 def _virtual_rows(users: np.ndarray, virtual: VirtualTripletSet,
                   per_distinct_user: bool) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the batch's distinct covered users (ascending) and each
-    row's weight: its batch multiplicity, or 1 per distinct user."""
+    row's integer weight: its batch multiplicity, or 1 per distinct user."""
     uniq, counts = np.unique(users, return_counts=True)
     rows = np.searchsorted(virtual.users, uniq)
     found = rows < len(virtual.users)
     found[found] = ((virtual.users[rows[found]] == uniq[found])
                     & (virtual.positives.row_lengths[rows[found]] > 0))
-    weight = (np.ones(found.sum()) if per_distinct_user
-              else counts[found].astype(float))
-    return rows[found], weight
+    weight = counts[found]
+    return rows[found], np.ones_like(weight) if per_distinct_user else weight
 
 
 def _virtual_loss(rows: np.ndarray, weight: np.ndarray,
@@ -82,16 +81,17 @@ def _virtual_loss(rows: np.ndarray, weight: np.ndarray,
     its negatives, so scattering them in order equals a one-user loop.
     """
     z = reps.fused
+    weight = weight.astype(z.dtype)  # small integers: exact
     total = float(weight.sum())
     pos, neg = virtual.positives.take(rows), virtual.negatives.take(rows)
     users = reps.locate(virtual.users[rows])
     pos_rows = reps.locate(pos.indices + reps.num_users)
     neg_rows = reps.locate(neg.indices + reps.num_users)
     lengths = pos.row_lengths
-    terms = np.empty(len(rows))
-    user_grad = np.empty((len(rows), z.shape[1]))
-    pair_coef = np.empty(len(pos.indices))
-    for n in np.unique(lengths):
+    terms = np.empty(len(rows), dtype=z.dtype)
+    user_grad = np.empty((len(rows), z.shape[1]), dtype=z.dtype)
+    pair_coef = np.empty(len(pos.indices), dtype=z.dtype)
+    for n in np.unique(lengths).tolist():  # an np.int64 n widens float32
         sel = np.flatnonzero(lengths == n)
         at = pos.indptr[sel, None] + np.arange(n)
         zu = z[users[sel]]
@@ -120,7 +120,7 @@ def _virtual_loss(rows: np.ndarray, weight: np.ndarray,
     targets[to_pos] = pos_rows
     targets[to_neg] = neg_rows
     step = pair_coef[:, None] * z[np.repeat(users, lengths)]
-    steps = np.empty((2 * len(pair), z.shape[1]))
+    steps = np.empty((2 * len(pair), z.shape[1]), dtype=z.dtype)
     steps[to_pos] = step
     steps[to_neg] = -step
     # Running sum left to right, as a loop accumulates it.
@@ -146,17 +146,17 @@ def batch_vertices(batch: TripletBatch, virtual: VirtualTripletSet | None,
     return np.flatnonzero(read)
 
 
-def _selection(targets: np.ndarray, num_rows: int) -> sp.csr_matrix:
-    """The ``num_rows x len(targets)`` CSR with a 1 at ``(targets[k], k)``:
-    ``S @ steps`` adds the steps into their rows in order ``k``, from zero,
-    bit for bit. scipy's CSR times dense product sums each row's entries
-    in stored order from zero, the stable sort stores a row's columns
-    ascending, and multiplying by 1.0 is exact."""
-    counts = np.bincount(targets, minlength=num_rows)
+def _selection(targets: np.ndarray, like: np.ndarray) -> sp.csr_matrix:
+    """The ``len(like) x len(targets)`` CSR of ``like``'s dtype with a 1 at
+    ``(targets[k], k)``: ``S @ steps`` adds the steps into their rows in
+    order ``k``, from zero, bit for bit. scipy's CSR times dense product
+    sums each row's entries in stored order from zero, the stable sort
+    stores a row's columns ascending, and multiplying by 1.0 is exact."""
+    counts = np.bincount(targets, minlength=len(like))
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    return sp.csr_matrix((np.ones(len(targets)),
+    return sp.csr_matrix((np.ones(len(targets), dtype=like.dtype),
                           np.argsort(targets, kind="stable"), indptr),
-                         shape=(num_rows, len(targets)))
+                         shape=(len(like), len(targets)))
 
 
 def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
@@ -191,9 +191,9 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
     scored = (reps.finals if score_mode == "per_modality"
               else {None: reps.fused})
     bpr_steps = {}
-    gaps = np.zeros(size)
+    gaps = np.zeros(size, dtype=reps.fused.dtype)
     for m, f in scored.items():
-        steps = bpr_steps[m] = np.empty((3 * size, f.shape[1]))
+        steps = bpr_steps[m] = np.empty((3 * size, f.shape[1]), dtype=f.dtype)
         diff, f_users = steps[:size], steps[size:2 * size]
         np.take(f, pos, axis=0, out=diff)
         diff -= f[neg]
@@ -227,10 +227,10 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
     share = None
     if fused:
         targets, steps = (np.concatenate(parts) for parts in zip(*fused))
-        grad_fused = _selection(targets, len(reps.fused)) @ steps
+        grad_fused = _selection(targets, reps.fused) @ steps
         if np.any(grad_fused):
             share = grad_fused / len(reps.mask)
-    select = _selection(bpr_targets, len(reps.fused)) if bpr_steps else None
+    select = _selection(bpr_targets, reps.fused) if bpr_steps else None
     grads = {}
     for m, f in reps.finals.items():
         acc = (np.zeros_like(f) if select is None
@@ -264,7 +264,7 @@ def _spread(acc: np.ndarray, reps: Representations, prop: Propagator,
     sum that starts from ``+0.0``. Later layers run on the whole table.
     """
     if num_layers == 0:
-        out = np.zeros((len(reps.index), acc.shape[1]))
+        out = np.zeros((len(reps.index), acc.shape[1]), dtype=acc.dtype)
         out[reps.rows] = acc
         return out
     layer = reps.block.T @ acc
@@ -322,8 +322,7 @@ def adam_step(state, opt: OptimizerState,
     # Two temporaries, reused by every block; each line computes what
     # ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` does, in order.
     first = next(iter(state.tables.values()))
-    a_block, b_block = (np.empty((min(len(first), ROW_BLOCK),
-                                  first.shape[1])) for _ in range(2))
+    a_block, b_block = (np.empty_like(first[:ROW_BLOCK]) for _ in range(2))
     for key, table in state.tables.items():
         for start in range(0, len(table), ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)

@@ -821,9 +821,8 @@ def load_checkpoint(path: str | Path
                 raise CheckpointError(f"{path}: bad table record magic")
             rows, cols = struct.unpack_from("<II", buf, offset + 8)
             offset += 16
-            mat = np.frombuffer(blob, dtype="<f4", count=rows * cols,
-                                offset=offset).reshape(rows, cols)
-            tables[key.decode("utf-8")] = mat.astype(np.float64)
+            tables[key.decode("utf-8")] = np.frombuffer(
+                blob, "<f4", rows * cols, offset).reshape(rows, cols)
             offset += 4 * rows * cols
         config = RunConfig.from_dict(json.loads(config_blob.decode("utf-8")))
         return config, bundle_fp.decode("utf-8"), tables

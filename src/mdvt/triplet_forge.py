@@ -42,7 +42,6 @@ class VirtualTripletSet:
     positives: Adjacency
     negatives: Adjacency
     built_at_epoch: int
-    constructor_tag: str
 
     def __post_init__(self) -> None:
         pos, neg = self.positives, self.negatives
@@ -197,5 +196,4 @@ def refresh(reps: Representations, params: SelectionParams, epoch: int,
             [np.zeros(0, dtype=np.int64)] + [g[side].indices for g in groups]))
 
     return VirtualTripletSet(users[covered], stacked(0), stacked(1),
-                             built_at_epoch=epoch,
-                             constructor_tag=params.constructor)
+                             built_at_epoch=epoch)

@@ -8,9 +8,20 @@ to cover.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from mdvt import backbone, objective
+
+
+def as_float64(state: backbone.EmbeddingState) -> backbone.EmbeddingState:
+    """A copy of ``state`` with float64 tables. Central differences need
+    them: at float32 the rounding of each loss, divided by ``2h``, swamps
+    the gradient. A float32 operator times a float64 table widens exactly,
+    so the loss path runs in float64 throughout."""
+    return dataclasses.replace(state, tables={
+        m: t.astype(np.float64) for m, t in state.tables.items()})
 
 
 def batch_losses(batch, virtual, reps, *, lam, joint, wo_aggr=False,

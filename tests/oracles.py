@@ -119,8 +119,8 @@ def read_split_loop(path, num_users: int, num_items: int) -> list:
 
 # --- virtual sets as {user: (positives, negatives)} ------------------------
 
-def make_virtual(positives: dict, negatives: dict, epoch: int = 0,
-                 tag: str = "topn") -> VirtualTripletSet:
+def make_virtual(positives: dict, negatives: dict,
+                 epoch: int = 0) -> VirtualTripletSet:
     """A VirtualTripletSet from per-user group dicts."""
     users = np.array(sorted(positives), dtype=np.int64)
 
@@ -130,8 +130,7 @@ def make_virtual(positives: dict, negatives: dict, epoch: int = 0,
             np.array([len(r) for r in rows], dtype=np.int64),
             np.concatenate([np.zeros(0, dtype=np.int64)] + rows))
 
-    return VirtualTripletSet(users, csr(positives), csr(negatives), epoch,
-                             tag)
+    return VirtualTripletSet(users, csr(positives), csr(negatives), epoch)
 
 
 def adjacency_of(rows: dict, num_rows: int) -> Adjacency:
@@ -434,8 +433,8 @@ def virtual_branch_oracle(users: np.ndarray, virtual: VirtualTripletSet,
         if u in groups and groups[u][0]:
             counts[u] = counts.get(u, 0) + 1
     uniq = sorted(counts)
-    mult = np.ones(len(uniq)) if per_distinct_user else np.array(
-        [counts[u] for u in uniq], dtype=float)
+    mult = np.array([1 if per_distinct_user else counts[u] for u in uniq],
+                    dtype=z.dtype)
     grad_fused = np.zeros_like(z)
     total = float(mult.sum())
     if total == 0.0:
@@ -456,7 +455,7 @@ def virtual_branch_oracle(users: np.ndarray, virtual: VirtualTripletSet,
         else:
             plus = z[p_idx].mean(axis=0)
             minus = z[n_idx].mean(axis=0)
-            gap = float(z[u] @ (plus - minus))
+            gap = z[u] @ (plus - minus)
             acc += weight * float(softplus(-np.array([gap]))[0])
             coef = (w_v * weight / total) * (expit(gap) - 1.0)
             grad_fused[u] += coef * (plus - minus)
@@ -474,14 +473,15 @@ def _virtual_loss_add_at(rows, weight, virtual, z, num_users, w_v, wo_aggr,
                          grad_fused) -> float:
     """The batched virtual loss; adds ``w_v`` times its gradient to
     ``grad_fused`` with one ordered ``np.add.at``."""
+    weight = weight.astype(z.dtype)
     total = float(weight.sum())
     pos, neg = virtual.positives.take(rows), virtual.negatives.take(rows)
     users = virtual.users[rows]
     lengths = pos.row_lengths
-    terms = np.empty(len(rows))
-    user_grad = np.empty((len(rows), z.shape[1]))
-    pair_coef = np.empty(len(pos.indices))
-    for n in np.unique(lengths):
+    terms = np.empty(len(rows), dtype=z.dtype)
+    user_grad = np.empty((len(rows), z.shape[1]), dtype=z.dtype)
+    pair_coef = np.empty(len(pos.indices), dtype=z.dtype)
+    for n in np.unique(lengths).tolist():
         sel = np.flatnonzero(lengths == n)
         at = pos.indptr[sel, None] + np.arange(n)
         zu = z[users[sel]]
@@ -511,7 +511,7 @@ def _virtual_loss_add_at(rows, weight, virtual, z, num_users, w_v, wo_aggr,
         targets[to_pos] = pos.indices + num_users
         targets[to_neg] = neg.indices + num_users
         step = pair_coef[:, None] * z[np.repeat(users, lengths)]
-        steps = np.empty((2 * len(pair), z.shape[1]))
+        steps = np.empty((2 * len(pair), z.shape[1]), dtype=z.dtype)
         steps[to_pos] = step
         steps[to_neg] = -step
         np.add.at(grad_fused, targets, steps)
@@ -535,7 +535,7 @@ def backward_add_at(batch, virtual, reps, prop, *, lam, joint, num_layers,
     grad_fused = np.zeros_like(reps.fused)
 
     if score_mode == "per_modality":
-        gaps = np.zeros(batch_size)
+        gaps = np.zeros(batch_size, dtype=reps.fused.dtype)
         for m, f in reps.finals.items():
             gaps += np.einsum("bd,bd->b", f[users], f[pos] - f[neg])
     else:

@@ -58,7 +58,8 @@ def test_criterion_1_gradient_suite():
                     d = int(rng.integers(2, 5))
                     state, prop, _, reps, batch, virtual = make_instance(
                         rng, num_users=num_users, num_items=num_items,
-                        d=d, layers=layers, mask=mask, n=2, batch=5)
+                        d=d, layers=layers, mask=mask, n=2, batch=5,
+                        float64=True)
                     wo_scale = bool(rng.integers(2))
                     cases = {
                         "bpr": dict(lam=0.0, joint=False, wo_scale=False,

@@ -56,6 +56,9 @@ def base_config(tmp_path, **overrides):
     return path
 
 
+FORKING = dict(strategy="hybrid", s=2, max_epochs=8, patience=8)
+
+
 def train_outputs(out) -> tuple[str, bytes]:
     """A run's report less its wall clock, and its checkpoint bytes."""
     report = json.loads(out.read_text(encoding="utf-8"))
@@ -611,6 +614,45 @@ class TestEval:
                      str(ckpt)]) == 3
         assert "['visual']" in single_error_line(capsys)
 
+    @pytest.mark.parametrize("overrides", [FORKING,
+                                           dict(score_mode="fused")],
+                             ids=["hybrid_forking", "fused"])
+    def test_out_equals_the_report_test_metrics(self, tmp_path, overrides):
+        # train ranks the tables its checkpoint stores, so eval of the
+        # checkpoint gives the report's test metrics exactly.
+        bundle = prepare_bundle(tmp_path)
+        out = tmp_path / "run.json"
+        assert main(["train", "--bundle", str(bundle), "--config",
+                     str(base_config(tmp_path, **overrides)),
+                     "--out", str(out)]) == 0
+        evaluated = tmp_path / "made" / "eval.json"
+        assert main(["eval", "--bundle", str(bundle), "--checkpoint",
+                     str(tmp_path / "run.ckpt"),
+                     "--out", str(evaluated)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert json.loads(evaluated.read_text(encoding="utf-8")) == \
+            report["metrics"]["test"]
+
+    def test_out_parent_is_a_file_fails_before_ranking(
+            self, tmp_path, monkeypatch, capsys):
+        bundle = prepare_bundle(tmp_path)
+        assert main(["train", "--bundle", str(bundle), "--config",
+                     str(base_config(tmp_path)),
+                     "--out", str(tmp_path / "run.json")]) == 0
+        ranked, evaluate_split = [], trainer.evaluate_split
+
+        def counted(*args, **kwargs):
+            ranked.append(1)
+            return evaluate_split(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "evaluate_split", counted)
+        capsys.readouterr()
+        assert main(["eval", "--bundle", str(bundle), "--checkpoint",
+                     str(tmp_path / "run.ckpt"), "--out",
+                     str(tmp_path / "run.json" / "eval.json")]) == 2
+        assert "File exists" in single_error_line(capsys)
+        assert ranked == []
+
     def test_same_checkpoint_identical_output(self, tmp_path, capsys):
         bundle = prepare_bundle(tmp_path)
         config = base_config(tmp_path)
@@ -766,9 +808,6 @@ class TestSweepGrids:
         par = json.loads((par_out / "summary.json")
                          .read_text(encoding="utf-8"))
         assert seq == par
-
-
-FORKING = dict(strategy="hybrid", s=2, max_epochs=8, patience=8)
 
 
 class TestCandidateProcesses:

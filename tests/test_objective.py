@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_set
-from gradtools import (batch_losses, finite_difference, max_relative_error,
-                       total_loss)
+from gradtools import (as_float64, batch_losses, finite_difference,
+                       max_relative_error, total_loss)
 from mdvt import objective
 from mdvt.backbone import Propagator, forward_pass, init_embeddings
 from mdvt.dataset import ModalityBundle, TripletBatch, build_graph
@@ -42,8 +42,9 @@ def bounded_records(rng, num_users, num_items, max_user_degree):
 
 
 def make_instance(rng, num_users=4, num_items=8, d=3, layers=1,
-                  mask=("id", "visual"), n=2, batch=6):
-    """Graph + state + reps + batch + virtual set for gradient work."""
+                  mask=("id", "visual"), n=2, batch=6, float64=False):
+    """Graph + state + reps + batch + virtual set for gradient work; with
+    ``float64`` the tables (and so the reps) are cast to float64."""
     records = bounded_records(rng, num_users, num_items,
                               max_user_degree=num_items - 2 * n)
     train = make_set(records, num_users, num_items)
@@ -52,6 +53,8 @@ def make_instance(rng, num_users=4, num_items=8, d=3, layers=1,
     bundle = ModalityBundle(("id", "visual"), {"visual": feats},
                             num_items=num_items)
     state = init_embeddings(bundle, num_users, d, seed=int(rng.integers(1e6)))
+    if float64:
+        state = as_float64(state)
     prop = Propagator(graph)
     reps = forward_pass(state, prop, layers, mask)
     users = rng.integers(num_users, size=batch)
@@ -80,7 +83,7 @@ def random_virtual(rng, num_users, num_items, max_group):
         n = int(rng.integers(1, max_group + 1))
         items = rng.permutation(num_items)[:2 * n]
         pos[u], neg[u] = items[:n], items[n:]
-    return make_virtual(pos, neg, tag="threshold")
+    return make_virtual(pos, neg)
 
 
 class TestBprLoss:
@@ -276,8 +279,8 @@ class TestGradientCheck:
         layers = kv.pop("layers", 1)
         mask = kv.pop("mask", ("id", "visual"))
         state, prop, _, reps, batch, virtual = make_instance(
-            rng, layers=layers, mask=mask, **{k: v for k, v in kv.items()
-                                              if k in ("n", "d")})
+            rng, layers=layers, mask=mask, float64=True,
+            **{k: v for k, v in kv.items() if k in ("n", "d")})
         if local:  # the batch-local step's compact pass
             rows = batch_vertices(batch, virtual if kv.get("joint", True)
                                   else None, state.num_users,
@@ -461,7 +464,8 @@ class TestAdam:
 
 class TestOptionSwitches:
     def test_virtual_loss_consistent_with_backward(self, rng):
-        state, prop, _, reps, batch, virtual = make_instance(rng)
+        state, prop, _, reps, batch, virtual = make_instance(rng,
+                                                             float64=True)
         for wo_aggr in (False, True):
             standalone = virtual_bpr_loss(batch.users, virtual,
                                           reps.fused_users,
@@ -478,7 +482,7 @@ class TestOptionSwitches:
         feats = rng.normal(size=(8, 4)).astype(np.float32)
         bundle = ModalityBundle(("id", "visual"), {"visual": feats},
                                 num_items=8)
-        state = init_embeddings(bundle, 4, 3, seed=5)
+        state = as_float64(init_embeddings(bundle, 4, 3, seed=5))
         prop = P(graph, norm="sym")
         reps = forward_pass(state, prop, 2, ("id", "visual"), "mean")
         users = np.array([0, 1, 2])
@@ -520,7 +524,7 @@ class TestOptionSwitches:
         assert default.l_vbpr != pytest.approx(deduped.l_vbpr)
 
     def test_gradcheck_per_distinct_user(self, rng):
-        state, prop, _, reps, _, virtual = make_instance(rng)
+        state, prop, _, reps, _, virtual = make_instance(rng, float64=True)
         users = np.array([0, 0, 1, 2, 2, 2], dtype=np.int64)
         pos = np.array([int(np.random.default_rng(1).choice(
             [i for i in range(8)])) for _ in users], dtype=np.int64)
@@ -552,16 +556,18 @@ class TestOptionSwitches:
 class TestVirtualBranchOracle:
     """The batched virtual branch against the one-user-at-a-time loop:
     with lam=1, no propagation and one fused modality, the table gradients
-    are exactly the fused-matrix gradient of the virtual loss."""
+    are exactly the fused-matrix gradient of the virtual loss. The loop
+    computes in the tables' dtype, float32 as trained or float64."""
 
     @pytest.mark.parametrize("max_group", [1, 2, 5])
     @pytest.mark.parametrize("wo_aggr", [False, True])
     @pytest.mark.parametrize("per_distinct_user", [False, True])
     def test_matches_per_user_loop(self, rng, max_group, wo_aggr,
                                    per_distinct_user):
-        for _ in range(5):
+        for float64 in (False, True) * 5:
             state, prop, _, _, _, _ = make_instance(rng, num_users=7,
-                                                    num_items=12)
+                                                    num_items=12,
+                                                    float64=float64)
             reps = forward_pass(state, prop, 0, ("id",))
             virtual = random_virtual(rng, 7, 12, max_group)
             users = rng.integers(7, size=12)  # repeats and uncovered users
@@ -594,7 +600,7 @@ class TestVirtualBranchOracle:
     def test_gradcheck_variable_groups(self, rng, wo_aggr,
                                        per_distinct_user):
         state, prop, _, reps, batch, _ = make_instance(rng, num_items=10,
-                                                       batch=8)
+                                                       batch=8, float64=True)
         virtual = random_virtual(rng, 4, 10, 4)
         options = dict(num_layers=1, mask=("id", "visual"),
                        readout_mode="sum", lam=0.4, joint=True,
@@ -612,7 +618,8 @@ class TestVirtualBranchOracle:
 class TestScatterOracle:
     """``backward``'s selection-CSR scatters against ``np.add.at`` into
     zeroed arrays (``oracles.backward_add_at``): losses and every gradient
-    bit for bit, on batches that repeat users and items."""
+    bit for bit, on batches that repeat users and items, at float32 as
+    trained and on float64 tables."""
 
     @pytest.mark.parametrize("norm", ["dual", "sym"])
     @pytest.mark.parametrize("readout_mode", ["sum", "mean"])
@@ -629,10 +636,11 @@ class TestScatterOracle:
             num_items=num_items)
         state = init_embeddings(bundle, num_users, 4, seed=3)
         cases = 0
-        for layers, mask in ((0, ("id", "visual")), (1, ("visual",)),
-                             (2, ("id", "visual")),
-                             (1, ("id", "visual", "visual"))):
-            reps = forward_pass(state, prop, layers, mask, readout_mode)
+        for (layers, mask), tables in itertools.product(
+                ((0, ("id", "visual")), (1, ("visual",)),
+                 (2, ("id", "visual")), (1, ("id", "visual", "visual"))),
+                (state, as_float64(state))):
+            reps = forward_pass(tables, prop, layers, mask, readout_mode)
             batch = TripletBatch(
                 users=rng.integers(num_users, size=20),
                 pos_items=rng.integers(num_items, size=20),
@@ -656,7 +664,7 @@ class TestScatterOracle:
                 for m, g in grads.items():
                     assert g.tobytes() == want_grads[m].tobytes()
                 cases += 1
-        assert cases == 128
+        assert cases == 256
 
 
 class TestLossBounds:
@@ -676,7 +684,8 @@ class TestLossBounds:
 class TestLocalStep:
     """The batch-local step against the full one: ``forward_pass`` over
     ``batch_vertices`` gives the full pass's rows, and ``backward`` on it
-    gives the full pass's losses and gradients, bit for bit."""
+    gives the full pass's losses and gradients, bit for bit, at float32
+    as trained and on float64 tables."""
 
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -688,10 +697,10 @@ class TestLocalStep:
                                  ("id", "visual", "visual")]),
            joint=st.booleans(), lam=st.sampled_from([0.3, 1.0]),
            wo_aggr=st.booleans(), wo_scale=st.booleans(),
-           per_distinct_user=st.booleans())
+           per_distinct_user=st.booleans(), float64=st.booleans())
     def test_matches_full_step(self, seed, layers, readout_mode, score_mode,
                                norm, mask, joint, lam, wo_aggr, wo_scale,
-                               per_distinct_user):
+                               per_distinct_user, float64):
         rng = np.random.default_rng(seed)
         num_users = int(rng.integers(2, 8))
         num_items = int(rng.integers(4, 12))
@@ -705,6 +714,8 @@ class TestLocalStep:
             num_items=num_items)
         state = init_embeddings(bundle, num_users, 3,
                                 seed=int(rng.integers(1e6)))
+        if float64:
+            state = as_float64(state)
         size = int(rng.integers(1, 10))
         batch = TripletBatch(users=rng.integers(num_users, size=size),
                              pos_items=rng.integers(num_items, size=size),

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_bundle
 from oracles import independent_search
 from planted import planted_bundle
-from mdvt import backbone, trainer
+from mdvt import backbone, objective, trainer, triplet_forge
+from mdvt.dataset import make_batches
 from mdvt.errors import CheckpointError, ConfigError
 from mdvt.trainer import (RunConfig, evaluate_split,
                           load_checkpoint, run_strategy_search,
@@ -143,6 +144,47 @@ class TestTrainRun:
             t = history.trigger_epoch
             assert all(v is None for v in history.l_vbpr[:t])
             assert history.l_vbpr[t] is not None
+
+
+class TestFloat32:
+    def test_one_step_keeps_every_array_float32(self, rng, tmp_path):
+        # A stray float64 operand would widen a result (or silently round
+        # it back into a float32 buffer): every array a step keeps or
+        # returns, and every checkpoint table, stays float32.
+        bundle = make_bundle(rng, num_users=6, num_items=10, extra_edges=6)
+        config = quick_config(strategy="static", static_set=(0,),
+                              warmup_candidate=0)
+        run = trainer.TrainingRun(bundle, config)
+        run.step()
+        state, prop = run.state, run.prop
+        arrays = [prop.matrix, *state.tables.values(), *run.opt.m.values(),
+                  *run.opt.v.values(), *run.best_state.tables.values()]
+        mask = state.modalities
+        full = backbone.forward_pass(state, prop, 1, mask)
+        seen = bundle.split.train.adjacency
+        virtual = triplet_forge.refresh(
+            full, config.selection_params(), 1,
+            np.flatnonzero(seen.row_lengths), seen_items=seen)
+        batch = next(make_batches(bundle.split.train, bundle.graph, 8, rng,
+                                  rng))
+        rows = objective.batch_vertices(batch, virtual, state.num_users,
+                                        bundle.graph.num_vertices)
+        for reps in (full, backbone.forward_pass(state, prop, 1, mask,
+                                                 rows=rows)):
+            arrays += [*reps.finals.values(), reps.fused]
+            for score_mode in backbone.SCORE_MODES:
+                _, grads = objective.backward(
+                    batch, virtual, reps, prop, lam=0.2, joint=True,
+                    num_layers=1, score_mode=score_mode)
+                arrays += grads.values()
+        for score_mode in backbone.SCORE_MODES:
+            arrays.append(backbone.score_matrix(full, np.arange(3),
+                                                score_mode))
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(path, run.best_state, config, "fp")
+        arrays += load_checkpoint(path)[2].values()
+        assert len(arrays) == 29
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
 
 class TestStrategySearch:
