@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import InteractionGraph, ModalityBundle
+from .dataset import InteractionGraph, ModalityBundle, gather_rows
 from .errors import DataError
 
 NORM_MODES = ("dual", "sym")
@@ -132,10 +132,7 @@ class Propagator:
         entries in the same order."""
         p = self.matrix
         starts = p.indptr[rows]
-        lengths = p.indptr[rows + 1] - starts
-        indptr = np.zeros(len(rows) + 1, dtype=p.indptr.dtype)
-        np.cumsum(lengths, out=indptr[1:])
-        at = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        indptr, at = gather_rows(starts, p.indptr[rows + 1] - starts)
         return sp.csr_matrix((p.data[at], p.indices[at], indptr),
                              shape=(len(rows), p.shape[1]))
 

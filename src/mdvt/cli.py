@@ -277,7 +277,7 @@ def cmd_eval(args) -> int:
         raise CheckpointError(
             f"checkpoint was trained on a different bundle "
             f"(stored {stored_fp[:12]}, bundle {bundle.fingerprint[:12]})")
-    state = trainer.state_from_tables(tables, config.embed_dim,
+    state = trainer.state_from_tables(tables, bundle, config.embed_dim,
                                       config.modality_mask)
     ks = tuple(sorted(set(args.k)))
     metrics = trainer.evaluate_split(state, bundle, config, "test", ks=ks)

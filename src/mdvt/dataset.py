@@ -62,17 +62,22 @@ class Adjacency:
 
     def take(self, rows: np.ndarray) -> "Adjacency":
         """The CSR of ``rows`` (an index array), in that order."""
-        return self._gather(self.indptr[rows], self.row_lengths[rows])
+        indptr, at = gather_rows(self.indptr[rows], self.row_lengths[rows])
+        return Adjacency(indptr, self.indices[at])
 
     def head(self, lengths: np.ndarray) -> "Adjacency":
         """Each row's first ``lengths[r]`` entries."""
-        return self._gather(self.indptr[:-1], lengths)
-
-    def _gather(self, starts: np.ndarray, lengths: np.ndarray
-                ) -> "Adjacency":
-        indptr = np.concatenate(([0], np.cumsum(lengths)))
-        at = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        indptr, at = gather_rows(self.indptr[:-1], lengths)
         return Adjacency(indptr, self.indices[at])
+
+
+def gather_rows(starts: np.ndarray, lengths: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, positions)`` of the CSR whose row ``r`` is the
+    ``lengths[r]`` entries of a source CSR from position ``starts[r]``."""
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    return indptr, (np.repeat(starts - indptr[:-1], lengths)
+                    + np.arange(indptr[-1]))
 
 
 @dataclass
@@ -173,9 +178,7 @@ class InteractionGraph:
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(user, item) index arrays of every edge, in CSR order."""
-        users = np.repeat(np.arange(self.num_users, dtype=np.int64),
-                          self.adjacency.row_lengths)
-        return users, self.adjacency.indices
+        return self.adjacency.entry_rows, self.adjacency.indices
 
     @cached_property
     def _edge_keys(self) -> np.ndarray:
@@ -393,30 +396,50 @@ def make_batches(train: InteractionSet, graph: InteractionGraph,
 
 
 # ---------------------------------------------------------------------------
-# Feature file format (bit-exact):
+# Matrix record, the whole of a feature file and each checkpoint table:
 #   bytes 0-7   magic b"MDVTFEAT"
 #   bytes 8-11  row count, unsigned 32-bit little-endian
 #   bytes 12-15 column count, unsigned 32-bit little-endian
 #   then rows*cols IEEE-754 float32 little-endian, row-major
-# Row order follows an optional sidecar "<path>.ids" listing raw item ids
-# one per line; rows are remapped to dense item order at load. Without a
-# sidecar, rows must already be in dense order.
+# A feature file's row order follows an optional sidecar "<path>.ids"
+# listing raw item ids one per line; rows are remapped to dense item order
+# at load. Without a sidecar, rows must already be in dense order.
 # ---------------------------------------------------------------------------
 
-def write_modality_features(path: str | Path, matrix: np.ndarray,
-                            item_ids: list[str] | None = None) -> None:
-    """Write a feature matrix in the binary format above, plus an optional
-    raw-item-id sidecar."""
-    path = Path(path)
+def pack_matrix(matrix: np.ndarray) -> bytes:
+    """``matrix`` as one record in the format above."""
     mat = np.ascontiguousarray(matrix, dtype="<f4")
     if mat.ndim != 2:
         raise DataError(f"feature matrix must be 2-D, got shape {mat.shape}")
-    with path.open("wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", mat.shape[0], mat.shape[1]))
-        fh.write(mat.tobytes())
+    return FEATURE_MAGIC + struct.pack("<II", *mat.shape) + mat.tobytes()
+
+
+def read_matrix(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
+    """The record at ``offset`` of ``buf``, as a read-only view, and the
+    offset after it. Raises ValueError naming the fault: a bad magic, a
+    record longer than the buffer, no columns or a non-finite value."""
+    if buf[offset:offset + 8] != FEATURE_MAGIC or len(buf) < offset + 16:
+        raise ValueError("bad magic")
+    rows, cols = struct.unpack_from("<II", buf, offset + 8)
+    end = offset + 16 + 4 * rows * cols
+    if end > len(buf):
+        raise ValueError(f"expected {end - offset} bytes for {rows}x{cols}, "
+                         f"got {len(buf) - offset}")
+    if cols == 0:
+        raise ValueError("no feature columns")
+    mat = np.frombuffer(buf, "<f4", rows * cols, offset + 16)
+    if (bad := np.flatnonzero(~np.isfinite(mat))).size:
+        raise ValueError(f"non-finite value at {divmod(int(bad[0]), cols)}")
+    return mat.reshape(rows, cols), end
+
+
+def write_modality_features(path: str | Path, matrix: np.ndarray,
+                            item_ids: list[str] | None = None) -> None:
+    """Write a feature matrix as one record, plus an optional raw-item-id
+    sidecar."""
+    Path(path).write_bytes(pack_matrix(matrix))
     if item_ids is not None:
-        if len(item_ids) != mat.shape[0]:
+        if len(item_ids) != len(matrix):
             raise DataError("sidecar id count does not match feature rows")
         Path(str(path) + ".ids").write_text(
             "".join(f"{raw}\n" for raw in item_ids), encoding="utf-8")
@@ -428,9 +451,9 @@ def load_modality_features(path: str | Path, modality: str, num_items: int,
     """Read and validate a feature matrix for ``modality``.
 
     Returns a float32 array with exactly ``num_items`` rows in dense item
-    order. Raises DataError on magic mismatch, row-count mismatch, a matrix
-    with no columns, any non-finite value, or a sidecar that is not UTF-8
-    or names an unknown or repeated item.
+    order. Raises DataError on a malformed record (see
+    :func:`read_matrix`), bytes after it, a row-count mismatch, or a
+    sidecar that is not UTF-8 or names an unknown or repeated item.
     """
     path = Path(path)
     if not path.exists():
@@ -442,22 +465,13 @@ def load_modality_features(path: str | Path, modality: str, num_items: int,
 def _parse_features(path: Path, blob: bytes, modality: str, num_items: int,
                     item_index: dict[str, int] | None = None) -> np.ndarray:
     """:func:`load_modality_features` on the bytes of ``path``."""
-    if len(blob) < 16 or blob[:8] != FEATURE_MAGIC:
-        raise DataError(f"{path}: bad magic for modality {modality!r}")
-    rows, cols = struct.unpack("<II", blob[8:16])
-    expected = 16 + 4 * rows * cols
-    if len(blob) != expected:
-        raise DataError(f"{path}: expected {expected} bytes for "
-                        f"{rows}x{cols}, got {len(blob)}")
-    if cols == 0:
-        raise DataError(f"{path}: no feature columns for modality "
-                        f"{modality!r}")
-    mat = np.frombuffer(blob, dtype="<f4", offset=16).reshape(rows, cols)
-    bad = np.argwhere(~np.isfinite(mat))
-    if bad.size:
-        r, c = bad[0]
-        raise DataError(f"{path}: non-finite value at ({r}, {c}) "
-                        f"in modality {modality!r}")
+    try:
+        mat, end = read_matrix(blob)
+        if end != len(blob):
+            raise ValueError(f"{len(blob) - end} bytes after the record")
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc} in modality {modality!r}") from None
+    rows, cols = mat.shape
     sidecar = Path(str(path) + ".ids")
     if not sidecar.exists():
         if rows != num_items:
@@ -631,9 +645,11 @@ def save_bundle(out_dir: str | Path, split: DatasetSplit,
                 modalities: ModalityBundle, duplicates_dropped: int = 0
                 ) -> dict:
     """Write a prepared bundle; rerunning with identical inputs is
-    byte-identical (no timestamps)."""
+    byte-identical (no timestamps). ``stats.json`` is removed first and
+    written last: a write that stops midway leaves no loadable bundle."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "stats.json").unlink(missing_ok=True)
     full = split.train
     (out / "users.txt").write_text(
         "".join(f"{u}\n" for u in full.user_ids), encoding="utf-8")
@@ -648,8 +664,8 @@ def save_bundle(out_dir: str | Path, split: DatasetSplit,
     for name, mat in modalities.features.items():
         write_modality_features(feat_dir / f"{name}.feat", mat)
     stats = _bundle_stats(split, modalities, duplicates_dropped)
-    (out / "stats.json").write_text(
-        json.dumps(stats, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_atomic(out / "stats.json",
+                 json.dumps(stats, sort_keys=True, indent=2) + "\n")
     return stats
 
 

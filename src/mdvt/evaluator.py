@@ -166,12 +166,9 @@ def sparsity_breakdown(train_counts: np.ndarray,
     for lo, hi in SPARSITY_BUCKETS:
         members = (train_counts >= lo) & (hi is None or train_counts <= hi)
         count = int(np.count_nonzero(members))
-        if count:
-            recall_b = {k: float(np.mean(recall[k][members])) for k in ks}
-            ndcg_b = {k: float(np.mean(ndcg[k][members])) for k in ks}
-        else:
-            recall_b = {k: None for k in ks}
-            ndcg_b = {k: None for k in ks}
+        recall_b, ndcg_b = ({k: float(np.mean(per_user[k][members]))
+                             if count else None for k in ks}
+                            for per_user in (recall, ndcg))
         out.append(BucketMetrics(lo=lo, hi=hi, count=count,
                                  recall=recall_b, ndcg=ndcg_b))
     return out

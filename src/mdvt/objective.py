@@ -28,6 +28,9 @@ from .triplet_forge import VirtualTripletSet
 # block's arrays stay in a core's L2 cache through all of its passes.
 ROW_BLOCK = 512
 
+# Adam's moment decay rates and denominator guard.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def softplus(x: np.ndarray) -> np.ndarray:
     """log(1 + exp(x)) without overflow; -log(sigmoid(g)) == softplus(-g)."""
@@ -287,9 +290,6 @@ class OptimizerState:
     v: dict[str, np.ndarray]
     step: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
     @classmethod
@@ -317,8 +317,8 @@ def adam_step(state, opt: OptimizerState,
                     else "user")
             raise MdvtError(f"non-finite gradient for table {role}.{m} "
                             f"at optimizer step {t}")
-    bc1 = 1.0 - opt.beta1 ** t
-    bc2 = 1.0 - opt.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     # Two temporaries, reused by every block; each line computes what
     # ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` does, in order.
     first = next(iter(state.tables.values()))
@@ -332,10 +332,10 @@ def adam_step(state, opt: OptimizerState,
             if opt.weight_decay:
                 g = np.add(g, np.multiply(opt.weight_decay, param, out=a),
                            out=a)
-            m *= opt.beta1
-            m += np.multiply(1.0 - opt.beta1, g, out=b)
-            v *= opt.beta2
-            v += np.multiply(1.0 - opt.beta2, np.square(g, out=b), out=b)
+            m *= BETA1
+            m += np.multiply(1.0 - BETA1, g, out=b)
+            v *= BETA2
+            v += np.multiply(1.0 - BETA2, np.square(g, out=b), out=b)
             np.multiply(opt.learning_rate, np.divide(m, bc1, out=a), out=a)
-            np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), opt.eps, out=b)
+            np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), EPS, out=b)
             param -= np.divide(a, b, out=a)

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import backbone, evaluator, objective, triplet_forge, warmup
-from .dataset import (DatasetBundle, FEATURE_MAGIC, make_batches,
+from .dataset import (DatasetBundle, make_batches, pack_matrix, read_matrix,
                       write_atomic)
 from .errors import CheckpointError, ConfigError, MdvtError
 
@@ -165,8 +165,11 @@ class RunConfig:
         return problems
 
     def off_grid_warnings(self) -> list[str]:
-        """Notes on values outside the usual search grids."""
+        """Notes on values outside the usual search grids or ignored."""
         warnings = []
+        if self.warmup_candidate is not None:
+            warnings.append(f"warmup_candidate={self.warmup_candidate} is "
+                            "ignored: the strategy search picks the trigger")
         if self.mdvt_enabled:
             if self.lam not in LAMBDA_GRID and self.lam != 0.0:
                 warnings.append(f"lam={self.lam} outside usual grid "
@@ -303,13 +306,9 @@ def evaluate_split(state: backbone.EmbeddingState, bundle: DatasetBundle,
                                  config.readout)
     trained = split.train.adjacency.row_lengths > 0
     users = np.flatnonzero(trained & (relevant.row_lengths > 0))
-
-    def score_rows(block: np.ndarray) -> np.ndarray:
-        return backbone.score_matrix(reps, block, config.score_mode)
-
     return evaluator.evaluate_rankings(
-        score_rows, users, relevant, masked,
-        config.eval_ks if ks is None else ks,
+        lambda block: backbone.score_matrix(reps, block, config.score_mode),
+        users, relevant, masked, config.eval_ks if ks is None else ks,
         bundle.graph.degrees[:bundle.num_users])
 
 
@@ -389,7 +388,7 @@ class TrainingRun:
 
     It holds everything the next epoch reads: the tables, the Adam
     moments and step, both RNG streams, the first joint epoch
-    (``trigger``), the history and the early-stopping bookkeeping.
+    (``trigger``), the history and the best epoch's state and validation.
     ``fork`` copies that state, so a strategy search can branch candidates
     off one shared warm-up trunk.
     """
@@ -417,14 +416,12 @@ class TrainingRun:
         # Replaced on improvement, never mutated: forks may share them.
         self.best_state = self.state.copy()
         self.best_validation: evaluator.MetricsReport | None = None
-        self.best_ndcg: float | None = None
-        self.epochs_since_best = 0
         self.epoch = 0
 
     @property
     def done(self) -> bool:
         return (self.epoch >= self.config.max_epochs
-                or self.epochs_since_best >= self.config.patience)
+                or self.epoch - self.history.best_epoch > self.config.patience)
 
     def is_joint(self) -> bool:
         """Whether epoch ``self.epoch`` trains with the virtual loss. A
@@ -460,15 +457,11 @@ class TrainingRun:
         # nothing ranks the best state again.
         val = evaluate_split(self.state, self.bundle, config, "validation")
         history.append_validation(val)
-        ndcg10 = val.ndcg[10]
-        if self.best_ndcg is None or ndcg10 > self.best_ndcg:
-            self.best_ndcg = ndcg10
+        if (self.best_validation is None
+                or val.ndcg[10] > self.best_validation.ndcg[10]):
             history.best_epoch = epoch
             self.best_state = self.state.copy()
             self.best_validation = val
-            self.epochs_since_best = 0
-        else:
-            self.epochs_since_best += 1
         history.stopped_epoch = epoch
         self.epoch += 1
 
@@ -739,10 +732,7 @@ def run_strategy_search(bundle: DatasetBundle, config: RunConfig
 
     ordered = sorted(results, key=lambda r: (r.candidate is None,
                                              r.candidate or 0))
-    winner = ordered[0]
-    for res in ordered[1:]:
-        if res.val_ndcg10 > winner.val_ndcg10:
-            winner = res
+    winner = max(ordered, key=lambda r: r.val_ndcg10)  # the first on ties
     best_config = dataclasses.replace(config,
                                       warmup_candidate=winner.candidate)
     return SearchResult(
@@ -759,17 +749,17 @@ def run_strategy_search(bundle: DatasetBundle, config: RunConfig
 
 # ---------------------------------------------------------------------------
 # Checkpoints: magic, config hash, config echo, bundle fingerprint, then
-# each table named and stored as a feature-format record (float32).
+# each table named and stored as a matrix record (dataset.pack_matrix).
 # ---------------------------------------------------------------------------
 
 def _pack_blob(blob: bytes) -> bytes:
     return struct.pack("<I", len(blob)) + blob
 
 
-def _read_blob(buf: memoryview, offset: int) -> tuple[bytes, int]:
+def _read_blob(buf: bytes, offset: int) -> tuple[bytes, int]:
     (size,) = struct.unpack_from("<I", buf, offset)
     start = offset + 4
-    return bytes(buf[start:start + size]), start + size
+    return buf[start:start + size], start + size
 
 
 def save_checkpoint(path: str | Path, state: backbone.EmbeddingState,
@@ -782,74 +772,73 @@ def save_checkpoint(path: str | Path, state: backbone.EmbeddingState,
     tables = list(state.param_items())
     parts.append(struct.pack("<I", len(tables)))
     for key, table in tables:
-        mat = np.ascontiguousarray(table, dtype="<f4")
-        parts.append(_pack_blob(key.encode("utf-8")))
-        parts.append(FEATURE_MAGIC)
-        parts.append(struct.pack("<II", mat.shape[0], mat.shape[1]))
-        parts.append(mat.tobytes())
+        parts += [_pack_blob(key.encode("utf-8")), pack_matrix(table)]
     write_atomic(path, b"".join(parts))
 
 
 def load_checkpoint(path: str | Path
                     ) -> tuple[RunConfig, str, dict[str, np.ndarray]]:
     """Returns (config, bundle_fingerprint, tables keyed like
-    EmbeddingState.param_items)."""
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"checkpoint not found: {path}")
+    EmbeddingState.param_items), each table a :func:`read_matrix` record;
+    :func:`state_from_tables` checks that they fit a bundle."""
     try:
-        blob = path.read_bytes()
+        blob = Path(path).read_bytes()
     except OSError as exc:
         raise CheckpointError(f"{path}: {exc.strerror or exc}") from None
     if blob[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad checkpoint magic")
     try:
-        buf = memoryview(blob)
-        offset = 8
-        stored_hash, offset = _read_blob(buf, offset)
-        config_blob, offset = _read_blob(buf, offset)
+        stored_hash, offset = _read_blob(blob, 8)
+        config_blob, offset = _read_blob(blob, offset)
         if hashlib.sha256(config_blob).hexdigest().encode() != stored_hash:
             raise CheckpointError(
                 f"{path}: config hash mismatch (corrupt file)")
-        bundle_fp, offset = _read_blob(buf, offset)
-        (count,) = struct.unpack_from("<I", buf, offset)
+        bundle_fp, offset = _read_blob(blob, offset)
+        (count,) = struct.unpack_from("<I", blob, offset)
         offset += 4
         tables: dict[str, np.ndarray] = {}
         for _ in range(count):
-            key, offset = _read_blob(buf, offset)
-            if bytes(buf[offset:offset + 8]) != FEATURE_MAGIC:
-                raise CheckpointError(f"{path}: bad table record magic")
-            rows, cols = struct.unpack_from("<II", buf, offset + 8)
-            offset += 16
-            tables[key.decode("utf-8")] = np.frombuffer(
-                blob, "<f4", rows * cols, offset).reshape(rows, cols)
-            offset += 4 * rows * cols
+            key, offset = _read_blob(blob, offset)
+            try:
+                tables[key.decode("utf-8")], offset = read_matrix(blob, offset)
+            except ValueError as exc:
+                raise ValueError(f"table {key.decode(errors='ignore')}: {exc}")
+        if offset != len(blob):
+            raise ValueError(f"{len(blob) - offset} bytes after the tables")
         config = RunConfig.from_dict(json.loads(config_blob.decode("utf-8")))
         return config, bundle_fp.decode("utf-8"), tables
     except (struct.error, ValueError, ConfigError) as exc:
-        # Truncated or garbled records (short reads, undecodable text), or
-        # a config echo this version does not accept.
-        raise CheckpointError(
-            f"{path}: unreadable checkpoint ({exc!r})") from None
+        # Truncated, garbled or trailing records (read_matrix's faults
+        # too), or a config echo this version does not accept.
+        raise CheckpointError(f"{path}: unreadable checkpoint ({exc})"
+                              ) from None
 
 
-def state_from_tables(tables: dict[str, np.ndarray], embed_dim: int,
-                      mask: tuple[str, ...] | None = None
+def state_from_tables(tables: dict[str, np.ndarray], bundle: DatasetBundle,
+                      embed_dim: int, mask: tuple[str, ...] | None = None
                       ) -> backbone.EmbeddingState:
-    """Rebuild an EmbeddingState from checkpoint tables that hold ``mask``."""
-    user: dict[str, np.ndarray] = {}
-    item: dict[str, np.ndarray] = {}
-    for key, mat in tables.items():
-        role, _, modality = key.partition(".")
-        (user if role == "user" else item)[modality] = mat
-    if not user or set(user) != set(item):
-        raise CheckpointError("checkpoint tables are not paired per modality")
-    (user_shape, item_shape), *others = {(user[m].shape, item[m].shape)
-                                         for m in user}
-    if others or user_shape[1] != embed_dim or item_shape[1] != embed_dim:
-        raise CheckpointError("checkpoint tables differ in shape")
-    if missing := [m for m in mask or () if m not in user]:
+    """Rebuild an EmbeddingState from checkpoint tables that hold ``mask``
+    and are the layout ``bundle`` implies: ``user.<m>`` at ``(num_users,
+    embed_dim)`` and ``item.<m>`` at ``(num_items, embed_dim)`` for each
+    of its modalities, and nothing else."""
+    if missing := [m for m in mask or () if f"user.{m}" not in tables]:
         raise CheckpointError(f"checkpoint lacks masked modalities {missing}")
+    names = bundle.modalities.modalities
+    layout = {f"{role}.{m}": (rows, embed_dim) for m in names
+              for role, rows in (("user", bundle.num_users),
+                                 ("item", bundle.num_items))}
+    shapes = {key: table.shape for key, table in tables.items()}
+    if shapes != layout:
+        missing = {key.partition(".")[2] for key in layout.keys() - shapes}
+        wrong = [f"{key} {shapes[key]}" for key in layout.keys() & shapes
+                 if shapes[key] != layout[key]]
+        raise CheckpointError(
+            f"checkpoint tables do not fit the bundle ({bundle.num_users} "
+            f"users, {bundle.num_items} items, {embed_dim} columns): missing "
+            f"modalities {sorted(missing)}, extra tables "
+            f"{sorted(shapes.keys() - layout)}, misshapen tables "
+            f"{sorted(wrong)}")
     return backbone.EmbeddingState(
-        tables={m: np.vstack([user[m], item[m]]) for m in user},
-        num_users=user_shape[0], embed_dim=embed_dim)
+        tables={m: np.vstack([tables[f"user.{m}"], tables[f"item.{m}"]])
+                for m in names},
+        num_users=bundle.num_users, embed_dim=embed_dim)

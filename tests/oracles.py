@@ -32,7 +32,7 @@ from mdvt.dataset import Adjacency
 from mdvt.errors import (ConfigError, DataError, MdvtError, SelectionError,
                          TrainingCollapseError)
 from mdvt import objective, warmup
-from mdvt.objective import softplus
+from mdvt.objective import BETA1, BETA2, EPS, softplus
 from mdvt.trainer import CandidateResult, SearchResult, TrainingRun
 from mdvt.triplet_forge import SelectionParams, VirtualTripletSet
 
@@ -610,8 +610,8 @@ def adam_step_whole_table(state, opt, grads) -> None:
                     else "user")
             raise MdvtError(f"non-finite gradient for table {role}.{m} "
                             f"at optimizer step {t}")
-    bc1 = 1.0 - opt.beta1 ** t
-    bc2 = 1.0 - opt.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     a, b = (np.empty_like(next(iter(state.tables.values())))
             for _ in range(2))
     for key, param in state.tables.items():
@@ -619,12 +619,12 @@ def adam_step_whole_table(state, opt, grads) -> None:
         if opt.weight_decay:
             g = np.add(g, np.multiply(opt.weight_decay, param, out=a), out=a)
         m, v = opt.m[key], opt.v[key]
-        m *= opt.beta1
-        m += np.multiply(1.0 - opt.beta1, g, out=b)
-        v *= opt.beta2
-        v += np.multiply(1.0 - opt.beta2, np.square(g, out=b), out=b)
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, g, out=b)
+        v *= BETA2
+        v += np.multiply(1.0 - BETA2, np.square(g, out=b), out=b)
         np.multiply(opt.learning_rate, np.divide(m, bc1, out=a), out=a)
-        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), opt.eps, out=b)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), EPS, out=b)
         param -= np.divide(a, b, out=a)
 
 

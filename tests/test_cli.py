@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -6,7 +7,7 @@ import signal
 import numpy as np
 import pytest
 
-from mdvt import backbone, trainer
+from mdvt import backbone, dataset, trainer
 from mdvt.cli import main
 from mdvt.dataset import load_bundle, write_atomic, write_modality_features
 from mdvt.errors import DataError
@@ -94,6 +95,30 @@ class TestPrepare:
                      "--feature", "visual=/nonexistent.feat",
                      "--out", str(tmp_path / "b")])
         assert code == 2
+
+    def test_interrupted_rewrite_leaves_no_stats_json(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # A re-prepare with another seed that fails after train.tsv must not
+        # leave the old stats.json beside the new split.
+        bundle = prepare_bundle(tmp_path)
+        write_tsv = dataset._write_tsv
+
+        def failing(path, part):
+            if path.name == "val.tsv":
+                raise OSError(28, "No space left on device")
+            write_tsv(path, part)
+
+        monkeypatch.setattr(dataset, "_write_tsv", failing)
+        assert main(["prepare", "--interactions",
+                     str(tmp_path / "interactions.tsv"),
+                     "--out", str(bundle), "--seed", "1"]) == 2
+        monkeypatch.undo()
+        assert not (bundle / "stats.json").exists()
+        capsys.readouterr()
+        assert main(["train", "--bundle", str(bundle), "--config",
+                     str(base_config(tmp_path)),
+                     "--out", str(tmp_path / "run.json")]) == 2
+        assert "missing stats.json" in single_error_line(capsys)
 
     def test_rerun_byte_identical(self, tmp_path):
         bundle_a = prepare_bundle(tmp_path / "a")
@@ -333,6 +358,24 @@ class TestTrain:
                      "--config", str(config), "--out", str(out)]) == 0
         report = json.loads(out.read_text(encoding="utf-8"))
         assert any("lam" in w for w in report["config_warnings"])
+
+    def test_warmup_candidate_is_noted_as_ignored(self, tmp_path):
+        # The dynamic search resolves its own trigger whatever the key says.
+        bundle = prepare_bundle(tmp_path)
+        reports = []
+        for name, extra in (("plain", {}),
+                            ("preset", {"warmup_candidate": 3})):
+            out = tmp_path / f"{name}.json"
+            assert main(["train", "--bundle", str(bundle), "--config",
+                         str(base_config(tmp_path, **extra)),
+                         "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text(encoding="utf-8")))
+        plain, preset = reports
+        assert plain["config_warnings"] == []
+        assert preset["config_warnings"] == [
+            "warmup_candidate=3 is ignored: the strategy search picks the "
+            "trigger"]
+        assert preset["warmup"] == plain["warmup"]
 
     def test_repeat_identical_modulo_wall_clock(self, tmp_path):
         bundle = prepare_bundle(tmp_path)
@@ -606,13 +649,51 @@ class TestEval:
                      str(config), "--out", str(tmp_path / "run.json")]) == 0
         ckpt = tmp_path / "run.ckpt"
         run_config, fingerprint, tables = load_checkpoint(ckpt)
-        id_only = {k: v for k, v in tables.items() if k.endswith(".id")}
-        save_checkpoint(ckpt, state_from_tables(id_only, 4), run_config,
-                        fingerprint)
+        state = state_from_tables(tables, load_bundle(bundle), 4)
+        id_only = dataclasses.replace(state, tables={"id": state.tables["id"]})
+        save_checkpoint(ckpt, id_only, run_config, fingerprint)
         capsys.readouterr()
         assert main(["eval", "--bundle", str(bundle), "--checkpoint",
                      str(ckpt)]) == 3
         assert "['visual']" in single_error_line(capsys)
+
+    @pytest.mark.parametrize("fault, named", [
+        ("nan_value", "non-finite value"),
+        ("trailing_bytes", "4 bytes after the tables"),
+        ("short_tables",
+         "misshapen tables ['user.id (9, 4)', 'user.visual (9, 4)']"),
+        ("missing_modality", "missing modalities ['visual']")])
+    def test_bad_tables_exit_3(self, tmp_path, capsys, fault, named):
+        # The config hash covers only the config echo, and every edit but
+        # the first two keeps the bundle's fingerprint.
+        bundle = prepare_bundle(tmp_path)
+        assert main(["train", "--bundle", str(bundle), "--config",
+                     str(base_config(tmp_path)),
+                     "--out", str(tmp_path / "run.json")]) == 0
+        ckpt = tmp_path / "run.ckpt"
+        blob = bytearray(ckpt.read_bytes())
+        run_config, fingerprint, tables = load_checkpoint(ckpt)
+        state = state_from_tables(tables, load_bundle(bundle), 4)
+        if fault == "nan_value":
+            # The first value of item.visual: past its name and header.
+            at = blob.index(b"item.visual") + len(b"item.visual") + 16
+            blob[at:at + 4] = np.float32(np.nan).tobytes()
+            ckpt.write_bytes(bytes(blob))
+        elif fault == "trailing_bytes":
+            ckpt.write_bytes(bytes(blob) + b"\0" * 4)
+        elif fault == "short_tables":
+            short = dataclasses.replace(
+                state, tables={m: t[3:] for m, t in state.tables.items()},
+                num_users=state.num_users - 3)
+            save_checkpoint(ckpt, short, run_config, fingerprint)
+        else:
+            id_only = dataclasses.replace(state,
+                                          tables={"id": state.tables["id"]})
+            save_checkpoint(ckpt, id_only, run_config, fingerprint)
+        capsys.readouterr()
+        assert main(["eval", "--bundle", str(bundle), "--checkpoint",
+                     str(ckpt)]) == 3
+        assert named in single_error_line(capsys)
 
     @pytest.mark.parametrize("overrides", [FORKING,
                                            dict(score_mode="fused")],

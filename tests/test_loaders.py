@@ -246,27 +246,44 @@ class TestStatsJson:
 class TestCheckpointBytes:
     @FUZZ
     @given(cut=st.integers(0, 400),
-           flips=st.lists(st.tuples(st.booleans(), st.integers(0, 10**6),
-                                    st.integers(1, 255)), max_size=3))
+           flips=st.lists(st.tuples(st.sampled_from(["framing", "data",
+                                                     "any"]),
+                                    st.integers(0, 10**6),
+                                    st.integers(1, 255)), max_size=3),
+           extra=st.binary(max_size=8))
     def test_result_or_checkpoint_error(self, tmp_path, saved_bundle, cut,
-                                        flips):
+                                        flips, extra):
+        # Whatever is accepted fits the bundle, is finite and is exactly
+        # what saving the result writes again: every byte was read.
         _, bundle = saved_bundle
         config = RunConfig(embed_dim=4)
         path = tmp_path / "run.ckpt"
         state = init_embeddings(bundle.modalities, bundle.num_users, 4, 0)
         save_checkpoint(path, state, config, "f" * 64)
         blob = bytearray(path.read_bytes())
-        # Bytes around each table's name and header, or anywhere.
-        framing = [at + k for name in (b"user.", b"item.")
-                   for at in range(len(blob)) if blob.startswith(name, at)
-                   for k in range(-4, 20)]
-        for near_table, at, mask in flips:
-            where = framing[at % len(framing)] if near_table else at
-            blob[where % len(blob)] ^= mask
-        path.write_bytes(bytes(blob[:len(blob) - cut]))
+        # Bytes around each table's name and header, inside its values, or
+        # anywhere.
+        names = [at for name in (b"user.", b"item.")
+                 for at in range(len(blob)) if blob.startswith(name, at)]
+        framing = [at + k for at in names for k in range(-4, 20)]
+        data = []
+        for at in names:
+            record = at + int.from_bytes(blob[at - 4:at], "little")
+            rows, cols = np.frombuffer(blob, "<u4", 2, record + 8)
+            data += range(record + 16, record + 16 + 4 * int(rows * cols))
+        places = {"framing": framing, "data": data}
+        for where, at, mask in flips:
+            if where in places:
+                at = places[where][at % len(places[where])]
+            blob[at % len(blob)] ^= mask
+        path.write_bytes(bytes(blob[:len(blob) - cut]) + extra)
         try:
-            run_config, _, tables = load_checkpoint(path)
-            state_from_tables(tables, run_config.embed_dim,
-                              run_config.modality_mask)
+            run_config, fingerprint, tables = load_checkpoint(path)
+            got = state_from_tables(tables, bundle, run_config.embed_dim,
+                                    run_config.modality_mask)
         except CheckpointError:
-            pass
+            return
+        assert all(np.isfinite(t).all() for t in got.tables.values())
+        save_checkpoint(tmp_path / "again.ckpt", got, run_config,
+                        fingerprint)
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()

@@ -419,13 +419,15 @@ class TestCheckpoint:
         loaded_config, fp, tables = load_checkpoint(path)
         assert fp == "fp-123"
         assert loaded_config == config
-        rebuilt = state_from_tables(tables, config.embed_dim)
+        rebuilt = state_from_tables(tables, bundle, config.embed_dim)
         for key, table in state.param_items():
             role, m = key.split(".", 1)
             got = rebuilt.user[m] if role == "user" else rebuilt.item[m]
             assert np.allclose(got, table, atol=1e-6)
 
-    def test_mismatched_tables_rejected(self):
+    def test_mismatched_tables_rejected(self, rng):
+        bundle = make_bundle(rng, num_users=2, num_items=3, extra_edges=0,
+                             with_features=False)
         good = {"user.id": np.zeros((2, 4)), "item.id": np.zeros((3, 4))}
         for bad in ({}, {**good, "user.id": np.zeros((2, 5))},
                     {**good, "user.v": np.zeros((1, 4)),
@@ -433,8 +435,9 @@ class TestCheckpoint:
                     {**good, "user_v": np.zeros((2, 4))},
                     {**good, "role.v": np.zeros((2, 4))}):
             with pytest.raises(CheckpointError):
-                state_from_tables(bad, 4)
-        assert state_from_tables(good, 4).tables["id"].shape == (5, 4)
+                state_from_tables(bad, bundle, 4)
+        assert state_from_tables(good, bundle, 4).tables["id"].shape == \
+            (5, 4)
 
     def test_byte_stable(self, rng, tmp_path):
         bundle = make_bundle(rng, num_users=5, num_items=8, extra_edges=4)
@@ -521,7 +524,8 @@ class TestStateViews:
         state = trainer.TrainingRun(bundle, config).state
         save_checkpoint(tmp_path / "run.ckpt", state, config, "fp")
         loaded = [state_from_tables(load_checkpoint(tmp_path / "run.ckpt")[2],
-                                    config.embed_dim) for _ in range(2)]
+                                    bundle, config.embed_dim)
+                  for _ in range(2)]
         prop = trainer.propagator(bundle, config.norm)
         self.check_own_views(loaded[0], loaded[1], prop)
         self.check_own_views(loaded[1], state, prop)
