@@ -232,8 +232,10 @@ def score_matrix(reps: Representations, users: np.ndarray,
     """Scores of several users against all items, one row per user."""
     if mode == "fused":
         return reps.fused_users[users] @ reps.fused_items.T
-    out = None
-    for m in reps.finals:
-        s = reps.users(m)[users] @ reps.items(m).T
-        out = s if out is None else out + s
+    first, *rest = reps.finals
+    out = reps.users(first)[users] @ reps.items(first).T
+    term = None  # one block, reused by every later modality
+    for m in rest:
+        term = np.matmul(reps.users(m)[users], reps.items(m).T, out=term)
+        out += term
     return out

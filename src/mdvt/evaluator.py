@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Adjacency
+from .dataset import Adjacency, gather_rows
 from .errors import ConfigError
 
 SPARSITY_BUCKETS = ((1, 5), (6, 10), (11, 20), (21, None))
@@ -18,6 +18,10 @@ SPARSITY_BUCKETS = ((1, 5), (6, 10), (11, 20), (21, None))
 # refresh: a block's score matrix is BLOCK_ROWS x num_items.
 BLOCK_ROWS = 256
 
+# ``top_k`` cuts a row into max(RANK_GROUPS, 4k) strided column groups, at
+# most one per column: enough that about k + 2 entries reach its bar.
+RANK_GROUPS = 128
+
 
 def top_k(scores: np.ndarray, k: int, excluded: Adjacency | None = None
           ) -> Adjacency:
@@ -25,38 +29,53 @@ def top_k(scores: np.ndarray, k: int, excluded: Adjacency | None = None
     ascending column, skipping the row's ``excluded`` columns; a row with
     fewer columns left keeps them all. Scores must be finite.
 
-    Exact: ``argpartition`` picks k columns holding the k largest values;
-    where the boundary (k-th largest) value has more ties than the row has
-    room for, the lowest tied columns are taken instead of the arbitrary
-    ones; then only the k survivors of each row are sorted.
+    Exact, in two stages. Threshold: at least ``k`` entries of a row reach
+    the k-th largest of its group maxima, so every top-k entry does too.
+    Sort: of the entries that reach this bar, in ascending column order,
+    the ones tied with the bar are cut to the room the entries above it
+    leave (a fully tied row stays short); a stable sort of the rest by
+    descending score then breaks ties by ascending column.
     """
     rows, cols = scores.shape
     k = min(k, cols)
+    if k == 0:
+        return Adjacency(np.zeros(rows + 1, dtype=np.int64),
+                         np.zeros(0, dtype=np.int64))
     masked = scores.astype(np.result_type(scores, 0.0))  # ints widen, for -inf
     if excluded is not None:
         masked[excluded.entry_rows, excluded.indices] = -np.inf
-    lengths = np.minimum(k, np.count_nonzero(masked > -np.inf, axis=1))
-    if k == 0:
-        return Adjacency.from_lengths(lengths, np.zeros(0, dtype=np.int64))
-    cand = np.argpartition(masked, cols - k, axis=1)[:, cols - k:]
-    vals = np.take_along_axis(masked, cand, axis=1)
-    kth = vals[:, :1]
-    room = lengths - np.count_nonzero(vals > kth, axis=1)
-    fix = np.flatnonzero(np.count_nonzero(masked == kth, axis=1) > room)
-    if fix.size:
-        sub = masked[fix]
-        tied = sub == kth[fix]
-        keep = (sub > kth[fix]) | (tied & (np.cumsum(tied, axis=1)
-                                           <= room[fix, None]))
-        r, c = np.nonzero(keep)  # row-major: columns ascend within a row
-        at = np.arange(len(r)) - np.searchsorted(r, r)
-        vals[fix] = -np.inf  # padding of rows shorter than k sorts last
-        cand[fix[r], at] = c
-        vals[fix[r], at] = sub[r, c]
-    order = np.lexsort((cand, -vals), axis=1)
-    ranked = np.take_along_axis(cand, order, axis=1)
-    return Adjacency.from_lengths(lengths,
-                                  ranked[np.arange(k) < lengths[:, None]])
+    groups = min(max(RANK_GROUPS, 4 * k), cols)
+    whole = cols - cols % groups
+    maxima = masked[:, :whole].reshape(rows, whole // groups, groups).max(
+        axis=1)
+    left = maxima[:, :cols - whole]
+    np.maximum(left, masked[:, whole:], out=left)
+    bar = np.partition(maxima, groups - k, axis=1)[:, groups - k]
+    reach = np.flatnonzero(masked >= bar[:, None])  # columns ascend per row
+    starts = np.searchsorted(reach, np.arange(rows + 1) * cols)
+    counts = np.diff(starts)
+    values = masked.ravel()[reach]
+    tied = np.flatnonzero(values == np.repeat(bar, counts))
+    tie_starts = np.searchsorted(tied, starts)
+    above = counts - np.diff(tie_starts)
+    # A -inf bar marks a row with fewer than k columns left: its tied
+    # entries are the excluded ones.
+    lengths = np.minimum(k, np.where(bar > -np.inf, counts, above))
+    room = np.maximum(lengths - above, 0)
+    keep = np.ones(len(reach), dtype=bool)
+    keep[tied] = False
+    keep[tied[gather_rows(tie_starts[:-1], room)[1]]] = True
+    reach, values = reach[keep], values[keep]
+    kept = above + room
+    kept_starts, at = gather_rows(np.zeros(rows, dtype=np.int64), kept)
+    # Padding (+inf negated scores) sorts after every survivor.
+    negated = np.full((rows, int(kept.max(initial=0))), np.inf,
+                      dtype=masked.dtype)
+    negated[reach // cols, at] = -values
+    order = np.argsort(negated, axis=1, kind="stable")
+    first = order[np.arange(order.shape[1]) < lengths[:, None]]
+    return Adjacency.from_lengths(
+        lengths, reach[first + np.repeat(kept_starts[:-1], lengths)] % cols)
 
 
 @dataclass
@@ -128,12 +147,14 @@ def evaluate_rankings(score_rows, users, relevant: Adjacency,
         scores = score_rows(block)
         ranked = top_k(scores, depth, masked.take(block))
         wanted = relevant.take(block)
-        is_relevant = np.zeros(scores.shape, dtype=bool)
-        is_relevant[wanted.entry_rows, wanted.indices] = True
-        rows = ranked.entry_rows
+        # Only the ranked items are looked up, keyed by (row, item); every
+        # row has a relevant item, so ``keys`` is not empty.
+        rows, width = ranked.entry_rows, scores.shape[1]
+        found = rows * width + ranked.indices
+        keys = np.sort(wanted.entry_rows * width + wanted.indices)
         hit = np.zeros((len(block), depth), dtype=bool)
-        hit[rows, np.arange(len(rows)) - ranked.indptr[rows]] = \
-            is_relevant[rows, ranked.indices]
+        hit[rows, np.arange(len(rows)) - ranked.indptr[rows]] = keys[
+            np.searchsorted(keys, found).clip(max=len(keys) - 1)] == found
         hits[start:start + BLOCK_ROWS] = np.cumsum(hit, axis=1)
         # Running sums left to right: the order a per-user loop adds them.
         dcg[start:start + BLOCK_ROWS] = np.cumsum(

@@ -799,10 +799,13 @@ def load_checkpoint(path: str | Path
         tables: dict[str, np.ndarray] = {}
         for _ in range(count):
             key, offset = _read_blob(blob, offset)
+            name = key.decode("utf-8")
+            if name in tables:
+                raise ValueError(f"table {name} repeated")
             try:
-                tables[key.decode("utf-8")], offset = read_matrix(blob, offset)
+                tables[name], offset = read_matrix(blob, offset)
             except ValueError as exc:
-                raise ValueError(f"table {key.decode(errors='ignore')}: {exc}")
+                raise ValueError(f"table {name}: {exc}")
         if offset != len(blob):
             raise ValueError(f"{len(blob) - offset} bytes after the tables")
         config = RunConfig.from_dict(json.loads(config_blob.decode("utf-8")))

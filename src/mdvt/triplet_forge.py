@@ -69,8 +69,9 @@ def cosine_rows(user_vecs: np.ndarray, item_matrix: np.ndarray,
     u_norms = np.sqrt(np.matmul(user_vecs[:, None, :],
                                 user_vecs[:, :, None])[:, 0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        sim = np.where(item_norms > 0.0, dots / (u_norms * item_norms), 0.0)
-    return sim, u_norms[:, 0] == 0.0
+        np.divide(dots, u_norms * item_norms, out=dots)
+    dots[:, ~(item_norms > 0.0)] = 0.0
+    return dots, u_norms[:, 0] == 0.0
 
 
 @dataclass

@@ -238,6 +238,17 @@ class TestScores:
         assert user_scores(reps, 0, mode="fused")[0] == \
             pytest.approx(1.0 * 1.5)
 
+    def test_three_modalities_add_left_to_right(self, rng):
+        # float32 sums are not associative: the block must be
+        # (s0 + s1) + s2 exactly, as modality products added in order.
+        u = {m: rng.normal(size=(5, 8)).astype(np.float32) for m in "abc"}
+        i = {m: rng.normal(size=(40, 8)).astype(np.float32) for m in "abc"}
+        users = np.array([4, 0, 2])
+        s0, s1, s2 = (u[m][users] @ i[m].T for m in "abc")
+        got = score_matrix(make_reps(u, i), users)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, (s0 + s1) + s2)
+
     def test_matrix_and_pairwise_agree(self, rng):
         records = covered_random_records(rng, 4, 6, 5)
         graph = build_graph(make_set(records, 4, 6))

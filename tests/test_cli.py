@@ -662,7 +662,8 @@ class TestEval:
         ("trailing_bytes", "4 bytes after the tables"),
         ("short_tables",
          "misshapen tables ['user.id (9, 4)', 'user.visual (9, 4)']"),
-        ("missing_modality", "missing modalities ['visual']")])
+        ("missing_modality", "missing modalities ['visual']"),
+        ("repeated_table", "table user.id repeated")])
     def test_bad_tables_exit_3(self, tmp_path, capsys, fault, named):
         # The config hash covers only the config echo, and every edit but
         # the first two keeps the bundle's fingerprint.
@@ -681,6 +682,15 @@ class TestEval:
             ckpt.write_bytes(bytes(blob))
         elif fault == "trailing_bytes":
             ckpt.write_bytes(bytes(blob) + b"\0" * 4)
+        elif fault == "repeated_table":
+            # A second, all-zero user.id record, counted in the header: the
+            # layout check alone would accept the tables it replaced.
+            first = blob.index(b"\x07\0\0\0user.id")
+            count = int.from_bytes(blob[first - 4:first], "little")
+            blob[first - 4:first] = (count + 1).to_bytes(4, "little")
+            ckpt.write_bytes(bytes(blob) + blob[first:first + 11]
+                             + dataset.pack_matrix(
+                                 np.zeros_like(tables["user.id"])))
         elif fault == "short_tables":
             short = dataclasses.replace(
                 state, tables={m: t[3:] for m, t in state.tables.items()},

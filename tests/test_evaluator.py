@@ -84,6 +84,18 @@ def random_subsets(rng, rows, cols, max_share=1.0):
         replace=False)} for r in range(rows)}
 
 
+def assert_top_k_matches_oracle(scores, k, masked):
+    """``top_k`` equals the per-row ``rank_items`` oracle; ``masked`` maps
+    rows to excluded columns, or is None for no exclusion."""
+    rows = len(scores)
+    got = top_k(scores, k, None if masked is None
+                else adjacency_of(masked, rows))
+    assert len(got) == rows
+    for r in range(rows):
+        want = rank_items(scores[r], None if masked is None else masked[r])
+        assert got[r].tolist() == want[:k].tolist()
+
+
 class TestTopK:
     def test_ties_by_ascending_index(self):
         got = top_k(np.array([[0.5, 0.5, 0.5, 1.0]]), 2)
@@ -109,11 +121,52 @@ class TestTopK:
             k = int(rng.integers(0, cols + 3))
             excluded = adjacency_of(masked, rows) if rng.random() < 0.8 \
                 else None
-            got = top_k(scores, k, excluded)
-            for r in range(rows):
-                want = rank_items(scores[r],
-                                  masked[r] if excluded else None)[:k]
-                assert got[r].tolist() == want.tolist()
+            assert_top_k_matches_oracle(scores, k, masked if excluded
+                                        else None)
+
+    def test_wide_rows_match_rank_items_oracle(self, rng):
+        # Wider than RANK_GROUPS and mostly not a multiple of the group
+        # count, so the threshold stage and its leftover columns run.
+        for case in range(300):
+            rows, cols = int(rng.integers(0, 6)), int(rng.integers(129, 700))
+            kind = case % 5
+            if kind == 0:
+                scores = rng.normal(size=(rows, cols)).astype(np.float32)
+            elif kind == 1:
+                scores = rng.integers(0, 5, size=(rows, cols))
+            elif kind == 2:
+                scores = np.round(rng.normal(size=(rows, cols)), 1)
+            elif kind == 3:  # +0.0 and -0.0 tie with each other
+                scores = rng.integers(-1, 2, size=(rows, cols)) * 0.0
+            else:  # freq_f1: read-only broadcast train degrees
+                scores = np.broadcast_to(rng.integers(0, 9, size=cols),
+                                         (rows, cols))
+            k = int(rng.choice([1, 2, 10, 20, 150, cols + 5]))
+            masked = (random_subsets(rng, rows, cols,
+                                     max_share=rng.choice([0.05, 1.0]))
+                      if case % 3 else None)
+            assert_top_k_matches_oracle(scores, k, masked)
+
+    @pytest.mark.parametrize("k", [1, 10, 300, 2000])
+    def test_fully_tied_rows_take_the_lowest_columns(self, k):
+        got = top_k(np.ones((3, 1001)), k, adjacency_of({1: {0, 5}}, 3))
+        assert got[0].tolist() == list(range(min(k, 1001)))
+        assert got[1].tolist() == [c for c in range(1001)
+                                   if c not in (0, 5)][:k]
+
+    def test_fully_excluded_wide_rows_are_empty(self, rng):
+        scores = rng.normal(size=(3, 300))
+        got = top_k(scores, 10, adjacency_of({0: set(range(300)),
+                                              2: set(range(295))}, 3))
+        assert got.row_lengths.tolist() == [0, 10, 5]
+        assert got[2].tolist() == rank_items(scores[2],
+                                             set(range(295))).tolist()
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_zero_row_block(self, k):
+        got = top_k(np.zeros((0, 500), dtype=np.float32), k,
+                    adjacency_of({}, 0))
+        assert len(got) == 0 and got.indices.size == 0
 
 
 class TestRecall:
