@@ -167,14 +167,14 @@ def _execute_train(bundle_dir: str, config: RunConfig, out_path: str) -> dict:
     for message in warnings:
         log.warning("config: %s", message)
     result = trainer.run_strategy_search(bundle, config)
-    test_metrics = trainer.evaluate_split(result.best_state, bundle,
-                                          result.best_config, "test")
+    test_metrics = trainer.evaluate_split(result.best_state, bundle, config,
+                                          "test")
     report = build_run_report(bundle.stats, config, warnings, result,
                               test_metrics,
                               time.perf_counter() - start)
     write_atomic(out, json.dumps(report, sort_keys=True, indent=2) + "\n")
     trainer.save_checkpoint(out.with_suffix(".ckpt"), result.best_state,
-                            result.best_config, bundle.fingerprint)
+                            config, bundle.fingerprint)
     return report
 
 

@@ -164,11 +164,12 @@ def _selection(targets: np.ndarray, like: np.ndarray) -> sp.csr_matrix:
 
 def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
              reps: Representations, prop: Propagator, *,
-             lam: float, joint: bool, num_layers: int,
+             lam: float, num_layers: int,
              wo_aggr: bool = False, wo_scale: bool = False,
              score_mode: str = "per_modality", readout_mode: str = "sum",
              per_distinct_user: bool = False):
-    """Batch losses and gradients w.r.t. every embedding table.
+    """Batch losses and gradients w.r.t. every embedding table; a batch
+    with a ``virtual`` set is joint, one with None is warm-up.
 
     Returns ``(LossReport, grads)`` where ``grads[modality]`` is the
     ``(V, d)`` gradient of that modality's table (users first, like
@@ -181,7 +182,7 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
     the scatters then fill its rows only, and ``_spread`` fans them out to
     the whole table, giving the full pass's gradients bit for bit.
     """
-    w_bpr, w_v = _loss_weights(lam, joint, wo_scale)
+    w_bpr, w_v = _loss_weights(lam, virtual is not None, wo_scale)
     num_users, size = reps.num_users, len(batch)
     users = reps.locate(batch.users)
     pos = reps.locate(batch.pos_items + num_users)
@@ -215,7 +216,7 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
     # (targets, steps) into the fused matrix: fused-mode BPR steps first.
     fused = [(bpr_targets, bpr_steps.pop(None))] if None in bpr_steps else []
     l_vbpr = None
-    if joint and virtual is not None:
+    if virtual is not None:
         rows, weight = _virtual_rows(batch.users, virtual, per_distinct_user)
         if rows.size:
             l_vbpr, *scatter = _virtual_loss(rows, weight, virtual, reps,

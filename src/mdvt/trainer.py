@@ -85,7 +85,6 @@ class RunConfig:
     g: float = warmup.DEFAULT_G
     s: int = warmup.DEFAULT_S
     eval_ks: tuple[int, ...] = (5, 10)
-    warmup_candidate: int | None = None
 
     def __post_init__(self) -> None:
         """Check every value: its type against the annotation (a bool is
@@ -123,8 +122,7 @@ class RunConfig:
         for key, low in (("embed_dim", 1), ("num_layers", 0), ("top_n", 1),
                          ("batch_size", 1), ("max_epochs", 1),
                          ("patience", 1), ("seed", 0), ("weight_decay", 0),
-                         ("n_floor", 0), ("n_cap", 0),
-                         ("warmup_candidate", 0)):
+                         ("n_floor", 0), ("n_cap", 0)):
             value = getattr(self, key)
             if value is not None and value < low:
                 problems.append(f"{key} must be >= {low} (got {value})")
@@ -165,11 +163,8 @@ class RunConfig:
         return problems
 
     def off_grid_warnings(self) -> list[str]:
-        """Notes on values outside the usual search grids or ignored."""
+        """Notes on values outside the usual search grids."""
         warnings = []
-        if self.warmup_candidate is not None:
-            warnings.append(f"warmup_candidate={self.warmup_candidate} is "
-                            "ignored: the strategy search picks the trigger")
         if self.mdvt_enabled:
             if self.lam not in LAMBDA_GRID and self.lam != 0.0:
                 warnings.append(f"lam={self.lam} outside usual grid "
@@ -341,7 +336,6 @@ def train_epoch(state: backbone.EmbeddingState,
     """One pass over the shuffled train triplets; virtual is None during
     warm-up. Both the local and the full step give the same bits."""
     mask = _mask_for(state, config)
-    joint = virtual is not None
     local = prop.matrix.nnz * state.embed_dim > LOCAL_STEP_MIN_WORK
     sums = {"l_bpr": 0.0, "l_total": 0.0}
     vbpr_sum, vbpr_batches, n_batches = 0.0, 0, 0
@@ -354,7 +348,7 @@ def train_epoch(state: backbone.EmbeddingState,
                                      config.readout, rows)
         report, grads = objective.backward(
             batch, virtual, reps, prop,
-            lam=config.lam, joint=joint, num_layers=config.num_layers,
+            lam=config.lam, num_layers=config.num_layers,
             wo_aggr=config.wo_aggr, wo_scale=config.wo_scale,
             score_mode=config.score_mode, readout_mode=config.readout,
             per_distinct_user=config.per_distinct_user)
@@ -376,10 +370,9 @@ def train_epoch(state: backbone.EmbeddingState,
             vbpr_batches += 1
         n_batches += 1
     scale = len(bundle.split.train) if config.loss_reporting == "sum" else 1.0
-    l_vbpr = (scale * vbpr_sum / vbpr_batches) if vbpr_batches else None
     return objective.LossReport(
         l_bpr=scale * sums["l_bpr"] / n_batches,
-        l_vbpr=l_vbpr if joint else None,
+        l_vbpr=(scale * vbpr_sum / vbpr_batches) if vbpr_batches else None,
         l_total=scale * sums["l_total"] / n_batches)
 
 
@@ -388,12 +381,13 @@ class TrainingRun:
 
     It holds everything the next epoch reads: the tables, the Adam
     moments and step, both RNG streams, the first joint epoch
-    (``trigger``), the history and the best epoch's state and validation.
-    ``fork`` copies that state, so a strategy search can branch candidates
-    off one shared warm-up trunk.
+    (``trigger``; None for none), the history and the best epoch's state
+    and validation. ``fork`` copies that state, so a strategy search can
+    branch candidates off one shared warm-up trunk.
     """
 
-    def __init__(self, bundle: DatasetBundle, config: RunConfig) -> None:
+    def __init__(self, bundle: DatasetBundle, config: RunConfig,
+                 trigger: int | None = None) -> None:
         streams = np.random.SeedSequence(config.seed).spawn(3)
         init_seed = int(streams[0].generate_state(1)[0])
         self.rng_shuffle = np.random.default_rng(streams[1])
@@ -409,9 +403,7 @@ class TrainingRun:
         self.prop = propagator(bundle, config.norm)
         self.opt = objective.OptimizerState.for_state(
             self.state, config.learning_rate, config.weight_decay)
-        # A preset warm-up candidate, or None until a dynamic or hybrid
-        # run's trigger rule fires.
-        self.trigger = config.warmup_candidate
+        self.trigger = trigger
         self.history = TrainHistory()
         # Replaced on improvement, never mutated: forks may share them.
         self.best_state = self.state.copy()
@@ -423,22 +415,12 @@ class TrainingRun:
         return (self.epoch >= self.config.max_epochs
                 or self.epoch - self.history.best_epoch > self.config.patience)
 
-    def is_joint(self) -> bool:
-        """Whether epoch ``self.epoch`` trains with the virtual loss. A
-        dynamic or hybrid run without a trigger evaluates the trigger rule
-        on the completed-epoch losses and latches the first firing."""
-        if self.trigger is None and self.config.strategy in ("dynamic",
-                                                             "hybrid"):
-            self.trigger = warmup.dynamic_trigger(self.history.l_total,
-                                                  self.config.g)
-        return self.trigger is not None and self.epoch >= self.trigger
-
     def step(self) -> None:
         """Train epoch ``self.epoch`` (with a fresh virtual-triplet set if
         it is a joint epoch), validate it and update early stopping."""
         config, epoch, history = self.config, self.epoch, self.history
         virtual = None
-        if config.mdvt_active and self.is_joint():
+        if self.trigger is not None and epoch >= self.trigger:
             if history.trigger_epoch is None:
                 history.trigger_epoch = epoch
             reps = backbone.forward_pass(
@@ -486,10 +468,11 @@ class TrainingRun:
 
 def train_run(bundle: DatasetBundle, config: RunConfig
               ) -> tuple[backbone.EmbeddingState, TrainHistory]:
-    """Run one full training: warm-up epochs, joint epochs with a fresh
-    virtual-triplet set each epoch, early stopping on validation NDCG@10,
-    and best-epoch restoration."""
-    return TrainingRun(bundle, config).finish()
+    """Run ``config``'s strategy search; return the winner's best state and
+    history (warm-up and joint epochs, early stopping on validation
+    NDCG@10, best-epoch restoration)."""
+    result = run_strategy_search(bundle, config)
+    return result.best_state, result.best_history
 
 
 @dataclass
@@ -523,7 +506,6 @@ class SearchResult:
     ``best_validation`` ranks the validation split with ``best_state``."""
 
     strategy: str
-    best_config: RunConfig
     best_state: backbone.EmbeddingState
     best_history: TrainHistory
     best_validation: evaluator.MetricsReport
@@ -664,40 +646,40 @@ def _branch(trunk: TrainingRun, pool: ForkPool, label: str, candidate: int,
 
 def _start(bundle: DatasetBundle, config: RunConfig,
            pool: ForkPool) -> int | None:
-    """Start every candidate of the search; return the hybrid estimate."""
-    if not config.mdvt_active or config.strategy == "dynamic":
-        alone = dataclasses.replace(config, warmup_candidate=None)
-        _add(pool, "dynamic" if config.mdvt_active else "baseline", None,
-             TrainingRun(bundle, alone), "trains alone")
+    """Start every candidate of the search off one warm-up-only trunk;
+    return the dynamic estimate. The baseline trains the trunk alone."""
+    trunk = TrainingRun(bundle, config)
+    if not config.mdvt_active:
+        _add(pool, "baseline", None, trunk, "trains alone")
         return None
-    trunk = TrainingRun(bundle, dataclasses.replace(
-        config, warmup_candidate=config.max_epochs))
     if config.strategy == "static":
         cands = warmup.static_candidates(config.static_set)
         for c in cands:
             _branch(trunk, pool, f"static:{c}", c, c == cands[-1])
         return None
-    # hybrid: the probe's trigger rule, checked on the trunk at the start of
-    # each epoch. The last s epoch-start snapshots are the candidates below
-    # the estimate.
-    window = collections.deque(maxlen=config.s)
+    # dynamic and hybrid: the probe's trigger rule, checked on the trunk at
+    # the start of each epoch. Hybrid's last s epoch-start snapshots are the
+    # candidates below the estimate; dynamic is the probe alone (s = 0).
+    s, label = ((config.s, "dynamic_probe") if config.strategy == "hybrid"
+                else (0, "dynamic"))
+    window = collections.deque(maxlen=s)
     while not trunk.done and warmup.dynamic_trigger(
             trunk.history.l_total, config.g) is None:
-        window.append(trunk.fork(trunk.epoch))
+        if s:
+            window.append(trunk.fork(trunk.epoch))
         trunk.step()
     if trunk.done:
         log.warning("dynamic probe never triggered; "
                     "keeping the probe run as the result")
-        _add(pool, "dynamic_probe", None, trunk, "is the warm-up-only trunk")
+        _add(pool, label, None, trunk, "is the warm-up-only trunk")
         return None
     estimate = trunk.epoch
-    _branch(trunk, pool, "dynamic_probe", estimate, False)
+    upper = [c for c in warmup.hybrid_candidates(estimate, s) if c > estimate]
+    _branch(trunk, pool, label, estimate, not upper)
     while window:
         run = window.popleft()
         _add(pool, f"hybrid:{run.epoch}", run.epoch, run,
              f"forks the trunk at epoch {run.epoch}", forked=True)
-    upper = [c for c in warmup.hybrid_candidates(estimate, config.s)
-             if c > estimate]
     for c in upper:
         _branch(trunk, pool, f"hybrid:{c}", c, c == upper[-1])
     return estimate
@@ -707,15 +689,17 @@ def run_strategy_search(bundle: DatasetBundle, config: RunConfig
                         ) -> SearchResult:
     """Resolve the warm-up trigger per the configured strategy.
 
-    dynamic: one run. static: one candidate per entry of the static set.
-    hybrid: one dynamic probe, reused as the candidate equal to its own
-    trigger, plus the remaining candidates in [estimate-s, estimate+s].
-    The winner is the run with the highest validation NDCG@10 (ties go to
-    the earlier candidate).
+    dynamic: one run, joint from the epoch its trigger rule fires. static:
+    one candidate per entry of the static set. hybrid: the dynamic probe,
+    as the candidate equal to its own trigger, plus the remaining
+    candidates in [estimate-s, estimate+s]. Without the virtual machinery
+    (``mdvt_active`` false): the baseline, strategy ``"disabled"``. The
+    winner is the run with the highest validation NDCG@10 (ties go to the
+    earlier candidate).
 
     Warm-up epochs never read the trigger, so candidate ``c`` equals a
-    warm-up-only trunk (trigger ``max_epochs``) up to the start of epoch
-    ``c``, where it is forked: each warm-up epoch is trained once. Forked
+    warm-up-only trunk (trigger None) up to the start of epoch ``c``,
+    where it is forked: each warm-up epoch is trained once. Forked
     candidates train in up to ``candidate_processes()`` child processes at
     once (in turn here when this process is a ForkPool's child), with the
     same results, and the same first error, as one after another.
@@ -723,21 +707,11 @@ def run_strategy_search(bundle: DatasetBundle, config: RunConfig
     with ForkPool(1 if _in_child else candidate_processes()) as pool:
         dynamic_estimate = _start(bundle, config, pool)
         results = pool.gather()
-    if not config.mdvt_active:
-        (result,) = results
-        return SearchResult("disabled", config, result.state, result.history,
-                            result.validation, [result.summary()], None)
-    if config.strategy == "dynamic":
-        dynamic_estimate = results[0].history.trigger_epoch
-
     ordered = sorted(results, key=lambda r: (r.candidate is None,
                                              r.candidate or 0))
     winner = max(ordered, key=lambda r: r.val_ndcg10)  # the first on ties
-    best_config = dataclasses.replace(config,
-                                      warmup_candidate=winner.candidate)
     return SearchResult(
-        strategy=config.strategy,
-        best_config=best_config,
+        strategy=config.strategy if config.mdvt_active else "disabled",
         best_state=winner.state,
         best_history=winner.history,
         best_validation=winner.validation,
@@ -808,7 +782,11 @@ def load_checkpoint(path: str | Path
                 raise ValueError(f"table {name}: {exc}")
         if offset != len(blob):
             raise ValueError(f"{len(blob) - offset} bytes after the tables")
-        config = RunConfig.from_dict(json.loads(config_blob.decode("utf-8")))
+        data = json.loads(config_blob.decode("utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("the config echo is not a JSON object")
+        data.pop("warmup_candidate", None)  # earlier versions wrote it
+        config = RunConfig.from_dict(data)
         return config, bundle_fp.decode("utf-8"), tables
     except (struct.error, ValueError, ConfigError) as exc:
         # Truncated, garbled or trailing records (read_matrix's faults

@@ -24,24 +24,24 @@ def as_float64(state: backbone.EmbeddingState) -> backbone.EmbeddingState:
         m: t.astype(np.float64) for m, t in state.tables.items()})
 
 
-def batch_losses(batch, virtual, reps, *, lam, joint, wo_aggr=False,
+def batch_losses(batch, virtual, reps, *, lam, wo_aggr=False,
                  wo_scale=False, score_mode="per_modality",
                  per_distinct_user=False) -> objective.LossReport:
     """The loss values of ``objective.backward``, whose gradients are
     dropped; with zero layers it never applies the propagator."""
     report, _ = objective.backward(
-        batch, virtual, reps, prop=None, lam=lam, joint=joint, num_layers=0,
+        batch, virtual, reps, prop=None, lam=lam, num_layers=0,
         wo_aggr=wo_aggr, wo_scale=wo_scale, score_mode=score_mode,
         per_distinct_user=per_distinct_user)
     return report
 
 
 def total_loss(state, prop, batch, virtual, *, num_layers, mask,
-               readout_mode, lam, joint, wo_aggr, wo_scale, score_mode,
+               readout_mode, lam, wo_aggr, wo_scale, score_mode,
                per_distinct_user=False):
     reps = backbone.forward_pass(state, prop, num_layers, mask, readout_mode)
     report = batch_losses(
-        batch, virtual, reps, lam=lam, joint=joint, wo_aggr=wo_aggr,
+        batch, virtual, reps, lam=lam, wo_aggr=wo_aggr,
         wo_scale=wo_scale, score_mode=score_mode,
         per_distinct_user=per_distinct_user)
     return report.l_total
@@ -52,8 +52,8 @@ def loss_component(state, prop, batch, virtual, component, *, num_layers,
     """l_bpr or l_vbpr alone, for per-component gradient checks."""
     reps = backbone.forward_pass(state, prop, num_layers, mask, readout_mode)
     report = batch_losses(
-        batch, virtual, reps, lam=0.5, joint=virtual is not None,
-        wo_aggr=wo_aggr, score_mode=score_mode)
+        batch, virtual, reps, lam=0.5, wo_aggr=wo_aggr,
+        score_mode=score_mode)
     return report.l_bpr if component == "bpr" else report.l_vbpr
 
 

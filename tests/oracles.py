@@ -20,7 +20,6 @@ trains every candidate from epoch 0.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Collection
 from pathlib import Path
@@ -518,14 +517,14 @@ def _virtual_loss_add_at(rows, weight, virtual, z, num_users, w_v, wo_aggr,
     return float(np.cumsum(terms)[-1] / total)
 
 
-def backward_add_at(batch, virtual, reps, prop, *, lam, joint, num_layers,
+def backward_add_at(batch, virtual, reps, prop, *, lam, num_layers,
                     wo_aggr=False, wo_scale=False, score_mode="per_modality",
                     readout_mode="sum", per_distinct_user=False):
     """``objective.backward`` with every scatter an ``np.add.at`` into a
     zeroed array, three per modality for the real triplets: the
     reference its selection-CSR products must equal bit for bit.
     Returns ``(LossReport, {modality: (V, d) gradient})``."""
-    w_bpr, w_v = objective._loss_weights(lam, joint, wo_scale)
+    w_bpr, w_v = objective._loss_weights(lam, virtual is not None, wo_scale)
     num_users = reps.num_users
     batch_size = len(batch)
     users = batch.users
@@ -557,7 +556,7 @@ def backward_add_at(batch, virtual, reps, prop, *, lam, joint, num_layers,
             np.add.at(grad_fused, neg, -coef[:, None] * z[users])
 
     l_vbpr = None
-    if joint and virtual is not None:
+    if virtual is not None:
         rows, weight = objective._virtual_rows(users, virtual,
                                                per_distinct_user)
         if rows.size:
@@ -568,7 +567,7 @@ def backward_add_at(batch, virtual, reps, prop, *, lam, joint, num_layers,
     # (1-lambda)*bpr + lambda*vbpr, or bpr + lambda*vbpr with the
     # align-scale ablated; a joint batch without any virtual entry keeps
     # only its weighted bpr term.
-    if not joint:
+    if virtual is None:
         l_total = l_bpr
     elif l_vbpr is None:
         l_total = w_bpr * l_bpr
@@ -576,8 +575,7 @@ def backward_add_at(batch, virtual, reps, prop, *, lam, joint, num_layers,
         l_total = l_bpr + lam * l_vbpr
     else:
         l_total = (1.0 - lam) * l_bpr + lam * l_vbpr
-    report = objective.LossReport(l_bpr=l_bpr,
-                                  l_vbpr=l_vbpr if joint else None,
+    report = objective.LossReport(l_bpr=l_bpr, l_vbpr=l_vbpr,
                                   l_total=l_total)
 
     if np.any(grad_fused):
@@ -632,44 +630,44 @@ def adam_step_whole_table(state, opt, grads) -> None:
 
 def _run_candidate(bundle, config, label: str,
                    candidate: int | None) -> CandidateResult:
-    run = TrainingRun(bundle, dataclasses.replace(
-        config, warmup_candidate=candidate))
+    run = TrainingRun(bundle, config, trigger=candidate)
     state, history = run.finish()
     return CandidateResult(label, candidate, history, state,
                            run.best_validation)
+
+
+def dynamic_estimate(bundle, config) -> int | None:
+    """The epoch at which the trigger rule fires on a warm-up-only run's
+    losses, or None if that run stops before it would train that epoch."""
+    _, history = TrainingRun(bundle, config).finish()
+    fired = warmup.dynamic_trigger(history.l_total, config.g)
+    return fired if fired is not None and fired < len(history.l_total) \
+        else None
 
 
 def independent_search(bundle, config
                        ) -> tuple[SearchResult, list[CandidateResult]]:
     """``trainer.run_strategy_search`` with every candidate trained from
     epoch 0 by its own ``TrainingRun``; also returns each candidate's run."""
-    if not config.mdvt_active:
-        result = _run_candidate(bundle, config, "baseline", None)
-        return SearchResult("disabled", config, result.state, result.history,
-                            result.validation, [result.summary()],
-                            None), [result]
-
     results: list[CandidateResult] = []
-    dynamic_estimate = None
-    if config.strategy == "dynamic":
-        results.append(_run_candidate(bundle, config, "dynamic", None))
-        dynamic_estimate = results[0].history.trigger_epoch
+    estimate = None
+    if not config.mdvt_active:
+        results.append(_run_candidate(bundle, config, "baseline", None))
     elif config.strategy == "static":
         for cand in warmup.static_candidates(config.static_set):
             results.append(_run_candidate(bundle, config, f"static:{cand}",
                                           cand))
-    else:  # hybrid
-        probe = _run_candidate(bundle, config, "dynamic_probe", None)
-        dynamic_estimate = probe.history.trigger_epoch
-        results.append(probe)
-        if dynamic_estimate is not None:
-            probe.candidate = dynamic_estimate
-            for cand in warmup.hybrid_candidates(dynamic_estimate,
-                                                 config.s):
-                if cand == dynamic_estimate:
-                    continue
-                results.append(_run_candidate(bundle, config,
-                                              f"hybrid:{cand}", cand))
+    else:  # dynamic, or hybrid: the dynamic run is its probe
+        estimate = dynamic_estimate(bundle, config)
+        hybrid = config.strategy == "hybrid"
+        results.append(_run_candidate(
+            bundle, config, "dynamic_probe" if hybrid else "dynamic",
+            estimate))
+        if hybrid and estimate is not None:
+            for cand in warmup.hybrid_candidates(estimate, config.s):
+                if cand != estimate:
+                    results.append(_run_candidate(bundle, config,
+                                                  f"hybrid:{cand}", cand))
 
     ordered = sorted(results, key=lambda r: (r.candidate is None,
                                              r.candidate or 0))
@@ -677,15 +675,12 @@ def independent_search(bundle, config
     for res in ordered[1:]:
         if res.val_ndcg10 > winner.val_ndcg10:
             winner = res
-    best_config = dataclasses.replace(config,
-                                      warmup_candidate=winner.candidate)
     return SearchResult(
-        strategy=config.strategy,
-        best_config=best_config,
+        strategy=config.strategy if config.mdvt_active else "disabled",
         best_state=winner.state,
         best_history=winner.history,
         best_validation=winner.validation,
         candidates=[r.summary() for r in results],
         resolved_trigger=winner.history.trigger_epoch,
-        dynamic_estimate=dynamic_estimate,
+        dynamic_estimate=estimate,
     ), results

@@ -62,24 +62,23 @@ def test_criterion_1_gradient_suite():
                         float64=True)
                     wo_scale = bool(rng.integers(2))
                     cases = {
-                        "bpr": dict(lam=0.0, joint=False, wo_scale=False,
+                        "bpr": dict(lam=0.0, wo_scale=False,
                                     vset=None),
-                        "vbpr": dict(lam=1.0, joint=True, wo_scale=False,
+                        "vbpr": dict(lam=1.0, wo_scale=False,
                                      vset=virtual),
-                        "combined": dict(lam=0.3, joint=True,
-                                         wo_scale=wo_scale, vset=virtual),
+                        "combined": dict(lam=0.3, wo_scale=wo_scale,
+                                         vset=virtual),
                     }
                     for name, case in cases.items():
                         options = dict(num_layers=layers, mask=mask,
                                        readout_mode="sum", lam=case["lam"],
-                                       joint=case["joint"],
                                        wo_aggr=wo_aggr,
                                        wo_scale=case["wo_scale"],
                                        score_mode="per_modality")
                         _, analytic = objective.backward(
                             batch, case["vset"], reps, prop,
-                            lam=case["lam"], joint=case["joint"],
-                            num_layers=layers, wo_aggr=wo_aggr,
+                            lam=case["lam"], num_layers=layers,
+                            wo_aggr=wo_aggr,
                             wo_scale=case["wo_scale"])
                         numeric = finite_difference(
                             lambda s: total_loss(s, prop, batch,
@@ -240,9 +239,9 @@ def test_criterion_6_ablation_identities():
     for _ in range(10):
         state, prop, _, reps, batch, virtual = make_instance(rng, n=1)
         default, _ = objective.backward(batch, virtual, reps, prop,
-                                        lam=0.25, joint=True, num_layers=1)
+                                        lam=0.25, num_layers=1)
         ablated, _ = objective.backward(batch, virtual, reps, prop,
-                                        lam=0.25, joint=True, num_layers=1,
+                                        lam=0.25, num_layers=1,
                                         wo_aggr=True)
         worst = max(worst, abs(default.l_vbpr - ablated.l_vbpr),
                     abs(default.l_total - ablated.l_total))
@@ -251,7 +250,7 @@ def test_criterion_6_ablation_identities():
     for _ in range(10):
         state, prop, _, reps, batch, virtual = make_instance(rng, n=2)
         report, _ = objective.backward(batch, virtual, reps, prop,
-                                       lam=0.3, joint=True, num_layers=1,
+                                       lam=0.3, num_layers=1,
                                        wo_scale=True)
         assert report.l_total == report.l_bpr + 0.3 * report.l_vbpr
     print(f"\nACCEPTANCE PASS [6] ablation identities: w/o-Aggr n=1 max "
@@ -272,7 +271,7 @@ def test_criterion_7_end_to_end_directional():
                            strategy="hybrid", g=0.1, s=2)
         result = run_strategy_search(bundle, config)
         mdvt_ndcg = evaluate_split(result.best_state, bundle,
-                                   result.best_config, "test").ndcg[10]
+                                   config, "test").ndcg[10]
         off_state, _ = train_run(
             bundle, dataclasses.replace(config, mdvt_enabled=False))
         base_ndcg = evaluate_split(off_state, bundle, config,

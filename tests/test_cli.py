@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import json
 import os
 import pathlib
 import signal
+import struct
 
 import numpy as np
 import pytest
@@ -288,7 +290,7 @@ class TestTrain:
         ("static_set", {"strategy": "hybrid", "static_set": [-3]}),
         ("static_set", {"strategy": "static", "static_set": [-3]}),
         ("eval_ks", {"eval_ks": [0, 10]}),
-        ("warmup_candidate", {"warmup_candidate": -1}),
+        ("patience", {"patience": 0}),
         ("seed", {"seed": -1}),
     ])
     def test_out_of_range_exit_1(self, tmp_path, capsys, key, overrides):
@@ -359,23 +361,27 @@ class TestTrain:
         report = json.loads(out.read_text(encoding="utf-8"))
         assert any("lam" in w for w in report["config_warnings"])
 
-    def test_warmup_candidate_is_noted_as_ignored(self, tmp_path):
-        # The dynamic search resolves its own trigger whatever the key says.
+    def test_warmup_candidate_key_exit_1(self, tmp_path, capsys):
+        # The strategy search picks the trigger: neither a config nor a
+        # sweep grid sets it.
         bundle = prepare_bundle(tmp_path)
-        reports = []
-        for name, extra in (("plain", {}),
-                            ("preset", {"warmup_candidate": 3})):
-            out = tmp_path / f"{name}.json"
-            assert main(["train", "--bundle", str(bundle), "--config",
-                         str(base_config(tmp_path, **extra)),
-                         "--out", str(out)]) == 0
-            reports.append(json.loads(out.read_text(encoding="utf-8")))
-        plain, preset = reports
-        assert plain["config_warnings"] == []
-        assert preset["config_warnings"] == [
-            "warmup_candidate=3 is ignored: the strategy search picks the "
-            "trigger"]
-        assert preset["warmup"] == plain["warmup"]
+        config = base_config(tmp_path, warmup_candidate=3)
+        capsys.readouterr()
+        assert main(["train", "--bundle", str(bundle), "--config",
+                     str(config), "--out", str(tmp_path / "o.json")]) == 1
+        assert single_error_line(capsys) == (
+            "error: unknown config keys: warmup_candidate")
+        config = base_config(tmp_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"warmup_candidate": [0, 3]}),
+                        encoding="utf-8")
+        assert main(["sweep", "--bundle", str(bundle), "--config",
+                     str(config), "--grid", str(grid),
+                     "--out", str(tmp_path / "s")]) == 1
+        assert single_error_line(capsys) == (
+            "error: unknown config keys: warmup_candidate")
+        assert not (tmp_path / "o.json").exists()
+        assert not (tmp_path / "s").exists()
 
     def test_repeat_identical_modulo_wall_clock(self, tmp_path):
         bundle = prepare_bundle(tmp_path)
@@ -743,6 +749,43 @@ class TestEval:
                      str(tmp_path / "run.json" / "eval.json")]) == 2
         assert "File exists" in single_error_line(capsys)
         assert ranked == []
+
+    def test_echo_with_a_warmup_candidate(self, tmp_path, capsys):
+        # Earlier versions echoed the winner's trigger as warmup_candidate:
+        # such a checkpoint evaluates as before. An echo that is not a JSON
+        # object, its hash matching, is a checkpoint error.
+        bundle = prepare_bundle(tmp_path)
+        assert main(["train", "--bundle", str(bundle), "--config",
+                     str(base_config(tmp_path)),
+                     "--out", str(tmp_path / "run.json")]) == 0
+        ckpt = tmp_path / "run.ckpt"
+        blob = ckpt.read_bytes()
+        start = 8 + 4 + 64 + 4  # magic, hash record, config record's size
+        (size,) = struct.unpack_from("<I", blob, start - 4)
+        echo = json.loads(blob[start:start + size])
+
+        def with_echo(name, value):
+            config_blob = json.dumps(value, sort_keys=True).encode("utf-8")
+            digest = hashlib.sha256(config_blob).hexdigest().encode()
+            path = tmp_path / name
+            path.write_bytes(b"".join([
+                blob[:8], struct.pack("<I", len(digest)), digest,
+                struct.pack("<I", len(config_blob)), config_blob,
+                blob[start + size:]]))
+            return path
+
+        older = with_echo("older.ckpt", {**echo, "warmup_candidate": 3})
+        assert load_checkpoint(older)[0] == load_checkpoint(ckpt)[0]
+        printed = []
+        for path in (ckpt, older):
+            capsys.readouterr()
+            assert main(["eval", "--bundle", str(bundle),
+                         "--checkpoint", str(path)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert main(["eval", "--bundle", str(bundle), "--checkpoint",
+                     str(with_echo("list.ckpt", [echo]))]) == 3
+        assert "not a JSON object" in single_error_line(capsys)
 
     def test_same_checkpoint_identical_output(self, tmp_path, capsys):
         bundle = prepare_bundle(tmp_path)

@@ -169,28 +169,29 @@ class TestCombinedLoss:
     """``backward``'s ``l_total`` weighting of its ``l_bpr`` and ``l_vbpr``,
     to the last bit."""
 
-    def losses(self, rng, **kv):
+    def losses(self, rng, warmup=False, **kv):
         state, prop, _, reps, batch, virtual = make_instance(rng)
-        report, _ = backward(batch, virtual, reps, prop, num_layers=1, **kv)
+        report, _ = backward(batch, None if warmup else virtual, reps, prop,
+                             num_layers=1, **kv)
         return report
 
     def test_lambda_zero(self, rng):
-        report = self.losses(rng, lam=0.0, joint=True)
+        report = self.losses(rng, lam=0.0)
         assert report.l_vbpr is not None
         assert report.l_total == report.l_bpr
 
     def test_align_scaled(self, rng):
-        report = self.losses(rng, lam=0.2, joint=True)
+        report = self.losses(rng, lam=0.2)
         assert report.l_vbpr is not None
         assert report.l_total == (1.0 - 0.2) * report.l_bpr \
             + 0.2 * report.l_vbpr
 
     def test_wo_scale(self, rng):
-        report = self.losses(rng, lam=0.2, joint=True, wo_scale=True)
+        report = self.losses(rng, lam=0.2, wo_scale=True)
         assert report.l_total == report.l_bpr + 0.2 * report.l_vbpr
 
     def test_warmup_passthrough(self, rng):
-        report = self.losses(rng, lam=0.3, joint=False)
+        report = self.losses(rng, lam=0.3, warmup=True)
         assert report.l_vbpr is None
         assert report.l_total == report.l_bpr
 
@@ -203,14 +204,14 @@ class TestCombinedLoss:
 class TestBackwardValues:
     def test_warmup_total_equals_bpr(self, rng):
         state, prop, _, reps, batch, virtual = make_instance(rng)
-        report, _ = backward(batch, None, reps, prop, lam=0.2, joint=False,
+        report, _ = backward(batch, None, reps, prop, lam=0.2,
                              num_layers=1)
         assert report.l_vbpr is None
         assert report.l_total == report.l_bpr
 
     def test_joint_weighting(self, rng):
         state, prop, _, reps, batch, virtual = make_instance(rng)
-        report, _ = backward(batch, virtual, reps, prop, lam=0.2, joint=True,
+        report, _ = backward(batch, virtual, reps, prop, lam=0.2,
                              num_layers=1)
         assert report.l_vbpr is not None
         assert report.l_total == pytest.approx(
@@ -218,16 +219,16 @@ class TestBackwardValues:
 
     def test_wo_scale_formula_exact(self, rng):
         state, prop, _, reps, batch, virtual = make_instance(rng)
-        report, _ = backward(batch, virtual, reps, prop, lam=0.3, joint=True,
+        report, _ = backward(batch, virtual, reps, prop, lam=0.3,
                              num_layers=1, wo_scale=True)
         assert report.l_total == report.l_bpr + 0.3 * report.l_vbpr
 
     def test_wo_aggr_n1_identical_losses_and_grads(self, rng):
         state, prop, _, reps, batch, virtual = make_instance(rng, n=1)
         base, gbase = backward(batch, virtual, reps, prop, lam=0.3,
-                               joint=True, num_layers=1)
+                               num_layers=1)
         ablt, gablt = backward(batch, virtual, reps, prop, lam=0.3,
-                               joint=True, num_layers=1, wo_aggr=True)
+                               num_layers=1, wo_aggr=True)
         assert base.l_vbpr == pytest.approx(ablt.l_vbpr, abs=1e-12)
         assert base.l_total == pytest.approx(ablt.l_total, abs=1e-12)
         for m in gbase:
@@ -236,8 +237,8 @@ class TestBackwardValues:
     def test_lambda_zero_matches_pure_bpr_gradients(self, rng):
         state, prop, _, reps, batch, virtual = make_instance(rng)
         _, g_joint = backward(batch, virtual, reps, prop, lam=0.0,
-                              joint=True, num_layers=1)
-        _, g_warm = backward(batch, None, reps, prop, lam=0.0, joint=False,
+                              num_layers=1)
+        _, g_warm = backward(batch, None, reps, prop, lam=0.0,
                              num_layers=1)
         for m in g_joint:
             assert np.array_equal(g_joint[m], g_warm[m])
@@ -249,7 +250,7 @@ class TestBackwardValues:
         batch = TripletBatch(users=np.array([0]), pos_items=np.array([1]),
                              neg_items=np.array([2]))
         report, grads = backward(batch, None, reps, prop, lam=0.0,
-                                 joint=False, num_layers=0)
+                                 num_layers=0)
         for m in grads:
             touched = np.flatnonzero(np.abs(grads[m]).sum(axis=1))
             # Vertex rows: user 0, items 1 and 2 after the state's users.
@@ -265,9 +266,9 @@ class TestBackwardValues:
 
     def test_batch_losses_matches_backward(self, rng):
         state, prop, _, reps, batch, virtual = make_instance(rng)
-        report, _ = backward(batch, virtual, reps, prop, lam=0.4, joint=True,
+        report, _ = backward(batch, virtual, reps, prop, lam=0.4,
                              num_layers=1, wo_aggr=True)
-        light = batch_losses(batch, virtual, reps, lam=0.4, joint=True,
+        light = batch_losses(batch, virtual, reps, lam=0.4,
                              wo_aggr=True)
         assert light.l_bpr == report.l_bpr
         assert light.l_vbpr == report.l_vbpr
@@ -281,19 +282,18 @@ class TestGradientCheck:
         state, prop, _, reps, batch, virtual = make_instance(
             rng, layers=layers, mask=mask, float64=True,
             **{k: v for k, v in kv.items() if k in ("n", "d")})
+        vset = virtual if kv.get("joint", True) else None
         if local:  # the batch-local step's compact pass
-            rows = batch_vertices(batch, virtual if kv.get("joint", True)
-                                  else None, state.num_users,
+            rows = batch_vertices(batch, vset, state.num_users,
                                   prop.matrix.shape[0])
             reps = forward_pass(state, prop, layers, mask, rows=rows)
         options = dict(num_layers=layers, mask=mask, readout_mode="sum",
-                       lam=kv.get("lam", 0.3), joint=kv.get("joint", True),
+                       lam=kv.get("lam", 0.3),
                        wo_aggr=kv.get("wo_aggr", False),
                        wo_scale=kv.get("wo_scale", False),
                        score_mode=kv.get("score_mode", "per_modality"))
-        vset = virtual if options["joint"] else None
         _, analytic = backward(batch, vset, reps, prop,
-                               lam=options["lam"], joint=options["joint"],
+                               lam=options["lam"],
                                num_layers=layers, wo_aggr=options["wo_aggr"],
                                wo_scale=options["wo_scale"],
                                score_mode=options["score_mode"])
@@ -471,7 +471,7 @@ class TestOptionSwitches:
                                           reps.fused_users,
                                           reps.fused_items, wo_aggr=wo_aggr)
             report, _ = backward(batch, virtual, reps, prop, lam=0.5,
-                                 joint=True, num_layers=1, wo_aggr=wo_aggr)
+                                 num_layers=1, wo_aggr=wo_aggr)
             assert standalone == pytest.approx(report.l_vbpr, abs=1e-12)
 
     def test_gradcheck_sym_norm_and_mean_readout(self, rng):
@@ -496,11 +496,11 @@ class TestOptionSwitches:
         virtual = refresh(reps, SelectionParams(constructor="topn", n=2),
                           0, trainable, seen_items=train.adjacency)
         options = dict(num_layers=2, mask=("id", "visual"),
-                       readout_mode="mean", lam=0.3, joint=True,
+                       readout_mode="mean", lam=0.3,
                        wo_aggr=False, wo_scale=False,
                        score_mode="per_modality")
         _, analytic = backward(batch, virtual, reps, prop, lam=0.3,
-                               joint=True, num_layers=2,
+                               num_layers=2,
                                readout_mode="mean")
         numeric = finite_difference(
             lambda s: total_loss(s, prop, batch, virtual, **options), state)
@@ -515,9 +515,9 @@ class TestOptionSwitches:
                              pos_items=np.zeros(4, dtype=np.int64),
                              neg_items=np.ones(4, dtype=np.int64))
         default, _ = backward(batch, virtual, reps, prop, lam=1.0,
-                              joint=True, num_layers=1)
+                              num_layers=1)
         deduped, _ = backward(batch, virtual, reps, prop, lam=1.0,
-                              joint=True, num_layers=1,
+                              num_layers=1,
                               per_distinct_user=True)
         # User 0 appears three times: its term is weighted 3/4 in the
         # default mode but 1/2 when deduplicated.
@@ -531,11 +531,11 @@ class TestOptionSwitches:
         batch = TripletBatch(users=users, pos_items=pos,
                              neg_items=(pos + 1) % 8)
         options = dict(num_layers=1, mask=("id", "visual"),
-                       readout_mode="sum", lam=0.4, joint=True,
+                       readout_mode="sum", lam=0.4,
                        wo_aggr=False, wo_scale=False,
                        score_mode="per_modality", per_distinct_user=True)
         _, analytic = backward(batch, virtual, reps, prop, lam=0.4,
-                               joint=True, num_layers=1,
+                               num_layers=1,
                                per_distinct_user=True)
         numeric = finite_difference(
             lambda s: total_loss(s, prop, batch, virtual, **options), state)
@@ -575,7 +575,7 @@ class TestVirtualBranchOracle:
                                  pos_items=np.zeros(12, dtype=np.int64),
                                  neg_items=np.ones(12, dtype=np.int64))
             report, grads = backward(batch, virtual, reps, prop, lam=1.0,
-                                     joint=True, num_layers=0,
+                                     num_layers=0,
                                      wo_aggr=wo_aggr,
                                      per_distinct_user=per_distinct_user)
             want_loss, want_grad = virtual_branch_oracle(
@@ -591,7 +591,7 @@ class TestVirtualBranchOracle:
         state, prop, _, reps, batch, _ = make_instance(rng)
         virtual = make_virtual({99: [0]}, {99: [1]})
         report, _ = backward(batch, virtual, reps, prop, lam=0.3,
-                             joint=True, num_layers=1)
+                             num_layers=1)
         assert report.l_vbpr is None
         assert report.l_total == 0.7 * report.l_bpr
 
@@ -603,12 +603,12 @@ class TestVirtualBranchOracle:
                                                        batch=8, float64=True)
         virtual = random_virtual(rng, 4, 10, 4)
         options = dict(num_layers=1, mask=("id", "visual"),
-                       readout_mode="sum", lam=0.4, joint=True,
+                       readout_mode="sum", lam=0.4,
                        wo_aggr=wo_aggr, wo_scale=False,
                        score_mode="per_modality",
                        per_distinct_user=per_distinct_user)
         _, analytic = backward(batch, virtual, reps, prop, lam=0.4,
-                               joint=True, num_layers=1, wo_aggr=wo_aggr,
+                               num_layers=1, wo_aggr=wo_aggr,
                                per_distinct_user=per_distinct_user)
         numeric = finite_difference(
             lambda s: total_loss(s, prop, batch, virtual, **options), state)
@@ -651,7 +651,7 @@ class TestScatterOracle:
                                       (False, True), (False, True),
                                       (False, True))):
                 options = dict(
-                    lam=lam, joint=vset is not None, num_layers=layers,
+                    lam=lam, num_layers=layers,
                     wo_aggr=wo_aggr, wo_scale=wo_scale,
                     score_mode=score_mode, readout_mode=readout_mode,
                     per_distinct_user=per_distinct_user)
@@ -672,7 +672,7 @@ class TestLossBounds:
         for _ in range(20):
             state, prop, _, reps, batch, virtual = make_instance(rng)
             report, _ = backward(batch, virtual, reps, prop, lam=0.4,
-                                 joint=True, num_layers=1)
+                                 num_layers=1)
             assert report.l_bpr >= 0.0
             assert report.l_vbpr >= 0.0
 
@@ -738,7 +738,7 @@ class TestLocalStep:
             assert local.finals[m].tobytes() == f[rows].tobytes()
         assert local.fused.tobytes() == full.fused[rows].tobytes()
 
-        options = dict(lam=lam, joint=joint, num_layers=layers,
+        options = dict(lam=lam, num_layers=layers,
                        wo_aggr=wo_aggr, wo_scale=wo_scale,
                        score_mode=score_mode, readout_mode=readout_mode,
                        per_distinct_user=per_distinct_user)

@@ -90,8 +90,8 @@ class TestRunConfig:
 class TestTrainRun:
     def test_warmup_epochs_have_no_virtual_loss(self, rng):
         bundle = make_bundle(rng, num_users=6, num_items=10, extra_edges=6)
-        config = quick_config(warmup_candidate=3, strategy="static",
-                              static_set=(3,), max_epochs=5, patience=5)
+        config = quick_config(strategy="static", static_set=(3,),
+                              max_epochs=5, patience=5)
         _, history = train_run(bundle, config)
         assert history.trigger_epoch == 3
         assert all(v is None for v in history.l_vbpr[:3])
@@ -99,13 +99,27 @@ class TestTrainRun:
 
     def test_joint_epoch_weighting(self, rng):
         bundle = make_bundle(rng, num_users=6, num_items=10, extra_edges=6)
-        config = quick_config(warmup_candidate=0, strategy="static",
-                              static_set=(0,), lam=0.2, max_epochs=2,
-                              patience=5)
+        config = quick_config(strategy="static", static_set=(0,), lam=0.2,
+                              max_epochs=2, patience=5)
         _, history = train_run(bundle, config)
         for e in range(len(history.l_total)):
             assert history.l_total[e] == pytest.approx(
                 0.8 * history.l_bpr[e] + 0.2 * history.l_vbpr[e], rel=1e-12)
+
+    @pytest.mark.parametrize("overrides, trigger", [
+        (dict(strategy="static", static_set=(0,)), 0),
+        (dict(strategy="static", static_set=(0, 2, 4)), None),
+        (dict(strategy="hybrid", g=0.3, s=1), None)])
+    def test_returns_the_search_winner(self, rng, overrides, trigger):
+        bundle = make_bundle(rng, num_users=6, num_items=10, extra_edges=6)
+        config = quick_config(max_epochs=6, patience=6, **overrides)
+        state, history = train_run(bundle, config)
+        result = run_strategy_search(bundle, config)
+        assert history.to_dict() == result.best_history.to_dict()
+        assert tables(state) == tables(result.best_state)
+        assert history.trigger_epoch == result.resolved_trigger
+        if trigger is not None:
+            assert history.trigger_epoch == trigger
 
     def test_same_seed_same_history(self, rng):
         bundle = make_bundle(rng, num_users=6, num_items=10, extra_edges=6)
@@ -152,9 +166,8 @@ class TestFloat32:
         # it back into a float32 buffer): every array a step keeps or
         # returns, and every checkpoint table, stays float32.
         bundle = make_bundle(rng, num_users=6, num_items=10, extra_edges=6)
-        config = quick_config(strategy="static", static_set=(0,),
-                              warmup_candidate=0)
-        run = trainer.TrainingRun(bundle, config)
+        config = quick_config(strategy="static", static_set=(0,))
+        run = trainer.TrainingRun(bundle, config, trigger=0)
         run.step()
         state, prop = run.state, run.prop
         arrays = [prop.matrix, *state.tables.values(), *run.opt.m.values(),
@@ -174,7 +187,7 @@ class TestFloat32:
             arrays += [*reps.finals.values(), reps.fused]
             for score_mode in backbone.SCORE_MODES:
                 _, grads = objective.backward(
-                    batch, virtual, reps, prop, lam=0.2, joint=True,
+                    batch, virtual, reps, prop, lam=0.2,
                     num_layers=1, score_mode=score_mode)
                 arrays += grads.values()
         for score_mode in backbone.SCORE_MODES:
@@ -236,10 +249,10 @@ class TestStrategySearch:
         # The report's validation block is the best epoch's own ranking:
         # ranking the returned state again gives the same metrics.
         bundle = make_bundle(rng, num_users=8, num_items=10, extra_edges=8)
-        result = run_strategy_search(
-            bundle, quick_config(learning_rate=0.02, **overrides))
+        config = quick_config(learning_rate=0.02, **overrides)
+        result = run_strategy_search(bundle, config)
         assert result.best_history.best_epoch > 0  # not the first report
-        again = evaluate_split(result.best_state, bundle, result.best_config,
+        again = evaluate_split(result.best_state, bundle, config,
                                "validation")
         assert result.best_validation.to_dict() == again.to_dict()
         assert len(again.buckets) == 4
@@ -326,9 +339,8 @@ class TestTrunkSearch:
             got = run_strategy_search(bundle, config)
 
             assert got.candidates == want.candidates
-            assert (got.strategy, got.best_config, got.resolved_trigger,
+            assert (got.strategy, got.resolved_trigger,
                     got.dynamic_estimate) == (want.strategy,
-                                              want.best_config,
                                               want.resolved_trigger,
                                               want.dynamic_estimate)
             assert got.best_history.to_dict() == want.best_history.to_dict()
@@ -406,6 +418,24 @@ class TestTrunkSearch:
         {"lam": 0.0, "strategy": "static"}])
     def test_single_run_paths(self, monkeypatch, overrides):
         self.search(search_config(**overrides), monkeypatch)
+        assert self.forked == []
+
+    @pytest.mark.parametrize("overrides, estimate, stopped", [
+        (dict(g=0.001), None, 11),
+        # The rule holds at the start of epoch 8: a run of 9 epochs trains
+        # it as its one joint epoch; a run of 8 has stopped and never fires.
+        (dict(seed=1, patience=2, learning_rate=0.05, max_epochs=9), 8, 8),
+        (dict(seed=1, patience=2, learning_rate=0.05, max_epochs=8), None,
+         7)], ids=["never_fires", "fires_on_the_last_epoch", "too_late"])
+    def test_dynamic(self, monkeypatch, overrides, estimate, stopped):
+        # The dynamic run is the trunk, taken over at its estimate (the
+        # fired case of the default config is a single_run_paths case).
+        want = self.search(search_config(strategy="dynamic", **overrides),
+                           monkeypatch)
+        assert want.dynamic_estimate == want.resolved_trigger == estimate
+        assert [(c["label"], c["candidate"], c["trigger_epoch"],
+                 c["stopped_epoch"]) for c in want.candidates] == [
+            ("dynamic", estimate, estimate, stopped)]
         assert self.forked == []
 
 
@@ -504,8 +534,7 @@ class TestStateViews:
 
     def test_fork(self, rng):
         bundle = make_bundle(rng)
-        trunk = trainer.TrainingRun(bundle, quick_config(
-            strategy="static", warmup_candidate=6))
+        trunk = trainer.TrainingRun(bundle, quick_config(), trigger=6)
         trunk.step()
         fork = trunk.fork(1)
         self.check_own_views(fork.state, trunk.state, trunk.prop)

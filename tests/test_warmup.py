@@ -103,46 +103,48 @@ class TestHybridCandidates:
         assert DEFAULT_S == 2
 
 
-def run_with(rng, **overrides) -> TrainingRun:
+def run_with(rng, trigger) -> TrainingRun:
     bundle = make_bundle(rng, num_users=6, num_items=10, extra_edges=6)
-    return TrainingRun(bundle, RunConfig(embed_dim=4, batch_size=8,
-                                         **overrides))
+    return TrainingRun(bundle, RunConfig(embed_dim=4, batch_size=8),
+                       trigger=trigger)
+
+
+def is_joint(run: TrainingRun, epoch: int) -> bool:
+    """Whether ``run`` trains epoch ``epoch`` with a virtual-triplet set:
+    trains it and reads whether the epoch reports a virtual loss."""
+    run.epoch = epoch
+    run.step()
+    return run.history.l_vbpr[-1] is not None
 
 
 class TestIsJointPhase:
     def test_static_candidate_boundary(self, rng):
-        run = run_with(rng, strategy="static", warmup_candidate=20)
-        run.epoch = 19
-        assert not run.is_joint()
-        run.epoch = 20
-        assert run.is_joint()
+        run = run_with(rng, 20)
+        assert not is_joint(run, 19)
+        assert is_joint(run, 20)
 
     def test_candidate_zero_joint_from_first_epoch(self, rng):
-        run = run_with(rng, strategy="static", warmup_candidate=0)
-        assert run.epoch == 0 and run.is_joint()
+        run = run_with(rng, 0)
+        assert run.epoch == 0 and is_joint(run, 0)
 
     def test_dynamic_latches(self, rng):
-        run = run_with(rng, strategy="dynamic", g=0.1)
-        run.history.l_total = [100.0, 50.0, 47.0]
-        run.epoch = 3
-        assert run.is_joint()
+        losses = [100.0, 50.0, 47.0]
+        run = run_with(rng, dynamic_trigger(losses, 0.1))
         assert run.trigger == 3
         # A later loss jump cannot un-trigger.
-        run.history.l_total += [500.0, 20.0]
+        run.history.l_total = losses + [500.0, 20.0]
         for epoch in range(3, 9):
-            run.epoch = epoch
-            assert run.is_joint()
+            assert is_joint(run, epoch)
+        assert run.history.trigger_epoch == 3
 
     def test_dynamic_not_fired_yet(self, rng):
-        run = run_with(rng, strategy="dynamic", g=0.1)
-        run.history.l_total = [100.0]
-        run.epoch = 1
-        assert not run.is_joint()
+        run = run_with(rng, dynamic_trigger([100.0], 0.1))
+        assert not is_joint(run, 1)
         assert run.trigger is None
 
     def test_plan_validation(self):
         for bad in (dict(strategy="nope"), dict(strategy="dynamic", g=2.0),
                     dict(strategy="static", static_set=()),
-                    dict(strategy="static", warmup_candidate=-1)):
+                    dict(strategy="static", warmup_candidate=3)):
             with pytest.raises(ConfigError):
-                RunConfig(**bad)
+                RunConfig.from_dict(bad)
