@@ -13,15 +13,14 @@ import io
 import itertools
 import json
 import logging
-import os
 import sys
 import time
 from pathlib import Path
 
 from . import __version__, trainer
-from .dataset import (load_bundle, load_interactions, load_modality_features,
-                      save_bundle, split_dataset, write_atomic,
-                      ModalityBundle)
+from .dataset import (check_feature_name, load_bundle, load_interactions,
+                      load_modality_features, save_bundle, split_dataset,
+                      write_atomic, DatasetBundle, ModalityBundle)
 from .errors import CheckpointError, ConfigError, DataError, MdvtError
 from .trainer import RunConfig
 
@@ -66,7 +65,7 @@ def _build_parser() -> _Parser:
                    help="cells trained at once (above 1, each in a child "
                         "process that trains its candidates in turn)")
     p.add_argument("--resume", action="store_true",
-                   help="skip cells whose report already exists")
+                   help="skip cells with a report and a --bundle checkpoint")
 
     p = sub.add_parser("eval", help="test metrics for a saved checkpoint")
     p.add_argument("--bundle", required=True)
@@ -108,12 +107,10 @@ def cmd_prepare(args) -> int:
         if "=" not in spec:
             raise ConfigError(f"--feature must be NAME=PATH, got {spec!r}")
         name, path = spec.split("=", 1)
-        if name == "id":
-            raise ConfigError('"id" is implicit and carries no feature file')
-        # The name is the bundle's file name features/<name>.feat.
-        if not name or os.sep in name or (os.altsep and os.altsep in name):
-            raise ConfigError(f"--feature name must be non-empty and hold "
-                              f"no path separator, got {name!r}")
+        try:
+            check_feature_name(name)
+        except ValueError as exc:
+            raise ConfigError(f"--feature: {exc}") from None
         if name in paths:
             raise ConfigError(f"--feature {name!r} given twice")
         paths[name] = path
@@ -158,11 +155,11 @@ def build_run_report(bundle_stats: dict, config: RunConfig,
     }
 
 
-def _execute_train(bundle_dir: str, config: RunConfig, out_path: str) -> dict:
+def _execute_train(bundle: DatasetBundle, config: RunConfig, out_path: str
+                   ) -> dict:
     start = time.perf_counter()
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)  # fails before training
-    bundle = load_bundle(bundle_dir)
     warnings = config.off_grid_warnings()
     for message in warnings:
         log.warning("config: %s", message)
@@ -180,7 +177,7 @@ def _execute_train(bundle_dir: str, config: RunConfig, out_path: str) -> dict:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config, args.seed)
-    report = _execute_train(args.bundle, config, args.out)
+    report = _execute_train(load_bundle(args.bundle), config, args.out)
     test = report["metrics"]["test"]
     print(f"test recall@10={test['recall']['10']:.6f} "
           f"ndcg@10={test['ndcg']['10']:.6f} "
@@ -214,27 +211,33 @@ def cmd_sweep(args) -> int:
                               "non-empty list")
 
     keys = sorted(grid)
-    cells = []
+    cells = {}
     for combo in itertools.product(*(grid[k] for k in keys)):
         overrides = dict(zip(keys, combo))
-        cfg_dict = base.to_dict()
-        cfg_dict.update(overrides)
-        config = RunConfig.from_dict(cfg_dict)
-        cells.append((overrides, config))
+        config = RunConfig.from_dict({**base.to_dict(), **overrides})
+        if (digest := config.config_hash()) in cells:
+            raise ConfigError(f"grid cells {json.dumps(cells[digest][0])} "
+                              f"and {json.dumps(overrides)} give one config")
+        cells[digest] = (overrides, config)
 
+    bundle = load_bundle(args.bundle)
     out_dir = Path(args.out)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     pending, summary = [], []
-    for overrides, config in cells:
-        cell_path = runs_dir / f"cell-{config.config_hash()[:16]}.json"
+    for digest, (overrides, config) in cells.items():
+        cell_path = runs_dir / f"cell-{digest[:16]}.json"
         if args.resume and cell_path.exists():
             try:
+                _, fingerprint, _ = trainer.load_checkpoint(
+                    cell_path.with_suffix(".ckpt"))
+                if fingerprint != bundle.fingerprint:
+                    raise CheckpointError("trained on a different bundle")
                 report = json.loads(cell_path.read_text(encoding="utf-8"))
                 summary.append(_summary_row(overrides, config, report, True))
                 continue
-            except (ValueError, KeyError, TypeError) as exc:
-                log.warning("%s is unreadable (%r); running the cell again",
+            except (CheckpointError, ValueError, KeyError, TypeError) as exc:
+                log.warning("cannot resume %s (%s); running the cell again",
                             cell_path, exc)
         pending.append((overrides, config, cell_path))
 
@@ -242,7 +245,7 @@ def cmd_sweep(args) -> int:
     with trainer.ForkPool(min(args.workers, len(pending))) as pool:
         for _, config, cell_path in pending:
             pool.add(cell_path.stem, functools.partial(
-                _execute_train, args.bundle, config, str(cell_path)))
+                _execute_train, bundle, config, str(cell_path)))
         reports = pool.gather()
     for (overrides, config, _), report in zip(pending, reports):
         summary.append(_summary_row(overrides, config, report, False))

@@ -401,9 +401,9 @@ def make_batches(train: InteractionSet, graph: InteractionGraph,
 #   bytes 8-11  row count, unsigned 32-bit little-endian
 #   bytes 12-15 column count, unsigned 32-bit little-endian
 #   then rows*cols IEEE-754 float32 little-endian, row-major
-# A feature file's row order follows an optional sidecar "<path>.ids"
+# A raw feature file's row order follows an optional sidecar "<path>.ids"
 # listing raw item ids one per line; rows are remapped to dense item order
-# at load. Without a sidecar, rows must already be in dense order.
+# at load. Without a sidecar (always in a bundle) rows are in dense order.
 # ---------------------------------------------------------------------------
 
 def pack_matrix(matrix: np.ndarray) -> bytes:
@@ -448,7 +448,7 @@ def write_modality_features(path: str | Path, matrix: np.ndarray,
 def load_modality_features(path: str | Path, modality: str, num_items: int,
                            item_index: dict[str, int] | None = None
                            ) -> np.ndarray:
-    """Read and validate a feature matrix for ``modality``.
+    """Read and validate a raw feature matrix for ``modality``.
 
     Returns a float32 array with exactly ``num_items`` rows in dense item
     order. Raises DataError on a malformed record (see
@@ -458,28 +458,13 @@ def load_modality_features(path: str | Path, modality: str, num_items: int,
     path = Path(path)
     if not path.exists():
         raise DataError(f"feature file not found: {path}")
-    return _parse_features(path, _read_bytes(path), modality, num_items,
-                           item_index)
-
-
-def _parse_features(path: Path, blob: bytes, modality: str, num_items: int,
-                    item_index: dict[str, int] | None = None) -> np.ndarray:
-    """:func:`load_modality_features` on the bytes of ``path``."""
-    try:
-        mat, end = read_matrix(blob)
-        if end != len(blob):
-            raise ValueError(f"{len(blob) - end} bytes after the record")
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc} in modality {modality!r}") from None
-    rows, cols = mat.shape
     sidecar = Path(str(path) + ".ids")
     if not sidecar.exists():
-        if rows != num_items:
-            raise DataError(f"{path}: {rows} feature rows but {num_items} "
-                            "items")
-        return mat.copy()
+        return _read_features(path, _read_bytes(path), modality, num_items)
+    mat = _read_features(path, _read_bytes(path), modality, None)
+    rows, cols = mat.shape
     numbered = [(n, raw) for n, raw in enumerate(
-        _decode(sidecar, _read_bytes(sidecar)).splitlines(), start=1) if raw]
+        _decode(sidecar, _read_bytes(sidecar)).split("\n"), start=1) if raw]
     if len(numbered) != rows:
         raise DataError(f"{sidecar}: {len(numbered)} ids for {rows} rows")
     if item_index is None:
@@ -501,6 +486,32 @@ def _parse_features(path: Path, blob: bytes, modality: str, num_items: int,
     dense = np.empty((num_items, cols), dtype=np.float32)
     dense[dense_row] = mat
     return dense
+
+
+def _read_features(path: Path, blob: bytes, modality: str,
+                   num_items: int | None) -> np.ndarray:
+    """The one matrix record that is the whole of ``blob``, the bytes of
+    feature file ``path``: a copy with ``num_items`` rows, or a read-only
+    view of any row count if ``num_items`` is None."""
+    try:
+        mat, end = read_matrix(blob)
+        if end != len(blob):
+            raise ValueError(f"{len(blob) - end} bytes after the record")
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc} in modality {modality!r}") from None
+    if num_items not in (None, len(mat)):
+        raise DataError(f"{path}: {len(mat)} feature rows but {num_items} "
+                        "items")
+    return mat if num_items is None else mat.copy()
+
+
+def check_feature_name(name: str) -> str:
+    """``name``, if it may name a feature modality, whose bundle file is
+    ``features/<name>.feat``; ValueError if not."""
+    if name in ("", "id") or {"\0", "/", os.sep} & set(name):
+        raise ValueError(f'a feature name is not "id" (implicit), empty or '
+                         f"holding a path separator or NUL, got {name!r}")
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -581,25 +592,35 @@ def _decode(path: Path, data: bytes) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+# A split file line as _write_tsv writes it, leading zeros aside.
+_SPLIT_LINE = re.compile(rb"0*([0-9]{1,19})\t0*([0-9]{1,19})\n")
+
+
 def _read_split(path: Path, data: bytes, base: InteractionSet
                 ) -> InteractionSet:
     """A split TSV's bytes as a view of ``base``; building its CSR here
     checks every index against the id tables. A repeated line is an error:
     it would count its edge twice.
 
-    Bytes that are only digits, one tab a line and newlines are parsed in
-    one pass. Any other file goes line by line, naming the first line that
-    is not two integers (as ``int`` reads them) within int64.
+    The file must be in the form :func:`_write_tsv` writes: lines of two
+    ASCII-decimal indices within int64, one tab between them and ``\\n``
+    after. Such bytes are parsed in one pass; otherwise one scan names the
+    first line outside the form.
     """
-    pairs = None
-    if not data.translate(None, b"0123456789\t\n") and _is_pair_lines(data):
-        try:
-            pairs = np.loadtxt(io.BytesIO(data), dtype=np.int64,
-                               delimiter="\t", comments=None, ndmin=2)
-        except ValueError:  # an index beyond int64: let the loop name it
-            pass
-    if pairs is None:
-        pairs = _split_lines(path, _decode(path, data).splitlines())
+    try:
+        if data.translate(None, b"0123456789\t\n") or not _is_pair_lines(
+                data):
+            raise ValueError
+        pairs = np.loadtxt(io.BytesIO(data), dtype=np.int64,
+                           delimiter="\t", comments=None, ndmin=2)
+    except ValueError:  # out of form, an index beyond int64 or empty
+        _decode(path, data)  # the first byte that is not UTF-8 comes first
+        for lineno, line in enumerate(re.findall(rb".*\n|.+", data), 1):
+            fields = _SPLIT_LINE.fullmatch(line)
+            if not fields or max(map(int, fields.groups())) >= 2**63:
+                raise DataError(f"{path}:{lineno}: expected 'user<TAB>item"
+                                f"\\n' indices, got {line.decode()!r}")
+        pairs = np.zeros((0, 2), dtype=np.int64)  # only an empty file is left
     users, items = np.ascontiguousarray(pairs.T)
     part = base.view(users, items)
     try:
@@ -608,37 +629,11 @@ def _read_split(path: Path, data: bytes, base: InteractionSet
         raise DataError(f"{path}: {exc}") from None
     keys = adj.entry_rows * part.num_items + adj.indices  # ascending
     if np.any(keys[1:] == keys[:-1]):
-        seen = set()
-        for lineno, ln in enumerate(_decode(path, data).splitlines(),
-                                    start=1):
-            pair = tuple(map(int, ln.split("\t"))) if ln else None
-            if pair and pair in seen:
-                raise DataError(f"{path}:{lineno}: duplicate interaction "
-                                f"(user {pair[0]}, item {pair[1]})")
-            seen.add(pair)
+        first = np.unique(users * part.num_items + items, return_index=True)[1]
+        k = int(np.setdiff1d(np.arange(len(users)), first)[0])  # line k + 1
+        raise DataError(f"{path}:{k + 1}: duplicate interaction "
+                        f"(user {users[k]}, item {items[k]})")
     return part
-
-
-_INT64 = range(-2**63, 2**63)
-
-
-def _split_lines(path: Path, lines: list[str]) -> np.ndarray:
-    """``lines`` as an ``(n, 2)`` int64 array of (user, item), blank lines
-    skipped."""
-    records = []
-    for lineno, ln in enumerate(lines, start=1):
-        if not ln:
-            continue
-        try:
-            u, i = ln.split("\t")
-            pair = (int(u), int(i))
-            if pair[0] not in _INT64 or pair[1] not in _INT64:
-                raise ValueError
-            records.append(pair)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: expected 'user<TAB>item' "
-                            f"indices, got {ln!r}") from None
-    return np.array(records, dtype=np.int64).reshape(-1, 2)
 
 
 def save_bundle(out_dir: str | Path, split: DatasetSplit,
@@ -671,7 +666,8 @@ def save_bundle(out_dir: str | Path, split: DatasetSplit,
 
 def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
     """Load a bundle written by :func:`save_bundle`, reading each file
-    once; the fingerprint is computed from the bytes read."""
+    once and only in the form it writes; the fingerprint is computed from
+    the bytes read."""
     root = Path(bundle_dir)
     stats_path = root / "stats.json"
     if not stats_path.exists():
@@ -686,15 +682,15 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
     try:
         stats = json.loads(stats_text)
         expected = (stats["num_users"], stats["num_items"])
-        names = ["id"] + sorted(m for m in stats["modalities"] if m != "id")
-        if len(set(names)) < len(names):
-            raise ValueError(f"repeated modality in {names}")
+        feature_names = stats["modalities"].keys() - {"id"}
+        if stats["modalities"]["id"] != 0:
+            raise ValueError('"id" is not a modality of 0 columns')
+        names = ["id"] + sorted(map(check_feature_name, feature_names))
         split_seed = stats["split_seed"]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"{stats_path}: malformed ({exc!r})") from None
     user_ids, item_ids = (
-        tuple(ln for ln in _decode(root / name, read(name)).splitlines()
-              if ln)
+        tuple(_decode(root / name, read(name)).split("\n")[:-1])
         for name in ("users.txt", "items.txt"))
     nu, ni = len(user_ids), len(item_ids)
     if (nu, ni) != expected:
@@ -704,8 +700,8 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
     train, val, test = (
         _read_split(root / name, read(name), base)
         for name in ("train.tsv", "val.tsv", "test.tsv"))
-    features = {name: _parse_features(root / "features" / f"{name}.feat",
-                                      read(f"features/{name}.feat"), name, ni)
+    features = {name: _read_features(root / "features" / f"{name}.feat",
+                                     read(f"features/{name}.feat"), name, ni)
                 for name in names[1:]}
     return DatasetBundle(
         split=DatasetSplit(train, val, test, split_seed=split_seed),

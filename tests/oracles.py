@@ -2,9 +2,10 @@
 
 The interaction and split-file loaders (``dataset.load_interactions`` and
 ``dataset._read_split``, which parse canonical files in one vectorised
-pass) are checked against ``load_interactions_loop`` and
-``read_split_loop``, the line-by-line loaders they replaced: the same
-records, ids and duplicate count, or the same error and message.
+pass) are checked against ``load_interactions_loop``, the line-by-line
+loader it replaced, and ``read_split_loop``, which reads a split file one
+line at a time in the one form ``save_bundle`` writes: the same records,
+ids and duplicate count, or the same error and message.
 
 The batched production paths (``evaluator.top_k``, ``triplet_forge.select``
 and ``refresh``, the virtual branch of ``objective.backward``) are checked
@@ -20,6 +21,7 @@ trains every candidate from epoch 0.
 
 from __future__ import annotations
 
+import io
 import math
 from collections.abc import Collection
 from pathlib import Path
@@ -81,35 +83,32 @@ def load_interactions_loop(path) -> tuple[list, tuple, tuple, int]:
 
 
 def read_split_loop(path, num_users: int, num_items: int) -> list:
-    """The ``(user, item)`` records of a bundle split file. Errors, in
-    order: a line that is not two ``int``s within int64, then the first
-    user and then the first item index outside the id tables, then the
-    first repeated line."""
+    """The ``(user, item)`` records of a bundle split file in the one form
+    ``save_bundle`` writes: every line two indices of ASCII digits within
+    int64, one tab between them and ``\\n`` after. Errors, in order: the
+    first line outside that form, then the first user and then the first
+    item index outside the id tables, then the first repeated line."""
     path = Path(path)
     _check_utf8(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    text = path.read_bytes().decode("utf-8")
     records = []
-    for lineno, ln in enumerate(lines, start=1):
-        if not ln:
-            continue
-        try:
-            u, i = ln.split("\t")
-            pair = (int(u), int(i))
-        except ValueError:
-            pair = None
-        if pair is None or not all(-2**63 <= v < 2**63 for v in pair):
-            raise DataError(f"{path}:{lineno}: expected 'user<TAB>item' "
-                            f"indices, got {ln!r}")
-        records.append(pair)
+    for lineno, line in enumerate(io.StringIO(text, newline="\n"), start=1):
+        user, tab, item = line.partition("\t")
+        item, newline = item[:-1], item[-1:]
+        if not (tab and newline == "\n" and all(
+                v.isascii() and v.isdigit() and int(v) < 2**63
+                for v in (user, item))):
+            raise DataError(f"{path}:{lineno}: expected "
+                            f"'user<TAB>item\\n' indices, got {line!r}")
+        records.append((int(user), int(item)))
     for role, k, bound in (("user", 0, num_users), ("item", 1, num_items)):
         bad = [r[k] for r in records if not 0 <= r[k] < bound]
         if bad:
             raise DataError(f"{path}: {role} index {bad[0]} outside "
                             f"[0, {bound})")
     seen = set()
-    for lineno, ln in enumerate(lines, start=1):
-        pair = tuple(map(int, ln.split("\t"))) if ln else None
-        if pair and pair in seen:
+    for lineno, pair in enumerate(records, start=1):
+        if pair in seen:
             raise DataError(f"{path}:{lineno}: duplicate interaction "
                             f"(user {pair[0]}, item {pair[1]})")
         seen.add(pair)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import pathlib
+import shutil
 import signal
 import struct
 
@@ -11,7 +12,8 @@ import pytest
 
 from mdvt import backbone, dataset, trainer
 from mdvt.cli import main
-from mdvt.dataset import load_bundle, write_atomic, write_modality_features
+from mdvt.dataset import (load_bundle, load_interactions, write_atomic,
+                          write_modality_features)
 from mdvt.errors import DataError
 from mdvt.trainer import load_checkpoint, save_checkpoint, state_from_tables
 
@@ -75,6 +77,11 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+# Characters that str.splitlines breaks lines on, other than \n and \r:
+# a raw id may hold them.
+LINE_BREAKING = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                 "\u2029"]
+
 REPORT_FIELDS = {"tool_version", "config", "config_warnings", "dataset",
                  "warmup", "history", "metrics", "wall_clock_seconds"}
 
@@ -121,6 +128,33 @@ class TestPrepare:
                      str(base_config(tmp_path)),
                      "--out", str(tmp_path / "run.json")]) == 2
         assert "missing stats.json" in single_error_line(capsys)
+
+    @pytest.mark.parametrize("char", LINE_BREAKING,
+                             ids=[f"U+{ord(c):04X}" for c in LINE_BREAKING])
+    def test_ids_round_trip(self, tmp_path, char):
+        # Through the raw file, the feature sidecar and the id tables.
+        inter = tmp_path / "toy.tsv"
+        write_interactions(inter)
+        inter.write_text(inter.read_text(encoding="utf-8").replace(
+            "0\t", f"{char}0\t").replace("m1", f"m{char}1"),
+            encoding="utf-8")
+        raw = load_interactions(inter)
+        assert any(char in i for i in raw.user_ids) and \
+            any(char in i for i in raw.item_ids)
+        feat = tmp_path / "visual.feat"
+        matrix = np.arange(raw.num_items * 2, dtype=np.float32).reshape(-1, 2)
+        write_modality_features(feat, matrix, item_ids=raw.item_ids[::-1])
+        assert main(["prepare", "--interactions", str(inter),
+                     "--feature", f"visual={feat}",
+                     "--out", str(tmp_path / "bundle")]) == 0
+        bundle = load_bundle(tmp_path / "bundle")
+        assert bundle.split.train.user_ids == raw.user_ids
+        assert bundle.split.train.item_ids == raw.item_ids
+        assert np.array_equal(bundle.modalities.features["visual"],
+                              matrix[::-1])
+        assert main(["train", "--bundle", str(tmp_path / "bundle"),
+                     "--config", str(base_config(tmp_path)),
+                     "--out", str(tmp_path / "run.json")]) == 0
 
     def test_rerun_byte_identical(self, tmp_path):
         bundle_a = prepare_bundle(tmp_path / "a")
@@ -187,7 +221,7 @@ class TestPrepare:
         assert "--feature 'visual' given twice" in single_error_line(capsys)
         assert not (tmp_path / "b").exists()
 
-    @pytest.mark.parametrize("name", ["", "a/b"])
+    @pytest.mark.parametrize("name", ["", "a/b", "id", "a\0b"])
     def test_bad_feature_name_exit_1(self, tmp_path, capsys, name):
         # Checked before any input is read: neither input exists.
         capsys.readouterr()
@@ -526,6 +560,62 @@ class TestSweep:
         resumed = {row["config_hash"]: row["resumed"] for row in summary}
         assert resumed == {torn.stem[5:]: False, kept.stem[5:]: True}
 
+    def test_resume_with_another_bundle_retrains(self, tmp_path, caplog):
+        bundle = prepare_bundle(tmp_path / "a")
+        other = prepare_bundle(tmp_path / "b", seed=9)
+        config = base_config(tmp_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lam": [0.1, 0.2]}), encoding="utf-8")
+
+        def sweep(bundle, out, *flags):
+            assert main(["sweep", "--bundle", str(bundle), "--config",
+                         str(config), "--grid", str(grid), "--out", str(out),
+                         *flags]) == 0
+            return {cell.name: train_outputs(cell)
+                    for cell in (out / "runs").glob("cell-*.json")}
+
+        sweep(bundle, tmp_path / "s")
+        resumed = sweep(other, tmp_path / "s", "--resume")
+        assert resumed == sweep(other, tmp_path / "fresh")
+        assert caplog.text.count("different bundle") == 2
+        summary = json.loads((tmp_path / "s" / "summary.json")
+                             .read_text(encoding="utf-8"))
+        assert not any(row["resumed"] for row in summary)
+
+    def test_resume_reruns_a_cell_without_checkpoint(self, tmp_path,
+                                                     caplog):
+        # A run killed between its report and its checkpoint leaves this.
+        bundle = prepare_bundle(tmp_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lam": [0.1, 0.2]}), encoding="utf-8")
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--bundle", str(bundle), "--config",
+                str(base_config(tmp_path)), "--grid", str(grid),
+                "--out", str(out)]
+        assert main(argv) == 0
+        lost, kept = sorted((out / "runs").glob("cell-*.json"))
+        before = train_outputs(lost)
+        lost.with_suffix(".ckpt").unlink()
+        assert main(argv + ["--resume"]) == 0
+        assert lost.name in caplog.text and "again" in caplog.text
+        assert train_outputs(lost) == before
+        summary = json.loads((out / "summary.json")
+                             .read_text(encoding="utf-8"))
+        resumed = {row["config_hash"]: row["resumed"] for row in summary}
+        assert resumed == {lost.stem[5:]: False, kept.stem[5:]: True}
+
+    def test_repeated_cell_exit_1(self, tmp_path, capsys):
+        bundle = prepare_bundle(tmp_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lam": [0.2, 0.1, 0.2]}),
+                        encoding="utf-8")
+        capsys.readouterr()
+        assert main(["sweep", "--bundle", str(bundle), "--config",
+                     str(base_config(tmp_path)), "--grid", str(grid),
+                     "--out", str(tmp_path / "s")]) == 1
+        assert '{"lam": 0.2} and {"lam": 0.2}' in single_error_line(capsys)
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):
         grid = tmp_path / "grid.json"
@@ -645,6 +735,28 @@ class TestEval:
         assert load_bundle(bundle).fingerprint == fingerprint
         assert main(["eval", "--bundle", str(bundle), "--checkpoint",
                      str(tmp_path / "run.ckpt")]) == 0
+
+    def test_stray_sidecar_is_not_read(self, tmp_path, capsys):
+        # prepare never writes features/<name>.feat.ids; a bundle's feature
+        # rows are in dense order whatever such a file says.
+        outputs = []
+        for name in ("plain", "stray"):
+            bundle = prepare_bundle(tmp_path / name)
+            if name == "stray":
+                items = (bundle / "items.txt").read_text(encoding="utf-8")
+                (bundle / "features" / "visual.feat.ids").write_text(
+                    "".join(f"{i}\n" for i in items.split()[::-1]),
+                    encoding="utf-8")
+            out = tmp_path / name / "run.json"
+            assert main(["train", "--bundle", str(bundle), "--config",
+                         str(base_config(tmp_path)), "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["eval", "--bundle", str(bundle), "--checkpoint",
+                         str(out.with_suffix(".ckpt")), "--out",
+                         str(tmp_path / name / "eval.json")]) == 0
+            outputs.append((train_outputs(out), capsys.readouterr().out,
+                            (tmp_path / name / "eval.json").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_masked_modality_missing_from_checkpoint_exit_3(self, tmp_path,
                                                             capsys):
@@ -833,6 +945,47 @@ class TestMalformedFiles:
     def test_malformed_stats_json_exit_2(self, tmp_path, capsys, text):
         bundle = prepare_bundle(tmp_path)
         (bundle / "stats.json").write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert self.train(tmp_path, bundle) == 2
+        assert "stats.json" in single_error_line(capsys)
+
+    # Each edit of a line of train.tsv, and whether it is the last line.
+    @pytest.mark.parametrize("edit, last", [
+        (lambda ln: ln[:-1] + "\r\n", False),
+        (lambda ln: "\n" + ln, False),
+        (lambda ln: "+" + ln, False),
+        (lambda ln: "0_" + ln, False),
+        (lambda ln: " " + ln, False),
+        (lambda ln: chr(0x660 + int(ln[0])) + ln[1:], False),
+        (lambda ln: ln[:-1], True),
+    ], ids=["crlf", "blank_line", "plus_sign", "underscore", "leading_space",
+            "arabic_indic_digit", "no_final_newline"])
+    def test_split_line_out_of_form_exit_2(self, tmp_path, capsys, edit,
+                                           last):
+        # Each loaded before the split files were read only in the form
+        # prepare writes.
+        bundle = prepare_bundle(tmp_path)
+        path = bundle / "train.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        at = len(lines) - 1 if last else 1
+        lines[at] = edit(lines[at])
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert self.train(tmp_path, bundle) == 2
+        assert f"train.tsv:{at + 1}: expected" in single_error_line(capsys)
+
+    @pytest.mark.parametrize("name", ["../x", "a/b", "", "id", "a\0b"])
+    def test_bad_stats_modality_name_exit_2(self, tmp_path, capsys, name):
+        # Where a path can be made of the name, it holds a feature file.
+        bundle = prepare_bundle(tmp_path)
+        stats = json.loads((bundle / "stats.json").read_text(encoding="utf-8"))
+        stats["modalities"][name] = stats["modalities"].pop("visual")
+        if name != "id" and "\0" not in name:
+            target = bundle / "features" / f"{name}.feat"
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(bundle / "features" / "visual.feat", target)
+        (bundle / "stats.json").write_text(json.dumps(stats),
+                                           encoding="utf-8")
         capsys.readouterr()
         assert self.train(tmp_path, bundle) == 2
         assert "stats.json" in single_error_line(capsys)
