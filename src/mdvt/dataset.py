@@ -232,7 +232,7 @@ def load_interactions(path: str | Path) -> InteractionSet:
     if not path.exists():
         raise DataError(f"interactions file not found: {path}")
     data = _read_bytes(path)
-    text = _decode(path, data)
+    text = _decode(path, data).replace("\r\n", "\n").replace("\r", "\n")
     if (_is_pair_lines(data) and not data.startswith(b"#")
             and b"\n#" not in data
             and (data.isascii() or not _OTHER_SPACE.search(text))):
@@ -441,8 +441,8 @@ def write_modality_features(path: str | Path, matrix: np.ndarray,
     if item_ids is not None:
         if len(item_ids) != len(matrix):
             raise DataError("sidecar id count does not match feature rows")
-        Path(str(path) + ".ids").write_text(
-            "".join(f"{raw}\n" for raw in item_ids), encoding="utf-8")
+        Path(str(path) + ".ids").write_bytes(
+            "".join(f"{raw}\n" for raw in item_ids).encode("utf-8"))
 
 
 def load_modality_features(path: str | Path, modality: str, num_items: int,
@@ -463,8 +463,9 @@ def load_modality_features(path: str | Path, modality: str, num_items: int,
         return _read_features(path, _read_bytes(path), modality, num_items)
     mat = _read_features(path, _read_bytes(path), modality, None)
     rows, cols = mat.shape
-    numbered = [(n, raw) for n, raw in enumerate(
-        _decode(sidecar, _read_bytes(sidecar)).split("\n"), start=1) if raw]
+    text = _decode(sidecar, _read_bytes(sidecar))
+    numbered = [(n, raw) for n, raw in enumerate(text.replace(
+        "\r\n", "\n").replace("\r", "\n").split("\n"), start=1) if raw]
     if len(numbered) != rows:
         raise DataError(f"{sidecar}: {len(numbered)} ids for {rows} rows")
     if item_index is None:
@@ -570,7 +571,7 @@ def _write_tsv(path: Path, part: InteractionSet) -> None:
     # One format call over all pairs: half the time of a join of per-line
     # formats, with the same bytes.
     pairs = np.column_stack([part.users, part.items]).ravel().tolist()
-    path.write_text("%d\t%d\n" * len(part) % tuple(pairs), encoding="utf-8")
+    path.write_bytes(("%d\t%d\n" * len(part) % tuple(pairs)).encode("ascii"))
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -582,14 +583,13 @@ def _read_bytes(path: Path) -> bytes:
 
 
 def _decode(path: Path, data: bytes) -> str:
-    """The bytes of ``path`` as reading it in text mode gives them: UTF-8
-    with universal newlines. DataError if they are not UTF-8."""
+    """The bytes of ``path`` as UTF-8 text, newlines as they are; DataError
+    if they are not UTF-8."""
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: "
                         f"{exc.reason})") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 # A split file line as _write_tsv writes it, leading zeros aside.
@@ -646,10 +646,11 @@ def save_bundle(out_dir: str | Path, split: DatasetSplit,
     out.mkdir(parents=True, exist_ok=True)
     (out / "stats.json").unlink(missing_ok=True)
     full = split.train
-    (out / "users.txt").write_text(
-        "".join(f"{u}\n" for u in full.user_ids), encoding="utf-8")
-    (out / "items.txt").write_text(
-        "".join(f"{i}\n" for i in full.item_ids), encoding="utf-8")
+    # Bytes, not text mode, so that no platform turns "\n" into "\r\n".
+    (out / "users.txt").write_bytes(
+        "".join(f"{u}\n" for u in full.user_ids).encode("utf-8"))
+    (out / "items.txt").write_bytes(
+        "".join(f"{i}\n" for i in full.item_ids).encode("utf-8"))
     _write_tsv(out / "train.tsv", split.train)
     _write_tsv(out / "val.tsv", split.validation)
     _write_tsv(out / "test.tsv", split.test)

@@ -164,6 +164,27 @@ class TestPrepare:
             assert (bundle_a / name).read_bytes() == \
                 (bundle_b / name).read_bytes()
 
+    def test_bundle_text_is_written_with_bare_newlines(self, tmp_path,
+                                                       monkeypatch):
+        # Text mode on Windows writes each "\n" as "\r\n", and a split file
+        # holding "\r" does not load. With write_text doing the same here,
+        # the raw interactions file is CRLF and no bundle file may be.
+        write_text = pathlib.Path.write_text
+
+        def crlf(self, data, encoding=None, errors=None, newline=None):
+            if newline is None:
+                data = data.replace("\n", "\r\n")
+            return write_text(self, data, encoding, errors, newline)
+
+        monkeypatch.setattr(pathlib.Path, "write_text", crlf)
+        bundle = prepare_bundle(tmp_path)
+        assert b"\r\n" in (tmp_path / "interactions.tsv").read_bytes()
+        for name in ("stats.json", "train.tsv", "val.tsv", "test.tsv",
+                     "users.txt", "items.txt", "../visual.feat.ids"):
+            data = (bundle / name).read_bytes()
+            assert b"\n" in data and b"\r" not in data, name
+        assert load_bundle(bundle).split.train.user_ids[0] == "user0"
+
     def test_negative_seed_exit_1(self, tmp_path, capsys):
         inter = tmp_path / "toy.tsv"
         write_interactions(inter)
@@ -989,6 +1010,17 @@ class TestMalformedFiles:
         capsys.readouterr()
         assert self.train(tmp_path, bundle) == 2
         assert "stats.json" in single_error_line(capsys)
+
+    @pytest.mark.parametrize("name", ["users.txt", "items.txt"])
+    def test_id_table_split_by_carriage_return_exit_2(self, tmp_path, capsys,
+                                                      name):
+        # An id table is split on "\n" only, never on "\r".
+        bundle = prepare_bundle(tmp_path)
+        path = bundle / name
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        capsys.readouterr()
+        assert self.train(tmp_path, bundle) == 2
+        assert "id tables disagree" in single_error_line(capsys)
 
     @pytest.mark.parametrize("name", ["train.tsv", "val.tsv", "test.tsv",
                                       "users.txt", "items.txt"])
