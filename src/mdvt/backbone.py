@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import InteractionGraph, ModalityBundle, gather_rows
+from .dataset import InteractionGraph, gather_rows
 from .errors import DataError
 
 NORM_MODES = ("dual", "sym")
@@ -64,8 +64,9 @@ class EmbeddingState:
             self, tables={m: t.copy() for m, t in self.tables.items()})
 
 
-def init_embeddings(bundle: ModalityBundle, num_users: int, embed_dim: int,
-                    seed: int) -> EmbeddingState:
+def init_embeddings(features: dict[str, np.ndarray], num_users: int,
+                    num_items: int, embed_dim: int, seed: int
+                    ) -> EmbeddingState:
     """Seeded uniform(-0.5/sqrt(d), 0.5/sqrt(d)) tables; non-id item tables
     start from the raw features projected to d and stay trainable.
 
@@ -74,22 +75,22 @@ def init_embeddings(bundle: ModalityBundle, num_users: int, embed_dim: int,
     per table keeps the draw deterministic and independent of the other
     tables. Drawn and projected in float64, then rounded once to ``DTYPE``.
     """
+    modalities = ("id", *features)
     scale = 0.5 / np.sqrt(embed_dim)
-    streams = np.random.SeedSequence(seed).spawn(2 * len(bundle.modalities))
+    streams = np.random.SeedSequence(seed).spawn(2 * len(modalities))
     state = EmbeddingState(
-        tables={m: np.empty((num_users + bundle.num_items, embed_dim), DTYPE)
-                for m in bundle.modalities},
+        tables={m: np.empty((num_users + num_items, embed_dim), DTYPE)
+                for m in modalities},
         num_users=num_users, embed_dim=embed_dim)
-    for k, m in enumerate(bundle.modalities):
+    for k, m in enumerate(modalities):
         rng_u = np.random.default_rng(streams[2 * k])
         rng_i = np.random.default_rng(streams[2 * k + 1])
         state.user[m][:] = rng_u.uniform(-scale, scale, (num_users, embed_dim))
         item = state.item[m]
         if m == "id":
-            item[:] = rng_i.uniform(-scale, scale,
-                                   (bundle.num_items, embed_dim))
+            item[:] = rng_i.uniform(-scale, scale, (num_items, embed_dim))
             continue
-        feats = bundle.features[m].astype(np.float64)
+        feats = features[m].astype(np.float64)
         f_m = feats.shape[1]
         if f_m < 1:
             raise DataError(f"modality {m!r} has {f_m} feature columns")

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__, trainer
 from .dataset import (check_feature_name, load_bundle, load_interactions,
                       load_modality_features, save_bundle, split_dataset,
-                      write_atomic, DatasetBundle, ModalityBundle)
+                      write_atomic, DatasetBundle)
 from .errors import CheckpointError, ConfigError, DataError, MdvtError
 from .trainer import RunConfig
 
@@ -117,11 +117,9 @@ def cmd_prepare(args) -> int:
     interactions = load_interactions(args.interactions)
     split = split_dataset(interactions, args.seed)
     features = {name: load_modality_features(
-        path, name, interactions.num_items,
-        item_index=interactions.item_index) for name, path in paths.items()}
-    modalities = ModalityBundle(("id", *features), features,
-                                num_items=interactions.num_items)
-    stats = save_bundle(args.out, split, modalities,
+        path, name, interactions.num_items, interactions.item_index)
+        for name, path in paths.items()}
+    stats = save_bundle(args.out, split, features,
                         interactions.duplicates_dropped)
     print(json.dumps(stats, sort_keys=True, indent=2))
     return 0
@@ -169,9 +167,12 @@ def _execute_train(bundle: DatasetBundle, config: RunConfig, out_path: str
     report = build_run_report(bundle.stats, config, warnings, result,
                               test_metrics,
                               time.perf_counter() - start)
-    write_atomic(out, json.dumps(report, sort_keys=True, indent=2) + "\n")
     trainer.save_checkpoint(out.with_suffix(".ckpt"), result.best_state,
                             config, bundle.fingerprint)
+    # The old report no longer answers for the checkpoint; the new one
+    # goes last, so that a report at ``out`` is always its checkpoint's.
+    out.unlink(missing_ok=True)
+    write_atomic(out, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return report
 
 

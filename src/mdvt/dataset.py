@@ -194,20 +194,6 @@ class InteractionGraph:
         return edge_keys[pos] == keys
 
 
-@dataclass
-class ModalityBundle:
-    """Ordered modality channels; "id" carries no feature matrix. Its
-    inputs are checked where they enter: ``cli.cmd_prepare`` and
-    :func:`load_bundle`."""
-
-    modalities: tuple[str, ...]
-    features: dict[str, np.ndarray]
-    num_items: int
-
-    def feature_dims(self) -> dict[str, int]:
-        return {m: int(f.shape[1]) for m, f in self.features.items()}
-
-
 @dataclass(frozen=True)
 class TripletBatch:
     """(user, observed item, sampled negative item) index triples."""
@@ -377,13 +363,10 @@ def sample_negatives(users: np.ndarray, graph: InteractionGraph,
 
 def make_batches(train: InteractionSet, graph: InteractionGraph,
                  batch_size: int, rng: np.random.Generator,
-                 negative_rng: np.random.Generator | None = None):
+                 negative_rng: np.random.Generator):
     """One epoch of triplet batches: shuffled positives in ceil(N/B) slices,
     each positive paired with a freshly sampled negative.
     """
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    neg_rng = negative_rng if negative_rng is not None else rng
     n = len(train)
     perm = rng.permutation(n)
     users = train.users[perm]
@@ -392,7 +375,7 @@ def make_batches(train: InteractionSet, graph: InteractionGraph,
         u = users[start:start + batch_size]
         p = items[start:start + batch_size]
         yield TripletBatch(users=u, pos_items=p,
-                           neg_items=sample_negatives(u, graph, neg_rng))
+                           neg_items=sample_negatives(u, graph, negative_rng))
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +416,13 @@ def read_matrix(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return mat.reshape(rows, cols), end
 
 
-def write_modality_features(path: str | Path, matrix: np.ndarray,
-                            item_ids: list[str] | None = None) -> None:
-    """Write a feature matrix as one record, plus an optional raw-item-id
-    sidecar."""
-    Path(path).write_bytes(pack_matrix(matrix))
-    if item_ids is not None:
-        if len(item_ids) != len(matrix):
-            raise DataError("sidecar id count does not match feature rows")
-        Path(str(path) + ".ids").write_bytes(
-            "".join(f"{raw}\n" for raw in item_ids).encode("utf-8"))
-
-
 def load_modality_features(path: str | Path, modality: str, num_items: int,
-                           item_index: dict[str, int] | None = None
-                           ) -> np.ndarray:
+                           item_index: dict[str, int]) -> np.ndarray:
     """Read and validate a raw feature matrix for ``modality``.
 
     Returns a float32 array with exactly ``num_items`` rows in dense item
-    order. Raises DataError on a malformed record (see
+    order; ``item_index`` maps a sidecar's raw item ids to that order.
+    Raises DataError on a malformed record (see
     :func:`read_matrix`), bytes after it, a row-count mismatch, or a
     sidecar that is not UTF-8 or names an unknown or repeated item.
     """
@@ -468,8 +439,6 @@ def load_modality_features(path: str | Path, modality: str, num_items: int,
         "\r\n", "\n").replace("\r", "\n").split("\n"), start=1) if raw]
     if len(numbered) != rows:
         raise DataError(f"{sidecar}: {len(numbered)} ids for {rows} rows")
-    if item_index is None:
-        raise DataError(f"{path}: sidecar present but no item id map given")
     dense_row = np.fromiter((item_index.get(raw, -1) for _, raw in numbered),
                             dtype=np.int64, count=rows)
     if (dense_row < 0).any():
@@ -526,7 +495,8 @@ class DatasetBundle:
 
     split: DatasetSplit
     graph: InteractionGraph
-    modalities: ModalityBundle
+    # Item feature matrices, ``(num_items, width)``, by modality name.
+    features: dict[str, np.ndarray]
     stats: dict
     # SHA-256 of the bundle files as load_bundle read them; a checkpoint
     # stores it. Empty for a bundle built in memory.
@@ -543,8 +513,13 @@ class DatasetBundle:
     def num_items(self) -> int:
         return self.split.num_items
 
+    @property
+    def modalities(self) -> tuple[str, ...]:
+        """Modality names: "id" (no feature matrix), then ``features``."""
+        return ("id", *self.features)
 
-def _bundle_stats(split: DatasetSplit, modalities: ModalityBundle,
+
+def _bundle_stats(split: DatasetSplit, features: dict[str, np.ndarray],
                   duplicates_dropped: int) -> dict:
     full = len(split.train) + len(split.validation) + len(split.test)
     nu, ni = split.num_users, split.num_items
@@ -562,8 +537,8 @@ def _bundle_stats(split: DatasetSplit, modalities: ModalityBundle,
             "test": len(split.test),
         },
         "cold_users": len(split.cold_users),
-        "modalities": {m: (modalities.feature_dims().get(m, 0))
-                       for m in modalities.modalities},
+        "modalities": {"id": 0, **{m: int(f.shape[1])
+                                   for m, f in features.items()}},
     }
 
 
@@ -637,7 +612,7 @@ def _read_split(path: Path, data: bytes, base: InteractionSet
 
 
 def save_bundle(out_dir: str | Path, split: DatasetSplit,
-                modalities: ModalityBundle, duplicates_dropped: int = 0
+                features: dict[str, np.ndarray], duplicates_dropped: int = 0
                 ) -> dict:
     """Write a prepared bundle; rerunning with identical inputs is
     byte-identical (no timestamps). ``stats.json`` is removed first and
@@ -655,11 +630,11 @@ def save_bundle(out_dir: str | Path, split: DatasetSplit,
     _write_tsv(out / "val.tsv", split.validation)
     _write_tsv(out / "test.tsv", split.test)
     feat_dir = out / "features"
-    if modalities.features:
+    if features:
         feat_dir.mkdir(exist_ok=True)
-    for name, mat in modalities.features.items():
-        write_modality_features(feat_dir / f"{name}.feat", mat)
-    stats = _bundle_stats(split, modalities, duplicates_dropped)
+    for name, mat in features.items():
+        (feat_dir / f"{name}.feat").write_bytes(pack_matrix(mat))
+    stats = _bundle_stats(split, features, duplicates_dropped)
     write_atomic(out / "stats.json",
                  json.dumps(stats, sort_keys=True, indent=2) + "\n")
     return stats
@@ -668,7 +643,8 @@ def save_bundle(out_dir: str | Path, split: DatasetSplit,
 def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
     """Load a bundle written by :func:`save_bundle`, reading each file
     once and only in the form it writes; the fingerprint is computed from
-    the bytes read."""
+    the bytes read. ``stats.json`` must hold what ``save_bundle`` would
+    write for the files read, so the bundle's stats are checked facts."""
     root = Path(bundle_dir)
     stats_path = root / "stats.json"
     if not stats_path.exists():
@@ -683,11 +659,10 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
     try:
         stats = json.loads(stats_text)
         expected = (stats["num_users"], stats["num_items"])
-        feature_names = stats["modalities"].keys() - {"id"}
-        if stats["modalities"]["id"] != 0:
-            raise ValueError('"id" is not a modality of 0 columns')
-        names = ["id"] + sorted(map(check_feature_name, feature_names))
+        names = sorted(map(check_feature_name,
+                           stats["modalities"].keys() - {"id"}))
         split_seed = stats["split_seed"]
+        duplicates = stats["duplicates_dropped"]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"{stats_path}: malformed ({exc!r})") from None
     user_ids, item_ids = (
@@ -703,14 +678,19 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
         for name in ("train.tsv", "val.tsv", "test.tsv"))
     features = {name: _read_features(root / "features" / f"{name}.feat",
                                      read(f"features/{name}.feat"), name, ni)
-                for name in names[1:]}
-    return DatasetBundle(
-        split=DatasetSplit(train, val, test, split_seed=split_seed),
-        modalities=ModalityBundle(tuple(names), features, num_items=ni),
-        graph=build_graph(train),
-        stats=stats,
-        fingerprint=_fingerprint(blobs),
-    )
+                for name in names}
+    split = DatasetSplit(train, val, test, split_seed=split_seed)
+    # Compared as JSON text, so that neither 1.0 nor true passes for 1.
+    got, want = ({key: json.dumps(value, sort_keys=True)
+                  for key, value in facts.items()}
+                 for facts in (stats, _bundle_stats(split, features,
+                                                    duplicates)))
+    if wrong := sorted({key for key, _ in got.items() ^ want.items()}):
+        raise DataError(f"{stats_path}: disagrees with the bundle files on "
+                        f"{', '.join(wrong)}")
+    return DatasetBundle(split=split, graph=build_graph(train),
+                         features=features, stats=stats,
+                         fingerprint=_fingerprint(blobs))
 
 
 def _fingerprint(blobs: dict[str, bytes]) -> str:

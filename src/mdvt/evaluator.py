@@ -105,14 +105,13 @@ class MetricsReport:
     recall: dict[int, float]
     ndcg: dict[int, float]
     num_users_evaluated: int
-    # ``sparsity_breakdown``'s arguments, or None for no breakdown.
-    per_user: tuple | None = field(default=None, repr=False, compare=False)
+    # ``sparsity_breakdown``'s arguments.
+    per_user: tuple = field(repr=False, compare=False)
 
     @functools.cached_property
     def buckets(self) -> list[BucketMetrics]:
         """The sparsity breakdown, computed once, when first read."""
-        return [] if self.per_user is None else sparsity_breakdown(
-            *self.per_user)
+        return sparsity_breakdown(*self.per_user)
 
     def to_dict(self) -> dict:
         return {
@@ -125,13 +124,13 @@ class MetricsReport:
 
 def evaluate_rankings(score_rows, users, relevant: Adjacency,
                       masked: Adjacency, ks: tuple[int, ...],
-                      user_train_count: np.ndarray | None = None
-                      ) -> MetricsReport:
+                      user_train_count: np.ndarray) -> MetricsReport:
     """Rank each user's unmasked items and average the metrics.
 
     ``score_rows(block)`` returns the score matrix of an array of users.
     ``relevant`` and ``masked`` are user->item CSRs. Users with no relevant
-    item are skipped. Only the top ``max(ks)`` items are ranked.
+    item are skipped. Only the top ``max(ks)`` items are ranked. The
+    report's buckets group users by ``user_train_count``.
     """
     if min(ks) < 1:
         raise ConfigError(f"ranking cutoffs must be >= 1, got {list(ks)}")
@@ -169,8 +168,7 @@ def evaluate_rankings(score_rows, users, relevant: Adjacency,
         recall={k: float(np.mean(v)) if n else 0.0 for k, v in recall.items()},
         ndcg={k: float(np.mean(v)) if n else 0.0 for k, v in ndcg.items()},
         num_users_evaluated=n,
-        per_user=(None if user_train_count is None
-                  else (user_train_count[users], recall, ndcg, ks)))
+        per_user=(user_train_count[users], recall, ndcg, ks))
 
 
 def sparsity_breakdown(train_counts: np.ndarray,

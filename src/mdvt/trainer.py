@@ -393,7 +393,8 @@ class TrainingRun:
         self.rng_shuffle = np.random.default_rng(streams[1])
         self.rng_negative = np.random.default_rng(streams[2])
         self.state = backbone.init_embeddings(
-            bundle.modalities, bundle.num_users, config.embed_dim, init_seed)
+            bundle.features, bundle.num_users, bundle.num_items,
+            config.embed_dim, init_seed)
         unknown = [m for m in _mask_for(self.state, config)
                    if m not in self.state.modalities]
         if unknown:
@@ -804,8 +805,7 @@ def state_from_tables(tables: dict[str, np.ndarray], bundle: DatasetBundle,
     of its modalities, and nothing else."""
     if missing := [m for m in mask or () if f"user.{m}" not in tables]:
         raise CheckpointError(f"checkpoint lacks masked modalities {missing}")
-    names = bundle.modalities.modalities
-    layout = {f"{role}.{m}": (rows, embed_dim) for m in names
+    layout = {f"{role}.{m}": (rows, embed_dim) for m in bundle.modalities
               for role, rows in (("user", bundle.num_users),
                                  ("item", bundle.num_items))}
     shapes = {key: table.shape for key, table in tables.items()}
@@ -821,5 +821,5 @@ def state_from_tables(tables: dict[str, np.ndarray], bundle: DatasetBundle,
             f"{sorted(wrong)}")
     return backbone.EmbeddingState(
         tables={m: np.vstack([tables[f"user.{m}"], tables[f"item.{m}"]])
-                for m in names},
+                for m in bundle.modalities},
         num_users=bundle.num_users, embed_dim=embed_dim)

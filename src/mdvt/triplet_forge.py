@@ -110,11 +110,8 @@ def _rerank(pool: Adjacency, values: np.ndarray, n: int) -> Adjacency:
     return Adjacency(cols.indptr, picked.ravel())
 
 
-def select(params: SelectionParams, sim: np.ndarray,
-           seen: Adjacency | None = None,
-           item_counts: np.ndarray | None = None,
-           users: np.ndarray | None = None,
-           collapsed: np.ndarray | None = None
+def select(params: SelectionParams, sim: np.ndarray, seen: Adjacency | None,
+           item_counts: np.ndarray, users: np.ndarray, collapsed: np.ndarray
            ) -> tuple[Adjacency, Adjacency]:
     """Virtual ``(positives, negatives)`` of a block of users: one CSR row
     per row of ``sim``, empty where a threshold admits nothing.
@@ -126,8 +123,6 @@ def select(params: SelectionParams, sim: np.ndarray,
     candidates. ``users`` names the rows in messages.
     """
     rows, num_items = sim.shape
-    users = np.arange(rows) if users is None else users
-    collapsed = np.zeros(rows, dtype=bool) if collapsed is None else collapsed
     free = np.full(rows, num_items) - (0 if seen is None else seen.row_lengths)
     tag = params.constructor
     if tag in THRESHOLD_TAGS:
@@ -167,9 +162,8 @@ def select(params: SelectionParams, sim: np.ndarray,
 
 
 def refresh(reps: Representations, params: SelectionParams, epoch: int,
-            trainable_users: list[int] | np.ndarray,
-            seen_items: Adjacency | None = None,
-            item_counts: np.ndarray | None = None) -> VirtualTripletSet:
+            trainable_users: list[int] | np.ndarray, seen_items: Adjacency,
+            item_counts: np.ndarray) -> VirtualTripletSet:
     """Rebuild the virtual-triplet set from the current fused
     representations, taking the users in ascending order.
 
@@ -179,14 +173,14 @@ def refresh(reps: Representations, params: SelectionParams, epoch: int,
     users = np.unique(np.asarray(trainable_users, dtype=np.int64))
     items = reps.fused_items
     item_norms = np.linalg.norm(items, axis=1)
-    exclude = seen_items is not None and not params.include_seen
     groups = []
     for start in range(0, len(users), BLOCK_ROWS):
         block = users[start:start + BLOCK_ROWS]
         sim, collapsed = cosine_rows(reps.fused_users[block], items,
                                      item_norms)
         groups.append(select(params, sim,
-                             seen_items.take(block) if exclude else None,
+                             None if params.include_seen
+                             else seen_items.take(block),
                              item_counts, block, collapsed))
     lengths = np.concatenate([np.zeros(0, dtype=np.int64)]
                              + [pos.row_lengths for pos, _ in groups])

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mdvt.dataset import (DatasetBundle, DatasetSplit, InteractionSet,
-                          ModalityBundle, build_graph)
+                          _bundle_stats, build_graph, pack_matrix)
 
 
 def make_set(records, num_users, num_items) -> InteractionSet:
@@ -22,6 +23,16 @@ def make_set(records, num_users, num_items) -> InteractionSet:
         user_ids=tuple(f"u{k}" for k in range(num_users)),
         item_ids=tuple(f"i{k}" for k in range(num_items)),
     )
+
+
+def write_raw_features(path, matrix, item_ids=None) -> None:
+    """A raw feature file as ``prepare`` reads it: one matrix record, and
+    with ``item_ids`` a sidecar ``<path>.ids`` naming each row's raw item
+    id, one per line."""
+    Path(path).write_bytes(pack_matrix(matrix))
+    if item_ids is not None:
+        Path(f"{path}.ids").write_bytes(
+            "".join(f"{raw}\n" for raw in item_ids).encode("utf-8"))
 
 
 def pairs_of(part: InteractionSet) -> list[tuple[int, int]]:
@@ -72,26 +83,12 @@ def make_bundle(rng, num_users=6, num_items=8, extra_edges=6,
         split_seed=0,
     )
     features = {}
-    names = ["id"]
     if with_features:
         features["visual"] = rng.normal(size=(num_items, feature_dim)) \
             .astype(np.float32)
-        names.append("visual")
-    modalities = ModalityBundle(tuple(names), features, num_items=num_items)
-    return DatasetBundle(
-        split=split,
-        graph=build_graph(train),
-        modalities=modalities,
-        stats={
-            "num_users": num_users,
-            "num_items": num_items,
-            "num_interactions": (len(train_records) + len(val_records)
-                                 + len(test_records)),
-            "sparsity": 1.0 - (len(train_records) + len(val_records)
-                               + len(test_records)) / (num_users * num_items),
-            "split_seed": 0,
-        },
-    )
+    return DatasetBundle(split=split, graph=build_graph(train),
+                         features=features,
+                         stats=_bundle_stats(split, features, 0))
 
 
 @pytest.fixture

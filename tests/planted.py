@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import make_set
-from mdvt.dataset import (DatasetBundle, DatasetSplit, ModalityBundle,
+from mdvt.dataset import (DatasetBundle, DatasetSplit, _bundle_stats,
                           build_graph)
 
 
@@ -25,9 +25,10 @@ def planted_bundle(seed: int, num_users: int = 200, num_items: int = 100,
     item_group = np.repeat(np.arange(num_groups), items_per_group)
     centroids = rng.normal(size=(num_groups, feature_dim))
     centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
-    features = (centroids[item_group]
-                + noise * rng.normal(size=(num_items, feature_dim))
-                ).astype(np.float32)
+    features = {"visual": (
+        centroids[item_group]
+        + noise * rng.normal(size=(num_items, feature_dim))
+    ).astype(np.float32)}
 
     user_group = np.arange(num_users) % num_groups
     train, val, test = [], [], []
@@ -46,18 +47,6 @@ def planted_bundle(seed: int, num_users: int = 200, num_items: int = 100,
                          validation=make_set(val, num_users, num_items),
                          test=make_set(test, num_users, num_items),
                          split_seed=seed)
-    modalities = ModalityBundle(("id", "visual"), {"visual": features},
-                                num_items=num_items)
-    n_total = len(train) + len(val) + len(test)
-    return DatasetBundle(
-        split=split,
-        graph=build_graph(split.train),
-        modalities=modalities,
-        stats={
-            "num_users": num_users,
-            "num_items": num_items,
-            "num_interactions": n_total,
-            "sparsity": 1.0 - n_total / (num_users * num_items),
-            "split_seed": seed,
-        },
-    )
+    return DatasetBundle(split=split, graph=build_graph(split.train),
+                         features=features,
+                         stats=_bundle_stats(split, features, 0))

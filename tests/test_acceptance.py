@@ -10,13 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_bundle
+from conftest import make_bundle, write_raw_features
 from gradtools import finite_difference, max_relative_error, total_loss
 from planted import planted_bundle
 from test_objective import make_instance
 from mdvt import objective
 from mdvt.cli import main
-from mdvt.dataset import write_modality_features
 from mdvt.evaluator import evaluate_rankings
 from mdvt.trainer import (RunConfig, evaluate_split, run_strategy_search,
                           train_run)
@@ -30,7 +29,8 @@ from test_evaluator import brute_ndcg, brute_recall
 
 def select_row(params, values, item_counts=None):
     """The production selection of one similarity row."""
-    pos, neg = select(params, values[None, :], item_counts=item_counts)
+    pos, neg = select(params, values[None, :], None, item_counts,
+                      np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool))
     return pos[0], neg[0]
 
 
@@ -38,7 +38,8 @@ def metrics_of(scores, relevant, k):
     """Production Recall@k and NDCG@k of one user with nothing masked."""
     report = evaluate_rankings(lambda block: scores[None, :], [0],
                                adjacency_of({0: relevant}, 1),
-                               adjacency_of({}, 1), (k,))
+                               adjacency_of({}, 1), (k,),
+                               np.zeros(1, dtype=np.int64))
     return report.recall[k], report.ndcg[k]
 
 
@@ -296,9 +297,8 @@ def test_criterion_8_determinism(tmp_path):
             lines.append(f"u{u}\ti{i}\n")
     inter.write_text("".join(lines), encoding="utf-8")
     feat = tmp_path / "visual.feat"
-    write_modality_features(feat,
-                            rng.normal(size=(12, 4)).astype(np.float32),
-                            item_ids=[f"i{k}" for k in range(12)])
+    write_raw_features(feat, rng.normal(size=(12, 4)).astype(np.float32),
+                       item_ids=[f"i{k}" for k in range(12)])
     bundle_dir = tmp_path / "bundle"
     assert main(["prepare", "--interactions", str(inter), "--feature",
                  f"visual={feat}", "--out", str(bundle_dir),

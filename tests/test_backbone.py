@@ -4,18 +4,9 @@ import pytest
 from conftest import covered_random_records, make_set
 from mdvt.backbone import (EmbeddingState, Propagator, forward_pass,
                            init_embeddings, score_matrix)
-from mdvt.dataset import ModalityBundle, build_graph
+from mdvt.dataset import build_graph
 from mdvt.errors import ConfigError, DataError
 from mdvt.trainer import RunConfig
-
-
-def id_bundle(num_items):
-    return ModalityBundle(("id",), {}, num_items=num_items)
-
-
-def feat_bundle(features):
-    return ModalityBundle(("id", "visual"), {"visual": features},
-                          num_items=features.shape[0])
 
 
 def state_of(tables, num_users):
@@ -45,20 +36,20 @@ def final_of(x0, prop, num_layers, readout_mode="sum", num_users=1):
 class TestInitEmbeddings:
     def test_same_seed_identical(self, rng):
         feats = rng.normal(size=(5, 3)).astype(np.float32)
-        a = init_embeddings(feat_bundle(feats), 4, 4, seed=9)
-        b = init_embeddings(feat_bundle(feats), 4, 4, seed=9)
+        a = init_embeddings({"visual": feats}, 4, len(feats), 4, seed=9)
+        b = init_embeddings({"visual": feats}, 4, len(feats), 4, seed=9)
         for (ka, ta), (kb, tb) in zip(a.param_items(), b.param_items()):
             assert ka == kb
             assert np.array_equal(ta, tb)
 
     def test_square_projection_is_identity(self, rng):
         feats = rng.normal(size=(5, 4)).astype(np.float32)
-        state = init_embeddings(feat_bundle(feats), 3, 4, seed=0)
+        state = init_embeddings({"visual": feats}, 3, len(feats), 4, seed=0)
         assert np.array_equal(state.item["visual"],
                               feats.astype(np.float64))
 
     def test_random_tables_within_range(self):
-        state = init_embeddings(id_bundle(7), 5, 16, seed=1)
+        state = init_embeddings({}, 5, 7, 16, seed=1)
         bound = 0.5 / np.sqrt(16)
         for _, table in state.param_items():
             assert np.all(table >= -bound)
@@ -66,15 +57,15 @@ class TestInitEmbeddings:
 
     def test_rectangular_projection_shape_and_determinism(self, rng):
         feats = rng.normal(size=(6, 10)).astype(np.float32)
-        a = init_embeddings(feat_bundle(feats), 4, 4, seed=2)
-        b = init_embeddings(feat_bundle(feats), 4, 4, seed=2)
+        a = init_embeddings({"visual": feats}, 4, len(feats), 4, seed=2)
+        b = init_embeddings({"visual": feats}, 4, len(feats), 4, seed=2)
         assert a.item["visual"].shape == (6, 4)
         assert np.array_equal(a.item["visual"], b.item["visual"])
 
     def test_zero_feature_columns_rejected(self):
         feats = np.zeros((4, 0), dtype=np.float32)
         with pytest.raises(DataError):
-            init_embeddings(feat_bundle(feats), 3, 4, seed=0)
+            init_embeddings({"visual": feats}, 3, len(feats), 4, seed=0)
 
 
 class TestPropagate:
@@ -253,7 +244,7 @@ class TestScores:
         records = covered_random_records(rng, 4, 6, 5)
         graph = build_graph(make_set(records, 4, 6))
         feats = rng.normal(size=(6, 3)).astype(np.float32)
-        state = init_embeddings(feat_bundle(feats), 4, 3, seed=4)
+        state = init_embeddings({"visual": feats}, 4, len(feats), 3, seed=4)
         reps = forward_pass(state, Propagator(graph), 2, ("id", "visual"))
         users = np.array([0, 2, 3])
         mat = score_matrix(reps, users)
@@ -271,7 +262,7 @@ class TestForwardPass:
     def test_l0_single_modality_identity(self, rng):
         records = covered_random_records(rng, 3, 4, 3)
         graph = build_graph(make_set(records, 3, 4))
-        state = init_embeddings(id_bundle(4), 3, 5, seed=7)
+        state = init_embeddings({}, 3, 4, 5, seed=7)
         reps = forward_pass(state, Propagator(graph), 0, ("id",))
         assert np.array_equal(reps.fused_users, state.user["id"])
         assert np.array_equal(reps.fused_items, state.item["id"])
@@ -283,7 +274,7 @@ class TestForwardPass:
         records = covered_random_records(rng, 3, 4, 3)
         prop = Propagator(build_graph(make_set(records, 3, 4)))
         feats = rng.normal(size=(4, 2)).astype(np.float32)
-        state = init_embeddings(feat_bundle(feats), 3, 2, seed=3)
+        state = init_embeddings({"visual": feats}, 3, len(feats), 2, seed=3)
         reps = forward_pass(state, prop, 2, ("id", "visual"), readout_mode)
         for m, table in state.tables.items():
             assert table.shape == (7, 2)
@@ -299,7 +290,7 @@ class TestForwardPass:
         records = covered_random_records(rng, 3, 4, 3)
         prop = Propagator(build_graph(make_set(records, 3, 4)))
         feats = rng.normal(size=(4, 2)).astype(np.float32)
-        state = init_embeddings(feat_bundle(feats), 3, 2, seed=3)
+        state = init_embeddings({"visual": feats}, 3, len(feats), 2, seed=3)
         rows = np.array([0, 2, 4])
         reps = forward_pass(state, prop, 1, ("id", "visual"), rows=rows)
         full = forward_pass(state, prop, 1, ("id", "visual"))

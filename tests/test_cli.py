@@ -10,10 +10,10 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import write_raw_features
 from mdvt import backbone, dataset, trainer
 from mdvt.cli import main
-from mdvt.dataset import (load_bundle, load_interactions, write_atomic,
-                          write_modality_features)
+from mdvt.dataset import load_bundle, load_interactions, write_atomic
 from mdvt.errors import DataError
 from mdvt.trainer import load_checkpoint, save_checkpoint, state_from_tables
 
@@ -40,10 +40,9 @@ def prepare_bundle(tmp_path, with_features=True, seed=7):
         rng = np.random.default_rng(1)
         feat_path = tmp_path / "visual.feat"
         item_ids = [f"item{i}" for i in range(num_items)]
-        write_modality_features(feat_path,
-                                rng.normal(size=(num_items, 4))
-                                .astype(np.float32),
-                                item_ids=item_ids)
+        write_raw_features(feat_path,
+                           rng.normal(size=(num_items, 4)).astype(np.float32),
+                           item_ids=item_ids)
         argv += ["--feature", f"visual={feat_path}"]
     assert main(argv) == 0
     return tmp_path / "bundle"
@@ -143,14 +142,14 @@ class TestPrepare:
             any(char in i for i in raw.item_ids)
         feat = tmp_path / "visual.feat"
         matrix = np.arange(raw.num_items * 2, dtype=np.float32).reshape(-1, 2)
-        write_modality_features(feat, matrix, item_ids=raw.item_ids[::-1])
+        write_raw_features(feat, matrix, item_ids=raw.item_ids[::-1])
         assert main(["prepare", "--interactions", str(inter),
                      "--feature", f"visual={feat}",
                      "--out", str(tmp_path / "bundle")]) == 0
         bundle = load_bundle(tmp_path / "bundle")
         assert bundle.split.train.user_ids == raw.user_ids
         assert bundle.split.train.item_ids == raw.item_ids
-        assert np.array_equal(bundle.modalities.features["visual"],
+        assert np.array_equal(bundle.features["visual"],
                               matrix[::-1])
         assert main(["train", "--bundle", str(tmp_path / "bundle"),
                      "--config", str(base_config(tmp_path)),
@@ -209,7 +208,7 @@ class TestPrepare:
         inter = tmp_path / "toy.tsv"
         num_items = write_interactions(inter)
         feat = tmp_path / "visual.feat"
-        write_modality_features(feat, matrix(num_items))
+        write_raw_features(feat, matrix(num_items))
         (tmp_path / "visual.feat.ids").write_bytes(sidecar)
         return main(["prepare", "--interactions", str(inter),
                      "--feature", f"visual={feat}",
@@ -232,8 +231,8 @@ class TestPrepare:
         num_items = write_interactions(inter)
         feat = tmp_path / "visual.feat"
         ids = [f"item{i}" for i in range(num_items)]
-        write_modality_features(feat, np.ones((num_items, 2), np.float32),
-                                item_ids=ids)
+        write_raw_features(feat, np.ones((num_items, 2), np.float32),
+                           item_ids=ids)
         capsys.readouterr()
         assert main(["prepare", "--interactions", str(inter),
                      "--feature", f"visual={feat}",
@@ -406,6 +405,33 @@ class TestTrain:
         after = {p.name: p.read_bytes() for p in tmp_path.glob("run.*")}
         assert after == before
         assert not list(tmp_path.glob(".run.*"))
+
+    @pytest.mark.parametrize("failing", ["mdvt.trainer.save_checkpoint",
+                                         "mdvt.cli.write_atomic"])
+    def test_failed_write_leaves_no_report_of_another_checkpoint(
+            self, tmp_path, monkeypatch, failing):
+        # A second train into one --out, whose checkpoint (or report)
+        # cannot be written: any report left there is that of the
+        # checkpoint beside it.
+        bundle = prepare_bundle(tmp_path)
+        out = tmp_path / "run.json"
+        argv = ["train", "--bundle", str(bundle), "--out", str(out),
+                "--config"]
+        assert main(argv + [str(base_config(tmp_path, lam=0.5))]) == 0
+
+        def full_disk(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(failing, full_disk)
+        assert main(argv + [str(base_config(tmp_path, lam=0.1))]) == 2
+        monkeypatch.undo()
+        config, _, _ = load_checkpoint(out.with_suffix(".ckpt"))
+        if failing.endswith("save_checkpoint"):  # the old pair stays
+            report = json.loads(out.read_text(encoding="utf-8"))
+            assert report["config"] == config.to_dict()
+            assert config.lam == 0.5
+        else:  # the new checkpoint, and no report
+            assert config.lam == 0.1 and not out.exists()
 
     def test_off_grid_lambda_warns_but_runs(self, tmp_path):
         bundle = prepare_bundle(tmp_path)
@@ -1010,6 +1036,48 @@ class TestMalformedFiles:
         capsys.readouterr()
         assert self.train(tmp_path, bundle) == 2
         assert "stats.json" in single_error_line(capsys)
+
+    def test_stats_json_disagreeing_with_files_exit_2(self, tmp_path,
+                                                      capsys):
+        # Before stats.json was checked against the files, this bundle
+        # trained and its report said num_interactions 1.
+        bundle = prepare_bundle(tmp_path)
+        assert self.train(tmp_path, bundle) == 0
+        path = bundle / "stats.json"
+        stats = json.loads(path.read_text(encoding="utf-8"))
+        stats["num_interactions"] = 1
+        stats["modalities"]["visual"] = 99
+        path.write_text(json.dumps(stats, sort_keys=True, indent=2) + "\n",
+                        encoding="utf-8")
+        for argv in (["train", "--config", str(base_config(tmp_path)),
+                      "--out", str(tmp_path / "again.json")],
+                     ["eval", "--checkpoint", str(tmp_path / "run.ckpt")]):
+            capsys.readouterr()
+            assert main(argv + ["--bundle", str(bundle)]) == 2
+            line = single_error_line(capsys)
+            assert "stats.json" in line
+            assert "modalities, num_interactions" in line
+
+    # Edits that equal the true value in Python but not in JSON form, an
+    # added key and a missing one.
+    @pytest.mark.parametrize("key, edit", [
+        ("num_users", float), ("cold_users", bool),
+        ("note", lambda _: None), ("split_sizes", None)])
+    def test_stats_json_value_out_of_form_exit_2(self, tmp_path, capsys,
+                                                 key, edit):
+        bundle = prepare_bundle(tmp_path)
+        path = bundle / "stats.json"
+        stats = json.loads(path.read_text(encoding="utf-8"))
+        if edit is None:
+            del stats[key]
+        else:
+            stats[key] = edit(stats.get(key))
+        path.write_text(json.dumps(stats, sort_keys=True, indent=2) + "\n",
+                        encoding="utf-8")
+        capsys.readouterr()
+        assert self.train(tmp_path, bundle) == 2
+        assert single_error_line(capsys).endswith(
+            f"stats.json: disagrees with the bundle files on {key}")
 
     @pytest.mark.parametrize("name", ["users.txt", "items.txt"])
     def test_id_table_split_by_carriage_return_exit_2(self, tmp_path, capsys,

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import make_set, pairs_of
+from conftest import make_set, pairs_of, write_raw_features
 from mdvt.dataset import (FEATURE_MAGIC, build_graph, load_interactions,
                           load_modality_features, make_batches,
-                          sample_negatives, split_dataset,
-                          write_modality_features)
-from mdvt.errors import ConfigError, DataError
+                          sample_negatives, split_dataset)
+from mdvt.errors import DataError
 
 
 def write_lines(tmp_path, lines, name="inter.tsv"):
@@ -278,7 +277,8 @@ class TestSampleNegative:
         train = make_set(records, nu, ni)
         rng = np.random.default_rng(4)
         got = [b.neg_items.tolist()
-               for b in make_batches(train, build_graph(train), 50, rng)]
+               for b in make_batches(train, build_graph(train), 50, rng,
+                                     rng)]
         ref = np.random.default_rng(4)
         users = train.users[ref.permutation(len(train))]
         want = [scalar_negatives(users[k:k + 50], records, ni, ref)
@@ -292,7 +292,7 @@ class TestMakeBatches:
         train = make_set([(k % 3, k) for k in range(5)], 3, 5)
         graph = build_graph(train)
         rng = np.random.default_rng(1)
-        sizes = [len(b) for b in make_batches(train, graph, 2, rng)]
+        sizes = [len(b) for b in make_batches(train, graph, 2, rng, rng)]
         assert sizes == [2, 2, 1]
 
     def test_single_full_batch(self):
@@ -300,7 +300,7 @@ class TestMakeBatches:
         train = make_set(records, 64, 40)
         graph = build_graph(train)
         rng = np.random.default_rng(2)
-        batches = list(make_batches(train, graph, 2048, rng))
+        batches = list(make_batches(train, graph, 2048, rng, rng))
         assert len(batches) == 1
 
     def test_deterministic_order(self):
@@ -322,59 +322,59 @@ class TestMakeBatches:
         train = make_set(records, 5, 7)
         graph = build_graph(train)
         seen = []
-        for batch in make_batches(train, graph, 4, np.random.default_rng(8)):
+        rng = np.random.default_rng(8)
+        for batch in make_batches(train, graph, 4, rng, rng):
             seen.extend(zip(batch.users.tolist(), batch.pos_items.tolist()))
         assert sorted(seen) == records
 
-    def test_bad_batch_size(self):
-        train = make_set([(0, 0)], 1, 1)
-        graph = build_graph(train)
-        with pytest.raises(ConfigError):
-            list(make_batches(train, graph, 0, np.random.default_rng(0)))
+
+def item_index(num_items):
+    """The raw-id map of ``make_set``'s items."""
+    return {f"i{k}": k for k in range(num_items)}
 
 
 class TestFeatures:
     def test_round_trip_bit_exact(self, tmp_path):
         mat = np.array([[1.5, -2.25], [0.125, 3.0]], dtype=np.float32)
         path = tmp_path / "visual.feat"
-        write_modality_features(path, mat)
-        got = load_modality_features(path, "visual", 2)
+        write_raw_features(path, mat)
+        got = load_modality_features(path, "visual", 2, item_index(2))
         assert got.dtype == np.float32
         assert np.array_equal(got, mat)
 
     def test_row_count_mismatch(self, tmp_path):
         mat = np.zeros((3, 2), dtype=np.float32)
         path = tmp_path / "v.feat"
-        write_modality_features(path, mat)
+        write_raw_features(path, mat)
         with pytest.raises(DataError, match="3 feature rows"):
-            load_modality_features(path, "v", 4)
+            load_modality_features(path, "v", 4, item_index(4))
 
     def test_nan_names_cell(self, tmp_path):
         mat = np.array([[1.0, np.nan], [2.0, 3.0]], dtype=np.float32)
         path = tmp_path / "v.feat"
-        write_modality_features(path, mat)
+        write_raw_features(path, mat)
         with pytest.raises(DataError, match=r"\(0, 1\)"):
-            load_modality_features(path, "v", 2)
+            load_modality_features(path, "v", 2, item_index(2))
 
     def test_magic_mismatch(self, tmp_path):
         path = tmp_path / "v.feat"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 8)
         with pytest.raises(DataError, match="magic"):
-            load_modality_features(path, "v", 1)
+            load_modality_features(path, "v", 1, item_index(1))
 
     def test_truncated_body(self, tmp_path):
         mat = np.zeros((2, 2), dtype=np.float32)
         path = tmp_path / "v.feat"
-        write_modality_features(path, mat)
+        write_raw_features(path, mat)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(DataError, match="bytes"):
-            load_modality_features(path, "v", 2)
+            load_modality_features(path, "v", 2, item_index(2))
 
     def test_sidecar_remap(self, tmp_path):
         # File rows ordered y, x; dense order is x=0, y=1.
         mat = np.array([[10.0, 0.0], [20.0, 0.0]], dtype=np.float32)
         path = tmp_path / "v.feat"
-        write_modality_features(path, mat, item_ids=["y", "x"])
+        write_raw_features(path, mat, item_ids=["y", "x"])
         got = load_modality_features(path, "v", 2,
                                      item_index={"x": 0, "y": 1})
         assert got[0, 0] == 20.0

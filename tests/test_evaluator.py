@@ -230,6 +230,8 @@ class TestMetricOracle:
 
 
 class TestEvaluateRankings:
+    counts = np.ones(3, dtype=np.int64)  # each user's train count
+
     def scores(self, chunk):
         table = np.array([
             [0.9, 0.8, 0.1, 0.0],
@@ -242,25 +244,26 @@ class TestEvaluateRankings:
         relevant = adjacency_of({0: {0}, 1: {3}}, 3)
         masked = adjacency_of({}, 3)
         report = evaluate_rankings(self.scores, [0, 1], relevant, masked,
-                                   (1, 2))
+                                   (1, 2), self.counts)
         assert report.num_users_evaluated == 2
         assert report.recall[1] == pytest.approx(1.0)
 
     def test_masking_changes_ranking(self):
         relevant = adjacency_of({0: {1}}, 3)
         report = evaluate_rankings(self.scores, [0], relevant,
-                                   adjacency_of({0: {0}}, 3), (1,))
+                                   adjacency_of({0: {0}}, 3), (1,),
+                                   self.counts)
         assert report.recall[1] == pytest.approx(1.0)
 
     def test_cutoff_below_one_rejected(self):
         with pytest.raises(ConfigError, match="cutoffs"):
             evaluate_rankings(self.scores, [0], adjacency_of({0: {0}}, 3),
-                              adjacency_of({}, 3), (0, 10))
+                              adjacency_of({}, 3), (0, 10), self.counts)
 
     def test_users_without_relevant_skipped(self):
         report = evaluate_rankings(self.scores, [0, 2],
                                    adjacency_of({0: {0}, 2: set()}, 3),
-                                   adjacency_of({}, 3), (1,))
+                                   adjacency_of({}, 3), (1,), self.counts)
         assert report.num_users_evaluated == 1
 
     def test_global_equals_weighted_bucket_mean(self, rng):

@@ -16,11 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import make_bundle, pairs_of
+from conftest import make_bundle, pairs_of, write_raw_features
 from mdvt import dataset
 from mdvt.dataset import (InteractionSet, load_bundle, load_interactions,
-                          load_modality_features, save_bundle,
-                          write_modality_features)
+                          load_modality_features, save_bundle)
 from mdvt.errors import CheckpointError, DataError, MdvtError
 from mdvt.trainer import (RunConfig, load_checkpoint, save_checkpoint,
                           state_from_tables)
@@ -179,7 +178,7 @@ class TestFeatureFiles:
                                   magic, sidecar, junk):
         path = tmp_path / "v.feat"
         mat = np.array(values[:rows * cols], dtype=np.float32)
-        write_modality_features(path, mat.reshape(rows, cols))
+        write_raw_features(path, mat.reshape(rows, cols))
         blob = path.read_bytes()
         blob = (blob if magic else b"NOTMAGIC" + blob[8:])[:len(blob) - cut]
         path.write_bytes(blob)
@@ -218,7 +217,7 @@ def saved_bundle(tmp_path_factory):
     for checkpoints."""
     root = tmp_path_factory.mktemp("fuzz") / "bundle"
     bundle = make_bundle(np.random.default_rng(3))
-    save_bundle(root, bundle.split, bundle.modalities)
+    save_bundle(root, bundle.split, bundle.features)
     return root, bundle
 
 
@@ -263,7 +262,8 @@ class TestCheckpointBytes:
         _, bundle = saved_bundle
         config = RunConfig(embed_dim=4)
         path = tmp_path / "run.ckpt"
-        state = init_embeddings(bundle.modalities, bundle.num_users, 4, 0)
+        state = init_embeddings(bundle.features, bundle.num_users,
+                                bundle.num_items, 4, 0)
         save_checkpoint(path, state, config, "f" * 64)
         blob = bytearray(path.read_bytes())
         # Bytes around each table's name and header, inside its values, or

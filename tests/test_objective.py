@@ -9,7 +9,7 @@ from gradtools import (as_float64, batch_losses, finite_difference,
                        max_relative_error, total_loss)
 from mdvt import objective
 from mdvt.backbone import Propagator, forward_pass, init_embeddings
-from mdvt.dataset import ModalityBundle, TripletBatch, build_graph
+from mdvt.dataset import TripletBatch, build_graph
 from mdvt.errors import ConfigError, MdvtError
 from mdvt.objective import (OptimizerState, adam_step, backward,
                             batch_vertices, softplus)
@@ -50,9 +50,8 @@ def make_instance(rng, num_users=4, num_items=8, d=3, layers=1,
     train = make_set(records, num_users, num_items)
     graph = build_graph(train)
     feats = rng.normal(size=(num_items, d + 1)).astype(np.float32)
-    bundle = ModalityBundle(("id", "visual"), {"visual": feats},
-                            num_items=num_items)
-    state = init_embeddings(bundle, num_users, d, seed=int(rng.integers(1e6)))
+    state = init_embeddings({"visual": feats}, num_users, num_items, d,
+                            seed=int(rng.integers(1e6)))
     if float64:
         state = as_float64(state)
     prop = Propagator(graph)
@@ -69,7 +68,8 @@ def make_instance(rng, num_users=4, num_items=8, d=3, layers=1,
                             neg_items=neg.astype(np.int64))
     trainable = np.flatnonzero(train.adjacency.row_lengths)
     virtual = refresh(reps, SelectionParams(constructor="topn", n=n),
-                      0, trainable, seen_items=train.adjacency)
+                      0, trainable, seen_items=train.adjacency,
+                      item_counts=graph.degrees[num_users:])
     return state, prop, graph, reps, triplets, virtual
 
 
@@ -337,8 +337,7 @@ class TestGradientCheck:
 
 class TestAdam:
     def make_state(self, rng):
-        bundle = ModalityBundle(("id",), {}, num_items=3)
-        return init_embeddings(bundle, 2, 2, seed=int(rng.integers(1e6)))
+        return init_embeddings({}, 2, 3, 2, seed=int(rng.integers(1e6)))
 
     def zero_grads(self, state):
         return {m: np.zeros_like(t) for m, t in state.tables.items()}
@@ -365,8 +364,7 @@ class TestAdam:
         seed = int(rng.integers(1e6))
         results = []
         for _ in range(2):
-            bundle = ModalityBundle(("id",), {}, num_items=3)
-            state = init_embeddings(bundle, 2, 2, seed=seed)
+            state = init_embeddings({}, 2, 3, 2, seed=seed)
             opt = OptimizerState.for_state(state, learning_rate=0.01)
             grads = self.zero_grads(state)
             grads["id"][state.num_users:] = -0.3
@@ -389,10 +387,8 @@ class TestAdam:
     def test_non_finite_gradient_moves_nothing(self, rng, modality, row):
         # Every gradient is checked before any table or moment moves; an
         # item row (-1) names the item table.
-        bundle = ModalityBundle(("id", "visual"),
-                                {"visual": rng.normal(size=(3, 2))},
-                                num_items=3)
-        state = init_embeddings(bundle, 2, 2, seed=int(rng.integers(1e6)))
+        state = init_embeddings({"visual": rng.normal(size=(3, 2))}, 2, 3, 2,
+                                seed=int(rng.integers(1e6)))
         opt = OptimizerState.for_state(state, learning_rate=0.01)
         grads = {m: np.full_like(t, 0.5) for m, t in state.tables.items()}
         adam_step(state, opt, grads)
@@ -419,12 +415,11 @@ class TestAdam:
         if block is not None:
             monkeypatch.setattr(objective, "ROW_BLOCK", block)
         assert (num_users + num_items) % objective.ROW_BLOCK
-        bundle = ModalityBundle(
-            ("id", "visual"), {"visual": rng.normal(size=(num_items, 3))},
-            num_items=num_items)
+        features = {"visual": rng.normal(size=(num_items, 3))}
         runs = []
         for _ in range(2):
-            state = init_embeddings(bundle, num_users, 3, seed=21)
+            state = init_embeddings(features, num_users, num_items, 3,
+                                    seed=21)
             runs.append((state, OptimizerState.for_state(
                 state, learning_rate=0.01, weight_decay=weight_decay)))
         for _ in range(4):
@@ -444,10 +439,8 @@ class TestAdam:
         # The check covers every block of every table before the first
         # block moves.
         monkeypatch.setattr(objective, "ROW_BLOCK", 3)
-        bundle = ModalityBundle(("id", "visual"),
-                                {"visual": rng.normal(size=(5, 2))},
-                                num_items=5)
-        state = init_embeddings(bundle, 3, 2, seed=4)
+        state = init_embeddings({"visual": rng.normal(size=(5, 2))}, 3, 5, 2,
+                                seed=4)
         opt = OptimizerState.for_state(state, learning_rate=0.01)
         grads = {m: np.full_like(t, 0.5) for m, t in state.tables.items()}
         adam_step(state, opt, grads)
@@ -480,9 +473,8 @@ class TestOptionSwitches:
         train = make_set(records, 4, 8)
         graph = build_graph(train)
         feats = rng.normal(size=(8, 4)).astype(np.float32)
-        bundle = ModalityBundle(("id", "visual"), {"visual": feats},
-                                num_items=8)
-        state = as_float64(init_embeddings(bundle, 4, 3, seed=5))
+        state = as_float64(init_embeddings({"visual": feats}, 4, 8, 3,
+                                           seed=5))
         prop = P(graph, norm="sym")
         reps = forward_pass(state, prop, 2, ("id", "visual"), "mean")
         users = np.array([0, 1, 2])
@@ -494,7 +486,8 @@ class TestOptionSwitches:
         batch = TripletBatch(users=users, pos_items=pos, neg_items=neg)
         trainable = np.flatnonzero(train.adjacency.row_lengths)
         virtual = refresh(reps, SelectionParams(constructor="topn", n=2),
-                          0, trainable, seen_items=train.adjacency)
+                          0, trainable, seen_items=train.adjacency,
+                          item_counts=graph.degrees[4:])
         options = dict(num_layers=2, mask=("id", "visual"),
                        readout_mode="mean", lam=0.3,
                        wo_aggr=False, wo_scale=False,
@@ -542,8 +535,7 @@ class TestOptionSwitches:
         assert max_relative_error(analytic, numeric) <= 1e-4
 
     def test_weight_decay_shrinks_parameters(self, rng):
-        bundle = ModalityBundle(("id",), {}, num_items=3)
-        state = init_embeddings(bundle, 2, 2, seed=8)
+        state = init_embeddings({}, 2, 3, 2, seed=8)
         opt = OptimizerState.for_state(state, learning_rate=0.01,
                                        weight_decay=0.1)
         grads = {m: np.zeros_like(t) for m, t in state.tables.items()}
@@ -630,11 +622,9 @@ class TestScatterOracle:
             bounded_records(rng, num_users, num_items, 6), num_users,
             num_items))
         prop = Propagator(graph, norm)
-        bundle = ModalityBundle(
-            ("id", "visual"),
-            {"visual": rng.normal(size=(num_items, 5)).astype(np.float32)},
-            num_items=num_items)
-        state = init_embeddings(bundle, num_users, 4, seed=3)
+        features = {
+            "visual": rng.normal(size=(num_items, 5)).astype(np.float32)}
+        state = init_embeddings(features, num_users, num_items, 4, seed=3)
         cases = 0
         for (layers, mask), tables in itertools.product(
                 ((0, ("id", "visual")), (1, ("visual",)),
@@ -708,11 +698,9 @@ class TestLocalStep:
             bounded_records(rng, num_users, num_items, num_items - 2),
             num_users, num_items))
         prop = Propagator(graph, norm)
-        bundle = ModalityBundle(
-            ("id", "visual"),
-            {"visual": rng.normal(size=(num_items, 4)).astype(np.float32)},
-            num_items=num_items)
-        state = init_embeddings(bundle, num_users, 3,
+        features = {
+            "visual": rng.normal(size=(num_items, 4)).astype(np.float32)}
+        state = init_embeddings(features, num_users, num_items, 3,
                                 seed=int(rng.integers(1e6)))
         if float64:
             state = as_float64(state)

@@ -54,6 +54,11 @@ class TestRunConfig:
         assert "lam" in message
         assert "norm" in message
 
+    def test_batch_size_below_one_rejected(self):
+        # make_batches trusts the config's batch size.
+        with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+            quick_config(batch_size=0)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="lmabda"):
             RunConfig.from_dict({"lmabda": 0.2})
@@ -177,7 +182,8 @@ class TestFloat32:
         seen = bundle.split.train.adjacency
         virtual = triplet_forge.refresh(
             full, config.selection_params(), 1,
-            np.flatnonzero(seen.row_lengths), seen_items=seen)
+            np.flatnonzero(seen.row_lengths), seen_items=seen,
+            item_counts=bundle.graph.degrees[bundle.num_users:])
         batch = next(make_batches(bundle.split.train, bundle.graph, 8, rng,
                                   rng))
         rows = objective.batch_vertices(batch, virtual, state.num_users,

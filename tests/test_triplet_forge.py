@@ -3,7 +3,7 @@ import pytest
 
 from conftest import covered_random_records, make_set
 from mdvt.backbone import Propagator, forward_pass, init_embeddings
-from mdvt.dataset import ModalityBundle, build_graph
+from mdvt.dataset import build_graph
 from mdvt.errors import ConfigError, SelectionError, TrainingCollapseError
 from mdvt.triplet_forge import SelectionParams, cosine_rows, refresh, select
 from oracles import (adjacency_of, cosine_row, groups_of, refresh_oracle,
@@ -261,11 +261,15 @@ def small_reps(rng, num_users=5, num_items=12):
     train = make_set(records, num_users, num_items)
     graph = build_graph(train)
     feats = rng.normal(size=(num_items, 3)).astype(np.float32)
-    bundle = ModalityBundle(("id", "visual"), {"visual": feats},
-                            num_items=num_items)
-    state = init_embeddings(bundle, num_users, 3, seed=21)
+    state = init_embeddings({"visual": feats}, num_users, num_items, 3,
+                            seed=21)
     reps = forward_pass(state, Propagator(graph), 1, ("id", "visual"))
     return reps, train
+
+
+def popularity(train):
+    """Every item's train degree."""
+    return np.bincount(train.items, minlength=train.num_items)
 
 
 class TestRefresh:
@@ -274,8 +278,8 @@ class TestRefresh:
         params = SelectionParams(constructor="topn", n=2)
         users = np.unique(train.users).tolist()
         seen = train.adjacency
-        a = refresh(reps, params, 3, users, seen_items=seen)
-        b = refresh(reps, params, 3, users, seen_items=seen)
+        a = refresh(reps, params, 3, users, seen, popularity(train))
+        b = refresh(reps, params, 3, users, seen, popularity(train))
         assert groups_of(a) == groups_of(b)
         assert a.built_at_epoch == 3
 
@@ -284,7 +288,7 @@ class TestRefresh:
         params = SelectionParams(constructor="topn", n=2)
         users = np.unique(train.users).tolist()
         seen = train.adjacency
-        vset = refresh(reps, params, 0, users, seen_items=seen)
+        vset = refresh(reps, params, 0, users, seen, popularity(train))
         for u, (pos, _) in groups_of(vset).items():
             assert not set(pos) & set(seen[u].tolist())
 
@@ -294,9 +298,9 @@ class TestRefresh:
         seen = train.adjacency
         include = refresh(reps, SelectionParams(constructor="topn", n=2,
                                                 include_seen=True),
-                          0, users, seen_items=seen)
+                          0, users, seen, popularity(train))
         exclude = refresh(reps, SelectionParams(constructor="topn", n=2),
-                          0, users, seen_items=seen)
+                          0, users, seen, popularity(train))
         with_seen, without = groups_of(include), groups_of(exclude)
         assert any(with_seen[u][0] != without[u][0] for u in with_seen)
 
@@ -348,13 +352,15 @@ class TestSelectBlock:
                                    replace=False).tolist())
                  for r in range(rows)}, rows)
             pop = rng.integers(0, 5, size=cols)
+            users, collapsed = np.arange(rows), np.zeros(rows, dtype=bool)
             error = per_user_error(params, sim, excluded, pop)
             if error is not None:
                 with pytest.raises(SelectionError) as caught:
-                    select(params, sim, excluded, pop)
+                    select(params, sim, excluded, pop, users, collapsed)
                 assert str(caught.value) == error
                 continue
-            pos, neg = select(params, sim, excluded, pop)
+            pos, neg = select(params, sim, excluded, pop, users,
+                              collapsed)
             want = per_user_groups(params, sim, excluded, pop)
             for r in range(rows):
                 assert (pos[r].tolist(), neg[r].tolist()) == want[r]
@@ -411,5 +417,5 @@ class TestRefreshOracle:
         with pytest.raises(kind) as want:
             refresh_oracle(reps, params, users, seen_items=seen)
         with pytest.raises(kind) as got:
-            refresh(reps, params, 0, users, seen_items=seen)
+            refresh(reps, params, 0, users, seen, popularity(train))
         assert str(got.value) == str(want.value)
