@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from .dataset import InteractionGraph, gather_rows
-from .errors import DataError
+
+if TYPE_CHECKING:
+    from .trainer import RunConfig
 
 NORM_MODES = ("dual", "sym")
 READOUT_MODES = ("sum", "mean")
@@ -92,8 +95,6 @@ def init_embeddings(features: dict[str, np.ndarray], num_users: int,
             continue
         feats = features[m].astype(np.float64)
         f_m = feats.shape[1]
-        if f_m < 1:
-            raise DataError(f"modality {m!r} has {f_m} feature columns")
         if f_m == embed_dim:
             item[:] = feats
         else:
@@ -183,18 +184,19 @@ class Representations:
         return self._whole(self.fused)[self.num_users:]
 
 
-def forward_pass(state: EmbeddingState, prop: Propagator, num_layers: int,
-                 mask: tuple[str, ...], readout_mode: str = "sum",
+def forward_pass(state: EmbeddingState, prop: Propagator, config: RunConfig,
                  rows: np.ndarray | None = None) -> Representations:
     """Propagate every modality table, read out the layer sum (or mean)
-    and fuse the ``mask`` modalities by element-wise mean. The arguments
-    are unchecked: ``RunConfig`` and ``TrainingRun`` guarantee them.
+    and fuse the modalities of ``config.modality_mask`` (default all) by
+    element-wise mean.
 
     With ``rows`` (ascending vertex ids) the result is compact: layers
     ``1..L-1`` still run on the whole table, the last one propagates only
     ``rows``, and every sum adds the same terms in the same order as the
     full pass, so each row equals the full pass's bit for bit.
     """
+    num_layers = config.num_layers
+    mask = config.modality_mask or state.modalities
     block = index = None
     if rows is not None:
         block = prop.block(rows)
@@ -216,7 +218,7 @@ def forward_pass(state: EmbeddingState, prop: Propagator, num_layers: int,
                 out += layer[rows]
             if num_layers:
                 out += block @ layer
-        if readout_mode == "mean":
+        if config.readout == "mean":
             out /= num_layers + 1
         finals[m] = out
     fused = finals[mask[0]].copy()
@@ -229,9 +231,9 @@ def forward_pass(state: EmbeddingState, prop: Propagator, num_layers: int,
 
 
 def score_matrix(reps: Representations, users: np.ndarray,
-                 mode: str = "per_modality") -> np.ndarray:
+                 config: RunConfig) -> np.ndarray:
     """Scores of several users against all items, one row per user."""
-    if mode == "fused":
+    if config.score_mode == "fused":
         return reps.fused_users[users] @ reps.fused_items.T
     first, *rest = reps.finals
     out = reps.users(first)[users] @ reps.items(first).T

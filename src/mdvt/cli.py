@@ -79,8 +79,6 @@ def _read_json(path: str, what: str):
     """Parse a JSON input file; ConfigError naming the file if it is
     missing, unreadable (a directory, say), not UTF-8 or not JSON."""
     file = Path(path)
-    if not file.exists():
-        raise ConfigError(f"{what} file not found: {file}")
     try:
         return json.loads(file.read_text(encoding="utf-8"))
     except OSError as exc:

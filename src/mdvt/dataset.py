@@ -215,8 +215,6 @@ def load_interactions(path: str | Path) -> InteractionSet:
     stripped of surrounding whitespace.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"interactions file not found: {path}")
     data = _read_bytes(path)
     text = _decode(path, data).replace("\r\n", "\n").replace("\r", "\n")
     if (_is_pair_lines(data) and not data.startswith(b"#")
@@ -427,8 +425,6 @@ def load_modality_features(path: str | Path, modality: str, num_items: int,
     sidecar that is not UTF-8 or names an unknown or repeated item.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"feature file not found: {path}")
     sidecar = Path(str(path) + ".ids")
     if not sidecar.exists():
         return _read_features(path, _read_bytes(path), modality, num_items)

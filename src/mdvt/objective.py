@@ -13,6 +13,7 @@ operator used forward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +23,9 @@ from .backbone import Propagator, Representations
 from .dataset import TripletBatch
 from .errors import MdvtError
 from .triplet_forge import VirtualTripletSet
+
+if TYPE_CHECKING:
+    from .trainer import RunConfig
 
 # Rows per block of the row-blocked passes (Adam, and the local step's
 # row add): 512 rows of 64 float32 columns are 128 KiB per array, so a
@@ -44,17 +48,6 @@ class LossReport:
     l_bpr: float
     l_vbpr: float | None
     l_total: float
-
-
-def _loss_weights(lam: float, joint: bool, wo_scale: bool
-                  ) -> tuple[float, float]:
-    """``(w_bpr, w_v)`` of ``l_total = w_bpr * l_bpr + w_v * l_vbpr``:
-    (1-lambda, lambda) in a joint batch, (1, lambda) with the align-scale
-    ablated (``wo_scale``), (1, 0) in warm-up. ``RunConfig`` guarantees
-    lambda in [0, 1]."""
-    if not joint:
-        return 1.0, 0.0
-    return (1.0 if wo_scale else 1.0 - lam), lam
 
 
 def _virtual_rows(users: np.ndarray, virtual: VirtualTripletSet,
@@ -163,11 +156,7 @@ def _selection(targets: np.ndarray, like: np.ndarray) -> sp.csr_matrix:
 
 
 def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
-             reps: Representations, prop: Propagator, *,
-             lam: float, num_layers: int,
-             wo_aggr: bool = False, wo_scale: bool = False,
-             score_mode: str = "per_modality", readout_mode: str = "sum",
-             per_distinct_user: bool = False):
+             reps: Representations, prop: Propagator, config: RunConfig):
     """Batch losses and gradients w.r.t. every embedding table; a batch
     with a ``virtual`` set is joint, one with None is warm-up.
 
@@ -178,11 +167,16 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
     nonzero. Each scatter is one selection-CSR product (``_selection``).
     d(-log sigmoid(g))/dg = -(1 - sigmoid(g)).
 
+    ``l_total = w_bpr * l_bpr + w_v * l_vbpr`` with ``(w_bpr, w_v)``
+    (1-lambda, lambda) in a joint batch, (1, lambda) with the align-scale
+    ablated (``wo_scale``), and (1, 0) in warm-up.
+
     ``reps`` may be compact (``forward_pass(..., rows=batch_vertices(...))``):
     the scatters then fill its rows only, and ``_spread`` fans them out to
     the whole table, giving the full pass's gradients bit for bit.
     """
-    w_bpr, w_v = _loss_weights(lam, virtual is not None, wo_scale)
+    w_v = config.lam if virtual is not None else 0.0
+    w_bpr = 1.0 if config.wo_scale else 1.0 - w_v
     num_users, size = reps.num_users, len(batch)
     users = reps.locate(batch.users)
     pos = reps.locate(batch.pos_items + num_users)
@@ -192,7 +186,7 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
     # steps each, in batch order: c*(f[pos]-f[neg]) into the users, c*f[u]
     # into pos, -c*f[u] into neg. Filled in place: fresh pages cost more
     # than the arithmetic.
-    scored = (reps.finals if score_mode == "per_modality"
+    scored = (reps.finals if config.score_mode == "per_modality"
               else {None: reps.fused})
     bpr_steps = {}
     gaps = np.zeros(size, dtype=reps.fused.dtype)
@@ -217,10 +211,11 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
     fused = [(bpr_targets, bpr_steps.pop(None))] if None in bpr_steps else []
     l_vbpr = None
     if virtual is not None:
-        rows, weight = _virtual_rows(batch.users, virtual, per_distinct_user)
+        rows, weight = _virtual_rows(batch.users, virtual,
+                                     config.per_distinct_user)
         if rows.size:
             l_vbpr, *scatter = _virtual_loss(rows, weight, virtual, reps,
-                                             w_v, wo_aggr)
+                                             w_v, config.wo_aggr)
             if w_v != 0.0:
                 fused.append(scatter)
 
@@ -245,13 +240,13 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
                 acc += share
         if reps.rows is None:
             layer = acc
-            for _ in range(num_layers):
+            for _ in range(config.num_layers):
                 layer = prop.apply(layer)
                 acc += layer
         else:
-            acc = _spread(acc, reps, prop, num_layers)
-        if readout_mode == "mean":
-            acc /= num_layers + 1
+            acc = _spread(acc, reps, prop, config.num_layers)
+        if config.readout == "mean":
+            acc /= config.num_layers + 1
         grads[m] = acc
     return report, grads
 

@@ -205,16 +205,6 @@ class RunConfig:
         canon = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
-    def selection_params(self) -> triplet_forge.SelectionParams:
-        return triplet_forge.SelectionParams(
-            constructor=self.constructor,
-            n=self.top_n,
-            threshold=self.sim_threshold,
-            n_floor=self.n_floor,
-            n_cap=self.n_cap,
-            include_seen=self.include_seen,
-        )
-
     @property
     def mdvt_active(self) -> bool:
         # lam == 0 zeroes the virtual loss exactly, so the whole virtual
@@ -297,12 +287,10 @@ def evaluate_split(state: backbone.EmbeddingState, bundle: DatasetBundle,
     else:
         raise ConfigError(f"unknown evaluation split {which!r}")
     reps = backbone.forward_pass(state, propagator(bundle, config.norm),
-                                 config.num_layers, _mask_for(state, config),
-                                 config.readout)
-    trained = split.train.adjacency.row_lengths > 0
-    users = np.flatnonzero(trained & (relevant.row_lengths > 0))
+                                 config)
+    users = np.flatnonzero(split.train.adjacency.row_lengths)
     return evaluator.evaluate_rankings(
-        lambda block: backbone.score_matrix(reps, block, config.score_mode),
+        lambda block: backbone.score_matrix(reps, block, config),
         users, relevant, masked, config.eval_ks if ks is None else ks,
         bundle.graph.degrees[:bundle.num_users])
 
@@ -312,11 +300,6 @@ def propagator(bundle: DatasetBundle, norm: str) -> backbone.Propagator:
     if norm not in bundle.propagators:
         bundle.propagators[norm] = backbone.Propagator(bundle.graph, norm)
     return bundle.propagators[norm]
-
-
-def _mask_for(state: backbone.EmbeddingState,
-              config: RunConfig) -> tuple[str, ...]:
-    return config.modality_mask or state.modalities
 
 
 # Propagation work (operator entries times embed_dim) above which a batch
@@ -335,7 +318,6 @@ def train_epoch(state: backbone.EmbeddingState,
                 rng_negative: np.random.Generator) -> objective.LossReport:
     """One pass over the shuffled train triplets; virtual is None during
     warm-up. Both the local and the full step give the same bits."""
-    mask = _mask_for(state, config)
     local = prop.matrix.nnz * state.embed_dim > LOCAL_STEP_MIN_WORK
     sums = {"l_bpr": 0.0, "l_total": 0.0}
     vbpr_sum, vbpr_batches, n_batches = 0.0, 0, 0
@@ -344,14 +326,8 @@ def train_epoch(state: backbone.EmbeddingState,
         rows = (objective.batch_vertices(batch, virtual, state.num_users,
                                          prop.matrix.shape[0])
                 if local else None)
-        reps = backbone.forward_pass(state, prop, config.num_layers, mask,
-                                     config.readout, rows)
-        report, grads = objective.backward(
-            batch, virtual, reps, prop,
-            lam=config.lam, num_layers=config.num_layers,
-            wo_aggr=config.wo_aggr, wo_scale=config.wo_scale,
-            score_mode=config.score_mode, readout_mode=config.readout,
-            per_distinct_user=config.per_distinct_user)
+        reps = backbone.forward_pass(state, prop, config, rows)
+        report, grads = objective.backward(batch, virtual, reps, prop, config)
         if not np.isfinite(report.l_total):
             raise MdvtError(
                 f"non-finite loss at epoch {epoch}, batch {n_batches}: "
@@ -395,7 +371,7 @@ class TrainingRun:
         self.state = backbone.init_embeddings(
             bundle.features, bundle.num_users, bundle.num_items,
             config.embed_dim, init_seed)
-        unknown = [m for m in _mask_for(self.state, config)
+        unknown = [m for m in config.modality_mask or ()
                    if m not in self.state.modalities]
         if unknown:
             raise ConfigError(
@@ -424,13 +400,10 @@ class TrainingRun:
         if self.trigger is not None and epoch >= self.trigger:
             if history.trigger_epoch is None:
                 history.trigger_epoch = epoch
-            reps = backbone.forward_pass(
-                self.state, self.prop, config.num_layers,
-                _mask_for(self.state, config), config.readout)
+            reps = backbone.forward_pass(self.state, self.prop, config)
             seen = self.bundle.split.train.adjacency
             virtual = triplet_forge.refresh(
-                reps, config.selection_params(), epoch,
-                np.flatnonzero(seen.row_lengths), seen_items=seen,
+                reps, config, seen, np.flatnonzero(seen.row_lengths),
                 item_counts=self.bundle.graph.degrees[self.bundle.num_users:])
         report = train_epoch(self.state, self.opt, self.prop, self.bundle,
                              config, epoch, virtual, self.rng_shuffle,

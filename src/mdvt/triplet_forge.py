@@ -17,6 +17,7 @@ block, then ``evaluator.top_k`` for each group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .backbone import Representations
 from .dataset import Adjacency
 from .errors import SelectionError, TrainingCollapseError
 from .evaluator import BLOCK_ROWS, top_k
+
+if TYPE_CHECKING:
+    from .trainer import RunConfig
 
 CONSTRUCTOR_TAGS = ("topn", "threshold", "threshold_topn", "interval",
                     "freq_f1", "freq_f2")
@@ -41,7 +45,6 @@ class VirtualTripletSet:
     users: np.ndarray
     positives: Adjacency
     negatives: Adjacency
-    built_at_epoch: int
 
     def __post_init__(self) -> None:
         pos, neg = self.positives, self.negatives
@@ -74,19 +77,6 @@ def cosine_rows(user_vecs: np.ndarray, item_matrix: np.ndarray,
     return dots, u_norms[:, 0] == 0.0
 
 
-@dataclass
-class SelectionParams:
-    """Which selector to run and its knobs, as ``RunConfig.selection_params``
-    takes them from a checked config."""
-
-    constructor: str = "topn"
-    n: int = 2
-    threshold: float | None = None
-    n_floor: int | None = None
-    n_cap: int | None = None
-    include_seen: bool = False
-
-
 def _raise_first(users: np.ndarray, collapsed: np.ndarray,
                  short: np.ndarray, message) -> None:
     """Raise the error a one-user-at-a-time loop meets first: a collapsed
@@ -110,11 +100,13 @@ def _rerank(pool: Adjacency, values: np.ndarray, n: int) -> Adjacency:
     return Adjacency(cols.indptr, picked.ravel())
 
 
-def select(params: SelectionParams, sim: np.ndarray, seen: Adjacency | None,
+def select(config: RunConfig, sim: np.ndarray, seen: Adjacency | None,
            item_counts: np.ndarray, users: np.ndarray, collapsed: np.ndarray
            ) -> tuple[Adjacency, Adjacency]:
-    """Virtual ``(positives, negatives)`` of a block of users: one CSR row
-    per row of ``sim``, empty where a threshold admits nothing.
+    """Virtual ``(positives, negatives)`` of a block of users by
+    ``config.constructor`` and its settings (``top_n``, ``sim_threshold``,
+    ``n_floor``, ``n_cap``): one CSR row per row of ``sim``, empty where a
+    threshold admits nothing.
 
     ``seen`` holds each row's excluded positive candidates, and
     ``item_counts`` every item's train degree, which the frequency
@@ -124,19 +116,19 @@ def select(params: SelectionParams, sim: np.ndarray, seen: Adjacency | None,
     """
     rows, num_items = sim.shape
     free = np.full(rows, num_items) - (0 if seen is None else seen.row_lengths)
-    tag = params.constructor
+    tag, n = config.constructor, config.top_n
     if tag in THRESHOLD_TAGS:
-        above = sim >= params.threshold
+        above = sim >= config.sim_threshold
         if seen is not None:
             above[seen.entry_rows, seen.indices] = False
         lengths = above.sum(axis=1)
         if tag == "threshold_topn":
-            lengths = np.minimum(lengths, params.n)
+            lengths = np.minimum(lengths, n)
         elif tag == "interval":
-            cap = params.n_cap if params.n_cap is not None else params.n
+            cap = config.n_cap if config.n_cap is not None else n
             lengths = np.minimum(lengths, cap)
-            lengths = np.where(lengths < params.n_floor,
-                               np.minimum(params.n_floor, free), lengths)
+            lengths = np.where(lengths < config.n_floor,
+                               np.minimum(config.n_floor, free), lengths)
         _raise_first(users, collapsed, num_items - lengths < lengths,
                      lambda r: f"need {lengths[r]} negative candidates, "
                                f"only {num_items - lengths[r]} left")
@@ -144,7 +136,6 @@ def select(params: SelectionParams, sim: np.ndarray, seen: Adjacency | None,
         positives = top_k(sim, depth, seen).head(lengths)
         return positives, top_k(-sim, depth, positives).head(lengths)
 
-    n = params.n
     what = f"top-{n}" if tag == "topn" else "frequency"
     _raise_first(users, collapsed, free < 2 * n,
                  lambda r: f"{what} selection needs at least {2 * n} "
@@ -161,14 +152,14 @@ def select(params: SelectionParams, sim: np.ndarray, seen: Adjacency | None,
     return positives, _rerank(top_k(-sim, 2 * n, positives), -item_counts, n)
 
 
-def refresh(reps: Representations, params: SelectionParams, epoch: int,
-            trainable_users: list[int] | np.ndarray, seen_items: Adjacency,
-            item_counts: np.ndarray) -> VirtualTripletSet:
+def refresh(reps: Representations, config: RunConfig, seen_items: Adjacency,
+            trainable_users: list[int] | np.ndarray, item_counts: np.ndarray
+            ) -> VirtualTripletSet:
     """Rebuild the virtual-triplet set from the current fused
-    representations, taking the users in ascending order.
+    representations, taking the users in ascending order, with ``select``.
 
     ``seen_items[u]`` (a row of the train CSR) lists the items excluded
-    from user ``u``'s positives unless ``include_seen`` is set.
+    from user ``u``'s positives unless ``config.include_seen`` is set.
     """
     users = np.unique(np.asarray(trainable_users, dtype=np.int64))
     items = reps.fused_items
@@ -178,8 +169,8 @@ def refresh(reps: Representations, params: SelectionParams, epoch: int,
         block = users[start:start + BLOCK_ROWS]
         sim, collapsed = cosine_rows(reps.fused_users[block], items,
                                      item_norms)
-        groups.append(select(params, sim,
-                             None if params.include_seen
+        groups.append(select(config, sim,
+                             None if config.include_seen
                              else seen_items.take(block),
                              item_counts, block, collapsed))
     lengths = np.concatenate([np.zeros(0, dtype=np.int64)]
@@ -190,5 +181,4 @@ def refresh(reps: Representations, params: SelectionParams, epoch: int,
         return Adjacency.from_lengths(lengths[covered], np.concatenate(
             [np.zeros(0, dtype=np.int64)] + [g[side].indices for g in groups]))
 
-    return VirtualTripletSet(users[covered], stacked(0), stacked(1),
-                             built_at_epoch=epoch)
+    return VirtualTripletSet(users[covered], stacked(0), stacked(1))

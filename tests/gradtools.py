@@ -9,6 +9,7 @@ to cover.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -24,37 +25,23 @@ def as_float64(state: backbone.EmbeddingState) -> backbone.EmbeddingState:
         m: t.astype(np.float64) for m, t in state.tables.items()})
 
 
-def batch_losses(batch, virtual, reps, *, lam, wo_aggr=False,
-                 wo_scale=False, score_mode="per_modality",
-                 per_distinct_user=False) -> objective.LossReport:
+def batch_losses(batch, virtual, reps, config) -> objective.LossReport:
     """The loss values of ``objective.backward``, whose gradients are
     dropped; with zero layers it never applies the propagator."""
-    report, _ = objective.backward(
-        batch, virtual, reps, prop=None, lam=lam, num_layers=0,
-        wo_aggr=wo_aggr, wo_scale=wo_scale, score_mode=score_mode,
-        per_distinct_user=per_distinct_user)
+    report, _ = objective.backward(batch, virtual, reps, None,
+                                   _without_layers(config))
     return report
 
 
-def total_loss(state, prop, batch, virtual, *, num_layers, mask,
-               readout_mode, lam, wo_aggr, wo_scale, score_mode,
-               per_distinct_user=False):
-    reps = backbone.forward_pass(state, prop, num_layers, mask, readout_mode)
-    report = batch_losses(
-        batch, virtual, reps, lam=lam, wo_aggr=wo_aggr,
-        wo_scale=wo_scale, score_mode=score_mode,
-        per_distinct_user=per_distinct_user)
-    return report.l_total
+@functools.lru_cache
+def _without_layers(config):
+    # Built once per config: finite differences evaluate thousands of losses.
+    return dataclasses.replace(config, num_layers=0)
 
 
-def loss_component(state, prop, batch, virtual, component, *, num_layers,
-                   mask, readout_mode, wo_aggr, score_mode):
-    """l_bpr or l_vbpr alone, for per-component gradient checks."""
-    reps = backbone.forward_pass(state, prop, num_layers, mask, readout_mode)
-    report = batch_losses(
-        batch, virtual, reps, lam=0.5, wo_aggr=wo_aggr,
-        score_mode=score_mode)
-    return report.l_bpr if component == "bpr" else report.l_vbpr
+def total_loss(state, prop, batch, virtual, config):
+    reps = backbone.forward_pass(state, prop, config)
+    return batch_losses(batch, virtual, reps, config).l_total
 
 
 def finite_difference(loss_fn, state, h=1e-4):

@@ -34,8 +34,9 @@ from mdvt.errors import (ConfigError, DataError, MdvtError, SelectionError,
                          TrainingCollapseError)
 from mdvt import objective, warmup
 from mdvt.objective import BETA1, BETA2, EPS, softplus
-from mdvt.trainer import CandidateResult, SearchResult, TrainingRun
-from mdvt.triplet_forge import SelectionParams, VirtualTripletSet
+from mdvt.trainer import (CandidateResult, RunConfig, SearchResult,
+                          TrainingRun)
+from mdvt.triplet_forge import VirtualTripletSet
 
 
 # --- text loaders, one line at a time --------------------------------------
@@ -53,8 +54,6 @@ def load_interactions_loop(path) -> tuple[list, tuple, tuple, int]:
     ``user<TAB>item`` file: each line stripped, blank and ``#`` lines
     skipped, ids numbered on first appearance, repeated pairs dropped."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"interactions file not found: {path}")
     _check_utf8(path)
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
@@ -117,8 +116,7 @@ def read_split_loop(path, num_users: int, num_items: int) -> list:
 
 # --- virtual sets as {user: (positives, negatives)} ------------------------
 
-def make_virtual(positives: dict, negatives: dict,
-                 epoch: int = 0) -> VirtualTripletSet:
+def make_virtual(positives: dict, negatives: dict) -> VirtualTripletSet:
     """A VirtualTripletSet from per-user group dicts."""
     users = np.array(sorted(positives), dtype=np.int64)
 
@@ -128,7 +126,7 @@ def make_virtual(positives: dict, negatives: dict,
             np.array([len(r) for r in rows], dtype=np.int64),
             np.concatenate([np.zeros(0, dtype=np.int64)] + rows))
 
-    return VirtualTripletSet(users, csr(positives), csr(negatives), epoch)
+    return VirtualTripletSet(users, csr(positives), csr(negatives))
 
 
 def adjacency_of(rows: dict, num_rows: int) -> Adjacency:
@@ -291,29 +289,29 @@ def select_frequency(values: np.ndarray, n: int,
     return positives, negatives
 
 
-def select_one(params: SelectionParams, row: np.ndarray,
+def select_one(config: RunConfig, row: np.ndarray,
                item_counts: np.ndarray | None,
                exclusion: Collection[int] | None
                ) -> tuple[np.ndarray, np.ndarray]:
-    """The per-user selector ``params`` names, applied to one row."""
-    tag = params.constructor
+    """The per-user selector ``config.constructor`` names, applied to one
+    row."""
+    tag, n, threshold = config.constructor, config.top_n, config.sim_threshold
     if tag == "topn":
-        return select_topn(row, params.n, exclusion)
+        return select_topn(row, n, exclusion)
     if tag == "threshold":
-        return select_threshold(row, params.threshold, exclusion=exclusion)
+        return select_threshold(row, threshold, exclusion=exclusion)
     if tag == "threshold_topn":
-        return select_threshold(row, params.threshold, cap=params.n,
-                                exclusion=exclusion)
+        return select_threshold(row, threshold, cap=n, exclusion=exclusion)
     if tag == "interval":
-        cap = params.n_cap if params.n_cap is not None else params.n
-        return select_threshold(row, params.threshold, cap=cap,
-                                floor=params.n_floor, exclusion=exclusion)
+        cap = config.n_cap if config.n_cap is not None else n
+        return select_threshold(row, threshold, cap=cap,
+                                floor=config.n_floor, exclusion=exclusion)
     if tag == "freq_f1":
-        return select_frequency(row, params.n, item_counts, "f1", exclusion)
-    return select_frequency(row, params.n, item_counts, "f2", exclusion)
+        return select_frequency(row, n, item_counts, "f1", exclusion)
+    return select_frequency(row, n, item_counts, "f2", exclusion)
 
 
-def refresh_oracle(reps, params: SelectionParams, trainable_users,
+def refresh_oracle(reps, config: RunConfig, trainable_users,
                    seen_items: Adjacency | None = None,
                    item_counts: np.ndarray | None = None
                    ) -> dict[int, tuple[list, list]]:
@@ -327,9 +325,9 @@ def refresh_oracle(reps, params: SelectionParams, trainable_users,
         row = cosine_row(reps.fused_users[u], fused_items, user=u,
                          item_norms=item_norms)
         exclusion = None
-        if not params.include_seen and seen_items is not None:
+        if not config.include_seen and seen_items is not None:
             exclusion = seen_items[u]
-        pos, neg = select_one(params, row, item_counts, exclusion)
+        pos, neg = select_one(config, row, item_counts, exclusion)
         if len(pos):
             out[u] = (pos.tolist(), neg.tolist())
     return out
@@ -516,14 +514,19 @@ def _virtual_loss_add_at(rows, weight, virtual, z, num_users, w_v, wo_aggr,
     return float(np.cumsum(terms)[-1] / total)
 
 
-def backward_add_at(batch, virtual, reps, prop, *, lam, num_layers,
-                    wo_aggr=False, wo_scale=False, score_mode="per_modality",
-                    readout_mode="sum", per_distinct_user=False):
+def backward_add_at(batch, virtual, reps, prop, config: RunConfig):
     """``objective.backward`` with every scatter an ``np.add.at`` into a
     zeroed array, three per modality for the real triplets: the
     reference its selection-CSR products must equal bit for bit.
     Returns ``(LossReport, {modality: (V, d) gradient})``."""
-    w_bpr, w_v = objective._loss_weights(lam, virtual is not None, wo_scale)
+    lam, wo_aggr, wo_scale = config.lam, config.wo_aggr, config.wo_scale
+    score_mode, num_layers = config.score_mode, config.num_layers
+    if virtual is None:
+        w_bpr, w_v = 1.0, 0.0
+    elif wo_scale:
+        w_bpr, w_v = 1.0, lam
+    else:
+        w_bpr, w_v = 1.0 - lam, lam
     num_users = reps.num_users
     batch_size = len(batch)
     users = batch.users
@@ -557,7 +560,7 @@ def backward_add_at(batch, virtual, reps, prop, *, lam, num_layers,
     l_vbpr = None
     if virtual is not None:
         rows, weight = objective._virtual_rows(users, virtual,
-                                               per_distinct_user)
+                                               config.per_distinct_user)
         if rows.size:
             l_vbpr = _virtual_loss_add_at(rows, weight, virtual, reps.fused,
                                           num_users, w_v, wo_aggr,
@@ -588,7 +591,7 @@ def backward_add_at(batch, virtual, reps, prop, *, lam, num_layers,
         for _ in range(num_layers):
             cur = prop.apply(cur)
             acc += cur
-        if readout_mode == "mean":
+        if config.readout == "mean":
             acc /= num_layers + 1
         grads[m] = acc
     return report, grads

@@ -19,7 +19,7 @@ from mdvt.cli import main
 from mdvt.evaluator import evaluate_rankings
 from mdvt.trainer import (RunConfig, evaluate_split, run_strategy_search,
                           train_run)
-from mdvt.triplet_forge import SelectionParams, select
+from mdvt.triplet_forge import select
 from mdvt.warmup import dynamic_trigger, hybrid_candidates
 from oracles import adjacency_of
 from test_triplet_forge import (oracle_frequency, oracle_threshold,
@@ -27,9 +27,9 @@ from test_triplet_forge import (oracle_frequency, oracle_threshold,
 from test_evaluator import brute_ndcg, brute_recall
 
 
-def select_row(params, values, item_counts=None):
+def select_row(config, values, item_counts=None):
     """The production selection of one similarity row."""
-    pos, neg = select(params, values[None, :], None, item_counts,
+    pos, neg = select(config, values[None, :], None, item_counts,
                       np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool))
     return pos[0], neg[0]
 
@@ -71,19 +71,15 @@ def test_criterion_1_gradient_suite():
                                          vset=virtual),
                     }
                     for name, case in cases.items():
-                        options = dict(num_layers=layers, mask=mask,
-                                       readout_mode="sum", lam=case["lam"],
-                                       wo_aggr=wo_aggr,
-                                       wo_scale=case["wo_scale"],
-                                       score_mode="per_modality")
+                        config = RunConfig(num_layers=layers,
+                                           modality_mask=mask,
+                                           lam=case["lam"], wo_aggr=wo_aggr,
+                                           wo_scale=case["wo_scale"])
                         _, analytic = objective.backward(
-                            batch, case["vset"], reps, prop,
-                            lam=case["lam"], num_layers=layers,
-                            wo_aggr=wo_aggr,
-                            wo_scale=case["wo_scale"])
+                            batch, case["vset"], reps, prop, config)
                         numeric = finite_difference(
                             lambda s: total_loss(s, prop, batch,
-                                                 case["vset"], **options),
+                                                 case["vset"], config),
                             state, h=1e-4)
                         err = max_relative_error(analytic, numeric)
                         worst[name] = max(worst[name], err)
@@ -114,7 +110,7 @@ def test_criterion_2_selection_oracle():
         n = int(rng.integers(1, max(2, num_items // 2)))
         if num_items < 2 * n:
             n = max(1, num_items // 2)
-        pos, neg = select_row(SelectionParams("topn", n=n), values)
+        pos, neg = select_row(RunConfig(top_n=n), values)
         opos, oneg = oracle_topn(values, n)
         mismatches += pos.tolist() != opos or neg.tolist() != oneg
         compared += 1
@@ -127,15 +123,16 @@ def test_criterion_2_selection_oracle():
         cap = int(rng.integers(1, 5)) if rng.random() < 0.5 else None
         floor = int(rng.integers(0, 3)) if rng.random() < 0.5 else None
         if floor is not None:  # a cap of num_items never truncates
-            params = SelectionParams("interval", n=cap or num_items,
-                                     threshold=threshold, n_floor=floor)
+            config = RunConfig(constructor="interval", top_n=cap or num_items,
+                               sim_threshold=threshold, n_floor=floor)
         elif cap is not None:
-            params = SelectionParams("threshold_topn", n=cap,
-                                     threshold=threshold)
+            config = RunConfig(constructor="threshold_topn", top_n=cap,
+                               sim_threshold=threshold)
         else:
-            params = SelectionParams("threshold", threshold=threshold)
+            config = RunConfig(constructor="threshold",
+                               sim_threshold=threshold)
         try:
-            pos, neg = select_row(params, values)
+            pos, neg = select_row(config, values)
         except SelectionError:
             # Guard regime: more than half the items qualify, so no
             # matching negative count exists. Draw a fresh row instead.
@@ -154,8 +151,8 @@ def test_criterion_2_selection_oracle():
         n = int(rng.integers(1, max(2, num_items // 3)))
         if num_items < 2 * n:
             continue
-        pos, neg = select_row(SelectionParams(f"freq_{mode}", n=n), values,
-                              counts)
+        pos, neg = select_row(RunConfig(constructor=f"freq_{mode}", top_n=n),
+                              values, counts)
         opos, oneg = oracle_frequency(values, n, counts, mode)
         mismatches += pos.tolist() != opos or neg.tolist() != oneg
         compared += 1
@@ -239,20 +236,20 @@ def test_criterion_6_ablation_identities():
     worst = 0.0
     for _ in range(10):
         state, prop, _, reps, batch, virtual = make_instance(rng, n=1)
-        default, _ = objective.backward(batch, virtual, reps, prop,
-                                        lam=0.25, num_layers=1)
-        ablated, _ = objective.backward(batch, virtual, reps, prop,
-                                        lam=0.25, num_layers=1,
-                                        wo_aggr=True)
+        config = RunConfig(lam=0.25, num_layers=1)
+        default, _ = objective.backward(batch, virtual, reps, prop, config)
+        ablated, _ = objective.backward(
+            batch, virtual, reps, prop,
+            dataclasses.replace(config, wo_aggr=True))
         worst = max(worst, abs(default.l_vbpr - ablated.l_vbpr),
                     abs(default.l_total - ablated.l_total))
     assert worst <= 1e-12
 
     for _ in range(10):
         state, prop, _, reps, batch, virtual = make_instance(rng, n=2)
-        report, _ = objective.backward(batch, virtual, reps, prop,
-                                       lam=0.3, num_layers=1,
-                                       wo_scale=True)
+        report, _ = objective.backward(
+            batch, virtual, reps, prop,
+            RunConfig(lam=0.3, num_layers=1, wo_scale=True))
         assert report.l_total == report.l_bpr + 0.3 * report.l_vbpr
     print(f"\nACCEPTANCE PASS [6] ablation identities: w/o-Aggr n=1 max "
           f"diff {worst:.1e} (<=1e-12); w/o-Scale formula exact")

@@ -5,7 +5,7 @@ from conftest import covered_random_records, make_set
 from mdvt.backbone import (EmbeddingState, Propagator, forward_pass,
                            init_embeddings, score_matrix)
 from mdvt.dataset import build_graph
-from mdvt.errors import ConfigError, DataError
+from mdvt.errors import ConfigError
 from mdvt.trainer import RunConfig
 
 
@@ -22,14 +22,14 @@ def make_reps(user_finals, item_finals, mask=None):
               for (m, u), i in zip(user_finals.items(),
                                    item_finals.values())}
     num_users = next(iter(user_finals.values())).shape[0]
-    return forward_pass(state_of(tables, num_users), None, 0,
-                        mask or tuple(tables))
+    return forward_pass(state_of(tables, num_users), None,
+                        RunConfig(num_layers=0, modality_mask=mask))
 
 
 def final_of(x0, prop, num_layers, readout_mode="sum", num_users=1):
     """The final representation of one id table ``x0`` (users first)."""
-    reps = forward_pass(state_of({"id": x0}, num_users), prop, num_layers,
-                        ("id",), readout_mode)
+    reps = forward_pass(state_of({"id": x0}, num_users), prop,
+                        RunConfig(num_layers=num_layers, readout=readout_mode))
     return reps.finals["id"]
 
 
@@ -61,11 +61,6 @@ class TestInitEmbeddings:
         b = init_embeddings({"visual": feats}, 4, len(feats), 4, seed=2)
         assert a.item["visual"].shape == (6, 4)
         assert np.array_equal(a.item["visual"], b.item["visual"])
-
-    def test_zero_feature_columns_rejected(self):
-        feats = np.zeros((4, 0), dtype=np.float32)
-        with pytest.raises(DataError):
-            init_embeddings({"visual": feats}, 3, len(feats), 4, seed=0)
 
 
 class TestPropagate:
@@ -195,7 +190,7 @@ class TestFuse:
 
 
 def user_scores(reps, user, mode="per_modality"):
-    return score_matrix(reps, np.array([user]), mode)[0]
+    return score_matrix(reps, np.array([user]), RunConfig(score_mode=mode))[0]
 
 
 class TestScores:
@@ -236,7 +231,7 @@ class TestScores:
         i = {m: rng.normal(size=(40, 8)).astype(np.float32) for m in "abc"}
         users = np.array([4, 0, 2])
         s0, s1, s2 = (u[m][users] @ i[m].T for m in "abc")
-        got = score_matrix(make_reps(u, i), users)
+        got = score_matrix(make_reps(u, i), users, RunConfig())
         assert got.dtype == np.float32
         assert np.array_equal(got, (s0 + s1) + s2)
 
@@ -245,10 +240,12 @@ class TestScores:
         graph = build_graph(make_set(records, 4, 6))
         feats = rng.normal(size=(6, 3)).astype(np.float32)
         state = init_embeddings({"visual": feats}, 4, len(feats), 3, seed=4)
-        reps = forward_pass(state, Propagator(graph), 2, ("id", "visual"))
+        reps = forward_pass(state, Propagator(graph),
+                            RunConfig(num_layers=2,
+                                      modality_mask=("id", "visual")))
         users = np.array([0, 2, 3])
-        mat = score_matrix(reps, users)
-        fused = score_matrix(reps, users, "fused")
+        mat = score_matrix(reps, users, RunConfig())
+        fused = score_matrix(reps, users, RunConfig(score_mode="fused"))
         for row, u in enumerate(users):
             for i in range(6):
                 pair = sum(float(reps.users(m)[u] @ reps.items(m)[i])
@@ -263,7 +260,8 @@ class TestForwardPass:
         records = covered_random_records(rng, 3, 4, 3)
         graph = build_graph(make_set(records, 3, 4))
         state = init_embeddings({}, 3, 4, 5, seed=7)
-        reps = forward_pass(state, Propagator(graph), 0, ("id",))
+        reps = forward_pass(state, Propagator(graph),
+                            RunConfig(num_layers=0, modality_mask=("id",)))
         assert np.array_equal(reps.fused_users, state.user["id"])
         assert np.array_equal(reps.fused_items, state.item["id"])
 
@@ -275,7 +273,9 @@ class TestForwardPass:
         prop = Propagator(build_graph(make_set(records, 3, 4)))
         feats = rng.normal(size=(4, 2)).astype(np.float32)
         state = init_embeddings({"visual": feats}, 3, len(feats), 2, seed=3)
-        reps = forward_pass(state, prop, 2, ("id", "visual"), readout_mode)
+        reps = forward_pass(state, prop,
+                            RunConfig(num_layers=2, readout=readout_mode,
+                                      modality_mask=("id", "visual")))
         for m, table in state.tables.items():
             assert table.shape == (7, 2)
             want = table + prop.apply(table)
@@ -292,14 +292,16 @@ class TestForwardPass:
         feats = rng.normal(size=(4, 2)).astype(np.float32)
         state = init_embeddings({"visual": feats}, 3, len(feats), 2, seed=3)
         rows = np.array([0, 2, 4])
-        reps = forward_pass(state, prop, 1, ("id", "visual"), rows=rows)
-        full = forward_pass(state, prop, 1, ("id", "visual"))
+        config = RunConfig(num_layers=1, modality_mask=("id", "visual"))
+        reps = forward_pass(state, prop, config, rows=rows)
+        full = forward_pass(state, prop, config)
         assert np.array_equal(reps.fused, full.fused[rows])
         assert np.array_equal(reps.locate(np.array([4, 0])), [2, 0])
         views = (lambda: reps.users("id"), lambda: reps.items("visual"),
                  lambda: reps.fused_users, lambda: reps.fused_items,
-                 lambda: score_matrix(reps, np.array([0])),
-                 lambda: score_matrix(reps, np.array([0]), "fused"))
+                 lambda: score_matrix(reps, np.array([0]), config),
+                 lambda: score_matrix(reps, np.array([0]),
+                                      RunConfig(score_mode="fused")))
         for view in views:
             with pytest.raises(ValueError, match="compact"):
                 view()

@@ -96,13 +96,15 @@ class TestPrepare:
         assert stats["num_users"] == 5
         assert stats["num_items"] == 2
 
-    def test_missing_feature_file_exit_2(self, tmp_path):
+    def test_missing_feature_file_exit_2(self, tmp_path, capsys):
         inter = tmp_path / "toy.tsv"
         write_interactions(inter)
+        missing = tmp_path / "none.feat"
         code = main(["prepare", "--interactions", str(inter),
-                     "--feature", "visual=/nonexistent.feat",
+                     "--feature", f"visual={missing}",
                      "--out", str(tmp_path / "b")])
         assert code == 2
+        assert str(missing) in single_error_line(capsys)
 
     def test_interrupted_rewrite_leaves_no_stats_json(self, tmp_path,
                                                       monkeypatch, capsys):
@@ -192,10 +194,11 @@ class TestPrepare:
         assert "seed" in single_error_line(capsys)
         assert not (tmp_path / "b").exists()
 
-    def test_missing_interactions_exit_2(self, tmp_path):
-        assert main(["prepare", "--interactions",
-                     str(tmp_path / "none.tsv"),
+    def test_missing_interactions_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "none.tsv"
+        assert main(["prepare", "--interactions", str(missing),
                      "--out", str(tmp_path / "b")]) == 2
+        assert str(missing) in single_error_line(capsys)
 
     def test_non_utf8_interactions_exit_2(self, tmp_path, capsys):
         inter = tmp_path / "x.tsv"
@@ -1158,6 +1161,13 @@ class TestArgErrors:
 
     def test_missing_required_flag_exit_1(self):
         assert main(["train", "--bundle", "x"]) == 1
+
+    def test_missing_config_exit_1(self, tmp_path, capsys):
+        missing = tmp_path / "none.json"
+        assert main(["train", "--bundle", str(tmp_path / "bundle"),
+                     "--config", str(missing),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert str(missing) in single_error_line(capsys)
 
 
 class TestSweepGrids:

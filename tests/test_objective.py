@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -14,7 +15,7 @@ from mdvt.errors import ConfigError, MdvtError
 from mdvt.objective import (OptimizerState, adam_step, backward,
                             batch_vertices, softplus)
 from mdvt.trainer import RunConfig
-from mdvt.triplet_forge import SelectionParams, refresh
+from mdvt.triplet_forge import refresh
 from oracles import (adam_step_whole_table, aggregate_virtual,
                      backward_add_at, bpr_loss, groups_of, make_virtual,
                      virtual_branch_oracle, virtual_bpr_loss)
@@ -55,7 +56,8 @@ def make_instance(rng, num_users=4, num_items=8, d=3, layers=1,
     if float64:
         state = as_float64(state)
     prop = Propagator(graph)
-    reps = forward_pass(state, prop, layers, mask)
+    config = RunConfig(num_layers=layers, modality_mask=mask, top_n=n)
+    reps = forward_pass(state, prop, config)
     users = rng.integers(num_users, size=batch)
     pos = np.array([graph.adjacency[u][rng.integers(len(graph.adjacency[u]))]
                     for u in users])
@@ -67,8 +69,7 @@ def make_instance(rng, num_users=4, num_items=8, d=3, layers=1,
                             pos_items=pos.astype(np.int64),
                             neg_items=neg.astype(np.int64))
     trainable = np.flatnonzero(train.adjacency.row_lengths)
-    virtual = refresh(reps, SelectionParams(constructor="topn", n=n),
-                      0, trainable, seen_items=train.adjacency,
+    virtual = refresh(reps, config, train.adjacency, trainable,
                       item_counts=graph.degrees[num_users:])
     return state, prop, graph, reps, triplets, virtual
 
@@ -172,7 +173,7 @@ class TestCombinedLoss:
     def losses(self, rng, warmup=False, **kv):
         state, prop, _, reps, batch, virtual = make_instance(rng)
         report, _ = backward(batch, None if warmup else virtual, reps, prop,
-                             num_layers=1, **kv)
+                             RunConfig(num_layers=1, **kv))
         return report
 
     def test_lambda_zero(self, rng):
@@ -204,31 +205,31 @@ class TestCombinedLoss:
 class TestBackwardValues:
     def test_warmup_total_equals_bpr(self, rng):
         state, prop, _, reps, batch, virtual = make_instance(rng)
-        report, _ = backward(batch, None, reps, prop, lam=0.2,
-                             num_layers=1)
+        report, _ = backward(batch, None, reps, prop,
+                             RunConfig(lam=0.2, num_layers=1))
         assert report.l_vbpr is None
         assert report.l_total == report.l_bpr
 
     def test_joint_weighting(self, rng):
         state, prop, _, reps, batch, virtual = make_instance(rng)
-        report, _ = backward(batch, virtual, reps, prop, lam=0.2,
-                             num_layers=1)
+        report, _ = backward(batch, virtual, reps, prop,
+                             RunConfig(lam=0.2, num_layers=1))
         assert report.l_vbpr is not None
         assert report.l_total == pytest.approx(
             0.8 * report.l_bpr + 0.2 * report.l_vbpr, abs=1e-12)
 
     def test_wo_scale_formula_exact(self, rng):
         state, prop, _, reps, batch, virtual = make_instance(rng)
-        report, _ = backward(batch, virtual, reps, prop, lam=0.3,
-                             num_layers=1, wo_scale=True)
+        report, _ = backward(batch, virtual, reps, prop,
+                             RunConfig(lam=0.3, num_layers=1, wo_scale=True))
         assert report.l_total == report.l_bpr + 0.3 * report.l_vbpr
 
     def test_wo_aggr_n1_identical_losses_and_grads(self, rng):
         state, prop, _, reps, batch, virtual = make_instance(rng, n=1)
-        base, gbase = backward(batch, virtual, reps, prop, lam=0.3,
-                               num_layers=1)
-        ablt, gablt = backward(batch, virtual, reps, prop, lam=0.3,
-                               num_layers=1, wo_aggr=True)
+        config = RunConfig(lam=0.3, num_layers=1)
+        base, gbase = backward(batch, virtual, reps, prop, config)
+        ablt, gablt = backward(batch, virtual, reps, prop,
+                               dataclasses.replace(config, wo_aggr=True))
         assert base.l_vbpr == pytest.approx(ablt.l_vbpr, abs=1e-12)
         assert base.l_total == pytest.approx(ablt.l_total, abs=1e-12)
         for m in gbase:
@@ -236,21 +237,21 @@ class TestBackwardValues:
 
     def test_lambda_zero_matches_pure_bpr_gradients(self, rng):
         state, prop, _, reps, batch, virtual = make_instance(rng)
-        _, g_joint = backward(batch, virtual, reps, prop, lam=0.0,
-                              num_layers=1)
-        _, g_warm = backward(batch, None, reps, prop, lam=0.0,
-                             num_layers=1)
+        config = RunConfig(lam=0.0, num_layers=1)
+        _, g_joint = backward(batch, virtual, reps, prop, config)
+        _, g_warm = backward(batch, None, reps, prop, config)
         for m in g_joint:
             assert np.array_equal(g_joint[m], g_warm[m])
 
     def test_gradient_touches_only_reachable_tables(self, rng):
         # L=0: gradients live exactly on the batch/virtual vertices.
         state, prop, _, _, _, _ = make_instance(rng)
-        reps = forward_pass(state, prop, 0, ("id", "visual"))
+        config = RunConfig(num_layers=0, modality_mask=("id", "visual"),
+                           lam=0.0)
+        reps = forward_pass(state, prop, config)
         batch = TripletBatch(users=np.array([0]), pos_items=np.array([1]),
                              neg_items=np.array([2]))
-        report, grads = backward(batch, None, reps, prop, lam=0.0,
-                                 num_layers=0)
+        report, grads = backward(batch, None, reps, prop, config)
         for m in grads:
             touched = np.flatnonzero(np.abs(grads[m]).sum(axis=1))
             # Vertex rows: user 0, items 1 and 2 after the state's users.
@@ -266,10 +267,9 @@ class TestBackwardValues:
 
     def test_batch_losses_matches_backward(self, rng):
         state, prop, _, reps, batch, virtual = make_instance(rng)
-        report, _ = backward(batch, virtual, reps, prop, lam=0.4,
-                             num_layers=1, wo_aggr=True)
-        light = batch_losses(batch, virtual, reps, lam=0.4,
-                             wo_aggr=True)
+        config = RunConfig(lam=0.4, num_layers=1, wo_aggr=True)
+        report, _ = backward(batch, virtual, reps, prop, config)
+        light = batch_losses(batch, virtual, reps, config)
         assert light.l_bpr == report.l_bpr
         assert light.l_vbpr == report.l_vbpr
         assert light.l_total == report.l_total
@@ -283,22 +283,18 @@ class TestGradientCheck:
             rng, layers=layers, mask=mask, float64=True,
             **{k: v for k, v in kv.items() if k in ("n", "d")})
         vset = virtual if kv.get("joint", True) else None
+        config = RunConfig(num_layers=layers, modality_mask=mask,
+                           lam=kv.get("lam", 0.3),
+                           wo_aggr=kv.get("wo_aggr", False),
+                           wo_scale=kv.get("wo_scale", False),
+                           score_mode=kv.get("score_mode", "per_modality"))
         if local:  # the batch-local step's compact pass
             rows = batch_vertices(batch, vset, state.num_users,
                                   prop.matrix.shape[0])
-            reps = forward_pass(state, prop, layers, mask, rows=rows)
-        options = dict(num_layers=layers, mask=mask, readout_mode="sum",
-                       lam=kv.get("lam", 0.3),
-                       wo_aggr=kv.get("wo_aggr", False),
-                       wo_scale=kv.get("wo_scale", False),
-                       score_mode=kv.get("score_mode", "per_modality"))
-        _, analytic = backward(batch, vset, reps, prop,
-                               lam=options["lam"],
-                               num_layers=layers, wo_aggr=options["wo_aggr"],
-                               wo_scale=options["wo_scale"],
-                               score_mode=options["score_mode"])
+            reps = forward_pass(state, prop, config, rows=rows)
+        _, analytic = backward(batch, vset, reps, prop, config)
         numeric = finite_difference(
-            lambda s: total_loss(s, prop, batch, vset, **options), state)
+            lambda s: total_loss(s, prop, batch, vset, config), state)
         return max_relative_error(analytic, numeric)
 
     def test_bpr_only(self, rng):
@@ -463,8 +459,9 @@ class TestOptionSwitches:
             standalone = virtual_bpr_loss(batch.users, virtual,
                                           reps.fused_users,
                                           reps.fused_items, wo_aggr=wo_aggr)
-            report, _ = backward(batch, virtual, reps, prop, lam=0.5,
-                                 num_layers=1, wo_aggr=wo_aggr)
+            report, _ = backward(batch, virtual, reps, prop,
+                                 RunConfig(lam=0.5, num_layers=1,
+                                           wo_aggr=wo_aggr))
             assert standalone == pytest.approx(report.l_vbpr, abs=1e-12)
 
     def test_gradcheck_sym_norm_and_mean_readout(self, rng):
@@ -476,7 +473,9 @@ class TestOptionSwitches:
         state = as_float64(init_embeddings({"visual": feats}, 4, 8, 3,
                                            seed=5))
         prop = P(graph, norm="sym")
-        reps = forward_pass(state, prop, 2, ("id", "visual"), "mean")
+        config = RunConfig(num_layers=2, modality_mask=("id", "visual"),
+                           readout="mean", lam=0.3)
+        reps = forward_pass(state, prop, config)
         users = np.array([0, 1, 2])
         pos = np.array([graph.adjacency[u][0] for u in users])
         neg = np.array([
@@ -485,18 +484,11 @@ class TestOptionSwitches:
             for u in users])
         batch = TripletBatch(users=users, pos_items=pos, neg_items=neg)
         trainable = np.flatnonzero(train.adjacency.row_lengths)
-        virtual = refresh(reps, SelectionParams(constructor="topn", n=2),
-                          0, trainable, seen_items=train.adjacency,
+        virtual = refresh(reps, config, train.adjacency, trainable,
                           item_counts=graph.degrees[4:])
-        options = dict(num_layers=2, mask=("id", "visual"),
-                       readout_mode="mean", lam=0.3,
-                       wo_aggr=False, wo_scale=False,
-                       score_mode="per_modality")
-        _, analytic = backward(batch, virtual, reps, prop, lam=0.3,
-                               num_layers=2,
-                               readout_mode="mean")
+        _, analytic = backward(batch, virtual, reps, prop, config)
         numeric = finite_difference(
-            lambda s: total_loss(s, prop, batch, virtual, **options), state)
+            lambda s: total_loss(s, prop, batch, virtual, config), state)
         assert max_relative_error(analytic, numeric) <= 1e-4
 
     def test_per_distinct_user_dedupes_entries(self, rng):
@@ -507,11 +499,11 @@ class TestOptionSwitches:
         batch = TripletBatch(users=users,
                              pos_items=np.zeros(4, dtype=np.int64),
                              neg_items=np.ones(4, dtype=np.int64))
-        default, _ = backward(batch, virtual, reps, prop, lam=1.0,
-                              num_layers=1)
-        deduped, _ = backward(batch, virtual, reps, prop, lam=1.0,
-                              num_layers=1,
-                              per_distinct_user=True)
+        config = RunConfig(lam=1.0, num_layers=1)
+        default, _ = backward(batch, virtual, reps, prop, config)
+        deduped, _ = backward(
+            batch, virtual, reps, prop,
+            dataclasses.replace(config, per_distinct_user=True))
         # User 0 appears three times: its term is weighted 3/4 in the
         # default mode but 1/2 when deduplicated.
         assert default.l_vbpr != pytest.approx(deduped.l_vbpr)
@@ -523,15 +515,11 @@ class TestOptionSwitches:
             [i for i in range(8)])) for _ in users], dtype=np.int64)
         batch = TripletBatch(users=users, pos_items=pos,
                              neg_items=(pos + 1) % 8)
-        options = dict(num_layers=1, mask=("id", "visual"),
-                       readout_mode="sum", lam=0.4,
-                       wo_aggr=False, wo_scale=False,
-                       score_mode="per_modality", per_distinct_user=True)
-        _, analytic = backward(batch, virtual, reps, prop, lam=0.4,
-                               num_layers=1,
-                               per_distinct_user=True)
+        config = RunConfig(num_layers=1, modality_mask=("id", "visual"),
+                           lam=0.4, per_distinct_user=True)
+        _, analytic = backward(batch, virtual, reps, prop, config)
         numeric = finite_difference(
-            lambda s: total_loss(s, prop, batch, virtual, **options), state)
+            lambda s: total_loss(s, prop, batch, virtual, config), state)
         assert max_relative_error(analytic, numeric) <= 1e-4
 
     def test_weight_decay_shrinks_parameters(self, rng):
@@ -556,20 +544,20 @@ class TestVirtualBranchOracle:
     @pytest.mark.parametrize("per_distinct_user", [False, True])
     def test_matches_per_user_loop(self, rng, max_group, wo_aggr,
                                    per_distinct_user):
+        config = RunConfig(num_layers=0, modality_mask=("id",), lam=1.0,
+                           wo_aggr=wo_aggr,
+                           per_distinct_user=per_distinct_user)
         for float64 in (False, True) * 5:
             state, prop, _, _, _, _ = make_instance(rng, num_users=7,
                                                     num_items=12,
                                                     float64=float64)
-            reps = forward_pass(state, prop, 0, ("id",))
+            reps = forward_pass(state, prop, config)
             virtual = random_virtual(rng, 7, 12, max_group)
             users = rng.integers(7, size=12)  # repeats and uncovered users
             batch = TripletBatch(users=users,
                                  pos_items=np.zeros(12, dtype=np.int64),
                                  neg_items=np.ones(12, dtype=np.int64))
-            report, grads = backward(batch, virtual, reps, prop, lam=1.0,
-                                     num_layers=0,
-                                     wo_aggr=wo_aggr,
-                                     per_distinct_user=per_distinct_user)
+            report, grads = backward(batch, virtual, reps, prop, config)
             want_loss, want_grad = virtual_branch_oracle(
                 users, virtual, reps.fused, reps.num_users, 1.0, wo_aggr,
                 per_distinct_user)
@@ -582,8 +570,8 @@ class TestVirtualBranchOracle:
     def test_uncovered_batch_has_no_virtual_loss(self, rng):
         state, prop, _, reps, batch, _ = make_instance(rng)
         virtual = make_virtual({99: [0]}, {99: [1]})
-        report, _ = backward(batch, virtual, reps, prop, lam=0.3,
-                             num_layers=1)
+        report, _ = backward(batch, virtual, reps, prop,
+                             RunConfig(lam=0.3, num_layers=1))
         assert report.l_vbpr is None
         assert report.l_total == 0.7 * report.l_bpr
 
@@ -594,16 +582,12 @@ class TestVirtualBranchOracle:
         state, prop, _, reps, batch, _ = make_instance(rng, num_items=10,
                                                        batch=8, float64=True)
         virtual = random_virtual(rng, 4, 10, 4)
-        options = dict(num_layers=1, mask=("id", "visual"),
-                       readout_mode="sum", lam=0.4,
-                       wo_aggr=wo_aggr, wo_scale=False,
-                       score_mode="per_modality",
-                       per_distinct_user=per_distinct_user)
-        _, analytic = backward(batch, virtual, reps, prop, lam=0.4,
-                               num_layers=1, wo_aggr=wo_aggr,
-                               per_distinct_user=per_distinct_user)
+        config = RunConfig(num_layers=1, modality_mask=("id", "visual"),
+                           lam=0.4, wo_aggr=wo_aggr,
+                           per_distinct_user=per_distinct_user)
+        _, analytic = backward(batch, virtual, reps, prop, config)
         numeric = finite_difference(
-            lambda s: total_loss(s, prop, batch, virtual, **options), state)
+            lambda s: total_loss(s, prop, batch, virtual, config), state)
         assert max_relative_error(analytic, numeric) <= 1e-4
 
 
@@ -630,7 +614,8 @@ class TestScatterOracle:
                 ((0, ("id", "visual")), (1, ("visual",)),
                  (2, ("id", "visual")), (1, ("id", "visual", "visual"))),
                 (state, as_float64(state))):
-            reps = forward_pass(tables, prop, layers, mask, readout_mode)
+            reps = forward_pass(tables, prop, RunConfig(
+                num_layers=layers, modality_mask=mask, readout=readout_mode))
             batch = TripletBatch(
                 users=rng.integers(num_users, size=20),
                 pos_items=rng.integers(num_items, size=20),
@@ -640,14 +625,14 @@ class TestScatterOracle:
                     itertools.product((None, virtual), (0.3, 1.0),
                                       (False, True), (False, True),
                                       (False, True))):
-                options = dict(
-                    lam=lam, num_layers=layers,
+                config = RunConfig(
+                    lam=lam, num_layers=layers, modality_mask=mask,
                     wo_aggr=wo_aggr, wo_scale=wo_scale,
-                    score_mode=score_mode, readout_mode=readout_mode,
+                    score_mode=score_mode, readout=readout_mode,
                     per_distinct_user=per_distinct_user)
-                got, grads = backward(batch, vset, reps, prop, **options)
+                got, grads = backward(batch, vset, reps, prop, config)
                 want, want_grads = backward_add_at(batch, vset, reps, prop,
-                                                   **options)
+                                                   config)
                 assert (got.l_bpr, got.l_vbpr, got.l_total) == (
                     want.l_bpr, want.l_vbpr, want.l_total)
                 assert grads.keys() == want_grads.keys()
@@ -661,8 +646,8 @@ class TestLossBounds:
     def test_losses_nonnegative_on_random_instances(self, rng):
         for _ in range(20):
             state, prop, _, reps, batch, virtual = make_instance(rng)
-            report, _ = backward(batch, virtual, reps, prop, lam=0.4,
-                                 num_layers=1)
+            report, _ = backward(batch, virtual, reps, prop,
+                                 RunConfig(lam=0.4, num_layers=1))
             assert report.l_bpr >= 0.0
             assert report.l_vbpr >= 0.0
 
@@ -720,18 +705,18 @@ class TestLocalStep:
                 want_rows.update(i + num_users for i in (*pos, *neg))
         assert rows.tolist() == sorted(want_rows)
 
-        full = forward_pass(state, prop, layers, mask, readout_mode)
-        local = forward_pass(state, prop, layers, mask, readout_mode, rows)
+        config = RunConfig(
+            num_layers=layers, modality_mask=mask, readout=readout_mode,
+            lam=lam, wo_aggr=wo_aggr, wo_scale=wo_scale,
+            score_mode=score_mode, per_distinct_user=per_distinct_user)
+        full = forward_pass(state, prop, config)
+        local = forward_pass(state, prop, config, rows)
         for m, f in full.finals.items():
             assert local.finals[m].tobytes() == f[rows].tobytes()
         assert local.fused.tobytes() == full.fused[rows].tobytes()
 
-        options = dict(lam=lam, num_layers=layers,
-                       wo_aggr=wo_aggr, wo_scale=wo_scale,
-                       score_mode=score_mode, readout_mode=readout_mode,
-                       per_distinct_user=per_distinct_user)
-        got, grads = backward(batch, virtual, local, prop, **options)
-        want, want_grads = backward(batch, virtual, full, prop, **options)
+        got, grads = backward(batch, virtual, local, prop, config)
+        want, want_grads = backward(batch, virtual, full, prop, config)
         assert (got.l_bpr, got.l_vbpr, got.l_total) == (
             want.l_bpr, want.l_vbpr, want.l_total)
         assert grads.keys() == want_grads.keys()

@@ -177,28 +177,26 @@ class TestFloat32:
         state, prop = run.state, run.prop
         arrays = [prop.matrix, *state.tables.values(), *run.opt.m.values(),
                   *run.opt.v.values(), *run.best_state.tables.values()]
-        mask = state.modalities
-        full = backbone.forward_pass(state, prop, 1, mask)
+        full = backbone.forward_pass(state, prop, config)
         seen = bundle.split.train.adjacency
         virtual = triplet_forge.refresh(
-            full, config.selection_params(), 1,
-            np.flatnonzero(seen.row_lengths), seen_items=seen,
+            full, config, seen, np.flatnonzero(seen.row_lengths),
             item_counts=bundle.graph.degrees[bundle.num_users:])
         batch = next(make_batches(bundle.split.train, bundle.graph, 8, rng,
                                   rng))
         rows = objective.batch_vertices(batch, virtual, state.num_users,
                                         bundle.graph.num_vertices)
-        for reps in (full, backbone.forward_pass(state, prop, 1, mask,
+        modes = [dataclasses.replace(config, score_mode=score_mode)
+                 for score_mode in backbone.SCORE_MODES]
+        for reps in (full, backbone.forward_pass(state, prop, config,
                                                  rows=rows)):
             arrays += [*reps.finals.values(), reps.fused]
-            for score_mode in backbone.SCORE_MODES:
-                _, grads = objective.backward(
-                    batch, virtual, reps, prop, lam=0.2,
-                    num_layers=1, score_mode=score_mode)
+            for mode in modes:
+                _, grads = objective.backward(batch, virtual, reps, prop,
+                                              mode)
                 arrays += grads.values()
-        for score_mode in backbone.SCORE_MODES:
-            arrays.append(backbone.score_matrix(full, np.arange(3),
-                                                score_mode))
+        for mode in modes:
+            arrays.append(backbone.score_matrix(full, np.arange(3), mode))
         path = tmp_path / "run.ckpt"
         save_checkpoint(path, run.best_state, config, "fp")
         arrays += load_checkpoint(path)[2].values()
@@ -519,12 +517,11 @@ class TestStateViews:
             for view in (state.user[m], state.item[m]):
                 assert np.shares_memory(view, state.tables[m])
                 assert not np.shares_memory(view, other.tables[m])
-            before = backbone.forward_pass(state, prop, 1,
-                                           state.modalities).finals[m]
+            before = backbone.forward_pass(state, prop,
+                                           RunConfig()).finals[m]
             state.user[m][0] += 1.0
             state.item[m][-1] -= 1.0
-            after = backbone.forward_pass(state, prop, 1,
-                                          state.modalities).finals[m]
+            after = backbone.forward_pass(state, prop, RunConfig()).finals[m]
             assert not np.array_equal(before[0], after[0])
             assert not np.array_equal(before[-1], after[-1])
         for m, table in other.tables.items():

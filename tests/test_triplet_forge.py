@@ -5,7 +5,8 @@ from conftest import covered_random_records, make_set
 from mdvt.backbone import Propagator, forward_pass, init_embeddings
 from mdvt.dataset import build_graph
 from mdvt.errors import ConfigError, SelectionError, TrainingCollapseError
-from mdvt.triplet_forge import SelectionParams, cosine_rows, refresh, select
+from mdvt.trainer import RunConfig
+from mdvt.triplet_forge import cosine_rows, refresh, select
 from oracles import (adjacency_of, cosine_row, groups_of, refresh_oracle,
                      select_frequency, select_one, select_threshold,
                      select_topn)
@@ -263,7 +264,8 @@ def small_reps(rng, num_users=5, num_items=12):
     feats = rng.normal(size=(num_items, 3)).astype(np.float32)
     state = init_embeddings({"visual": feats}, num_users, num_items, 3,
                             seed=21)
-    reps = forward_pass(state, Propagator(graph), 1, ("id", "visual"))
+    config = RunConfig(num_layers=1, modality_mask=("id", "visual"))
+    reps = forward_pass(state, Propagator(graph), config)
     return reps, train
 
 
@@ -275,20 +277,19 @@ def popularity(train):
 class TestRefresh:
     def test_deterministic_for_fixed_reps(self, rng):
         reps, train = small_reps(rng)
-        params = SelectionParams(constructor="topn", n=2)
+        config = RunConfig(top_n=2)
         users = np.unique(train.users).tolist()
         seen = train.adjacency
-        a = refresh(reps, params, 3, users, seen, popularity(train))
-        b = refresh(reps, params, 3, users, seen, popularity(train))
+        a = refresh(reps, config, seen, users, popularity(train))
+        b = refresh(reps, config, seen, users, popularity(train))
         assert groups_of(a) == groups_of(b)
-        assert a.built_at_epoch == 3
 
     def test_seen_items_excluded_from_positives(self, rng):
         reps, train = small_reps(rng)
-        params = SelectionParams(constructor="topn", n=2)
         users = np.unique(train.users).tolist()
         seen = train.adjacency
-        vset = refresh(reps, params, 0, users, seen, popularity(train))
+        vset = refresh(reps, RunConfig(top_n=2), seen, users,
+                       popularity(train))
         for u, (pos, _) in groups_of(vset).items():
             assert not set(pos) & set(seen[u].tolist())
 
@@ -296,41 +297,40 @@ class TestRefresh:
         reps, train = small_reps(rng)
         users = np.unique(train.users).tolist()
         seen = train.adjacency
-        include = refresh(reps, SelectionParams(constructor="topn", n=2,
-                                                include_seen=True),
-                          0, users, seen, popularity(train))
-        exclude = refresh(reps, SelectionParams(constructor="topn", n=2),
-                          0, users, seen, popularity(train))
+        include = refresh(reps, RunConfig(top_n=2, include_seen=True), seen,
+                          users, popularity(train))
+        exclude = refresh(reps, RunConfig(top_n=2), seen, users,
+                          popularity(train))
         with_seen, without = groups_of(include), groups_of(exclude)
         assert any(with_seen[u][0] != without[u][0] for u in with_seen)
 
 
-ALL_PARAMS = [
-    SelectionParams(constructor="topn", n=2),
-    SelectionParams(constructor="topn", n=1, include_seen=True),
-    SelectionParams(constructor="threshold", threshold=0.7),
-    SelectionParams(constructor="threshold_topn", n=2, threshold=0.2),
-    SelectionParams(constructor="interval", n=3, threshold=0.6, n_floor=2),
-    SelectionParams(constructor="interval", n=1, threshold=0.1, n_floor=1,
-                    n_cap=2),
-    SelectionParams(constructor="freq_f1", n=2),
-    SelectionParams(constructor="freq_f2", n=2),
+ALL_CONFIGS = [
+    RunConfig(constructor="topn", top_n=2),
+    RunConfig(constructor="topn", top_n=1, include_seen=True),
+    RunConfig(constructor="threshold", sim_threshold=0.7),
+    RunConfig(constructor="threshold_topn", top_n=2, sim_threshold=0.2),
+    RunConfig(constructor="interval", top_n=3, sim_threshold=0.6, n_floor=2),
+    RunConfig(constructor="interval", top_n=1, sim_threshold=0.1, n_floor=1,
+              n_cap=2),
+    RunConfig(constructor="freq_f1", top_n=2),
+    RunConfig(constructor="freq_f2", top_n=2),
 ]
 
 
-def per_user_groups(params, sim, seen, pop):
+def per_user_groups(config, sim, seen, pop):
     """select_one row by row, as {row: (positives, negatives)}."""
     out = {}
     for r in range(len(sim)):
         exclusion = None if seen is None else seen[r]
-        pos, neg = select_one(params, sim[r], pop, exclusion)
+        pos, neg = select_one(config, sim[r], pop, exclusion)
         out[r] = (pos.tolist(), neg.tolist())
     return out
 
 
-def per_user_error(params, sim, seen, pop):
+def per_user_error(config, sim, seen, pop):
     try:
-        per_user_groups(params, sim, seen, pop)
+        per_user_groups(config, sim, seen, pop)
     except SelectionError as exc:
         return str(exc)
     return None
@@ -340,28 +340,28 @@ class TestSelectBlock:
     """The batched selection against the per-user selectors, on blocks of
     rows with heavy ties."""
 
-    @pytest.mark.parametrize("params", ALL_PARAMS,
-                             ids=lambda p: f"{p.constructor}-{p.n}")
-    def test_matches_per_user_selectors(self, rng, params):
+    @pytest.mark.parametrize("config", ALL_CONFIGS,
+                             ids=lambda c: f"{c.constructor}-{c.top_n}")
+    def test_matches_per_user_selectors(self, rng, config):
         checked = 0
         for _ in range(150):
             rows, cols = int(rng.integers(1, 9)), int(rng.integers(4, 40))
             sim = np.stack([random_row(rng, cols) for _ in range(rows)])
-            excluded = None if params.include_seen else adjacency_of(
+            excluded = None if config.include_seen else adjacency_of(
                 {r: set(rng.choice(cols, size=int(rng.integers(0, cols // 2)),
                                    replace=False).tolist())
                  for r in range(rows)}, rows)
             pop = rng.integers(0, 5, size=cols)
             users, collapsed = np.arange(rows), np.zeros(rows, dtype=bool)
-            error = per_user_error(params, sim, excluded, pop)
+            error = per_user_error(config, sim, excluded, pop)
             if error is not None:
                 with pytest.raises(SelectionError) as caught:
-                    select(params, sim, excluded, pop, users, collapsed)
+                    select(config, sim, excluded, pop, users, collapsed)
                 assert str(caught.value) == error
                 continue
-            pos, neg = select(params, sim, excluded, pop, users,
+            pos, neg = select(config, sim, excluded, pop, users,
                               collapsed)
-            want = per_user_groups(params, sim, excluded, pop)
+            want = per_user_groups(config, sim, excluded, pop)
             for r in range(rows):
                 assert (pos[r].tolist(), neg[r].tolist()) == want[r]
             checked += 1
@@ -369,25 +369,23 @@ class TestSelectBlock:
 
 
 class TestRefreshOracle:
-    @pytest.mark.parametrize("params", ALL_PARAMS,
-                             ids=lambda p: f"{p.constructor}-{p.n}")
-    def test_matches_per_user_loop(self, rng, params):
+    @pytest.mark.parametrize("config", ALL_CONFIGS,
+                             ids=lambda c: f"{c.constructor}-{c.top_n}")
+    def test_matches_per_user_loop(self, rng, config):
         for _ in range(5):
             reps, train = small_reps(rng, num_users=9, num_items=16)
             users = np.flatnonzero(train.adjacency.row_lengths)
             pop = rng.integers(0, 4, size=16)
             try:
-                want = refresh_oracle(reps, params, users,
+                want = refresh_oracle(reps, config, users,
                                       seen_items=train.adjacency,
                                       item_counts=pop)
             except SelectionError as exc:
                 with pytest.raises(SelectionError) as caught:
-                    refresh(reps, params, 0, users,
-                            seen_items=train.adjacency, item_counts=pop)
+                    refresh(reps, config, train.adjacency, users, pop)
                 assert str(caught.value) == str(exc)
                 continue
-            got = refresh(reps, params, 0, users, seen_items=train.adjacency,
-                          item_counts=pop)
+            got = refresh(reps, config, train.adjacency, users, pop)
             assert groups_of(got) == want
 
     def test_cosine_rows_match_one_user_rows(self, rng):
@@ -411,11 +409,11 @@ class TestRefreshOracle:
         seen = adjacency_of({u: set(range(9)) if u == crowded else
                              set(train.adjacency[u].tolist())
                              for u in users}, 6)
-        params = SelectionParams(constructor="topn", n=2)
+        config = RunConfig(top_n=2)
         kind = SelectionError if first == "selection" \
             else TrainingCollapseError
         with pytest.raises(kind) as want:
-            refresh_oracle(reps, params, users, seen_items=seen)
+            refresh_oracle(reps, config, users, seen_items=seen)
         with pytest.raises(kind) as got:
-            refresh(reps, params, 0, users, seen, popularity(train))
+            refresh(reps, config, seen, users, popularity(train))
         assert str(got.value) == str(want.value)
