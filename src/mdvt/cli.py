@@ -253,16 +253,11 @@ def cmd_sweep(args) -> int:
     write_atomic(out_dir / "summary.json",
                  json.dumps(summary, sort_keys=True, indent=2) + "\n")
     table = io.StringIO(newline="")
-    writer = csv.writer(table)
-    writer.writerow(["config_hash", "overrides", "val_ndcg10",
-                     "val_recall10", "test_ndcg10", "test_recall10",
-                     "resumed"])
-    for row in summary:
-        writer.writerow([row["config_hash"],
-                         json.dumps(row["overrides"], sort_keys=True),
-                         row["val_ndcg10"], row["val_recall10"],
-                         row["test_ndcg10"], row["test_recall10"],
-                         row["resumed"]])
+    writer = csv.DictWriter(table, fieldnames=list(summary[0]))
+    writer.writeheader()
+    writer.writerows({**row, "overrides": json.dumps(row["overrides"],
+                                                     sort_keys=True)}
+                     for row in summary)
     write_atomic(out_dir / "summary.csv", table.getvalue())
     print(f"{len(summary)} cells "
           f"({sum(1 for r in summary if r['resumed'])} resumed); "
@@ -315,6 +310,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DataError.exit_code
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}",
+              file=sys.stderr)
+        return MdvtError.exit_code
 
 
 if __name__ == "__main__":

@@ -135,11 +135,11 @@ class DatasetSplit:
     test: InteractionSet
     split_seed: int
 
-    @property
-    def cold_users(self) -> tuple[int, ...]:
-        """Users with no train record: neither trained nor evaluated."""
-        return tuple(np.flatnonzero(self.train.adjacency.row_lengths == 0)
-                     .tolist())
+    @cached_property
+    def trained_users(self) -> np.ndarray:
+        """Users with a train record, ascending: the users trained and
+        evaluated. The others are cold."""
+        return np.flatnonzero(self.train.adjacency.row_lengths)
 
     @cached_property
     def train_and_validation(self) -> Adjacency:
@@ -303,9 +303,8 @@ def split_dataset(interactions: InteractionSet, seed: int) -> DatasetSplit:
         for k in (perm[:n_hold], perm[n_hold:2 * n_hold], perm[2 * n_hold:]))
     split = DatasetSplit(train=train, validation=val, test=test,
                          split_seed=seed)
-    if split.cold_users:
-        log.warning("%d users have no train records after splitting",
-                    len(split.cold_users))
+    if cold := split.num_users - len(split.trained_users):
+        log.warning("%d users have no train records after splitting", cold)
     return split
 
 
@@ -532,7 +531,7 @@ def _bundle_stats(split: DatasetSplit, features: dict[str, np.ndarray],
             "validation": len(split.validation),
             "test": len(split.test),
         },
-        "cold_users": len(split.cold_users),
+        "cold_users": nu - len(split.trained_users),
         "modalities": {"id": 0, **{m: int(f.shape[1])
                                    for m, f in features.items()}},
     }

@@ -79,26 +79,6 @@ def top_k(scores: np.ndarray, k: int, excluded: Adjacency | None = None
 
 
 @dataclass
-class BucketMetrics:
-    """Mean metrics of one train-interaction-count bucket."""
-
-    lo: int
-    hi: int | None
-    count: int
-    recall: dict[int, float | None]
-    ndcg: dict[int, float | None]
-
-    def to_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "count": self.count,
-            "recall": {str(k): v for k, v in self.recall.items()},
-            "ndcg": {str(k): v for k, v in self.ndcg.items()},
-        }
-
-
-@dataclass
 class MetricsReport:
     """User-averaged Recall@K / NDCG@K plus the sparsity breakdown."""
 
@@ -109,7 +89,7 @@ class MetricsReport:
     per_user: tuple = field(repr=False, compare=False)
 
     @functools.cached_property
-    def buckets(self) -> list[BucketMetrics]:
+    def buckets(self) -> list[dict]:
         """The sparsity breakdown, computed once, when first read."""
         return sparsity_breakdown(*self.per_user)
 
@@ -118,7 +98,7 @@ class MetricsReport:
             "recall": {str(k): v for k, v in self.recall.items()},
             "ndcg": {str(k): v for k, v in self.ndcg.items()},
             "num_users_evaluated": self.num_users_evaluated,
-            "buckets": [b.to_dict() for b in self.buckets],
+            "buckets": self.buckets,
         }
 
 
@@ -129,21 +109,23 @@ def evaluate_rankings(score_rows, users, relevant: Adjacency,
 
     ``score_rows(block)`` returns the score matrix of an array of users.
     ``relevant`` and ``masked`` are user->item CSRs. Users with no relevant
-    item are skipped. Only the top ``max(ks)`` items are ranked. The
-    report's buckets group users by ``user_train_count``.
+    item are skipped. Only the top ``max(ks)`` items are ranked, at most
+    every item: a deeper cutoff reads the last rank. The report's buckets
+    group users by ``user_train_count``.
     """
     if min(ks) < 1:
         raise ConfigError(f"ranking cutoffs must be >= 1, got {list(ks)}")
     users = np.asarray(users, dtype=np.int64)
     users = users[relevant.row_lengths[users] > 0]
-    depth = max(ks)
-    discounts = np.array([1.0 / math.log2(pos + 1)
-                          for pos in range(1, depth + 1)])
-    hits = np.zeros((len(users), depth), dtype=np.int64)
-    dcg = np.zeros((len(users), depth))
-    for start in range(0, len(users), BLOCK_ROWS):
+    n = len(users)
+    recall = {k: np.empty(n) for k in ks}
+    ndcg = {k: np.empty(n) for k in ks}
+    for start in range(0, n, BLOCK_ROWS):
         block = users[start:start + BLOCK_ROWS]
         scores = score_rows(block)
+        depth = min(max(ks), scores.shape[1])
+        discounts = np.array([1.0 / math.log2(pos + 1)
+                              for pos in range(1, depth + 1)])
         ranked = top_k(scores, depth, masked.take(block))
         wanted = relevant.take(block)
         # Only the ranked items are looked up, keyed by (row, item); every
@@ -154,16 +136,16 @@ def evaluate_rankings(score_rows, users, relevant: Adjacency,
         hit = np.zeros((len(block), depth), dtype=bool)
         hit[rows, np.arange(len(rows)) - ranked.indptr[rows]] = keys[
             np.searchsorted(keys, found).clip(max=len(keys) - 1)] == found
-        hits[start:start + BLOCK_ROWS] = np.cumsum(hit, axis=1)
+        hits = np.cumsum(hit, axis=1)
         # Running sums left to right: the order a per-user loop adds them.
-        dcg[start:start + BLOCK_ROWS] = np.cumsum(
-            np.where(hit, discounts, 0.0), axis=1)
-    num_relevant = relevant.row_lengths[users]
-    ideal = np.cumsum(discounts)
-    recall = {k: hits[:, k - 1] / num_relevant for k in ks}
-    ndcg = {k: dcg[:, k - 1] / ideal[np.minimum(k, num_relevant) - 1]
-            for k in ks}
-    n = len(users)
+        dcg = np.cumsum(np.where(hit, discounts, 0.0), axis=1)
+        ideal = np.cumsum(discounts)
+        num_relevant = wanted.row_lengths
+        part = slice(start, start + BLOCK_ROWS)
+        for k in ks:
+            at = min(k, depth) - 1
+            recall[k][part] = hits[:, at] / num_relevant
+            ndcg[k][part] = dcg[:, at] / ideal[np.minimum(k, num_relevant) - 1]
     return MetricsReport(
         recall={k: float(np.mean(v)) if n else 0.0 for k, v in recall.items()},
         ndcg={k: float(np.mean(v)) if n else 0.0 for k, v in ndcg.items()},
@@ -174,9 +156,10 @@ def evaluate_rankings(score_rows, users, relevant: Adjacency,
 def sparsity_breakdown(train_counts: np.ndarray,
                        recall: dict[int, np.ndarray],
                        ndcg: dict[int, np.ndarray],
-                       ks: tuple[int, ...]) -> list[BucketMetrics]:
+                       ks: tuple[int, ...]) -> list[dict]:
     """Group evaluated users by train interaction count and average each
-    bucket; empty buckets report count 0 and null metrics.
+    bucket, as the report's rows (``lo``, ``hi``, ``count`` and the
+    metrics by ``str(k)``); empty buckets report count 0 and null metrics.
 
     Entry ``j`` of ``train_counts``, ``recall[k]`` and ``ndcg[k]`` belongs
     to the j-th evaluated user.
@@ -185,9 +168,9 @@ def sparsity_breakdown(train_counts: np.ndarray,
     for lo, hi in SPARSITY_BUCKETS:
         members = (train_counts >= lo) & (hi is None or train_counts <= hi)
         count = int(np.count_nonzero(members))
-        recall_b, ndcg_b = ({k: float(np.mean(per_user[k][members]))
+        recall_b, ndcg_b = ({str(k): float(np.mean(per_user[k][members]))
                              if count else None for k in ks}
                             for per_user in (recall, ndcg))
-        out.append(BucketMetrics(lo=lo, hi=hi, count=count,
-                                 recall=recall_b, ndcg=ndcg_b))
+        out.append({"lo": lo, "hi": hi, "count": count,
+                    "recall": recall_b, "ndcg": ndcg_b})
     return out

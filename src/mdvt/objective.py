@@ -285,23 +285,19 @@ class OptimizerState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int
-    learning_rate: float
-    weight_decay: float = 0.0
 
     @classmethod
-    def for_state(cls, state, learning_rate: float,
-                  weight_decay: float = 0.0) -> "OptimizerState":
+    def for_state(cls, state) -> "OptimizerState":
         m = {key: np.zeros_like(t) for key, t in state.tables.items()}
         v = {key: np.zeros_like(t) for key, t in state.tables.items()}
-        return cls(m=m, v=v, step=0, learning_rate=learning_rate,
-                   weight_decay=weight_decay)
+        return cls(m=m, v=v, step=0)
 
 
-def adam_step(state, opt: OptimizerState,
-              grads: dict[str, np.ndarray]) -> None:
-    """One in-place Adam update with bias correction. Every gradient is
-    checked before any table moves: a non-finite one raises and leaves
-    the tables and moments as they were.
+def adam_step(state, opt: OptimizerState, grads: dict[str, np.ndarray],
+              config: RunConfig) -> None:
+    """One in-place Adam update with bias correction, at ``config``'s
+    learning rate and weight decay. A non-finite gradient raises before
+    any table or moment moves.
 
     Each table is walked in blocks of ``ROW_BLOCK`` rows; every element
     sees the same ufuncs in the same order as a whole-table update."""
@@ -325,13 +321,14 @@ def adam_step(state, opt: OptimizerState,
             param, g = table[rows], grads[key][rows]
             m, v = opt.m[key][rows], opt.v[key][rows]
             a, b = a_block[:len(param)], b_block[:len(param)]
-            if opt.weight_decay:
-                g = np.add(g, np.multiply(opt.weight_decay, param, out=a),
+            if config.weight_decay:
+                g = np.add(g, np.multiply(config.weight_decay, param, out=a),
                            out=a)
             m *= BETA1
             m += np.multiply(1.0 - BETA1, g, out=b)
             v *= BETA2
             v += np.multiply(1.0 - BETA2, np.square(g, out=b), out=b)
-            np.multiply(opt.learning_rate, np.divide(m, bc1, out=a), out=a)
+            np.multiply(config.learning_rate, np.divide(m, bc1, out=a),
+                        out=a)
             np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), EPS, out=b)
             param -= np.divide(a, b, out=a)

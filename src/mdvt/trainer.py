@@ -164,26 +164,21 @@ class RunConfig:
 
     def off_grid_warnings(self) -> list[str]:
         """Notes on values outside the usual search grids."""
-        warnings = []
-        if self.mdvt_enabled:
-            if self.lam not in LAMBDA_GRID and self.lam != 0.0:
-                warnings.append(f"lam={self.lam} outside usual grid "
-                                f"{LAMBDA_GRID}")
-            if self.top_n not in N_GRID:
-                warnings.append(f"top_n={self.top_n} outside usual grid "
-                                f"{N_GRID}")
-            if self.strategy in ("dynamic", "hybrid") and self.g not in G_GRID:
-                warnings.append(f"g={self.g} outside usual grid {G_GRID}")
-            if self.strategy == "hybrid" and self.s not in S_GRID:
-                warnings.append(f"s={self.s} outside usual grid {S_GRID}")
-            if (self.sim_threshold is not None
-                    and round(self.sim_threshold, 6) not in THRESHOLD_GRID):
-                warnings.append(f"sim_threshold={self.sim_threshold} outside "
-                                f"usual grid {THRESHOLD_GRID}")
-            if self.n_floor is not None and self.n_floor not in N_FLOOR_GRID:
-                warnings.append(f"n_floor={self.n_floor} outside usual grid "
-                                f"{N_FLOOR_GRID}")
-        return warnings
+        if not self.mdvt_enabled:
+            return []
+        # (key, grid, whether the key is checked, the value compared)
+        checks = (
+            ("lam", LAMBDA_GRID, self.lam != 0.0, self.lam),
+            ("top_n", N_GRID, True, self.top_n),
+            ("g", G_GRID, self.strategy in ("dynamic", "hybrid"), self.g),
+            ("s", S_GRID, self.strategy == "hybrid", self.s),
+            ("sim_threshold", THRESHOLD_GRID, self.sim_threshold is not None,
+             self.sim_threshold is not None and round(self.sim_threshold, 6)),
+            ("n_floor", N_FLOOR_GRID, self.n_floor is not None, self.n_floor),
+        )
+        return [f"{key}={getattr(self, key)} outside usual grid {grid}"
+                for key, grid, applies, value in checks
+                if applies and value not in grid]
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -275,9 +270,8 @@ def evaluate_split(state: backbone.EmbeddingState, bundle: DatasetBundle,
     ``ks`` (default ``config.eval_ks``).
 
     Validation masks the train items; test masks train plus validation.
-    Users with no train record (cold users) are excluded from the
-    averages, matching the evaluation protocol of the split design. The
-    report buckets users by train degree when its buckets are first read.
+    Only ``split.trained_users`` are ranked, so cold users stay out of the
+    averages; the report's buckets, by train degree, are built when read.
     """
     split = bundle.split
     if which == "validation":
@@ -288,10 +282,10 @@ def evaluate_split(state: backbone.EmbeddingState, bundle: DatasetBundle,
         raise ConfigError(f"unknown evaluation split {which!r}")
     reps = backbone.forward_pass(state, propagator(bundle, config.norm),
                                  config)
-    users = np.flatnonzero(split.train.adjacency.row_lengths)
     return evaluator.evaluate_rankings(
         lambda block: backbone.score_matrix(reps, block, config),
-        users, relevant, masked, config.eval_ks if ks is None else ks,
+        split.trained_users, relevant, masked,
+        config.eval_ks if ks is None else ks,
         bundle.graph.degrees[:bundle.num_users])
 
 
@@ -338,7 +332,7 @@ def train_epoch(state: backbone.EmbeddingState,
         # frees the top of the heap, which malloc hands back to the kernel,
         # and every batch then page-faults its arrays in again.
         del reps
-        objective.adam_step(state, opt, grads)
+        objective.adam_step(state, opt, grads, config)
         sums["l_bpr"] += report.l_bpr
         sums["l_total"] += report.l_total
         if report.l_vbpr is not None:
@@ -378,8 +372,7 @@ class TrainingRun:
                 f"modality_mask names unknown modalities: {unknown}")
         self.bundle, self.config = bundle, config
         self.prop = propagator(bundle, config.norm)
-        self.opt = objective.OptimizerState.for_state(
-            self.state, config.learning_rate, config.weight_decay)
+        self.opt = objective.OptimizerState.for_state(self.state)
         self.trigger = trigger
         self.history = TrainHistory()
         # Replaced on improvement, never mutated: forks may share them.
@@ -401,9 +394,9 @@ class TrainingRun:
             if history.trigger_epoch is None:
                 history.trigger_epoch = epoch
             reps = backbone.forward_pass(self.state, self.prop, config)
-            seen = self.bundle.split.train.adjacency
+            split = self.bundle.split
             virtual = triplet_forge.refresh(
-                reps, config, seen, np.flatnonzero(seen.row_lengths),
+                reps, config, split.train.adjacency, split.trained_users,
                 item_counts=self.bundle.graph.degrees[self.bundle.num_users:])
         report = train_epoch(self.state, self.opt, self.prop, self.bundle,
                              config, epoch, virtual, self.rng_shuffle,

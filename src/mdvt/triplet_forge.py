@@ -153,20 +153,19 @@ def select(config: RunConfig, sim: np.ndarray, seen: Adjacency | None,
 
 
 def refresh(reps: Representations, config: RunConfig, seen_items: Adjacency,
-            trainable_users: list[int] | np.ndarray, item_counts: np.ndarray
+            trainable_users: np.ndarray, item_counts: np.ndarray
             ) -> VirtualTripletSet:
-    """Rebuild the virtual-triplet set from the current fused
-    representations, taking the users in ascending order, with ``select``.
+    """Rebuild the virtual-triplet set of ``trainable_users`` (ascending,
+    distinct) from the current fused representations with ``select``.
 
     ``seen_items[u]`` (a row of the train CSR) lists the items excluded
     from user ``u``'s positives unless ``config.include_seen`` is set.
     """
-    users = np.unique(np.asarray(trainable_users, dtype=np.int64))
     items = reps.fused_items
     item_norms = np.linalg.norm(items, axis=1)
     groups = []
-    for start in range(0, len(users), BLOCK_ROWS):
-        block = users[start:start + BLOCK_ROWS]
+    for start in range(0, len(trainable_users), BLOCK_ROWS):
+        block = trainable_users[start:start + BLOCK_ROWS]
         sim, collapsed = cosine_rows(reps.fused_users[block], items,
                                      item_norms)
         groups.append(select(config, sim,
@@ -181,4 +180,4 @@ def refresh(reps: Representations, config: RunConfig, seen_items: Adjacency,
         return Adjacency.from_lengths(lengths[covered], np.concatenate(
             [np.zeros(0, dtype=np.int64)] + [g[side].indices for g in groups]))
 
-    return VirtualTripletSet(users[covered], stacked(0), stacked(1))
+    return VirtualTripletSet(trainable_users[covered], stacked(0), stacked(1))

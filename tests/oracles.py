@@ -599,7 +599,7 @@ def backward_add_at(batch, virtual, reps, prop, config: RunConfig):
 
 # --- Adam over whole tables ------------------------------------------------
 
-def adam_step_whole_table(state, opt, grads) -> None:
+def adam_step_whole_table(state, opt, grads, config) -> None:
     """``objective.adam_step`` with each ufunc over a whole table at once:
     the reference its row-blocked update must equal bit for bit."""
     opt.step += 1
@@ -616,14 +616,15 @@ def adam_step_whole_table(state, opt, grads) -> None:
             for _ in range(2))
     for key, param in state.tables.items():
         g = grads[key]
-        if opt.weight_decay:
-            g = np.add(g, np.multiply(opt.weight_decay, param, out=a), out=a)
+        if config.weight_decay:
+            g = np.add(g, np.multiply(config.weight_decay, param, out=a),
+                       out=a)
         m, v = opt.m[key], opt.v[key]
         m *= BETA1
         m += np.multiply(1.0 - BETA1, g, out=b)
         v *= BETA2
         v += np.multiply(1.0 - BETA2, np.square(g, out=b), out=b)
-        np.multiply(opt.learning_rate, np.divide(m, bc1, out=a), out=a)
+        np.multiply(config.learning_rate, np.divide(m, bc1, out=a), out=a)
         np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), EPS, out=b)
         param -= np.divide(a, b, out=a)
 

@@ -1,11 +1,14 @@
+import csv
 import dataclasses
 import hashlib
 import json
 import os
 import pathlib
+import resource
 import shutil
 import signal
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -562,7 +565,17 @@ class TestSweep:
         summary = json.loads((out / "summary.json")
                              .read_text(encoding="utf-8"))
         assert len(summary) == 2
-        assert (out / "summary.csv").exists()
+        with open(out / "summary.csv", newline="", encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            rows = list(reader)
+        assert reader.fieldnames == [
+            "config_hash", "overrides", "val_ndcg10", "val_recall10",
+            "test_ndcg10", "test_recall10", "resumed"]
+        assert [{**row, "overrides": json.loads(row["overrides"]),
+                 "resumed": row["resumed"] == "True",
+                 **{key: float(row[key]) for key in reader.fieldnames
+                    if key.startswith(("val_", "test_"))}}
+                for row in rows] == summary
         assert len(list((out / "runs").glob("cell-*.json"))) == 2
         ndcgs = [row["val_ndcg10"] for row in summary]
         assert ndcgs == sorted(ndcgs, reverse=True)
@@ -735,6 +748,29 @@ class TestEval:
         assert len(metric_lines) == 1
         assert metric_lines[0].startswith("recall@5=")
         assert "ndcg@5=" in metric_lines[0]
+
+    def test_cutoff_above_item_count_ranks_every_item(self, tmp_path):
+        # Ten items: a cutoff of 100000 reads the last rank. Ranking that
+        # deep would hold users x 100000 metric arrays (13 MiB traced).
+        bundle = prepare_bundle(tmp_path)
+        assert main(["train", "--bundle", str(bundle), "--config",
+                     str(base_config(tmp_path)),
+                     "--out", str(tmp_path / "run.json")]) == 0
+        out = tmp_path / "eval.json"
+        tracemalloc.start()
+        try:
+            assert main(["eval", "--bundle", str(bundle), "--checkpoint",
+                         str(tmp_path / "run.ckpt"), "--k", "10", "100000",
+                         "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        for name in ("recall", "ndcg"):
+            assert payload[name]["100000"] == payload[name]["10"]
+            for bucket in payload["buckets"]:
+                assert bucket[name]["100000"] == bucket[name]["10"]
 
     def test_stale_checkpoint_exit_3(self, tmp_path):
         bundle = prepare_bundle(tmp_path)
@@ -1161,6 +1197,22 @@ class TestArgErrors:
 
     def test_missing_required_flag_exit_1(self):
         assert main(["train", "--bundle", "x"]) == 1
+
+    def test_out_of_memory_exit_4(self, tmp_path, capsys):
+        # The 80 TiB embedding table is refused at once. The address-space
+        # limit makes sure of that under every overcommit policy.
+        bundle = prepare_bundle(tmp_path)
+        config = base_config(tmp_path, embed_dim=10 ** 12)
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (min(2 ** 45, hard), hard))
+        try:
+            code = main(["train", "--bundle", str(bundle), "--config",
+                         str(config), "--out", str(tmp_path / "run.json")])
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        assert code == 4
+        assert single_error_line(capsys).startswith("error: out of memory")
+        assert not (tmp_path / "run.json").exists()
 
     def test_missing_config_exit_1(self, tmp_path, capsys):
         missing = tmp_path / "none.json"

@@ -100,7 +100,7 @@ class TestSplitDataset:
             split = split_dataset(full, seed)
             trained = set(split.train.users.tolist())
             if 5 not in trained:
-                assert 5 in split.cold_users
+                assert split.trained_users.tolist() == sorted(trained)
                 found = True
                 break
         assert found, "no seed isolated the rare user; fixture too easy"

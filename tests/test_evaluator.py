@@ -279,9 +279,9 @@ class TestEvaluateRankings:
             total = 0.0
             weight = 0
             for bucket in report.buckets:
-                if bucket.count:
-                    total += bucket.ndcg[k] * bucket.count
-                    weight += bucket.count
+                if bucket["count"]:
+                    total += bucket["ndcg"][str(k)] * bucket["count"]
+                    weight += bucket["count"]
             assert weight == report.num_users_evaluated
             assert total / weight == pytest.approx(report.ndcg[k], abs=1e-12)
 
@@ -319,14 +319,15 @@ class TestEvaluateRankingsOracle:
                     assert got[k] == (float(np.mean(want)) if want else 0.0)
                 for bucket in report.buckets:
                     members = [u for u in per_user
-                               if bucket.lo <= counts[u] and
-                               (bucket.hi is None or counts[u] <= bucket.hi)]
-                    assert bucket.count == len(members)
+                               if bucket["lo"] <= counts[u] and
+                               (bucket["hi"] is None
+                                or counts[u] <= bucket["hi"])]
+                    assert bucket["count"] == len(members)
                     for k in ks:
                         want = (float(np.mean([per_user[u][k][j]
                                                for u in members]))
                                 if members else None)
-                        assert getattr(bucket, name)[k] == want
+                        assert bucket[name][str(k)] == want
 
 
 class TestSparsityBreakdown:
@@ -336,16 +337,16 @@ class TestSparsityBreakdown:
         values = {10: np.array([1.0, 0.0, 0.5])}
         counts = np.array([3, 6, 25])
         buckets = sparsity_breakdown(counts, values, values, (10,))
-        assert buckets[0].count == 1 and buckets[0].recall[10] == 1.0
-        assert buckets[1].count == 1
-        assert buckets[3].count == 1
+        assert buckets[0]["count"] == 1 and buckets[0]["recall"]["10"] == 1.0
+        assert buckets[1]["count"] == 1
+        assert buckets[3]["count"] == 1
 
     def test_empty_bucket_null_metrics(self):
         values = {10: np.array([1.0])}
         buckets = sparsity_breakdown(np.array([2]), values, values, (10,))
         empty = buckets[2]
-        assert empty.count == 0
-        assert empty.recall[10] is None and empty.ndcg[10] is None
+        assert empty["count"] == 0
+        assert empty["recall"]["10"] is None and empty["ndcg"]["10"] is None
 
 
 class TestConvergenceSummary:

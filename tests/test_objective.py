@@ -341,18 +341,19 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self, rng):
         state = self.make_state(rng)
         before = {k: t.copy() for k, t in state.param_items()}
-        opt = OptimizerState.for_state(state, learning_rate=0.1)
-        adam_step(state, opt, self.zero_grads(state))
+        opt = OptimizerState.for_state(state)
+        adam_step(state, opt, self.zero_grads(state),
+                  RunConfig(learning_rate=0.1))
         for key, table in state.param_items():
             assert np.array_equal(before[key], table)
 
     def test_first_step_magnitude_is_lr(self, rng):
         state = self.make_state(rng)
         before = {k: t.copy() for k, t in state.param_items()}
-        opt = OptimizerState.for_state(state, learning_rate=0.05)
+        opt = OptimizerState.for_state(state)
         grads = self.zero_grads(state)
         grads["id"][:state.num_users] = 0.7
-        adam_step(state, opt, grads)
+        adam_step(state, opt, grads, RunConfig(learning_rate=0.05))
         delta = before["user.id"] - state.user["id"]
         assert np.allclose(delta, 0.05, rtol=1e-6)
 
@@ -361,21 +362,21 @@ class TestAdam:
         results = []
         for _ in range(2):
             state = init_embeddings({}, 2, 3, 2, seed=seed)
-            opt = OptimizerState.for_state(state, learning_rate=0.01)
+            opt = OptimizerState.for_state(state)
             grads = self.zero_grads(state)
             grads["id"][state.num_users:] = -0.3
             for _ in range(5):
-                adam_step(state, opt, grads)
+                adam_step(state, opt, grads, RunConfig(learning_rate=0.01))
             results.append(state.item["id"].copy())
         assert np.array_equal(results[0], results[1])
 
     def test_nan_gradient_aborts_with_table_name(self, rng):
         state = self.make_state(rng)
-        opt = OptimizerState.for_state(state, learning_rate=0.01)
+        opt = OptimizerState.for_state(state)
         grads = self.zero_grads(state)
         grads["id"][0, 0] = np.nan
         with pytest.raises(MdvtError, match="user.id"):
-            adam_step(state, opt, grads)
+            adam_step(state, opt, grads, RunConfig(learning_rate=0.01))
 
 
     @pytest.mark.parametrize("modality", ["id", "visual"])
@@ -385,9 +386,10 @@ class TestAdam:
         # item row (-1) names the item table.
         state = init_embeddings({"visual": rng.normal(size=(3, 2))}, 2, 3, 2,
                                 seed=int(rng.integers(1e6)))
-        opt = OptimizerState.for_state(state, learning_rate=0.01)
+        opt = OptimizerState.for_state(state)
+        config = RunConfig(learning_rate=0.01)
         grads = {m: np.full_like(t, 0.5) for m, t in state.tables.items()}
-        adam_step(state, opt, grads)
+        adam_step(state, opt, grads, config)
         before = [t.copy() for t in (*state.tables.values(),
                                      *opt.m.values(), *opt.v.values())]
         grads[modality][row, 1] = np.inf if row else np.nan
@@ -395,7 +397,7 @@ class TestAdam:
         with pytest.raises(MdvtError,
                            match=f"table {role}.{modality} at optimizer "
                                  "step 2"):
-            adam_step(state, opt, grads)
+            adam_step(state, opt, grads, config)
         after = [*state.tables.values(), *opt.m.values(), *opt.v.values()]
         for want, got in zip(before, after):
             assert np.array_equal(want, got)
@@ -412,17 +414,18 @@ class TestAdam:
             monkeypatch.setattr(objective, "ROW_BLOCK", block)
         assert (num_users + num_items) % objective.ROW_BLOCK
         features = {"visual": rng.normal(size=(num_items, 3))}
+        config = RunConfig(learning_rate=0.01, weight_decay=weight_decay)
         runs = []
         for _ in range(2):
             state = init_embeddings(features, num_users, num_items, 3,
                                     seed=21)
-            runs.append((state, OptimizerState.for_state(
-                state, learning_rate=0.01, weight_decay=weight_decay)))
+            runs.append((state, OptimizerState.for_state(state)))
         for _ in range(4):
             grads = {m: rng.normal(size=t.shape)
                      for m, t in runs[0][0].tables.items()}
-            adam_step(*runs[0], {m: g.copy() for m, g in grads.items()})
-            adam_step_whole_table(*runs[1], grads)
+            adam_step(*runs[0], {m: g.copy() for m, g in grads.items()},
+                      config)
+            adam_step_whole_table(*runs[1], grads, config)
         (state, opt), (want_state, want_opt) = runs
         assert opt.step == want_opt.step == 4
         for got, want in ((state.tables, want_state.tables),
@@ -437,15 +440,16 @@ class TestAdam:
         monkeypatch.setattr(objective, "ROW_BLOCK", 3)
         state = init_embeddings({"visual": rng.normal(size=(5, 2))}, 3, 5, 2,
                                 seed=4)
-        opt = OptimizerState.for_state(state, learning_rate=0.01)
+        opt = OptimizerState.for_state(state)
+        config = RunConfig(learning_rate=0.01)
         grads = {m: np.full_like(t, 0.5) for m, t in state.tables.items()}
-        adam_step(state, opt, grads)
+        adam_step(state, opt, grads, config)
         before = [t.copy() for t in (*state.tables.values(),
                                      *opt.m.values(), *opt.v.values())]
         grads["visual"][7, 1] = np.inf
         with pytest.raises(MdvtError,
                            match="table item.visual at optimizer step 2"):
-            adam_step(state, opt, grads)
+            adam_step(state, opt, grads, config)
         after = [*state.tables.values(), *opt.m.values(), *opt.v.values()]
         for want, got in zip(before, after):
             assert np.array_equal(want, got)
@@ -524,12 +528,12 @@ class TestOptionSwitches:
 
     def test_weight_decay_shrinks_parameters(self, rng):
         state = init_embeddings({}, 2, 3, 2, seed=8)
-        opt = OptimizerState.for_state(state, learning_rate=0.01,
-                                       weight_decay=0.1)
+        opt = OptimizerState.for_state(state)
+        config = RunConfig(learning_rate=0.01, weight_decay=0.1)
         grads = {m: np.zeros_like(t) for m, t in state.tables.items()}
         norm_before = np.linalg.norm(state.user["id"])
         for _ in range(20):
-            adam_step(state, opt, grads)
+            adam_step(state, opt, grads, config)
         assert np.linalg.norm(state.user["id"]) < norm_before
 
 

@@ -278,7 +278,7 @@ class TestRefresh:
     def test_deterministic_for_fixed_reps(self, rng):
         reps, train = small_reps(rng)
         config = RunConfig(top_n=2)
-        users = np.unique(train.users).tolist()
+        users = np.unique(train.users)
         seen = train.adjacency
         a = refresh(reps, config, seen, users, popularity(train))
         b = refresh(reps, config, seen, users, popularity(train))
@@ -286,7 +286,7 @@ class TestRefresh:
 
     def test_seen_items_excluded_from_positives(self, rng):
         reps, train = small_reps(rng)
-        users = np.unique(train.users).tolist()
+        users = np.unique(train.users)
         seen = train.adjacency
         vset = refresh(reps, RunConfig(top_n=2), seen, users,
                        popularity(train))
@@ -295,7 +295,7 @@ class TestRefresh:
 
     def test_include_seen_flag_disables_exclusion(self, rng):
         reps, train = small_reps(rng)
-        users = np.unique(train.users).tolist()
+        users = np.unique(train.users)
         seen = train.adjacency
         include = refresh(reps, RunConfig(top_n=2, include_seen=True), seen,
                           users, popularity(train))
