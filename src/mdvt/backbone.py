@@ -148,11 +148,12 @@ class Representations:
     (``rows`` set) holds only the vertices ``rows``, ascending: ``locate``
     maps vertex ids to its rows, ``block`` is the operator's ``rows``
     rows, and the whole-split views refuse, so nothing ranks or selects
-    from a partial matrix.
+    from a partial matrix. A pass over some of the modalities holds only
+    their finals, and ``fused`` is None if it leaves out a fused one.
     """
 
     finals: dict[str, np.ndarray]
-    fused: np.ndarray
+    fused: np.ndarray | None
     num_users: int
     mask: tuple[str, ...]
     rows: np.ndarray | None = None
@@ -185,10 +186,12 @@ class Representations:
 
 
 def forward_pass(state: EmbeddingState, prop: Propagator, config: RunConfig,
-                 rows: np.ndarray | None = None) -> Representations:
-    """Propagate every modality table, read out the layer sum (or mean)
-    and fuse the modalities of ``config.modality_mask`` (default all) by
-    element-wise mean.
+                 rows: np.ndarray | None = None,
+                 modalities: tuple[str, ...] | None = None
+                 ) -> Representations:
+    """Propagate the ``modalities`` tables (default all), read out the
+    layer sum (or mean) and fuse the modalities of ``config.modality_mask``
+    (default all) by element-wise mean.
 
     With ``rows`` (ascending vertex ids) the result is compact: layers
     ``1..L-1`` still run on the whole table, the last one propagates only
@@ -205,7 +208,8 @@ def forward_pass(state: EmbeddingState, prop: Propagator, config: RunConfig,
         index = np.full(block.shape[1], len(rows), dtype=np.int64)
         index[rows] = np.arange(len(rows))
     finals: dict[str, np.ndarray] = {}
-    for m, layer in state.tables.items():
+    for m in modalities or state.modalities:
+        layer = state.tables[m]
         if rows is None:
             out = layer.copy()
             for _ in range(num_layers):
@@ -221,13 +225,20 @@ def forward_pass(state: EmbeddingState, prop: Propagator, config: RunConfig,
         if config.readout == "mean":
             out /= num_layers + 1
         finals[m] = out
+    fused = fuse(finals, mask) if set(mask) <= finals.keys() else None
+    return Representations(finals=finals, fused=fused,
+                           num_users=state.num_users, mask=mask, rows=rows,
+                           index=index, block=block)
+
+
+def fuse(finals: dict[str, np.ndarray], mask: tuple[str, ...]) -> np.ndarray:
+    """The element-wise mean of the finals ``mask`` names, summed in mask
+    order (a repeated entry counts each time)."""
     fused = finals[mask[0]].copy()
     for m in mask[1:]:
         fused += finals[m]
     fused /= len(mask)
-    return Representations(finals=finals, fused=fused,
-                           num_users=state.num_users, mask=mask, rows=rows,
-                           index=index, block=block)
+    return fused
 
 
 def score_matrix(reps: Representations, users: np.ndarray,

@@ -181,17 +181,20 @@ class InteractionGraph:
         return self.adjacency.entry_rows, self.adjacency.indices
 
     @cached_property
-    def _edge_keys(self) -> np.ndarray:
-        # Ascending: rows come in user order, items ascend within a row.
+    def _edge_bits(self) -> np.ndarray:
+        """A packed ``num_users x num_items`` bitset of the edges: bit
+        ``k % 8`` of byte ``k // 8`` is set for key ``k = user *
+        num_items + item``."""
         users, items = self.edges()
-        return users * self.num_items + items
+        keys = users * self.num_items + items
+        bits = np.zeros((self.num_users * self.num_items + 7) // 8, np.uint8)
+        np.bitwise_or.at(bits, keys >> 3, (1 << (keys & 7)).astype(np.uint8))
+        return bits
 
     def has_edge(self, user, item):
         """Whether (user, item) is a train edge, elementwise over arrays."""
         keys = np.asarray(user, dtype=np.int64) * self.num_items + item
-        edge_keys = self._edge_keys
-        pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
-        return edge_keys[pos] == keys
+        return (self._edge_bits[keys >> 3] >> (keys & 7)) & 1 == 1
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .backbone import Propagator, Representations
+from .backbone import Propagator, Representations, fuse
 from .dataset import TripletBatch
 from .errors import MdvtError
 from .triplet_forge import VirtualTripletSet
@@ -156,9 +156,11 @@ def _selection(targets: np.ndarray, like: np.ndarray) -> sp.csr_matrix:
 
 
 def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
-             reps: Representations, prop: Propagator, config: RunConfig):
-    """Batch losses and gradients w.r.t. every embedding table; a batch
-    with a ``virtual`` set is joint, one with None is warm-up.
+             reps: Representations, prop: Propagator, config: RunConfig,
+             peer=None):
+    """Batch losses and gradients w.r.t. the embedding tables ``reps``
+    holds finals of; a batch with a ``virtual`` set is joint, one with None
+    is warm-up.
 
     Returns ``(LossReport, grads)`` where ``grads[modality]`` is the
     ``(V, d)`` gradient of that modality's table (users first, like
@@ -174,47 +176,99 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
     ``reps`` may be compact (``forward_pass(..., rows=batch_vertices(...))``):
     the scatters then fill its rows only, and ``_spread`` fans them out to
     the whole table, giving the full pass's gradients bit for bit.
+
+    In a split epoch (``trainer.train_epoch``) each process passes its
+    end of the link as ``peer``, and its ``reps`` holds its own tables'
+    finals, the worker's the later ones in table order. The worker sends
+    its gap terms (and its masked finals when the loss reads the fused
+    matrix) and gets back ``(coef, share)``; its report is None. The
+    parent adds those gap terms to its own in table order, computes the
+    losses, ``coef`` and ``share`` as a serial step does, and sends them.
     """
+    # The rows the BPR steps go into: users, then positives, negatives.
+    rows = reps.locate(np.concatenate([batch.users,
+                                       batch.pos_items + reps.num_users,
+                                       batch.neg_items + reps.num_users]))
+    blocks, gaps = {}, []
+    if config.score_mode == "per_modality":
+        for m, f in reps.finals.items():
+            blocks[m], gap = _step_block(f, rows)
+            gaps.append(gap)
+    if peer is not None and not peer.couples:
+        fused = virtual is not None or config.score_mode == "fused"
+        peer.send((gaps, {m: f for m, f in reps.finals.items()
+                          if m in reps.mask} if fused else None))
+        report, (coef, share) = None, peer.recv()
+    else:
+        if peer is not None:
+            their_gaps, their_finals = peer.recv()
+            gaps += their_gaps
+            if their_finals:
+                reps.fused = fuse({**reps.finals, **their_finals}, reps.mask)
+        report, coef, share = _couple(batch, virtual, reps, config, rows,
+                                      gaps)
+        if peer is not None:
+            peer.send((coef, share))
+    return report, _table_grads(reps, prop, config, rows, blocks, coef,
+                                share)
+
+
+def _step_block(f: np.ndarray, rows: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The unscaled BPR step block of the scored matrix ``f`` and its gap
+    terms ``f[u] . (f[pos] - f[neg])``: ``f[pos] - f[neg]`` (the users'
+    steps), ``f[u]`` (the positives'), then room for the negatives'.
+    Filled in place: fresh pages cost more than the arithmetic."""
+    size = len(rows) // 3
+    users, pos, neg = rows[:size], rows[size:2 * size], rows[2 * size:]
+    block = np.empty((3 * size, f.shape[1]), dtype=f.dtype)
+    diff, f_users = block[:size], block[size:2 * size]
+    np.take(f, pos, axis=0, out=diff)
+    diff -= f[neg]
+    np.take(f, users, axis=0, out=f_users)
+    return block, np.einsum("bd,bd->b", f_users, diff)
+
+
+def _scale(block: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """A step block times each triplet's ``coef``, with the negatives'
+    steps ``-c*f[u]``, in place."""
+    size = len(coef)
+    block[:size] *= coef
+    block[size:2 * size] *= coef
+    np.negative(block[size:2 * size], out=block[2 * size:])
+    return block
+
+
+def _couple(batch: TripletBatch, virtual: VirtualTripletSet | None,
+            reps: Representations, config: RunConfig, rows: np.ndarray,
+            gaps: list[np.ndarray]):
+    """The part of a batch step that reads every table: the losses, each
+    triplet's BPR coefficient (None when the BPR term weighs 0) and
+    ``share``, the fused matrix's gradient over the mask length (None when
+    zero). ``gaps`` are every table's gap terms in table order, added from
+    zero in that order; fused scoring scores ``reps.fused`` instead."""
     w_v = config.lam if virtual is not None else 0.0
     w_bpr = 1.0 if config.wo_scale else 1.0 - w_v
-    num_users, size = reps.num_users, len(batch)
-    users = reps.locate(batch.users)
-    pos = reps.locate(batch.pos_items + num_users)
-    neg = reps.locate(batch.neg_items + num_users)
-
-    # Real-triplet branch, per modality or on the fused matrix: one block of
-    # steps each, in batch order: c*(f[pos]-f[neg]) into the users, c*f[u]
-    # into pos, -c*f[u] into neg. Filled in place: fresh pages cost more
-    # than the arithmetic.
-    scored = (reps.finals if config.score_mode == "per_modality"
-              else {None: reps.fused})
-    bpr_steps = {}
-    gaps = np.zeros(size, dtype=reps.fused.dtype)
-    for m, f in scored.items():
-        steps = bpr_steps[m] = np.empty((3 * size, f.shape[1]), dtype=f.dtype)
-        diff, f_users = steps[:size], steps[size:2 * size]
-        np.take(f, pos, axis=0, out=diff)
-        diff -= f[neg]
-        np.take(f, users, axis=0, out=f_users)
-        gaps += np.einsum("bd,bd->b", f_users, diff)
-    l_bpr = float(np.mean(softplus(-gaps)))
-    if w_bpr == 0.0:
-        bpr_steps.clear()
-    coef = ((w_bpr / size) * (expit(gaps) - 1.0))[:, None]
-    for steps in bpr_steps.values():
-        steps[:size] *= coef
-        steps[size:2 * size] *= coef
-        np.negative(steps[size:2 * size], out=steps[2 * size:])
-    bpr_targets = np.concatenate([users, pos, neg])
+    size = len(batch)
+    if config.score_mode == "fused":
+        block, gap = _step_block(reps.fused, rows)
+        gaps = [gap]
+    total = np.zeros(size, dtype=gaps[0].dtype)
+    for gap in gaps:
+        total += gap
+    l_bpr = float(np.mean(softplus(-total)))
+    coef = (((w_bpr / size) * (expit(total) - 1.0))[:, None]
+            if w_bpr != 0.0 else None)
 
     # (targets, steps) into the fused matrix: fused-mode BPR steps first.
-    fused = [(bpr_targets, bpr_steps.pop(None))] if None in bpr_steps else []
+    fused = ([(rows, _scale(block, coef))]
+             if config.score_mode == "fused" and coef is not None else [])
     l_vbpr = None
     if virtual is not None:
-        rows, weight = _virtual_rows(batch.users, virtual,
-                                     config.per_distinct_user)
-        if rows.size:
-            l_vbpr, *scatter = _virtual_loss(rows, weight, virtual, reps,
+        v_rows, weight = _virtual_rows(batch.users, virtual,
+                                       config.per_distinct_user)
+        if v_rows.size:
+            l_vbpr, *scatter = _virtual_loss(v_rows, weight, virtual, reps,
                                              w_v, config.wo_aggr)
             if w_v != 0.0:
                 fused.append(scatter)
@@ -229,11 +283,25 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
         grad_fused = _selection(targets, reps.fused) @ steps
         if np.any(grad_fused):
             share = grad_fused / len(reps.mask)
-    select = _selection(bpr_targets, reps.fused) if bpr_steps else None
+    return report, coef, share
+
+
+def _table_grads(reps: Representations, prop: Propagator, config: RunConfig,
+                 rows: np.ndarray, blocks: dict[str, np.ndarray],
+                 coef: np.ndarray | None, share: np.ndarray | None
+                 ) -> dict[str, np.ndarray]:
+    """The gradient of each table ``reps`` holds finals of: its scaled
+    step block scattered into ``rows``, plus ``share`` once per mask
+    entry, pushed back through the propagation."""
     grads = {}
+    select = None
     for m, f in reps.finals.items():
-        acc = (np.zeros_like(f) if select is None
-               else select @ bpr_steps.pop(m))
+        if blocks and coef is not None:
+            if select is None:
+                select = _selection(rows, f)
+            acc = select @ _scale(blocks.pop(m), coef)
+        else:
+            acc = np.zeros_like(f)
         # Fusion backward once per mask entry, then propagation's transpose.
         if share is not None:
             for _ in range(reps.mask.count(m)):
@@ -248,7 +316,7 @@ def backward(batch: TripletBatch, virtual: VirtualTripletSet | None,
         if config.readout == "mean":
             acc /= config.num_layers + 1
         grads[m] = acc
-    return report, grads
+    return grads
 
 
 def _spread(acc: np.ndarray, reps: Representations, prop: Propagator,
@@ -294,28 +362,40 @@ class OptimizerState:
 
 
 def adam_step(state, opt: OptimizerState, grads: dict[str, np.ndarray],
-              config: RunConfig) -> None:
-    """One in-place Adam update with bias correction, at ``config``'s
-    learning rate and weight decay. A non-finite gradient raises before
-    any table or moment moves.
+              config: RunConfig, peer=None) -> None:
+    """One in-place Adam update of the tables ``grads`` names, with bias
+    correction, at ``config``'s learning rate and weight decay. A
+    non-finite gradient raises before any table or moment moves.
+
+    In a split epoch ``peer.agree`` trades this process's finding (the
+    first non-finite table's message, or None) for the step's, so that
+    neither process moves a table unless both may, and the message is the
+    one a serial step gives.
 
     Each table is walked in blocks of ``ROW_BLOCK`` rows; every element
     sees the same ufuncs in the same order as a whole-table update."""
     opt.step += 1
     t = opt.step
-    for m in state.tables:
-        if not np.all(np.isfinite(grads[m])):
-            role = ("item" if np.all(np.isfinite(grads[m][:state.num_users]))
+    problem = None
+    for m, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            role = ("item" if np.all(np.isfinite(g[:state.num_users]))
                     else "user")
-            raise MdvtError(f"non-finite gradient for table {role}.{m} "
-                            f"at optimizer step {t}")
+            problem = (f"non-finite gradient for table {role}.{m} "
+                       f"at optimizer step {t}")
+            break
+    if peer is not None:
+        problem = peer.agree(problem)
+    if problem:
+        raise MdvtError(problem)
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
     # Two temporaries, reused by every block; each line computes what
     # ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` does, in order.
     first = next(iter(state.tables.values()))
     a_block, b_block = (np.empty_like(first[:ROW_BLOCK]) for _ in range(2))
-    for key, table in state.tables.items():
+    for key in grads:
+        table = state.tables[key]
         for start in range(0, len(table), ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
             param, g = table[rows], grads[key][rows]

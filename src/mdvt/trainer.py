@@ -311,39 +311,166 @@ def train_epoch(state: backbone.EmbeddingState,
                 rng_shuffle: np.random.Generator,
                 rng_negative: np.random.Generator) -> objective.LossReport:
     """One pass over the shuffled train triplets; virtual is None during
-    warm-up. Both the local and the full step give the same bits."""
+    warm-up. Both the local and the full step give the same bits.
+
+    A split epoch (``_split_epoch``) gives the last half of the tables in
+    table order to a forked worker, which replays the batches from its
+    copies of the two generators and trades each step's coupled values
+    with this process (``objective.backward``, ``adam_step``); at the end
+    it sends its tables and Adam moments back into this process's arrays.
+    The bits are a serial epoch's."""
     local = prop.matrix.nnz * state.embed_dim > LOCAL_STEP_MIN_WORK
-    sums = {"l_bpr": 0.0, "l_total": 0.0}
-    vbpr_sum, vbpr_batches, n_batches = 0.0, 0, 0
-    for batch in make_batches(bundle.split.train, bundle.graph,
-                              config.batch_size, rng_shuffle, rng_negative):
-        rows = (objective.batch_vertices(batch, virtual, state.num_users,
-                                         prop.matrix.shape[0])
-                if local else None)
-        reps = backbone.forward_pass(state, prop, config, rows)
-        report, grads = objective.backward(batch, virtual, reps, prop, config)
-        if not np.isfinite(report.l_total):
-            raise MdvtError(
-                f"non-finite loss at epoch {epoch}, batch {n_batches}: "
-                f"l_bpr={report.l_bpr}, l_vbpr={report.l_vbpr}")
-        # Drop the representations now, so that the next batch's reuse
-        # their memory instead of sitting beside them at its peak. The
-        # gradients stay until the next backward returns: freeing them too
-        # frees the top of the heap, which malloc hands back to the kernel,
-        # and every batch then page-faults its arrays in again.
-        del reps
-        objective.adam_step(state, opt, grads, config)
-        sums["l_bpr"] += report.l_bpr
-        sums["l_total"] += report.l_total
+
+    def steps(own: tuple[str, ...], peer: _Link | None):
+        """Train the tables ``own``, yielding each batch's loss report
+        (None in the worker)."""
+        batches = make_batches(bundle.split.train, bundle.graph,
+                               config.batch_size, rng_shuffle, rng_negative)
+        for n, batch in enumerate(batches):
+            rows = (objective.batch_vertices(batch, virtual, state.num_users,
+                                             prop.matrix.shape[0])
+                    if local else None)
+            reps = backbone.forward_pass(state, prop, config, rows, own)
+            report, grads = objective.backward(batch, virtual, reps, prop,
+                                               config, peer)
+            if report is not None and not np.isfinite(report.l_total):
+                raise MdvtError(
+                    f"non-finite loss at epoch {epoch}, batch {n}: "
+                    f"l_bpr={report.l_bpr}, l_vbpr={report.l_vbpr}")
+            # Drop the representations now, so that the next batch's
+            # reuse their memory instead of sitting beside them at its
+            # peak. The gradients stay until the next backward returns:
+            # freeing them too frees the top of the heap, which malloc
+            # hands back to the kernel, and every batch then page-faults
+            # its arrays in again.
+            del reps
+            objective.adam_step(state, opt, grads, config, peer)
+            yield report
+
+    own = state.modalities
+    if not _split_epoch(state, prop):
+        return _mean_losses(steps(own, None), len(bundle.split.train), config)
+    cut = len(own) - len(own) // 2
+    own, theirs = own[:cut], own[cut:]
+    # Imported here: multiprocessing costs a serial run 0.3 MiB of RSS.
+    from multiprocessing.connection import Pipe
+    pool = ForkPool(2)
+    parent_end, worker_end = Pipe()
+
+    # What the worker trains, and at the end sends back in place.
+    arrays = [a for m in theirs for a in (state.tables[m], opt.m[m], opt.v[m])]
+
+    def work() -> None:
+        parent_end.close()
+        link = _Link(worker_end)
+        for _ in steps(theirs, link):
+            pass
+        for array in arrays:
+            link.send_array(array)
+
+    try:
+        pool.add(f"modalities {', '.join(theirs)}", work)
+        worker_end.close()
+        link = _Link(parent_end, pool)
+        report = _mean_losses(steps(own, link), len(bundle.split.train),
+                              config)
+        for array in arrays:
+            link.recv_into(array)
+        pool.gather()
+    finally:
+        parent_end.close()
+        worker_end.close()
+        pool.close()
+    return report
+
+
+def _mean_losses(reports, train_size: int, config: RunConfig
+                 ) -> objective.LossReport:
+    """An epoch's mean batch losses, summed in batch order, from an
+    iterable that trains each batch as it yields its report."""
+    l_bpr = l_total = vbpr_sum = 0.0
+    vbpr_batches = n_batches = 0
+    for report in reports:
+        l_bpr += report.l_bpr
+        l_total += report.l_total
         if report.l_vbpr is not None:
             vbpr_sum += report.l_vbpr
             vbpr_batches += 1
         n_batches += 1
-    scale = len(bundle.split.train) if config.loss_reporting == "sum" else 1.0
+    scale = train_size if config.loss_reporting == "sum" else 1.0
     return objective.LossReport(
-        l_bpr=scale * sums["l_bpr"] / n_batches,
+        l_bpr=scale * l_bpr / n_batches,
         l_vbpr=(scale * vbpr_sum / vbpr_batches) if vbpr_batches else None,
-        l_total=scale * sums["l_total"] / n_batches)
+        l_total=scale * l_total / n_batches)
+
+
+# Propagation work (as for LOCAL_STEP_MIN_WORK) above which an epoch is
+# split by modality across this process and a forked worker. Measured in
+# interleaved perfbench pairs (2 cores): bpr-wide (1.5e7) trains faster
+# split; joint-mid (5.1e6) does not, as its virtual loss and refresh stay
+# here; search-small (3.6e4) trains many epochs, each cheaper than a fork.
+SPLIT_MIN_WORK = 2 ** 23
+
+
+def _split_epoch(state: backbone.EmbeddingState,
+                 prop: backbone.Propagator) -> bool:
+    """Whether an epoch is worth splitting across two processes and two
+    fit: there are two tables or more, this process is no ForkPool's
+    child, none of its ForkPool children is running, it may use two cores
+    and it can fork."""
+    return (len(state.tables) > 1
+            and prop.matrix.nnz * state.embed_dim > SPLIT_MIN_WORK
+            and not _in_child and not ForkPool.live
+            and hasattr(os, "fork") and candidate_processes() > 1)
+
+
+class _Link:
+    """One process's end of a split epoch's connection: pickled messages
+    that go each way in turn (see ``objective.backward`` and
+    ``adam_step``). At the parent's end (``couples``, with the worker's
+    ``pool``) a worker that died or raised gives the error ForkPool gives
+    for it: the worker's own, or one MdvtError (exit 4) naming it."""
+
+    def __init__(self, conn, pool: ForkPool | None = None) -> None:
+        self.conn, self.pool = conn, pool
+        self.couples = pool is not None
+
+    def send(self, message) -> None:
+        self._call(self.conn.send, message)
+
+    def recv(self):
+        return self._call(self.conn.recv)
+
+    def send_array(self, array: np.ndarray) -> None:
+        """Send a contiguous array's bytes, with no pickled copy."""
+        self._call(self.conn.send_bytes, array.reshape(-1))
+
+    def recv_into(self, array: np.ndarray) -> None:
+        """Overwrite a contiguous array with the bytes ``send_array``
+        sent."""
+        self._call(self.conn.recv_bytes_into, array.reshape(-1))
+
+    def _call(self, op, *args):
+        try:
+            return op(*args)
+        except (EOFError, OSError):
+            if self.pool is None:  # in the worker: the parent has gone
+                raise
+            self.pool.gather()
+            raise MdvtError("the modality worker ended before its epoch")
+
+    def agree(self, problem: str | None) -> str | None:
+        """The step's first non-finite table message, or None: the
+        parent's own comes first in table order; the worker waits for the
+        parent's word before its tables move."""
+        if self.couples:
+            if problem is None:
+                problem = self.recv()
+                if problem is None:
+                    self.send(None)
+            return problem
+        self.send(problem)
+        return problem or self.recv()
 
 
 class TrainingRun:
@@ -501,6 +628,9 @@ class ForkPool(contextlib.AbstractContextManager):
     run here when added. Its ``with`` block raises the first error in job
     order (a dead child's as one MdvtError) and kills and reaps the rest."""
 
+    # Children of every pool of this process, forked and not yet reaped.
+    live = 0
+
     def __init__(self, processes: int) -> None:
         self.processes = processes if hasattr(os, "fork") else 1
         self.results: list = []
@@ -525,6 +655,7 @@ class ForkPool(contextlib.AbstractContextManager):
         read, write = os.pipe()
         if (pid := os.fork()) == 0:
             _run_child(job, read, write)
+        ForkPool.live += 1
         os.close(write)
         self.running.append((len(self.results), pid, os.fdopen(read, "rb"),
                              what))
@@ -537,6 +668,7 @@ class ForkPool(contextlib.AbstractContextManager):
             data = pipe.read()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         self.running.popleft()
+        ForkPool.live -= 1
         payload = pickle.loads(data) if code == 0 else MdvtError(
             f"the process training {what} ended without a result "
             f"({f'signal {-code}' if code < 0 else f'exit {code}'})")
@@ -558,6 +690,7 @@ class ForkPool(contextlib.AbstractContextManager):
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+            ForkPool.live -= 1
 
 
 def _run_child(job: typing.Callable[[], typing.Any], read: int, write: int

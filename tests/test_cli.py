@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import write_raw_features
-from mdvt import backbone, dataset, trainer
+from mdvt import backbone, dataset, objective, trainer
 from mdvt.cli import main
 from mdvt.dataset import load_bundle, load_interactions, write_atomic
 from mdvt.errors import DataError
@@ -1384,6 +1384,83 @@ class TestCandidateProcesses:
                               sorted((out / "runs").glob("cell-*.json"))]
         assert len(cells["1"]) == 2
         assert cells["1"] == cells["2"]
+
+
+class TestSplitEpochs:
+    """An epoch split by modality across this process and a forked worker
+    writes the bytes, and fails with the errors, of a serial epoch."""
+
+    def train(self, tmp_path, config, monkeypatch, split, tag=""):
+        monkeypatch.setattr(trainer, "candidate_processes", lambda: 2)
+        monkeypatch.setattr(trainer, "SPLIT_MIN_WORK",
+                            -1 if split else 10 ** 18)
+        out = tmp_path / f"run-{split}{tag}.json"
+        code = main(["train", "--bundle", str(tmp_path / "bundle"),
+                     "--config", str(config), "--out", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("overrides", [
+        dict(strategy="dynamic"),
+        dict(mdvt_enabled=False, weight_decay=0.01),
+        dict(strategy="static", static_set=[0], score_mode="fused",
+             modality_mask=["visual"], wo_aggr=True),
+        dict(lam=0.0, num_layers=2, readout="mean")],
+        ids=["dynamic", "bpr", "fused_mask", "lam_0"])
+    def test_same_bytes(self, tmp_path, monkeypatch, overrides):
+        bundle = prepare_bundle(tmp_path)
+        config = base_config(tmp_path, **overrides)
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        outputs = []
+        for split in (True, False):
+            forks.clear()
+            code, out = self.train(tmp_path, config, monkeypatch, split)
+            assert code == 0
+            # Every epoch of the run splits (no candidate forks here).
+            report = json.loads(out.read_text(encoding="utf-8"))
+            assert len(forks) == (len(report["history"]["l_total"])
+                                  if split else 0)
+            evaluated = tmp_path / f"eval-{split}.json"
+            assert main(["eval", "--bundle", str(bundle), "--checkpoint",
+                         str(out.with_suffix(".ckpt")), "--k", "5", "10",
+                         "20", "--out", str(evaluated)]) == 0
+            outputs.append((train_outputs(out), evaluated.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_killed_worker_one_error_line(self, tmp_path, monkeypatch,
+                                          capsys):
+        prepare_bundle(tmp_path)
+        config = base_config(tmp_path)
+        adam_step = objective.adam_step
+
+        def killed(state, opt, grads, config, peer=None):
+            if trainer._in_child and opt.step == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            adam_step(state, opt, grads, config, peer)
+
+        def hung(signum, frame):
+            raise TimeoutError("the epoch still waits for its worker")
+
+        monkeypatch.setattr(objective, "adam_step", killed)
+        capsys.readouterr()
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            code, _ = self.train(tmp_path, config, monkeypatch, True)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 4
+        assert single_error_line(capsys) == (
+            "error: the process training modalities visual ended without "
+            "a result (signal 9)")
+        assert trainer.ForkPool.live == 0
+        assert_no_child_left()
 
 
 class TestSweepCells:
