@@ -1,6 +1,6 @@
 """Command-line surface: prepare / train / sweep / eval.
 
-Exit codes: 0 ok, 1 config, 2 data, 3 checkpoint, 4 runtime.
+Exit codes: 0 ok, 1 config, 2 data, 3 checkpoint, 4 runtime, 5 output.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import __version__, trainer
 from .dataset import (check_feature_name, load_bundle, load_interactions,
                       load_modality_features, save_bundle, split_dataset,
                       write_atomic, DatasetBundle)
-from .errors import CheckpointError, ConfigError, DataError, MdvtError
+from .errors import CheckpointError, ConfigError, MdvtError, OutputError
 from .trainer import RunConfig
 
 log = logging.getLogger(__name__)
@@ -276,6 +276,7 @@ def cmd_eval(args) -> int:
             f"(stored {stored_fp[:12]}, bundle {bundle.fingerprint[:12]})")
     state = trainer.state_from_tables(tables, bundle, config.embed_dim,
                                       config.modality_mask)
+    del tables  # views of the checkpoint's bytes, which the state copied
     ks = tuple(sorted(set(args.k)))
     metrics = trainer.evaluate_split(state, bundle, config, "test", ks=ks)
     payload = metrics.to_dict()
@@ -307,9 +308,9 @@ def main(argv: list[str] | None = None) -> int:
     except MdvtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
+    except OSError as exc:  # inputs raise their own errors
         print(f"error: {exc}", file=sys.stderr)
-        return DataError.exit_code
+        return OutputError.exit_code
     except MemoryError as exc:
         print(f"error: out of memory{f': {exc}' if str(exc) else ''}",
               file=sys.stderr)

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Each class carries the CLI exit code used when it escapes to the command
-line: 1 config, 2 data, 3 checkpoint, 4 other runtime failures.
+line: 1 config, 2 data, 3 checkpoint, 4 other runtime failures, 5 output
+faults.
 """
 
 
@@ -19,6 +20,13 @@ class DataError(MdvtError):
 
 class CheckpointError(MdvtError):
     exit_code = 3
+
+
+class OutputError(MdvtError):
+    """An output that cannot be written (a full disk, an ``--out`` under a
+    file): the code of every OSError that reaches the command line."""
+
+    exit_code = 5
 
 
 class SelectionError(MdvtError):

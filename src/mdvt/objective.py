@@ -65,11 +65,11 @@ def _virtual_rows(users: np.ndarray, virtual: VirtualTripletSet,
 
 def _virtual_loss(rows: np.ndarray, weight: np.ndarray,
                   virtual: VirtualTripletSet, reps: Representations,
-                  w_v: float, wo_aggr: bool
+                  w_v: float, wo_aggr: bool, head: tuple | None = None
                   ) -> tuple[float, np.ndarray, np.ndarray]:
     """Weighted mean virtual loss of ``rows``, and ``(targets, steps)``:
     ``w_v`` times its gradient w.r.t. ``reps.fused`` as steps into its
-    rows.
+    rows, after ``head``'s if given, in the one buffer ``_couple`` scatters.
 
     Rows of one group length are computed together. Stacked matrix
     products keep each user's sums in the order of a one-user product, and
@@ -84,8 +84,16 @@ def _virtual_loss(rows: np.ndarray, weight: np.ndarray,
     pos_rows = reps.locate(pos.indices + reps.num_users)
     neg_rows = reps.locate(neg.indices + reps.num_users)
     lengths = pos.row_lengths
+    # The head's steps, then the users', then the items'.
+    lead = 0 if head is None else len(head[0])
+    start = lead + len(rows)
+    targets = np.empty(start + 2 * len(pos.indices), dtype=np.int64)
+    steps = np.empty((len(targets), z.shape[1]), dtype=z.dtype)
+    if head is not None:
+        targets[:lead], steps[:lead] = head
+    targets[lead:start] = users
+    user_grad = steps[lead:start]
     terms = np.empty(len(rows), dtype=z.dtype)
-    user_grad = np.empty((len(rows), z.shape[1]), dtype=z.dtype)
     pair_coef = np.empty(len(pos.indices), dtype=z.dtype)
     for n in np.unique(lengths).tolist():  # an np.int64 n widens float32
         sel = np.flatnonzero(lengths == n)
@@ -109,20 +117,16 @@ def _virtual_loss(rows: np.ndarray, weight: np.ndarray,
             user_grad[sel] = coef[:, None] * delta
             pair_coef[at] = (coef / n)[:, None]
     # Each user's positives, then its negatives, users ascending.
-    pair = np.arange(len(pair_coef))
+    pair = start + np.arange(len(pair_coef))
     to_pos = pair + np.repeat(pos.indptr[:-1], lengths)
     to_neg = pair + np.repeat(pos.indptr[1:], lengths)
-    targets = np.empty(2 * len(pair), dtype=np.int64)
     targets[to_pos] = pos_rows
     targets[to_neg] = neg_rows
     step = pair_coef[:, None] * z[np.repeat(users, lengths)]
-    steps = np.empty((2 * len(pair), z.shape[1]), dtype=z.dtype)
     steps[to_pos] = step
     steps[to_neg] = -step
     # Running sum left to right, as a loop accumulates it.
-    return (float(np.cumsum(terms)[-1] / total),
-            np.concatenate([users, targets]),
-            np.concatenate([user_grad, steps]))
+    return float(np.cumsum(terms)[-1] / total), targets, steps
 
 
 def batch_vertices(batch: TripletBatch, virtual: VirtualTripletSet | None,
@@ -261,25 +265,25 @@ def _couple(batch: TripletBatch, virtual: VirtualTripletSet | None,
             if w_bpr != 0.0 else None)
 
     # (targets, steps) into the fused matrix: fused-mode BPR steps first.
-    fused = ([(rows, _scale(block, coef))]
-             if config.score_mode == "fused" and coef is not None else [])
+    scatter = ((rows, _scale(block, coef))
+               if config.score_mode == "fused" and coef is not None else None)
     l_vbpr = None
     if virtual is not None:
         v_rows, weight = _virtual_rows(batch.users, virtual,
                                        config.per_distinct_user)
         if v_rows.size:
-            l_vbpr, *scatter = _virtual_loss(v_rows, weight, virtual, reps,
-                                             w_v, config.wo_aggr)
+            l_vbpr, *joined = _virtual_loss(v_rows, weight, virtual, reps,
+                                            w_v, config.wo_aggr, scatter)
             if w_v != 0.0:
-                fused.append(scatter)
+                scatter = joined
 
     # A joint batch without any virtual entry still weights the bpr term.
     l_total = w_bpr * l_bpr + w_v * (0.0 if l_vbpr is None else l_vbpr)
     report = LossReport(l_bpr=l_bpr, l_vbpr=l_vbpr, l_total=l_total)
 
     share = None
-    if fused:
-        targets, steps = (np.concatenate(parts) for parts in zip(*fused))
+    if scatter is not None:
+        targets, steps = scatter
         grad_fused = _selection(targets, reps.fused) @ steps
         if np.any(grad_fused):
             share = grad_fused / len(reps.mask)

@@ -355,7 +355,9 @@ def train_epoch(state: backbone.EmbeddingState,
     # Imported here: multiprocessing costs a serial run 0.3 MiB of RSS.
     from multiprocessing.connection import Pipe
     pool = ForkPool(2)
-    parent_end, worker_end = Pipe()
+    what = f"modalities {', '.join(theirs)}"
+    with _starting(what):
+        parent_end, worker_end = Pipe()
 
     # What the worker trains, and at the end sends back in place.
     arrays = [a for m in theirs for a in (state.tables[m], opt.m[m], opt.v[m])]
@@ -369,7 +371,7 @@ def train_epoch(state: backbone.EmbeddingState,
             link.send_array(array)
 
     try:
-        pool.add(f"modalities {', '.join(theirs)}", work)
+        pool.add(what, work)
         worker_end.close()
         link = _Link(parent_end, pool)
         report = _mean_losses(steps(own, link), len(bundle.split.train),
@@ -479,8 +481,8 @@ class TrainingRun:
     It holds everything the next epoch reads: the tables, the Adam
     moments and step, both RNG streams, the first joint epoch
     (``trigger``; None for none), the history and the best epoch's state
-    and validation. ``fork`` copies that state, so a strategy search can
-    branch candidates off one shared warm-up trunk.
+    and validation (None until a step). ``fork`` copies that state, so a
+    strategy search can branch candidates off one shared warm-up trunk.
     """
 
     def __init__(self, bundle: DatasetBundle, config: RunConfig,
@@ -502,8 +504,8 @@ class TrainingRun:
         self.opt = objective.OptimizerState.for_state(self.state)
         self.trigger = trigger
         self.history = TrainHistory()
-        # Replaced on improvement, never mutated: forks may share them.
-        self.best_state = self.state.copy()
+        # Set by each improvement, never mutated: forks may share them.
+        self.best_state: backbone.EmbeddingState | None = None
         self.best_validation: evaluator.MetricsReport | None = None
         self.epoch = 0
 
@@ -525,6 +527,7 @@ class TrainingRun:
             virtual = triplet_forge.refresh(
                 reps, config, split.train.adjacency, split.trained_users,
                 item_counts=self.bundle.graph.degrees[self.bundle.num_users:])
+            del reps  # whole-table arrays the epoch never reads
         report = train_epoch(self.state, self.opt, self.prop, self.bundle,
                              config, epoch, virtual, self.rng_shuffle,
                              self.rng_negative)
@@ -652,8 +655,15 @@ class ForkPool(contextlib.AbstractContextManager):
             return
         if len(self.running) == self.processes:
             self._wait()
-        read, write = os.pipe()
-        if (pid := os.fork()) == 0:
+        with _starting(what):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+        if pid == 0:
             _run_child(job, read, write)
         ForkPool.live += 1
         os.close(write)
@@ -691,6 +701,17 @@ class ForkPool(contextlib.AbstractContextManager):
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             ForkPool.live -= 1
+
+
+@contextlib.contextmanager
+def _starting(what: str):
+    """Raise a failure to make a child's pipe or process (too many open
+    files or processes, say) as a runtime MdvtError naming ``what``."""
+    try:
+        yield
+    except OSError as exc:
+        raise MdvtError(f"cannot start the process training {what}: "
+                        f"{exc.strerror or exc}") from None
 
 
 def _run_child(job: typing.Callable[[], typing.Any], read: int, write: int

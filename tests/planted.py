@@ -8,6 +8,8 @@ so the test signal is exactly the planted structure.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from conftest import make_set
@@ -50,3 +52,16 @@ def planted_bundle(seed: int, num_users: int = 200, num_items: int = 100,
     return DatasetBundle(split=split, graph=build_graph(split.train),
                          features=features,
                          stats=_bundle_stats(split, features, 0))
+
+
+def bundle_with(modalities: int) -> DatasetBundle:
+    """A small planted bundle with ``modalities`` tables: id, visual (and
+    text)."""
+    bundle = planted_bundle(1, num_users=60, num_items=40, feature_dim=8)
+    features = dict(bundle.features)
+    if modalities == 3:
+        features["text"] = np.ascontiguousarray(
+            features["visual"][:, ::-1] * 0.5)
+    return dataclasses.replace(
+        bundle, features=features,
+        stats=_bundle_stats(bundle.split, features, 0), propagators={})

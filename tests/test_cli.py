@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
+import multiprocessing.connection
 import os
 import pathlib
 import resource
@@ -124,7 +126,7 @@ class TestPrepare:
         monkeypatch.setattr(dataset, "_write_tsv", failing)
         assert main(["prepare", "--interactions",
                      str(tmp_path / "interactions.tsv"),
-                     "--out", str(bundle), "--seed", "1"]) == 2
+                     "--out", str(bundle), "--seed", "1"]) == 5
         monkeypatch.undo()
         assert not (bundle / "stats.json").exists()
         capsys.readouterr()
@@ -300,7 +302,7 @@ class TestTrain:
         monkeypatch.setattr(trainer, "train_epoch", counted)
         capsys.readouterr()
         assert main(["train", "--bundle", str(bundle), "--config",
-                     str(config), "--out", str(config / "run.json")]) == 2
+                     str(config), "--out", str(config / "run.json")]) == 5
         assert "File exists" in single_error_line(capsys)
         assert trained == []
 
@@ -406,7 +408,7 @@ class TestTrain:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(pathlib.Path, "write_bytes", torn)
-        assert main(argv) == 2
+        assert main(argv) == 5
         monkeypatch.undo()
         after = {p.name: p.read_bytes() for p in tmp_path.glob("run.*")}
         assert after == before
@@ -429,7 +431,7 @@ class TestTrain:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(failing, full_disk)
-        assert main(argv + [str(base_config(tmp_path, lam=0.1))]) == 2
+        assert main(argv + [str(base_config(tmp_path, lam=0.1))]) == 5
         monkeypatch.undo()
         config, _, _ = load_checkpoint(out.with_suffix(".ckpt"))
         if failing.endswith("save_checkpoint"):  # the old pair stays
@@ -944,7 +946,7 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", "--bundle", str(bundle), "--checkpoint",
                      str(tmp_path / "run.ckpt"), "--out",
-                     str(tmp_path / "run.json" / "eval.json")]) == 2
+                     str(tmp_path / "run.json" / "eval.json")]) == 5
         assert "File exists" in single_error_line(capsys)
         assert ranked == []
 
@@ -1357,6 +1359,25 @@ class TestCandidateProcesses:
             "without a result (signal 9)")
         assert_no_child_left()
 
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    def test_failed_start_exit_4(self, tmp_path, monkeypatch, capsys, call):
+        # No process or pipe to be had is a runtime failure, not an output
+        # fault.
+        prepare_bundle(tmp_path)
+        config = base_config(tmp_path, **FORKING)
+
+        def refused():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, call, refused)
+        capsys.readouterr()
+        code, out = self.train(tmp_path, config, monkeypatch, 3)
+        assert code == 4
+        assert single_error_line(capsys) == (
+            "error: cannot start the process training candidate "
+            "dynamic_probe: Resource temporarily unavailable")
+        assert trainer.ForkPool.live == 0 and not out.exists()
+
     def test_pool_cells_train_candidates_in_turn(self, tmp_path,
                                                  monkeypatch):
         # Cells on a --workers pool already fill the cores, so they never
@@ -1461,6 +1482,22 @@ class TestSplitEpochs:
             "a result (signal 9)")
         assert trainer.ForkPool.live == 0
         assert_no_child_left()
+
+    def test_failed_pipe_exit_4(self, tmp_path, monkeypatch, capsys):
+        prepare_bundle(tmp_path)
+        config = base_config(tmp_path)
+
+        def refused():
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(multiprocessing.connection, "Pipe", refused)
+        capsys.readouterr()
+        code, _ = self.train(tmp_path, config, monkeypatch, True)
+        assert code == 4
+        assert single_error_line(capsys) == (
+            "error: cannot start the process training modalities visual: "
+            "Too many open files")
+        assert trainer.ForkPool.live == 0
 
 
 class TestSweepCells:

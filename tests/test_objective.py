@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_set
+from planted import bundle_with
 from gradtools import (as_float64, batch_losses, finite_difference,
                        max_relative_error, total_loss)
 from mdvt import objective
 from mdvt.backbone import Propagator, forward_pass, init_embeddings
-from mdvt.dataset import TripletBatch, build_graph
+from mdvt.dataset import TripletBatch, build_graph, make_batches
 from mdvt.errors import ConfigError, MdvtError
 from mdvt.objective import (OptimizerState, adam_step, backward,
                             batch_vertices, softplus)
@@ -726,3 +727,49 @@ class TestLocalStep:
         assert grads.keys() == want_grads.keys()
         for m, g in grads.items():
             assert g.tobytes() == want_grads[m].tobytes()
+
+
+class TestVirtualStepBuffer:
+    """A joint batch writes its virtual steps once: the steps scattered
+    into the fused matrix are the buffer that ``_virtual_loss`` filled."""
+
+    @pytest.mark.parametrize("score_mode", ["per_modality", "fused"])
+    def test_scattered_steps_are_the_virtual_buffer(self, monkeypatch,
+                                                    score_mode):
+        bundle = bundle_with(3)
+        config = RunConfig(embed_dim=8, batch_size=64, score_mode=score_mode)
+        state = init_embeddings(bundle.features, bundle.num_users,
+                                bundle.num_items, config.embed_dim, 3)
+        prop = Propagator(bundle.graph, config.norm)
+        full = forward_pass(state, prop, config)
+        train = bundle.split.train
+        virtual = refresh(full, config, train.adjacency,
+                          bundle.split.trained_users,
+                          bundle.graph.degrees[bundle.num_users:])
+        rng = np.random.default_rng(0)
+        batch = next(make_batches(train, bundle.graph, 64, rng, rng))
+        rows = objective.batch_vertices(batch, virtual, bundle.num_users,
+                                        bundle.graph.num_vertices)
+        buffers, scattered = [], []
+        virtual_loss, selection = objective._virtual_loss, objective._selection
+
+        def watched_loss(*args):
+            out = virtual_loss(*args)
+            buffers.append(out[2])
+            return out
+
+        class Watched:
+            def __init__(self, matrix):
+                self.matrix = matrix
+
+            def __matmul__(self, steps):
+                scattered.append(steps)
+                return self.matrix @ steps
+
+        monkeypatch.setattr(objective, "_virtual_loss", watched_loss)
+        monkeypatch.setattr(objective, "_selection",
+                            lambda *args: Watched(selection(*args)))
+        for reps in (full, forward_pass(state, prop, config, rows=rows)):
+            backward(batch, virtual, reps, prop, config)
+        assert len(buffers) == 2
+        assert [any(s is b for s in scattered) for b in buffers] == [True] * 2

@@ -9,23 +9,10 @@ import signal
 import numpy as np
 import pytest
 
-from planted import planted_bundle
+from planted import bundle_with
 from mdvt import objective, trainer
-from mdvt.dataset import _bundle_stats
 from mdvt.errors import MdvtError
 from mdvt.trainer import RunConfig, TrainingRun
-
-
-def bundle_with(modalities: int):
-    """A planted bundle with ``modalities`` tables: id, visual (and text)."""
-    bundle = planted_bundle(1, num_users=60, num_items=40, feature_dim=8)
-    features = dict(bundle.features)
-    if modalities == 3:
-        features["text"] = np.ascontiguousarray(
-            features["visual"][:, ::-1] * 0.5)
-    return dataclasses.replace(
-        bundle, features=features,
-        stats=_bundle_stats(bundle.split, features, 0), propagators={})
 
 
 def split_config(**overrides) -> RunConfig:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_bundle
 from oracles import independent_search
-from planted import planted_bundle
+from planted import bundle_with, planted_bundle
 from mdvt import backbone, objective, trainer, triplet_forge
 from mdvt.dataset import make_batches
 from mdvt.errors import CheckpointError, ConfigError
@@ -621,3 +622,35 @@ class TestReportingOptions:
         _, history = train_run(bundle, quick_config(max_epochs=3,
                                                     patience=99))
         assert len(history.l_bpr) == 3
+
+
+class TestStepMemory:
+    """A joint step keeps no whole-table array it does not read again."""
+
+    def test_no_best_state_before_the_first_validation(self):
+        run = trainer.TrainingRun(bundle_with(3), quick_config(), trigger=0)
+        assert run.best_state is None and run.best_validation is None
+        run.step()
+        assert tables(run.best_state) == tables(run.state)
+        for m, table in run.state.tables.items():
+            assert not np.shares_memory(run.best_state.tables[m], table)
+
+    def test_refresh_representations_released_before_training(
+            self, monkeypatch):
+        refs, alive = [], []
+        refresh, train_epoch = triplet_forge.refresh, trainer.train_epoch
+
+        def watched_refresh(reps, *args, **kwargs):
+            refs.append(weakref.ref(reps))
+            return refresh(reps, *args, **kwargs)
+
+        def watched_epoch(*args, **kwargs):
+            alive.append(refs[-1]() is not None)
+            return train_epoch(*args, **kwargs)
+
+        monkeypatch.setattr(triplet_forge, "refresh", watched_refresh)
+        monkeypatch.setattr(trainer, "train_epoch", watched_epoch)
+        run = trainer.TrainingRun(bundle_with(3), quick_config(), trigger=0)
+        for _ in range(2):
+            run.step()
+        assert len(refs) == 2 and alive == [False, False]
