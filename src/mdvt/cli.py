@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import itertools
@@ -52,8 +51,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--bundle", required=True)
     p.add_argument("--config", required=True, help="JSON run config")
     p.add_argument("--out", required=True, help="run report path (JSON)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the config seed")
 
     p = sub.add_parser("sweep", help="grid sweep over config values")
     p.add_argument("--bundle", required=True)
@@ -89,14 +86,11 @@ def _read_json(path: str, what: str):
                           f"{exc}") from exc
 
 
-def _load_config(path: str, seed_override: int | None = None) -> RunConfig:
+def _load_config(path: str) -> RunConfig:
     data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise ConfigError("config JSON must be an object of flat keys")
-    config = RunConfig.from_dict(data)
-    if seed_override is not None:
-        config = dataclasses.replace(config, seed=seed_override)
-    return config
+    return RunConfig.from_dict(data)
 
 
 def cmd_prepare(args) -> int:
@@ -175,7 +169,7 @@ def _execute_train(bundle: DatasetBundle, config: RunConfig, out_path: str
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config, args.seed)
+    config = _load_config(args.config)
     report = _execute_train(load_bundle(args.bundle), config, args.out)
     test = report["metrics"]["test"]
     print(f"test recall@10={test['recall']['10']:.6f} "

@@ -46,6 +46,10 @@ S_GRID = (1, 2, 3, 4, 5)
 THRESHOLD_GRID = (0.5, 0.6, 0.7, 0.8, 0.9)
 N_FLOOR_GRID = (0, 1, 2)
 
+# Config keys of earlier versions: a config or grid that sets one exits 1
+# as an unknown key, and a checkpoint whose echo holds one still loads.
+RETIRED_KEYS = ("warmup_candidate", "loss_reporting", "n_cap")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -70,7 +74,6 @@ class RunConfig:
     constructor: str = "topn"
     sim_threshold: float | None = None
     n_floor: int | None = None
-    n_cap: int | None = None
     wo_aggr: bool = False
     wo_scale: bool = False
     norm: str = "dual"
@@ -79,7 +82,6 @@ class RunConfig:
     include_seen: bool = False
     weight_decay: float = 0.0
     per_distinct_user: bool = False
-    loss_reporting: str = "mean"
     strategy: str = "hybrid"
     static_set: tuple[int, ...] = warmup.DEFAULT_STATIC_SET
     g: float = warmup.DEFAULT_G
@@ -122,7 +124,7 @@ class RunConfig:
         for key, low in (("embed_dim", 1), ("num_layers", 0), ("top_n", 1),
                          ("batch_size", 1), ("max_epochs", 1),
                          ("patience", 1), ("seed", 0), ("weight_decay", 0),
-                         ("n_floor", 0), ("n_cap", 0)):
+                         ("n_floor", 0)):
             value = getattr(self, key)
             if value is not None and value < low:
                 problems.append(f"{key} must be >= {low} (got {value})")
@@ -135,7 +137,6 @@ class RunConfig:
                              ("norm", backbone.NORM_MODES),
                              ("readout", backbone.READOUT_MODES),
                              ("score_mode", backbone.SCORE_MODES),
-                             ("loss_reporting", ("mean", "sum")),
                              ("strategy", warmup.STRATEGIES)):
             if getattr(self, key) not in allowed:
                 problems.append(f"unknown {key} {getattr(self, key)!r}")
@@ -163,18 +164,21 @@ class RunConfig:
         return problems
 
     def off_grid_warnings(self) -> list[str]:
-        """Notes on values outside the usual search grids."""
-        if not self.mdvt_enabled:
+        """Notes on values outside the usual search grids, for the keys
+        the run reads."""
+        if not self.mdvt_active:
             return []
-        # (key, grid, whether the key is checked, the value compared)
+        # (key, grid, whether the run reads the key, the value compared)
+        tag = self.constructor
         checks = (
-            ("lam", LAMBDA_GRID, self.lam != 0.0, self.lam),
-            ("top_n", N_GRID, True, self.top_n),
+            ("lam", LAMBDA_GRID, True, self.lam),
+            ("top_n", N_GRID, tag != "threshold", self.top_n),
             ("g", G_GRID, self.strategy in ("dynamic", "hybrid"), self.g),
             ("s", S_GRID, self.strategy == "hybrid", self.s),
-            ("sim_threshold", THRESHOLD_GRID, self.sim_threshold is not None,
+            ("sim_threshold", THRESHOLD_GRID,
+             tag in triplet_forge.THRESHOLD_TAGS,
              self.sim_threshold is not None and round(self.sim_threshold, 6)),
-            ("n_floor", N_FLOOR_GRID, self.n_floor is not None, self.n_floor),
+            ("n_floor", N_FLOOR_GRID, tag == "interval", self.n_floor),
         )
         return [f"{key}={getattr(self, key)} outside usual grid {grid}"
                 for key, grid, applies, value in checks
@@ -349,7 +353,7 @@ def train_epoch(state: backbone.EmbeddingState,
 
     own = state.modalities
     if not _split_epoch(state, prop):
-        return _mean_losses(steps(own, None), len(bundle.split.train), config)
+        return _mean_losses(steps(own, None))
     cut = len(own) - len(own) // 2
     own, theirs = own[:cut], own[cut:]
     # Imported here: multiprocessing costs a serial run 0.3 MiB of RSS.
@@ -374,8 +378,7 @@ def train_epoch(state: backbone.EmbeddingState,
         pool.add(what, work)
         worker_end.close()
         link = _Link(parent_end, pool)
-        report = _mean_losses(steps(own, link), len(bundle.split.train),
-                              config)
+        report = _mean_losses(steps(own, link))
         for array in arrays:
             link.recv_into(array)
         pool.gather()
@@ -386,8 +389,7 @@ def train_epoch(state: backbone.EmbeddingState,
     return report
 
 
-def _mean_losses(reports, train_size: int, config: RunConfig
-                 ) -> objective.LossReport:
+def _mean_losses(reports) -> objective.LossReport:
     """An epoch's mean batch losses, summed in batch order, from an
     iterable that trains each batch as it yields its report."""
     l_bpr = l_total = vbpr_sum = 0.0
@@ -399,11 +401,10 @@ def _mean_losses(reports, train_size: int, config: RunConfig
             vbpr_sum += report.l_vbpr
             vbpr_batches += 1
         n_batches += 1
-    scale = train_size if config.loss_reporting == "sum" else 1.0
     return objective.LossReport(
-        l_bpr=scale * l_bpr / n_batches,
-        l_vbpr=(scale * vbpr_sum / vbpr_batches) if vbpr_batches else None,
-        l_total=scale * l_total / n_batches)
+        l_bpr=l_bpr / n_batches,
+        l_vbpr=(vbpr_sum / vbpr_batches) if vbpr_batches else None,
+        l_total=l_total / n_batches)
 
 
 # Propagation work (as for LOCAL_STEP_MIN_WORK) above which an epoch is
@@ -906,7 +907,8 @@ def load_checkpoint(path: str | Path
         data = json.loads(config_blob.decode("utf-8"))
         if not isinstance(data, dict):
             raise ValueError("the config echo is not a JSON object")
-        data.pop("warmup_candidate", None)  # earlier versions wrote it
+        for key in RETIRED_KEYS:  # earlier versions wrote them
+            data.pop(key, None)
         config = RunConfig.from_dict(data)
         return config, bundle_fp.decode("utf-8"), tables
     except (struct.error, ValueError, ConfigError) as exc:

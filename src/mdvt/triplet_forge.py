@@ -105,8 +105,9 @@ def select(config: RunConfig, sim: np.ndarray, seen: Adjacency | None,
            ) -> tuple[Adjacency, Adjacency]:
     """Virtual ``(positives, negatives)`` of a block of users by
     ``config.constructor`` and its settings (``top_n``, ``sim_threshold``,
-    ``n_floor``, ``n_cap``): one CSR row per row of ``sim``, empty where a
-    threshold admits nothing.
+    ``n_floor``): one CSR row per row of ``sim``, empty where a threshold
+    admits nothing. ``interval`` caps its groups at ``top_n``, as
+    ``threshold_topn`` does.
 
     ``seen`` holds each row's excluded positive candidates, and
     ``item_counts`` every item's train degree, which the frequency
@@ -122,11 +123,9 @@ def select(config: RunConfig, sim: np.ndarray, seen: Adjacency | None,
         if seen is not None:
             above[seen.entry_rows, seen.indices] = False
         lengths = above.sum(axis=1)
-        if tag == "threshold_topn":
+        if tag != "threshold":
             lengths = np.minimum(lengths, n)
-        elif tag == "interval":
-            cap = config.n_cap if config.n_cap is not None else n
-            lengths = np.minimum(lengths, cap)
+        if tag == "interval":
             lengths = np.where(lengths < config.n_floor,
                                np.minimum(config.n_floor, free), lengths)
         _raise_first(users, collapsed, num_items - lengths < lengths,

@@ -303,9 +303,8 @@ def select_one(config: RunConfig, row: np.ndarray,
     if tag == "threshold_topn":
         return select_threshold(row, threshold, cap=n, exclusion=exclusion)
     if tag == "interval":
-        cap = config.n_cap if config.n_cap is not None else n
-        return select_threshold(row, threshold, cap=cap,
-                                floor=config.n_floor, exclusion=exclusion)
+        return select_threshold(row, threshold, cap=n, floor=config.n_floor,
+                                exclusion=exclusion)
     if tag == "freq_f1":
         return select_frequency(row, n, item_counts, "f1", exclusion)
     return select_frequency(row, n, item_counts, "f2", exclusion)

@@ -67,6 +67,9 @@ def base_config(tmp_path, **overrides):
 
 FORKING = dict(strategy="hybrid", s=2, max_epochs=8, patience=8)
 
+# A value earlier versions accepted for each retired config key.
+RETIRED = {"warmup_candidate": 3, "loss_reporting": "sum", "n_cap": 3}
+
 
 def train_outputs(out) -> tuple[str, bytes]:
     """A run's report less its wall clock, and its checkpoint bytes."""
@@ -347,8 +350,7 @@ class TestTrain:
         ("weight_decay", {"weight_decay": -5.0}),
         ("n_floor", {"constructor": "interval", "sim_threshold": 0.5,
                      "n_floor": -2}),
-        ("n_cap", {"constructor": "interval", "sim_threshold": 0.5,
-                   "n_floor": 1, "n_cap": -1}),
+        ("top_n", {"top_n": 0}),
         ("static_set", {"strategy": "hybrid", "static_set": [-3]}),
         ("static_set", {"strategy": "static", "static_set": [-3]}),
         ("eval_ks", {"eval_ks": [0, 10]}),
@@ -365,14 +367,16 @@ class TestTrain:
         assert key in single_error_line(capsys)
         assert not (tmp_path / "o.json").exists()
 
-    def test_negative_seed_override_exit_1(self, tmp_path, capsys):
+    def test_seed_flag_exit_1(self, tmp_path, capsys):
+        # The config's seed is the run's only seed.
         bundle = prepare_bundle(tmp_path)
         capsys.readouterr()
         assert main(["train", "--bundle", str(bundle),
                      "--config", str(base_config(tmp_path)),
                      "--out", str(tmp_path / "o.json"),
-                     "--seed", "-1"]) == 1
-        assert "seed" in single_error_line(capsys)
+                     "--seed", "3"]) == 1
+        assert "--seed" in single_error_line(capsys)
+        assert not (tmp_path / "o.json").exists()
 
     def test_non_utf8_config_exit_1(self, tmp_path, capsys):
         config = base_config(tmp_path)
@@ -451,26 +455,27 @@ class TestTrain:
         assert any("lam" in w for w in report["config_warnings"])
 
     def test_warmup_candidate_key_exit_1(self, tmp_path, capsys):
-        # The strategy search picks the trigger: neither a config nor a
-        # sweep grid sets it.
+        # The strategy search picks the trigger, so neither a config nor a
+        # sweep grid sets it; nor any other retired key.
+        assert tuple(RETIRED) == trainer.RETIRED_KEYS
         bundle = prepare_bundle(tmp_path)
-        config = base_config(tmp_path, warmup_candidate=3)
-        capsys.readouterr()
-        assert main(["train", "--bundle", str(bundle), "--config",
-                     str(config), "--out", str(tmp_path / "o.json")]) == 1
-        assert single_error_line(capsys) == (
-            "error: unknown config keys: warmup_candidate")
-        config = base_config(tmp_path)
         grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"warmup_candidate": [0, 3]}),
-                        encoding="utf-8")
-        assert main(["sweep", "--bundle", str(bundle), "--config",
-                     str(config), "--grid", str(grid),
-                     "--out", str(tmp_path / "s")]) == 1
-        assert single_error_line(capsys) == (
-            "error: unknown config keys: warmup_candidate")
-        assert not (tmp_path / "o.json").exists()
-        assert not (tmp_path / "s").exists()
+        for key, value in RETIRED.items():
+            config = base_config(tmp_path, **{key: value})
+            capsys.readouterr()
+            assert main(["train", "--bundle", str(bundle), "--config",
+                         str(config), "--out", str(tmp_path / "o.json")]) == 1
+            assert single_error_line(capsys) == (
+                f"error: unknown config keys: {key}")
+            config = base_config(tmp_path)
+            grid.write_text(json.dumps({key: [value]}), encoding="utf-8")
+            assert main(["sweep", "--bundle", str(bundle), "--config",
+                         str(config), "--grid", str(grid),
+                         "--out", str(tmp_path / "s")]) == 1
+            assert single_error_line(capsys) == (
+                f"error: unknown config keys: {key}")
+            assert not (tmp_path / "o.json").exists()
+            assert not (tmp_path / "s").exists()
 
     def test_repeat_identical_modulo_wall_clock(self, tmp_path):
         bundle = prepare_bundle(tmp_path)
@@ -540,13 +545,12 @@ class TestTrain:
 
     def test_seed_override_changes_run(self, tmp_path):
         bundle = prepare_bundle(tmp_path)
-        config = base_config(tmp_path)
         outs = []
         for seed, name in ((3, "a.json"), (4, "b.json")):
             out = tmp_path / name
+            config = base_config(tmp_path, seed=seed)
             assert main(["train", "--bundle", str(bundle),
-                         "--config", str(config), "--out", str(out),
-                         "--seed", str(seed)]) == 0
+                         "--config", str(config), "--out", str(out)]) == 0
             outs.append(json.loads(out.read_text(encoding="utf-8")))
         assert outs[0]["config"]["seed"] == 3
         assert outs[1]["config"]["seed"] == 4
@@ -951,9 +955,10 @@ class TestEval:
         assert ranked == []
 
     def test_echo_with_a_warmup_candidate(self, tmp_path, capsys):
-        # Earlier versions echoed the winner's trigger as warmup_candidate:
-        # such a checkpoint evaluates as before. An echo that is not a JSON
-        # object, its hash matching, is a checkpoint error.
+        # Earlier versions echoed the winner's trigger as warmup_candidate,
+        # and the other retired keys: such a checkpoint evaluates as before.
+        # An echo that is not a JSON object, its hash matching, is a
+        # checkpoint error.
         bundle = prepare_bundle(tmp_path)
         assert main(["train", "--bundle", str(bundle), "--config",
                      str(base_config(tmp_path)),
@@ -974,15 +979,15 @@ class TestEval:
                 blob[start + size:]]))
             return path
 
-        older = with_echo("older.ckpt", {**echo, "warmup_candidate": 3})
-        assert load_checkpoint(older)[0] == load_checkpoint(ckpt)[0]
         printed = []
-        for path in (ckpt, older):
+        for path in [ckpt] + [with_echo(f"{key}.ckpt", {**echo, key: value})
+                              for key, value in RETIRED.items()]:
+            assert load_checkpoint(path)[0] == load_checkpoint(ckpt)[0]
             capsys.readouterr()
             assert main(["eval", "--bundle", str(bundle),
                          "--checkpoint", str(path)]) == 0
             printed.append(capsys.readouterr().out)
-        assert printed[0] == printed[1]
+        assert printed == printed[:1] * 4
         assert main(["eval", "--bundle", str(bundle), "--checkpoint",
                      str(with_echo("list.ckpt", [echo]))]) == 3
         assert "not a JSON object" in single_error_line(capsys)

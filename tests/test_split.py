@@ -111,7 +111,7 @@ class TestSplitBitIdentity:
 
     def test_train_epoch_report(self, monkeypatch, splits):
         bundle = bundle_with(3)
-        config = split_config(loss_reporting="sum")
+        config = split_config()
         reports = []
         for split in (True, False):
             if not split:

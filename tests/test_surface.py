@@ -1,15 +1,20 @@
-"""Names that code outside ``src/`` relies on: the package's public
-surface (README "Quick start") and the hook points of the benchmark in
+"""Names that code and documents outside ``src/`` rely on: the package's
+public surface (README "Quick start"), the config keys README's
+Configuration table documents, and the hook points of the benchmark in
 ``perfbench/``, which patches and observes them from outside the program.
 """
 
+import collections
+import dataclasses
 import importlib
 import inspect
 import json
+import re
 from pathlib import Path
 
 import mdvt
 from mdvt import backbone, cli, dataset, triplet_forge
+from mdvt.trainer import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -68,3 +73,17 @@ def test_per_layer_spans_have_functions():
         assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, span
         checked += 1
     assert checked >= 14
+
+
+def test_readme_configuration_table_names_every_key_once():
+    """README's Configuration table gives every RunConfig field one row,
+    and names no key that is not a field."""
+    readme = (ROOT / "README.md").read_text("utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines()
+            if line.startswith("| `")]
+    keys = collections.Counter(k for row in rows
+                               for k in re.findall(r"`(\w+)`", row))
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(keys) == fields
+    assert [k for k, n in keys.items() if n > 1] == []

@@ -67,6 +67,20 @@ class TestRunConfig:
     def test_off_grid_values_warn_only(self):
         warnings = quick_config(lam=0.7).off_grid_warnings()
         assert any("lam" in w for w in warnings)
+        # A constructor key warns only under a constructor that reads it.
+        off_grid = dict(top_n=3, sim_threshold=0.55, n_floor=4)
+        for constructor, keys in (
+                ("topn", ["top_n"]), ("threshold", ["sim_threshold"]),
+                ("threshold_topn", ["top_n", "sim_threshold"]),
+                ("interval", ["top_n", "sim_threshold", "n_floor"]),
+                ("freq_f1", ["top_n"]), ("freq_f2", ["top_n"])):
+            warnings = quick_config(constructor=constructor,
+                                    **off_grid).off_grid_warnings()
+            assert [w.split("=")[0] for w in warnings] == keys, constructor
+        # The baseline, in either spelling, reads none of them.
+        for baseline in (dict(lam=0.0), dict(mdvt_enabled=False)):
+            assert quick_config(g=0.7, **baseline,
+                                **off_grid).off_grid_warnings() == []
 
     def test_round_trip(self):
         config = quick_config(modality_mask=("id",))
@@ -607,16 +621,6 @@ class TestEvaluateSplit:
 
 
 class TestReportingOptions:
-    def test_sum_reporting_scales_by_train_size(self, rng):
-        bundle = make_bundle(rng, num_users=6, num_items=10, extra_edges=6)
-        mean_cfg = quick_config(mdvt_enabled=False, max_epochs=2, patience=2)
-        sum_cfg = dataclasses.replace(mean_cfg, loss_reporting="sum")
-        _, mean_hist = train_run(bundle, mean_cfg)
-        _, sum_hist = train_run(bundle, sum_cfg)
-        n = len(bundle.split.train)
-        for a, b in zip(mean_hist.l_bpr, sum_hist.l_bpr):
-            assert b == pytest.approx(n * a, rel=1e-12)
-
     def test_max_epochs_caps_run(self, rng):
         bundle = make_bundle(rng, num_users=6, num_items=10, extra_edges=6)
         _, history = train_run(bundle, quick_config(max_epochs=3,

@@ -311,8 +311,7 @@ ALL_CONFIGS = [
     RunConfig(constructor="threshold", sim_threshold=0.7),
     RunConfig(constructor="threshold_topn", top_n=2, sim_threshold=0.2),
     RunConfig(constructor="interval", top_n=3, sim_threshold=0.6, n_floor=2),
-    RunConfig(constructor="interval", top_n=1, sim_threshold=0.1, n_floor=1,
-              n_cap=2),
+    RunConfig(constructor="interval", top_n=2, sim_threshold=0.1, n_floor=1),
     RunConfig(constructor="freq_f1", top_n=2),
     RunConfig(constructor="freq_f2", top_n=2),
 ]

@@ -56,7 +56,7 @@ VARIANTS = {
     "threshold_topn": {"constructor": "threshold_topn",
                        "sim_threshold": 0.5},
     "interval": {"constructor": "interval", "sim_threshold": 0.6,
-                 "n_floor": 1, "n_cap": 3},
+                 "n_floor": 1, "top_n": 3},
     "freq_f1": {"constructor": "freq_f1"},
     "freq_f2": {"constructor": "freq_f2"},
     "sym_mean_2": {"norm": "sym", "readout": "mean", "num_layers": 2},
@@ -70,7 +70,6 @@ VARIANTS = {
     "per_distinct_user": {"per_distinct_user": True},
     "mask_visual": {"modality_mask": ["visual"]},
     "mask_repeat": {"modality_mask": ["visual", "id", "visual"]},
-    "sum_reporting": {"loss_reporting": "sum"},
     "weight_decay": {"weight_decay": 0.001},
 }
 
